@@ -6,8 +6,8 @@ the covariance condition
 
     D2(g)^dag A_k D1(g) = sum_l Omega(g)_{kl} A_l
 
-is linear in that vector; its matrix is assembled here.  For the Lie case
-the condition is the commutator analogue
+is linear in that vector.  For the Lie case the condition is the commutator
+analogue
 
     D1(T) A_k - A_k D2(T) = sum_l Omega(T)_{lk} A_l
 
@@ -16,11 +16,32 @@ contraction on Omega in the Lie case: with the descending-m basis used by
 the catalog this is exactly what makes ladder covariance reproduce the
 standard spherical-tensor component relations.  Channels covariant for the
 full (infinite) group follow by linearity/exponentiation, so the generator
-systems are enough.
+systems are enough.  :func:`_defect` is the one place either relation is
+written down; the system matrices and :func:`covariance_residual` both
+evaluate it.
 
-The joint nullspace over all generators is computed from one SVD of the
-vertically stacked system; each basis vector reshapes back to a K-tuple of
-d x d operators via :func:`vec_to_kraus`.
+Schur blocks.  The representation acting on the rows of A_k (D2 for
+discrete groups, D1 for Lie groups) and the one acting on its columns (D1,
+resp. D2) are each split into the finest index partition that every one of
+their generators maps into itself, read off the generators' nonzero
+pattern (never from the labels, so a densely rotated representation is
+simply one block).  The relations then decouple: the entries A_k[I, J] for
+a row block I and a column block J, over all k, form an independent
+system of K*|I|*|J| unknowns.  Each block is factored by a thin SVD, and
+the instance's kernel is the direct sum of the block kernels, embedded into
+K*d^2 space in (row block, column block) order.
+
+Rank threshold.  A singular value counts as zero when it is at most
+``tol_kernel * max(1, sigma_max)`` of its block; a block whose matrices are
+identically zero is unconstrained (identity basis).  The absolute floor
+matters for blocks made only of roundoff, such as a Z2 character stored as
+-1 + 1.2e-16j, whose whole kernel a purely relative rule would drop.
+
+Cache.  A sweep meets the same (row irrep, column irrep, Omega) block in
+many instances.  :func:`joint_nullspace` accepts a plain dict, keyed by the
+block's content (kind, tolerance and generator bytes), and factors each
+distinct block once.  Cached and fresh results are identical, so the cache
+never changes output.
 """
 
 from __future__ import annotations
@@ -36,11 +57,55 @@ from .reps import Rep, RepLabel
 DEFAULT_TOL_KERNEL = 1e-10
 
 
+def _defect(kind: str, row_g, col_g, om, X: np.ndarray) -> np.ndarray:
+    """Covariance defect of Kraus stacks ``X`` (shape (..., K, r, c)) for one
+    generator: ``row_g`` acts on the rows of each A_k, ``col_g`` on its
+    columns and ``om`` on the Kraus index."""
+    if kind == "discrete":
+        return row_g.conj().T @ X @ col_g - np.einsum("kl,...lrc->...krc", om, X)
+    return row_g @ X - X @ col_g - np.einsum("lk,...lrc->...krc", om, X)
+
+
+@dataclass(frozen=True)
+class CovarianceBlock:
+    """The covariance relations restricted to the entries A_k[rows, cols].
+
+    ``shape`` is (K, len(rows), len(cols)); ``index`` gives the positions of
+    the block's K*r*c entries in the stacked K*d^2 vector, in the block's
+    own row-major (k, row, column) order.  ``row_gens`` and ``col_gens`` are
+    the generator sub-blocks acting on the rows and the columns,
+    ``omega_gens`` the channel label's generators.
+    """
+
+    kind: str
+    shape: tuple[int, int, int]
+    index: np.ndarray
+    row_gens: tuple[np.ndarray, ...]
+    col_gens: tuple[np.ndarray, ...]
+    omega_gens: tuple[np.ndarray, ...]
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """One (K r c) x (K r c) matrix per generator; column i is the
+        defect of the i-th unit vector."""
+        n = self.index.size
+        units = np.eye(n, dtype=complex).reshape(n, *self.shape)
+        return tuple(
+            _defect(self.kind, a, b, om, units).reshape(n, n).T
+            for a, b, om in zip(self.row_gens, self.col_gens, self.omega_gens)
+        )
+
+    def key(self, tol_kernel: float) -> tuple:
+        """Cache key: equal keys mean equal systems, hence equal kernels."""
+        gens = (self.row_gens, self.col_gens, self.omega_gens)
+        return (self.kind, tol_kernel, *(tuple(m.tobytes() for m in g) for g in gens))
+
+
 @dataclass(frozen=True)
 class CovarianceSystem:
-    """One (K d^2) x (K d^2) matrix per group generator."""
+    """The Schur blocks of one instance, in (row block, column block) order."""
 
-    matrices: tuple[np.ndarray, ...]
+    blocks: tuple[CovarianceBlock, ...]
     K: int
     d: int
 
@@ -87,35 +152,61 @@ def kraus_to_vec(matrices) -> np.ndarray:
     return np.concatenate([np.asarray(m, dtype=complex).reshape(-1) for m in matrices])
 
 
-def build_discrete_system(D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
-    """Linear system enforcing D2(g)^dag A_k D1(g) = sum_l Omega_kl(g) A_l."""
+def _invariant_blocks(gens) -> list[np.ndarray]:
+    """Finest partition of the basis indices that every generator maps into
+    itself: connected components of the generators' joint nonzero pattern,
+    each sorted, ordered by smallest index."""
+    d = gens[0].shape[0]
+    reach = np.eye(d, dtype=int) + sum((g != 0) | (g.T != 0) for g in gens)
+    for _ in range(d.bit_length()):  # transitive closure by repeated squaring
+        reach = ((reach @ reach) > 0).astype(int)
+    return [np.flatnonzero(reach[i]) for i in range(d) if not reach[i, :i].any()]
+
+
+def _rows_cols(kind: str, D1: Rep, D2: Rep) -> tuple[Rep, Rep]:
+    """(representation acting on the rows of A_k, the one on its columns)."""
+    return (D2, D1) if kind == "discrete" else (D1, D2)
+
+
+def _build_system(kind: str, D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
     if D1.dim != D2.dim:
         raise DimMismatch(f"input/output rep dims differ: {D1.dim} vs {D2.dim}")
     d, K = D1.dim, omega.dim
-    mats = []
-    for g1, g2, om in zip(
-        D1.generator_matrices, D2.generator_matrices, omega.generator_matrices
-    ):
-        # Row-major vec turns X -> M X N into (M kron N^T) vec X, so the
-        # conjugation block for each Kraus slot is D2^dag kron D1^T.
-        block = np.kron(g2.conj().T, g1.T)
-        mats.append(np.kron(np.eye(K), block) - np.kron(om, np.eye(d * d)))
-    return CovarianceSystem(matrices=tuple(mats), K=K, d=d)
+    # Sub-blocks are cast to complex so equal content always has equal bytes.
+    row_split, col_split = (
+        [
+            (idx, tuple(g[idx[:, None], idx].astype(complex, copy=False) for g in rep.generator_matrices))
+            for idx in _invariant_blocks(rep.generator_matrices)
+        ]
+        for rep in _rows_cols(kind, D1, D2)
+    )
+    omega_gens = tuple(np.asarray(g, dtype=complex) for g in omega.generator_matrices)
+    kraus_offsets = np.arange(K)[:, None, None] * d * d
+    blocks = tuple(
+        CovarianceBlock(
+            kind=kind,
+            shape=(K, rows.size, cols.size),
+            index=(kraus_offsets + rows[:, None] * d + cols).reshape(-1),
+            row_gens=row_gens,
+            col_gens=col_gens,
+            omega_gens=omega_gens,
+        )
+        for rows, row_gens in row_split
+        for cols, col_gens in col_split
+    )
+    return CovarianceSystem(blocks=blocks, K=K, d=d)
+
+
+def build_discrete_system(D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
+    """Blocks enforcing D2(g)^dag A_k D1(g) = sum_l Omega_kl(g) A_l; rows of
+    A_k follow D2 and columns follow D1."""
+    return _build_system("discrete", D1, D2, omega)
 
 
 def build_lie_system(D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
-    """Linear system enforcing D1(T) A_k - A_k D2(T) = sum_l Omega(T)_lk A_l
-    for each algebra basis element T."""
-    if D1.dim != D2.dim:
-        raise DimMismatch(f"input/output rep dims differ: {D1.dim} vs {D2.dim}")
-    d, K = D1.dim, omega.dim
-    mats = []
-    for t1, t2, om in zip(
-        D1.generator_matrices, D2.generator_matrices, omega.generator_matrices
-    ):
-        block = np.kron(t1, np.eye(d)) - np.kron(np.eye(d), t2.T)
-        mats.append(np.kron(np.eye(K), block) - np.kron(om.T, np.eye(d * d)))
-    return CovarianceSystem(matrices=tuple(mats), K=K, d=d)
+    """Blocks enforcing D1(T) A_k - A_k D2(T) = sum_l Omega(T)_lk A_l for each
+    algebra basis element T; rows of A_k follow D1 and columns follow D2."""
+    return _build_system("lie", D1, D2, omega)
 
 
 def _gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
@@ -133,41 +224,55 @@ def _gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
     return fixed
 
 
+def _block_nullspace(block: CovarianceBlock, tol_kernel: float) -> np.ndarray:
+    """Gauge-fixed orthonormal kernel basis of one block's stacked system."""
+    stacked = np.vstack(block.matrices)
+    if not np.any(stacked):
+        # Unconstrained block: every choice of its entries is covariant.
+        return np.eye(block.index.size, dtype=complex)
+    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+    rank = int(np.sum(svals > tol_kernel * max(1.0, svals[0])))
+    return _gauge_fix_columns(vh[rank:].conj().T)
+
+
 def joint_nullspace(
     system: CovarianceSystem,
     tol_kernel: float = DEFAULT_TOL_KERNEL,
     labels: tuple[RepLabel, RepLabel, int] | None = None,
+    cache: dict | None = None,
 ) -> KernelFamily:
     """Orthonormal basis of the intersection of all generators' kernels.
 
-    The per-generator systems are stacked vertically and factored once;
-    singular values below ``tol_kernel`` times the largest count as zero.
-    An empty basis is a valid result and means no covariant CP map exists
-    for these labels.
+    The direct sum of the block kernels, each block's basis placed at the
+    block's entries.  ``cache`` (a dict owned by the caller, typically one
+    per sweep) holds block bases by content, so a block repeated across
+    instances is factored once; without one, repeats within this instance
+    still are.  An empty basis is a valid result and means
+    no covariant CP map exists for these labels.
     """
-    n = system.K * system.d * system.d
-    stacked = np.vstack(system.matrices)
-    if not np.any(stacked):
-        # Unconstrained family: every K-tuple of operators is covariant.
-        basis = np.eye(n, dtype=complex)
-    else:
-        _, svals, vh = np.linalg.svd(stacked)
-        rank = int(np.sum(svals > tol_kernel * svals[0]))
-        basis = _gauge_fix_columns(vh[rank:].conj().T)
+    if cache is None:
+        cache = {}
+    parts = []
+    for block in system.blocks:
+        key = block.key(tol_kernel)
+        if key not in cache:
+            cache[key] = _block_nullspace(block, tol_kernel)
+        parts.append(cache[key])
+    basis = np.zeros((system.K * system.d * system.d, sum(p.shape[1] for p in parts)), dtype=complex)
+    at = 0
+    for block, part in zip(system.blocks, parts):
+        basis[block.index, at : at + part.shape[1]] = part
+        at += part.shape[1]
     return KernelFamily(basis=basis, K=system.K, d=system.d, labels=labels)
 
 
 def covariance_residual(kraus, D1: Rep, D2: Rep, omega: Irrep, kind: str) -> float:
-    """Worst-case Frobenius defect of the covariance relations for ``kraus``."""
-    worst = 0.0
-    gens = zip(D1.generator_matrices, D2.generator_matrices, omega.generator_matrices)
-    for t1, t2, om in gens:
-        for k in range(omega.dim):
-            if kind == "discrete":
-                lhs = t2.conj().T @ kraus[k] @ t1
-                rhs = sum(om[k, l] * kraus[l] for l in range(omega.dim))
-            else:
-                lhs = t1 @ kraus[k] - kraus[k] @ t2
-                rhs = sum(om[l, k] * kraus[l] for l in range(omega.dim))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    """Worst-case Frobenius defect of the covariance relations for ``kraus``,
+    over generators and Kraus slots."""
+    X = np.asarray(kraus, dtype=complex)
+    row_rep, col_rep = _rows_cols(kind, D1, D2)
+    gens = zip(row_rep.generator_matrices, col_rep.generator_matrices, omega.generator_matrices)
+    return max(
+        (float(np.linalg.norm(_defect(kind, a, b, om, X), axis=(1, 2)).max()) for a, b, om in gens),
+        default=0.0,
+    )

@@ -23,7 +23,7 @@ from .channels import (
     kraus_from_dict,
     kraus_to_dict,
 )
-from .errors import SchemaError, NotTracePreserving, UnknownGroup
+from .errors import GcecError, SchemaError, NotTracePreserving, UnknownGroup
 from .extremality import DEFAULT_TOL_RANK, test_extreme
 from .groups import infer_kind, props
 from .kernels import (
@@ -49,7 +49,7 @@ class ChannelRecord:
     omega_index: int
     omega_label: str
     n_params: int
-    status: str  # no_cp_map | no_tp_solution | solver_failed | channel_found
+    status: str  # no_cp_map | no_tp_solution | solver_failed | error | channel_found
     kraus_samples: list[KrausSet] = field(default_factory=list)
     moduli_constraints: list[str] = field(default_factory=list)
     classification: str = "not_applicable"
@@ -113,6 +113,7 @@ def run_enumeration(
         omegas = [om for om in omegas if om.dim >= 2]
 
     rep_cache = {lab.parts: materialize(spec, lab) for lab in labels}
+    block_cache: dict = {}  # Schur-block kernels shared by this sweep's instances
 
     records: list[ChannelRecord] = []
     for omega in omegas:
@@ -136,6 +137,7 @@ def run_enumeration(
                         n_starts=n_starts,
                         seed=instance_seed,
                         time_budget=time_budget,
+                        block_cache=block_cache,
                     )
                 )
 
@@ -171,6 +173,7 @@ def _solve_instance(
     n_starts,
     seed,
     time_budget,
+    block_cache,
 ):
     started = time.perf_counter()
     record = ChannelRecord(
@@ -186,7 +189,7 @@ def _solve_instance(
     try:
         system = build_discrete_system(rep1, rep2, omega) if kind == "discrete" else build_lie_system(rep1, rep2, omega)
         family = joint_nullspace(
-            system, tol_kernel, labels=(rep1.label, rep2.label, omega.index)
+            system, tol_kernel, labels=(rep1.label, rep2.label, omega.index), cache=block_cache
         )
         record.n_params = family.n_params
         if family.n_params == 0:
@@ -225,9 +228,13 @@ def _solve_instance(
             "tp": max(report.residuals),
             "rank_sigma_min": min(v.min_singular_value for v in verdicts),
         }
-    except Exception as exc:  # record, never abort the sweep
+    except (GcecError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         record.status = "solver_failed"
+        record.classification = "not_applicable"
+    except Exception as exc:  # a crash: record it as such, never abort the sweep
+        record.error = f"{type(exc).__name__}: {exc}"
+        record.status = "error"
         record.classification = "not_applicable"
     return record
 

@@ -87,6 +87,8 @@ def diagonal_structure(family: KernelFamily) -> bool:
 
 def _offdiag_vanishes(forms: np.ndarray) -> bool:
     d = forms.shape[0]
+    if d == 1:  # Xi is a scalar: nothing off the diagonal
+        return True
     mask = ~np.eye(d, dtype=bool)
     scale = max(1.0, float(np.abs(forms).max()))
     return float(np.abs(forms[mask]).max()) <= _STRUCT_TOL * scale

@@ -74,3 +74,27 @@ def random_unitary(rng, d):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(x)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def character_n_params(table, rows1, rows2, omega_row):
+    """Covariant-operator count for a finite group from characters:
+    (1/|G|) sum_g chi_D2(g) conj(chi_D1(g)) chi_Omega(g), where D1 and D2 are
+    given as lists of irrep rows of ``table`` (shape (irreps, |G|))."""
+    chi1 = sum(table[r] for r in rows1)
+    chi2 = sum(table[r] for r in rows2)
+    val = np.sum(chi2 * np.conj(chi1) * table[omega_row]) / table.shape[1]
+    count = int(round(val.real))
+    assert abs(val - count) <= 1e-6, f"non-integral character product {val}"
+    return count
+
+
+def clebsch_gordan_n_params(dims1, dims2, omega_dim):
+    """Covariant-operator count for SO3/SU2: the number of block pairs
+    (rho_i in D1, rho_j in D2) whose tensor product contains Omega.  The
+    irrep of dimension c occurs in a (x) b iff |a - b| < c < a + b and
+    a + b + c is odd."""
+    return sum(
+        abs(a - b) + 1 <= omega_dim <= a + b - 1 and (a + b + omega_dim) % 2 == 1
+        for a in dims1
+        for b in dims2
+    )

@@ -28,7 +28,7 @@ from gcec.pipeline import (
     run_enumeration,
     save_manifest,
 )
-from gcec.reps import enumerate_reps, make_rep_label, materialize
+from gcec.reps import enumerate_reps, make_rep_label, materialize, omega_candidates
 from gcec.tp import solve_tp, xi_of
 
 from fixtures import (
@@ -41,7 +41,7 @@ from fixtures import (
     so3_qutrit_family,
     su2_flip_family,
 )
-from oracles import partitions_all, partitions_odd, random_unitary
+from oracles import clebsch_gordan_n_params, partitions_all, partitions_odd, random_unitary
 
 
 def _family(name, kind, d, omega_index, parts1, parts2):
@@ -323,6 +323,25 @@ def test_spin_group_flip_family_reference_choi_match_all_dims():
         report = solve_tp(family)
         canonical = family.kraus_at(report.solutions[0])
         assert _choi_gap(canonical, su2_flip_family(d)) <= 1e-8
+
+
+def test_spin_group_d6_kernels_match_clebsch_gordan_within_budget():
+    # all 726 instances share 216 distinct Schur blocks, factored once each
+    spec = props("SU2", "lie", 6).group
+    dims = {ir.index: ir.dim for ir in spec.irreps}
+    reps = [materialize(spec, lab) for lab in enumerate_reps(spec, 6)]
+    started = time.perf_counter()
+    cache, counts = {}, []
+    for omega in omega_candidates(spec, 6):
+        for D1 in reps:
+            for D2 in reps:
+                family = joint_nullspace(build_lie_system(D1, D2, omega), 1e-10, cache=cache)
+                counts.append((family.n_params, D1.label.parts, D2.label.parts, omega.index))
+    elapsed = time.perf_counter() - started
+    assert len(counts) == 726 and len(cache) == 216
+    for n, p1, p2, om in counts:
+        assert n == clebsch_gordan_n_params([dims[p] for p in p1], [dims[p] for p in p2], dims[om])
+    assert elapsed < 10.0
 
 
 def test_instance_and_representation_counts(s3_sweep, a4_sweep, d5_sweep):

@@ -51,6 +51,15 @@ INSTANCES = [
 ]
 
 
+def _system_defect(system, v):
+    """Largest norm of one generator's system applied to the stacked vector
+    ``v``, each block acting on its own entries."""
+    return max(
+        np.linalg.norm(np.concatenate([b.matrices[g] @ v[b.index] for b in system.blocks]))
+        for g in range(len(system.blocks[0].matrices))
+    )
+
+
 def test_vec_round_trip():
     rng = np.random.default_rng(7)
     v = rng.normal(size=18) + 1j * rng.normal(size=18)
@@ -72,13 +81,17 @@ def test_vec_length_mismatch():
 def test_system_shape_matches_kraus_count():
     system, *_ = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
     assert system.K == 2 and system.d == 3
-    assert len(system.matrices) == 2
-    assert all(m.shape == (18, 18) for m in system.matrices)
+    # D1 = D2 = 1+2: four (row block, column block) pairs of 2, 4, 4, 8 unknowns
+    assert [b.index.size for b in system.blocks] == [2, 4, 4, 8]
+    assert np.array_equal(np.sort(np.concatenate([b.index for b in system.blocks])), np.arange(18))
+    for b in system.blocks:
+        assert len(b.matrices) == 2
+        assert all(m.shape == (b.index.size, b.index.size) for m in b.matrices)
 
 
 def test_unconstrained_instance_yields_identity_basis():
     system, *_ = _instance("Z2", "discrete", 2, 0, (0, 0), (0, 0))
-    assert all(np.linalg.norm(m) == 0.0 for m in system.matrices)
+    assert all(np.linalg.norm(m) == 0.0 for b in system.blocks for m in b.matrices)
     family = joint_nullspace(system, 1e-10)
     assert family.n_params == 4
     assert np.array_equal(family.basis, np.eye(4))
@@ -86,7 +99,9 @@ def test_unconstrained_instance_yields_identity_basis():
 
 def test_fully_constrained_instance_has_empty_kernel():
     system, *_ = _instance("Z2", "discrete", 2, 1, (0, 0), (0, 0))
-    assert np.allclose(system.matrices[0], 2.0 * np.eye(4))
+    assert sum(b.index.size for b in system.blocks) == 4
+    for b in system.blocks:
+        assert np.allclose(b.matrices[0], 2.0 * np.eye(b.index.size))
     assert joint_nullspace(system, 1e-10).n_params == 0
 
 
@@ -100,11 +115,10 @@ def test_kernel_dims_orthonormality_and_fixtures(name, kind, d, om, p1, p2, n, f
     gram = family.basis.conj().T @ family.basis
     assert np.linalg.norm(gram - np.eye(n)) <= 1e-10
     for j in range(n):
-        col = family.basis[:, j]
-        assert max(np.linalg.norm(m @ col) for m in system.matrices) <= 1e-9
+        assert _system_defect(system, family.basis[:, j]) <= 1e-9
     if fixture is not None:
         v = kraus_to_vec(fixture)
-        assert max(np.linalg.norm(m @ v) for m in system.matrices) <= 1e-12
+        assert _system_defect(system, v) <= 1e-12
         assert covariance_residual(fixture, D1, D2, omega, kind) <= 1e-9
 
 
@@ -125,11 +139,68 @@ def test_s3_kernel_equals_closed_form_span():
 def test_joint_nullity_bounded_by_single_generator_nullity():
     for name, kind, d, om, p1, p2, n, _ in INSTANCES:
         system, *_ = _instance(name, kind, d, om, p1, p2)
-        per_gen = []
-        for m in system.matrices:
-            svals = np.linalg.svd(m, compute_uv=False)
-            per_gen.append(int(np.sum(svals <= 1e-10 * max(1.0, svals[0]))))
+        # a generator's nullity is the sum of its blocks' nullities
+        per_gen = [0] * len(system.blocks[0].matrices)
+        for b in system.blocks:
+            for g, m in enumerate(b.matrices):
+                svals = np.linalg.svd(m, compute_uv=False)
+                per_gen[g] += int(np.sum(svals <= 1e-10 * max(1.0, svals[0])))
         assert n <= min(per_gen)
+
+
+def _dense_reference(kind, D1, D2, omega):
+    """The full (K d^2) x (K d^2) system per generator, by Kronecker products
+    on row-major vec: X -> M X N is (M kron N^T) vec X."""
+    d, K = D1.dim, omega.dim
+    mats = []
+    for t1, t2, om in zip(D1.generator_matrices, D2.generator_matrices, omega.generator_matrices):
+        if kind == "discrete":
+            act, mix = np.kron(t2.conj().T, t1.T), om
+        else:
+            act, mix = np.kron(t1, np.eye(d)) - np.kron(np.eye(d), t2.T), om.T
+        mats.append(np.kron(np.eye(K), act) - np.kron(mix, np.eye(d * d)))
+    return mats
+
+
+def _loop_residual(kraus, D1, D2, omega, kind):
+    worst = 0.0
+    for t1, t2, om in zip(D1.generator_matrices, D2.generator_matrices, omega.generator_matrices):
+        for k in range(omega.dim):
+            if kind == "discrete":
+                lhs = t2.conj().T @ kraus[k] @ t1
+                rhs = sum(om[k, l] * kraus[l] for l in range(omega.dim))
+            else:
+                lhs = t1 @ kraus[k] - kraus[k] @ t2
+                rhs = sum(om[l, k] * kraus[l] for l in range(omega.dim))
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def test_blocks_and_residual_match_dense_reference():
+    rng = np.random.default_rng(16)
+    cases = []
+    for name, kind, d, om, p1, p2, *_ in INSTANCES:
+        _, D1, D2, omega = _instance(name, kind, d, om, p1, p2)
+        cases.append((kind, D1, D2, omega))
+    # densely rotated reps: a single block
+    kind, D1, D2, omega = cases[0]
+    cases.append((kind, _rotated(D1, random_unitary(rng, 3)), _rotated(D2, random_unitary(rng, 3)), omega))
+    for kind, D1, D2, omega in cases:
+        build = build_discrete_system if kind == "discrete" else build_lie_system
+        system = build(D1, D2, omega)
+        dense = _dense_reference(kind, D1, D2, omega)
+        covered = np.zeros(dense[0].shape, dtype=bool)
+        for b in system.blocks:
+            covered[np.ix_(b.index, b.index)] = True
+            for m, full in zip(b.matrices, dense):
+                assert np.abs(m - full[np.ix_(b.index, b.index)]).max() <= 1e-12
+        # nothing couples two blocks
+        assert all(not np.any(full[~covered]) for full in dense)
+        d = D1.dim
+        kraus = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(omega.dim)]
+        ref = _loop_residual(kraus, D1, D2, omega, kind)
+        assert abs(covariance_residual(kraus, D1, D2, omega, kind) - ref) <= 1e-12 * max(1.0, ref)
+    assert len(system.blocks) == 1
 
 
 def _projector(basis):

@@ -9,6 +9,7 @@ import pytest
 from gcec.channels import KrausSet, kraus_to_dict
 from gcec.cli import main
 from gcec.errors import SchemaError, UnknownGroup
+from gcec import pipeline
 from gcec.pipeline import (
     RunManifest,
     classify_file,
@@ -50,7 +51,9 @@ def d5_manifest():
 
 def test_z2_full_sweep(z2_manifest):
     assert z2_manifest.total_instances == 18
-    assert z2_manifest.count_found == 5
+    # q0+q0 -> q1+q1 with Omega = q1 counts: D2^dag A D1 = -A for every A,
+    # so all four operators are covariant and every unitary is a channel.
+    assert z2_manifest.count_found == 6
     assert {r.d1_label.text for r in z2_manifest.records} == {
         "q0+q0", "q0+q1", "q1+q1"
     }
@@ -143,6 +146,34 @@ def test_record_invariants(z2_manifest, a4_manifest):
             else:
                 assert not r.kraus_samples
                 assert r.classification == "not_applicable"
+
+
+def test_one_dimensional_sweep_finds_every_phase_channel():
+    # d=1: a channel exists exactly when conj(chi_D2) chi_D1 = chi_Omega
+    m = run_enumeration("Z3", None, 1)
+    assert m.total_instances == 27 and m.count_found == 9
+    assert all(r.error is None for r in m.records)
+    assert all(r.n_params == (r.status == "channel_found") for r in m.records)
+
+
+@pytest.mark.parametrize(
+    "exc,status",
+    [
+        (np.linalg.LinAlgError("SVD did not converge"), "solver_failed"),
+        (SchemaError("bad payload"), "solver_failed"),
+        (ValueError("zero-size array"), "error"),
+    ],
+)
+def test_crash_status_is_honest(monkeypatch, exc, status):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(pipeline, "solve_tp", broken)
+    m = run_enumeration("Z2", None, 2, reps=["q0+q0"])
+    rec = next(r for r in m.records if r.n_params > 0)
+    assert rec.status == status
+    assert rec.error == f"{type(exc).__name__}: {exc}"
+    assert rec.classification == "not_applicable"
 
 
 def test_manifest_json_is_deterministic(s3_manifest):
