@@ -5,120 +5,4 @@ dimension, build every covariant generalized-extreme channel up to unitary
 equivalence and decide whether each one is extreme or only quasi-extreme.
 """
 
-from .channels import (
-    ChoiMatrix,
-    DensityMatrix,
-    KrausSet,
-    apply,
-    choi,
-    choi_rank,
-    conjugate,
-    kraus_from_dict,
-    kraus_to_dict,
-)
-from .errors import (
-    DimensionZero,
-    DimMismatch,
-    EmptyManifold,
-    GcecError,
-    LengthMismatch,
-    NotTracePreserving,
-    NotUnitary,
-    ParityError,
-    SchemaError,
-    TooManyKraus,
-    UnknownGroup,
-    UnknownIrrepIndex,
-)
-from .extremality import ExtremalityVerdict, SweepResult, sweep_family, test_extreme
-from .groups import GroupProps, GroupSpec, Irrep, infer_kind, lie_irrep, props
-from .kernels import (
-    CovarianceSystem,
-    KernelFamily,
-    build_discrete_system,
-    build_lie_system,
-    covariance_residual,
-    joint_nullspace,
-    kraus_to_vec,
-    vec_to_kraus,
-)
-from .pipeline import (
-    ChannelRecord,
-    RunManifest,
-    classify_file,
-    load_manifest,
-    manifest_from_dict,
-    manifest_to_dict,
-    manifest_to_json,
-    report,
-    run_enumeration,
-    save_manifest,
-)
-from .reps import Rep, RepLabel, enumerate_reps, make_rep_label, materialize, omega_candidates
-from .tp import TpSolveReport, diagonal_structure, solution_sampler, solve_tp, xi_of
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChoiMatrix",
-    "DensityMatrix",
-    "KrausSet",
-    "apply",
-    "choi",
-    "choi_rank",
-    "conjugate",
-    "kraus_from_dict",
-    "kraus_to_dict",
-    "DimensionZero",
-    "DimMismatch",
-    "EmptyManifold",
-    "GcecError",
-    "LengthMismatch",
-    "NotTracePreserving",
-    "NotUnitary",
-    "ParityError",
-    "SchemaError",
-    "TooManyKraus",
-    "UnknownGroup",
-    "UnknownIrrepIndex",
-    "ExtremalityVerdict",
-    "SweepResult",
-    "sweep_family",
-    "test_extreme",
-    "GroupProps",
-    "GroupSpec",
-    "Irrep",
-    "infer_kind",
-    "lie_irrep",
-    "props",
-    "CovarianceSystem",
-    "KernelFamily",
-    "build_discrete_system",
-    "build_lie_system",
-    "covariance_residual",
-    "joint_nullspace",
-    "kraus_to_vec",
-    "vec_to_kraus",
-    "ChannelRecord",
-    "RunManifest",
-    "classify_file",
-    "load_manifest",
-    "manifest_from_dict",
-    "manifest_to_dict",
-    "manifest_to_json",
-    "report",
-    "run_enumeration",
-    "save_manifest",
-    "Rep",
-    "RepLabel",
-    "enumerate_reps",
-    "make_rep_label",
-    "materialize",
-    "omega_candidates",
-    "TpSolveReport",
-    "diagonal_structure",
-    "solution_sampler",
-    "solve_tp",
-    "xi_of",
-    "__version__",
-]

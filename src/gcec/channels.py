@@ -47,35 +47,9 @@ class KrausSet:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    matrix: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[0]
-
-    def check(self, tol: float = 1e-12) -> None:
-        m = self.matrix
-        if np.linalg.norm(m - m.conj().T) > tol:
-            raise DimMismatch("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > tol:
-            raise DimMismatch("density matrix trace is not 1")
-        if np.linalg.eigvalsh(m)[0] < -tol:
-            raise DimMismatch("density matrix has a negative eigenvalue")
-
-
-@dataclass(frozen=True)
 class ChoiMatrix:
     matrix: np.ndarray
     d: int
-
-
-def apply(kraus: KrausSet, rho: DensityMatrix) -> DensityMatrix:
-    """Channel action sum_k A_k rho A_k^dag."""
-    if kraus.d != rho.d:
-        raise DimMismatch(f"channel dim {kraus.d} != state dim {rho.d}")
-    out = sum(m @ rho.matrix @ m.conj().T for m in kraus.matrices)
-    return DensityMatrix(matrix=out)
 
 
 def choi(kraus: KrausSet) -> ChoiMatrix:
@@ -86,15 +60,6 @@ def choi(kraus: KrausSet) -> ChoiMatrix:
         v = m.reshape(-1)
         c += np.outer(v, v.conj())
     return ChoiMatrix(matrix=c / d, d=d)
-
-
-def choi_rank(kraus: KrausSet, tol: float = 1e-8) -> int:
-    """Minimal number of Kraus operators: rank of the Choi matrix."""
-    evals = np.linalg.eigvalsh(choi(kraus).matrix)
-    top = evals[-1]
-    if top <= 0.0:
-        return 0
-    return int(np.sum(evals > tol * top))
 
 
 def conjugate(kraus: KrausSet, U: np.ndarray, V: np.ndarray, tol: float = 1e-10) -> KrausSet:

@@ -94,7 +94,7 @@ def _cmd_catalog(args) -> int:
         obj = {
             "group": payload.group.name,
             "kind": payload.group.kind,
-            "num_generators": payload.num_generators,
+            "num_generators": payload.group.num_generators,
             "num_irreps": payload.num_irreps,
             "irrep_dims": list(payload.irrep_dims),
             "num_reps": payload.num_reps,

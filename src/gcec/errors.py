@@ -37,12 +37,6 @@ class NotTracePreserving(GcecError):
     """A Kraus set expected to be trace preserving is not, within tolerance."""
 
 
-class TooManyKraus(GcecError):
-    """More Kraus operators than the Hilbert-space dimension admits for an
-    extreme channel; such sets are reported as non-extreme rather than
-    analyzed further."""
-
-
 class EmptyManifold(GcecError):
     """A sweep was requested over a family with no trace-preserving points."""
 

@@ -71,7 +71,6 @@ class GroupProps:
     """Catalog lookup payload: restricted irrep list plus the derived counts."""
 
     group: GroupSpec
-    num_generators: int
     num_irreps: int
     irrep_dims: tuple[int, ...]
     num_reps: int
@@ -311,7 +310,6 @@ def props(group_name: str, group_kind: str, hilbert_dim: int) -> GroupProps:
     dims = tuple(ir.dim for ir in kept)
     return GroupProps(
         group=restricted,
-        num_generators=full.num_generators,
         num_irreps=len(kept),
         irrep_dims=dims,
         num_reps=_count_multisets(dims, hilbert_dim),

@@ -209,18 +209,24 @@ def build_lie_system(D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
     return _build_system("lie", D1, D2, omega)
 
 
+def leading_entry(v: np.ndarray) -> tuple[int, complex]:
+    """(index, unit phase) of the first entry of ``v`` whose magnitude exceeds
+    1e-8 of the largest; a zero vector gives (len(v), 1), after every index."""
+    mags = np.abs(v)
+    top = mags.max()
+    if top == 0.0:
+        return v.size, 1.0 + 0j
+    lead = int(np.argmax(mags > 1e-8 * top))
+    return lead, v[lead] / abs(v[lead])
+
+
 def _gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
     """Rotate each column's phase so its first significant entry is real > 0."""
     fixed = basis.copy()
     for j in range(fixed.shape[1]):
-        col = fixed[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        lead = int(np.argmax(mags > 1e-8 * top))
-        phase = col[lead] / abs(col[lead])
-        fixed[:, j] = col * np.conj(phase)
+        lead, phase = leading_entry(fixed[:, j])
+        if lead < fixed.shape[0]:
+            fixed[:, j] = fixed[:, j] * np.conj(phase)
     return fixed
 
 

@@ -70,6 +70,12 @@ class RunManifest:
     records: list[ChannelRecord] = field(default_factory=list)
 
 
+def _labels_by_text(spec, d: int) -> dict[str, RepLabel]:
+    """Display text -> label of every d-dimensional representation, in
+    enumeration order."""
+    return {lab.text: lab for lab in enumerate_reps(spec, d)}
+
+
 def run_enumeration(
     group: str,
     kind: str | None,
@@ -89,25 +95,25 @@ def run_enumeration(
     ``reps`` optionally restricts the sweep to representations with the
     given display texts (a sub-sweep; totals then count the restriction).
     ``nonunitary_only`` drops 1-dimensional channel labels, whose channels
-    are plain unitaries.  Per-instance wall-clock above ``time_budget``
-    seconds downgrades the status to ``solver_failed``.
+    are plain unitaries.  ``time_budget`` bounds each instance's nonlinear
+    TP fallback: once that many seconds have passed since the instance
+    began, no new random start is issued.  The status is then
+    ``solver_failed`` only if no earlier start converged.
     """
     if kind is None:
         kind = infer_kind(group)
     payload = props(group, kind, d)
     spec = payload.group
-    labels = enumerate_reps(spec, d)
+    by_text = _labels_by_text(spec, d)
+    labels = list(by_text.values())
     if reps is not None:
-        wanted = list(reps)
-        by_text = {lab.text: lab for lab in labels}
-        missing = [t for t in wanted if t not in by_text]
+        missing = [t for t in reps if t not in by_text]
         if missing:
             raise UnknownGroup(
                 f"no {group} representation(s) labelled {missing} at d={d}; "
                 f"available: {sorted(by_text)}"
             )
-        labels = [by_text[t] for t in wanted]
-        labels.sort(key=lambda lab: lab.parts)
+        labels = sorted((by_text[t] for t in reps), key=lambda lab: lab.parts)
     omegas = omega_candidates(spec, d)
     if nonunitary_only:
         omegas = [om for om in omegas if om.dim >= 2]
@@ -287,11 +293,13 @@ def save_manifest(manifest: RunManifest, path) -> None:
         fh.write(manifest_to_json(manifest))
 
 
-def _label_from_text(spec, d: int, text: str) -> RepLabel:
-    for lab in enumerate_reps(spec, d):
-        if lab.text == text:
-            return lab
-    raise SchemaError(f"unknown representation label {text!r} for {spec.name} d={d}")
+def _read_json(path):
+    """Parse a JSON file; a decode failure raises ``SchemaError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"not valid JSON: {exc}") from None
 
 
 def manifest_from_dict(obj) -> RunManifest:
@@ -303,15 +311,22 @@ def manifest_from_dict(obj) -> RunManifest:
         )
     try:
         group, kind, d = obj["group"], obj["kind"], obj["d"]
-        payload = props(group, kind, d)
+        spec = props(group, kind, d).group
+        by_text = _labels_by_text(spec, d)
+
+        def label(text) -> RepLabel:
+            if text not in by_text:
+                raise SchemaError(f"unknown representation label {text!r} for {spec.name} d={d}")
+            return by_text[text]
+
         records = []
         for rec in obj["records"]:
             records.append(
                 ChannelRecord(
                     group=rec["group"],
                     d=rec["d"],
-                    d1_label=_label_from_text(payload.group, d, rec["d1_label"]),
-                    d2_label=_label_from_text(payload.group, d, rec["d2_label"]),
+                    d1_label=label(rec["d1_label"]),
+                    d2_label=label(rec["d2_label"]),
                     omega_index=rec["omega_index"],
                     omega_label=rec["omega_label"],
                     n_params=rec["n_params"],
@@ -339,12 +354,7 @@ def manifest_from_dict(obj) -> RunManifest:
 
 
 def load_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
-    return manifest_from_dict(obj)
+    return manifest_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +391,8 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK, tol_tp: float = 1e-8
     Trace-preservation failures become per-entry diagnostics rather than
     exceptions, so a clean run over a mixed file still exits 0.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
     results = []
-    for tag, item in _kraus_sets_in(obj):
+    for tag, item in _kraus_sets_in(_read_json(path)):
         entry = {"source": tag, "classification": None, "error": None}
         try:
             ks = kraus_from_dict(item)

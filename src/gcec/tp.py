@@ -13,9 +13,15 @@ Xi_pq(c) = c^dag M^(pq) c, which drives a three-stage strategy:
    read R t = 1 with t_j = |u_j|^2, a linear-programming problem.  If the
    off-diagonal forms vanish structurally the phases of u stay free and the
    LP describes the full solution set.
-3. Fallback.  Otherwise multi-start damped least squares on
-   ||Xi(c) - 1||_F^2 from seeded random starts; failure to converge is
-   reported as such, not as proof of infeasibility.
+3. Fallback.  Otherwise seeded random starts, each landed on the
+   trace-preserving set by :func:`_converge` (alternating projection, then
+   damped least squares on ||Xi(c) - 1||_F^2 and a polish when projection
+   misses); failure to converge is reported as such, not as proof of
+   infeasibility.
+
+The solution sampler reuses both halves: :func:`_mix` draws points of the
+moduli polytope with free phases, and :func:`_converge` re-lands perturbed
+solutions of the nonlinear families.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from scipy.optimize import least_squares, linprog
 
 from .errors import EmptyManifold
-from .kernels import KernelFamily, vec_to_kraus
+from .kernels import KernelFamily, leading_entry, vec_to_kraus
 
 DEFAULT_TOL_TP = 1e-10
 MAX_SOLUTIONS = 8
@@ -49,7 +55,6 @@ class TpSolveReport:
     """
 
     status: str  # "solved" | "no_solution" | "solver_failed"
-    xi_diagonal: bool
     solutions: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     moduli_rows: np.ndarray | None = None
@@ -78,14 +83,8 @@ def xi_forms(family: KernelFamily) -> np.ndarray:
     return forms
 
 
-def diagonal_structure(family: KernelFamily) -> bool:
-    """True iff every off-diagonal entry of Xi is identically zero in c."""
-    if family.n_params == 0:
-        return True
-    return _offdiag_vanishes(xi_forms(family))
-
-
 def _offdiag_vanishes(forms: np.ndarray) -> bool:
+    """True iff every off-diagonal entry of Xi is identically zero in c."""
     d = forms.shape[0]
     if d == 1:  # Xi is a scalar: nothing off the diagonal
         return True
@@ -96,11 +95,9 @@ def _offdiag_vanishes(forms: np.ndarray) -> bool:
 
 def _gauge_phase(c: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first significant entry is real > 0."""
-    mags = np.abs(c)
-    top = mags.max()
-    if top == 0.0:
+    lead, _ = leading_entry(c)
+    if lead == c.size:
         return c
-    lead = int(np.argmax(mags > 1e-8 * top))
     return c * np.exp(-1j * np.angle(c[lead]))
 
 
@@ -161,18 +158,7 @@ def _order_decoupled(basis: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Permute/phase the decoupled transform so columns of basis @ W are
     ordered by their first significant entry and lead with a positive real."""
     B = basis @ W
-    leads, phases = [], []
-    for j in range(B.shape[1]):
-        col = B[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            leads.append(B.shape[0])
-            phases.append(1.0 + 0j)
-            continue
-        lead = int(np.argmax(mags > 1e-8 * top))
-        leads.append(lead)
-        phases.append(col[lead] / abs(col[lead]))
+    leads, phases = zip(*(leading_entry(B[:, j]) for j in range(B.shape[1])))
     order = sorted(range(B.shape[1]), key=lambda j: (leads[j], j))
     out = W[:, order].copy()
     for pos, j in enumerate(order):
@@ -224,6 +210,15 @@ def _coeff_from_moduli(W: np.ndarray, t: np.ndarray, phases=None) -> np.ndarray:
     return _gauge_phase(W @ u)
 
 
+def _mix(vertices: list[np.ndarray], W: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Coefficients at a random convex combination of moduli vertices, with
+    uniformly random phases of u (weights are drawn before phases)."""
+    weights = rng.random(len(vertices))
+    weights /= weights.sum()
+    t = sum(w * v for w, v in zip(weights, vertices))
+    return _coeff_from_moduli(W, t, rng.uniform(0.0, 2.0 * np.pi, W.shape[1]))
+
+
 def solve_tp(
     family: KernelFamily,
     tol_tp: float = DEFAULT_TOL_TP,
@@ -241,19 +236,16 @@ def solve_tp(
     if n == 0:
         return TpSolveReport(
             status="no_solution",
-            xi_diagonal=True,
             detail="empty family: only the zero map is covariant",
         )
 
     if _generic_stack_rank(family) < d:
         return TpSolveReport(
             status="no_solution",
-            xi_diagonal=diagonal_structure(family),
             detail="stacked Kraus operator is rank deficient on the whole family",
         )
 
     forms = xi_forms(family)
-    diag_ok = _offdiag_vanishes(forms)
     diag_forms = [forms[p, p] for p in range(d)]
     W = _joint_diagonalizer(diag_forms)
     rng = np.random.default_rng(seed)
@@ -261,36 +253,33 @@ def solve_tp(
     if W is not None:
         W = _order_decoupled(family.basis, W)
         R = _moduli_rows(forms, W)
-        report = _linear_path(family, forms, diag_ok, W, R, tol_tp, rng)
+        report = _linear_path(family, forms, W, R, tol_tp, rng)
         if report is not None:
             return report
         # canonical moduli point failed the full residual: constraints are
         # genuinely quadratic in phases, handled below
 
-    return _nonlinear_path(family, diag_ok, tol_tp, n_starts, rng, deadline)
+    return _nonlinear_path(family, tol_tp, n_starts, rng, deadline)
 
 
-def _linear_path(family, forms, diag_ok, W, R, tol_tp, rng):
+def _linear_path(family, forms, W, R, tol_tp, rng):
     d, n = family.d, family.n_params
-    if np.any(R.sum(axis=1) == 0.0):
+
+    def lp_report(status: str, detail: str, **found) -> TpSolveReport:
         return TpSolveReport(
-            status="no_solution",
-            xi_diagonal=diag_ok,
+            status=status,
             moduli_rows=R,
             moduli_constraints=_constraint_strings(R),
             decoupling=W,
-            detail="a diagonal entry of Xi is identically zero",
+            detail=detail,
+            **found,
         )
+
+    if np.any(R.sum(axis=1) == 0.0):
+        return lp_report("no_solution", "a diagonal entry of Xi is identically zero")
     canonical = _vertex(R, np.arange(1.0, n + 1.0))
     if isinstance(canonical, str):  # infeasible
-        return TpSolveReport(
-            status="no_solution",
-            xi_diagonal=diag_ok,
-            moduli_rows=R,
-            moduli_constraints=_constraint_strings(R),
-            decoupling=W,
-            detail="diagonal moduli constraints are infeasible",
-        )
+        return lp_report("no_solution", "diagonal moduli constraints are infeasible")
     if canonical is None:
         return None
     c0 = _coeff_from_moduli(W, canonical)
@@ -310,11 +299,7 @@ def _linear_path(family, forms, diag_ok, W, R, tol_tp, rng):
     attempts = 0
     while len(solutions) < MAX_SOLUTIONS and attempts < 8 * MAX_SOLUTIONS:
         attempts += 1
-        weights = rng.random(len(vertices))
-        weights /= weights.sum()
-        t = sum(w * v for w, v in zip(weights, vertices))
-        phases = rng.uniform(0.0, 2.0 * np.pi, n)
-        c = _coeff_from_moduli(W, t, phases)
+        c = _mix(vertices, W, rng)
         r = float(np.linalg.norm(xi_of(c, family) - np.eye(d)))
         if r > tol_tp:
             continue
@@ -323,16 +308,13 @@ def _linear_path(family, forms, diag_ok, W, R, tol_tp, rng):
             keys.add(key)
             solutions.append(c)
             residuals.append(r)
-    return TpSolveReport(
-        status="solved",
-        xi_diagonal=diag_ok,
+    diag_ok = _offdiag_vanishes(forms)
+    return lp_report(
+        "solved",
+        "moduli linear program" + ("" if diag_ok else " + residual check"),
         solutions=solutions,
         residuals=residuals,
-        moduli_rows=R,
-        moduli_constraints=_constraint_strings(R),
-        decoupling=W,
         free_phase=diag_ok,
-        detail="moduli linear program" + ("" if diag_ok else " + residual check"),
     )
 
 
@@ -377,8 +359,18 @@ def _snap(c: np.ndarray, family: KernelFamily, tol_tp: float):
     return _gauge_phase(c), r
 
 
-def _nonlinear_path(family, diag_ok, tol_tp, n_starts, rng, deadline):
+def _converge(x0: np.ndarray, family: KernelFamily, tol_tp: float) -> np.ndarray | None:
+    """Land a start x0 = (Re c, Im c) on the trace-preserving set.
+
+    Projects first; if that misses ``tol_tp``, runs damped least squares on
+    the stacked real and imaginary parts of Xi(c) - 1 from x0 and polishes
+    the result.  Returns c, or None when the solver raises or the residual
+    still exceeds ``tol_tp``.
+    """
     n, d = family.n_params, family.d
+    c, r = _project(x0[:n] + 1j * x0[n:], family)
+    if r <= tol_tp:
+        return c
     eye = np.eye(d)
 
     def residual_vec(x):
@@ -386,6 +378,15 @@ def _nonlinear_path(family, diag_ok, tol_tp, n_starts, rng, deadline):
         return np.concatenate([xi.real.reshape(-1), xi.imag.reshape(-1)])
 
     method = "lm" if 2 * d * d >= 2 * n else "trf"
+    try:
+        fit = least_squares(residual_vec, x0, method=method, xtol=1e-14, ftol=1e-14, max_nfev=4000)
+    except Exception:  # pragma: no cover - solver hiccups are skippable
+        return None
+    c, r = _polish(fit.x[:n] + 1j * fit.x[n:], family, tol_tp)
+    return c if r <= tol_tp else None
+
+
+def _nonlinear_path(family, tol_tp, n_starts, rng, deadline):
     solutions, residuals = [], []
     keys = set()
     timed_out = False
@@ -393,18 +394,10 @@ def _nonlinear_path(family, diag_ok, tol_tp, n_starts, rng, deadline):
         if deadline is not None and time.perf_counter() > deadline:
             timed_out = True
             break
-        x0 = rng.standard_normal(2 * n)
-        c, r = _project(x0[:n] + 1j * x0[n:], family)
-        if r > tol_tp:
-            try:
-                fit = least_squares(
-                    residual_vec, x0, method=method, xtol=1e-14, ftol=1e-14, max_nfev=4000
-                )
-            except Exception:  # pragma: no cover - solver hiccups are skippable
-                continue
-            c, r = _polish(fit.x[:n] + 1j * fit.x[n:], family, tol_tp)
-        if r <= tol_tp:
-            c, r = _snap(c, family, tol_tp)
+        c = _converge(rng.standard_normal(2 * family.n_params), family, tol_tp)
+        if c is None:
+            continue
+        c, r = _snap(c, family, tol_tp)
         if r <= tol_tp:
             key = _solution_key(c)
             if key not in keys:
@@ -416,14 +409,12 @@ def _nonlinear_path(family, diag_ok, tol_tp, n_starts, rng, deadline):
     if solutions:
         return TpSolveReport(
             status="solved",
-            xi_diagonal=diag_ok,
             solutions=solutions,
             residuals=residuals,
             detail="multi-start projection and least squares",
         )
     return TpSolveReport(
         status="solver_failed",
-        xi_diagonal=diag_ok,
         detail="no start converged"
         + (" before the time budget expired" if timed_out else "")
         + "; existence undecided",
@@ -435,7 +426,7 @@ def solution_sampler(family: KernelFamily, report: TpSolveReport, tol_tp: float 
     trace-preserving set described by a solved report."""
     if report.status != "solved" or not report.solutions:
         raise EmptyManifold("family has no known trace-preserving points")
-    d, n = family.d, family.n_params
+    n = family.n_params
 
     if report.moduli_rows is not None and report.free_phase:
         R, W = report.moduli_rows, report.decoupling
@@ -448,42 +439,21 @@ def solution_sampler(family: KernelFamily, report: TpSolveReport, tol_tp: float 
                     vertices.append(v)
             if not vertices:
                 vertices = [np.abs(np.asarray(report.solutions[0])) ** 2]
-            out = []
-            while len(out) < count:
-                weights = rng.random(len(vertices))
-                weights /= weights.sum()
-                t = sum(w * v for w, v in zip(weights, vertices))
-                out.append(_coeff_from_moduli(W, t, rng.uniform(0.0, 2.0 * np.pi, n)))
-            return out
+            return [_mix(vertices, W, rng) for _ in range(count)]
 
         return sampler
 
     base = [np.asarray(c, dtype=complex) for c in report.solutions]
 
     def sampler(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-        eye = np.eye(d)
-
-        def residual_vec(x):
-            xi = xi_of(x[:n] + 1j * x[n:], family) - eye
-            return np.concatenate([xi.real.reshape(-1), xi.imag.reshape(-1)])
-
-        method = "lm" if 2 * d * d >= 2 * n else "trf"
         out: list[np.ndarray] = []
         attempts = 0
         while len(out) < count and attempts < 10 * count:
             attempts += 1
             c = base[attempts % len(base)]
             x0 = np.concatenate([c.real, c.imag]) + 0.2 * rng.standard_normal(2 * n)
-            cc, rr = _project(x0[:n] + 1j * x0[n:], family)
-            if rr > tol_tp:
-                try:
-                    fit = least_squares(
-                        residual_vec, x0, method=method, xtol=1e-14, ftol=1e-14, max_nfev=4000
-                    )
-                except Exception:  # pragma: no cover
-                    continue
-                cc, rr = _polish(fit.x[:n] + 1j * fit.x[n:], family, tol_tp)
-            if rr <= tol_tp:
+            cc = _converge(x0, family, tol_tp)
+            if cc is not None:
                 out.append(_gauge_phase(cc))
         if not out:
             raise EmptyManifold("could not re-converge onto the solution set")

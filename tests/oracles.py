@@ -34,19 +34,6 @@ def partitions_odd(n):
     return count_partitions(n, range(1, n + 1, 2))
 
 
-def gram_choi_rank(matrices, tol=1e-8):
-    """Choi rank via the Gram matrix G_kl = tr(A_k^dag A_l)."""
-    K = len(matrices)
-    G = np.empty((K, K), dtype=complex)
-    for k in range(K):
-        for l in range(K):
-            G[k, l] = np.trace(matrices[k].conj().T @ matrices[l])
-    svals = np.linalg.svd(G, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > tol * svals[0]))
-
-
 def product_gram_rank(matrices, tol=1e-8):
     """Rank of span{A_k^dag A_l} via the K^2 x K^2 Gram of the products
     (no vectorized stacking, unlike the implementation under test)."""
@@ -62,12 +49,6 @@ def product_gram_rank(matrices, tol=1e-8):
     # Gram eigenvalues are squared singular values of the span map, so the
     # threshold is squared too.
     return int(np.sum(svals > (tol * np.sqrt(svals[0])) ** 2))
-
-
-def random_density(rng, d):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho).real
 
 
 def random_unitary(rng, d):

@@ -1,15 +1,12 @@
-"""Kraus sets, channel action, Choi matrices, serialization."""
+"""Kraus sets, Choi matrices, unitary transport, serialization."""
 
 import numpy as np
 import pytest
 
 from gcec.channels import (
     ChoiMatrix,
-    DensityMatrix,
     KrausSet,
-    apply,
     choi,
-    choi_rank,
     conjugate,
     kraus_from_dict,
     kraus_to_dict,
@@ -25,7 +22,7 @@ from fixtures import (
     s3_qutrit_family,
     su2_flip_family,
 )
-from oracles import gram_choi_rank, random_density, random_unitary
+from oracles import random_unitary
 
 
 def test_kraus_set_accessors():
@@ -36,40 +33,6 @@ def test_kraus_set_accessors():
         KrausSet.from_matrices([])
     with pytest.raises(DimMismatch):
         KrausSet.from_matrices([np.eye(2), np.eye(3)])
-
-
-def test_apply_identity_channel_is_identity_map():
-    rng = np.random.default_rng(21)
-    ks = KrausSet.from_matrices(identity_kraus(3))
-    rho = random_density(rng, 3)
-    out = apply(ks, DensityMatrix(rho))
-    assert np.linalg.norm(out.matrix - rho) <= 1e-14
-
-
-def test_apply_dephasing_kills_off_diagonals():
-    rng = np.random.default_rng(22)
-    ks = KrausSet.from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    rho = random_density(rng, 2)
-    out = apply(ks, DensityMatrix(rho))
-    assert np.linalg.norm(out.matrix - np.diag(np.diag(rho))) <= 1e-14
-
-
-def test_apply_preserves_density_matrix_properties():
-    rng = np.random.default_rng(23)
-    for mats in [s3_qutrit_family(0.4j, 0.5**0.5, 0.42**0.5), a4_qutrit_triple()]:
-        ks = KrausSet.from_matrices(mats)
-        rho = random_density(rng, 3)
-        out = apply(ks, DensityMatrix(rho))
-        assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
-        assert np.linalg.norm(out.matrix - out.matrix.conj().T) <= 1e-12
-        assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-12
-        out.check(tol=1e-10)
-
-
-def test_apply_dim_mismatch():
-    ks = KrausSet.from_matrices(identity_kraus(3))
-    with pytest.raises(DimMismatch):
-        apply(ks, DensityMatrix(np.eye(2) / 2))
 
 
 def test_choi_identity_channel_rank_one():
@@ -106,33 +69,6 @@ def test_choi_properties_on_tp_sets():
         # tracing out the row index must leave the maximally mixed state
         reduced = np.einsum("ijik->jk", c.reshape(d, d, d, d))
         assert np.linalg.norm(reduced - np.eye(d) / d) <= 1e-12
-
-
-def test_choi_rank_examples():
-    rng = np.random.default_rng(25)
-    assert choi_rank(KrausSet.from_matrices(identity_kraus(3))) == 1
-    assert choi_rank(KrausSet.from_matrices(s3_qutrit_family(0.6, 0.5**0.5, 0.4))) == 2
-    assert choi_rank(KrausSet.from_matrices(a4_qutrit_triple())) == 3
-    assert choi_rank(KrausSet.from_matrices(depolarizing_kraus(2))) == 4
-    assert choi_rank(KrausSet.from_matrices(random_full_rank_channel(rng, 2))) == 4
-    # a redundant presentation of the identity still has Choi rank 1
-    padded = [np.eye(2) * 0.6, np.eye(2) * 0.8]
-    assert choi_rank(KrausSet.from_matrices(padded)) == 1
-
-
-def test_choi_rank_agrees_with_gram_oracle():
-    rng = np.random.default_rng(26)
-    sets = [
-        identity_kraus(3),
-        s3_qutrit_family(0.3 + 0.2j, 0.7, -0.4),
-        a4_qutrit_triple(),
-        su2_flip_family(3),
-        depolarizing_kraus(2),
-        random_full_rank_channel(rng, 3),
-    ]
-    for mats in sets:
-        ks = KrausSet.from_matrices(mats)
-        assert choi_rank(ks) == gram_choi_rank(mats)
 
 
 def test_conjugate_preserves_tp_and_choi_spectrum():
@@ -181,13 +117,3 @@ def test_schema_errors():
         kraus_from_dict({**good, "d": 3})
     with pytest.raises(SchemaError):
         matrix_from_json([[1.0, 2.0]])
-
-
-def test_density_matrix_check():
-    DensityMatrix(np.eye(2) / 2).check()
-    with pytest.raises(DimMismatch):
-        DensityMatrix(np.array([[0.5, 0.1j], [0.1j, 0.5]])).check()
-    with pytest.raises(DimMismatch):
-        DensityMatrix(np.eye(2)).check()
-    with pytest.raises(DimMismatch):
-        DensityMatrix(np.diag([1.5, -0.5])).check()

@@ -166,4 +166,4 @@ def test_sweep_clean_families_report_no_drops():
 def test_sweep_requires_known_solutions():
     family = _family("S3", "discrete", 3, 2, (0, 2))
     with pytest.raises(EmptyManifold):
-        sweep_family(family, TpSolveReport(status="no_solution", xi_diagonal=True))
+        sweep_family(family, TpSolveReport(status="no_solution"))

@@ -187,6 +187,12 @@ def test_save_load_round_trip(tmp_path, s3_manifest):
     loaded = load_manifest(path)
     assert manifest_to_json(loaded) == manifest_to_json(s3_manifest)
 
+    obj = json.loads(path.read_text())
+    obj["records"][0]["d2_label"] = "1+1+5"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match="unknown representation label '1\\+1\\+5'"):
+        load_manifest(path)
+
 
 def test_classify_file_on_manifest(tmp_path, a4_manifest):
     path = tmp_path / "a4.json"

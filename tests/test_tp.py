@@ -9,7 +9,7 @@ from gcec.errors import EmptyManifold
 from gcec.groups import props
 from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace, kraus_to_vec
 from gcec.reps import make_rep_label, materialize
-from gcec.tp import TpSolveReport, diagonal_structure, solution_sampler, solve_tp, xi_of
+from gcec.tp import TpSolveReport, _offdiag_vanishes, solution_sampler, solve_tp, xi_forms, xi_of
 
 from fixtures import s3_qutrit_family
 
@@ -38,14 +38,14 @@ def test_xi_is_quadratic_and_hermitian():
 
 
 def test_diagonal_structure_detection():
-    assert diagonal_structure(_family("S3", "discrete", 3, 2, (0, 2), (0, 2)))
+    assert _offdiag_vanishes(xi_forms(_family("S3", "discrete", 3, 2, (0, 2), (0, 2))))
     # identity + shear span: Xi picks up an off-diagonal cross term
     shear = _synthetic(
         [np.eye(2, dtype=complex).reshape(-1) / np.sqrt(2),
          np.array([0, 1, 0, 0], dtype=complex)],
         1, 2,
     )
-    assert not diagonal_structure(shear)
+    assert not _offdiag_vanishes(xi_forms(shear))
 
 
 def test_empty_family_reports_no_solution():
@@ -74,7 +74,7 @@ def test_s3_family_solves_on_linear_path():
     family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
     report = solve_tp(family, seed=0)
     assert report.status == "solved"
-    assert report.xi_diagonal and report.free_phase
+    assert report.free_phase
     assert "linear program" in report.detail
     assert len(report.solutions) == 8
     assert max(report.residuals) <= 1e-10
@@ -146,7 +146,7 @@ def test_hybrid_path_checks_full_residual():
     )
     report = solve_tp(family, seed=7)
     assert report.status == "solved"
-    assert not report.xi_diagonal and not report.free_phase
+    assert not report.free_phase
     assert "residual check" in report.detail
     assert np.linalg.norm(xi_of(report.solutions[0], family) - np.eye(2)) <= 1e-12
 
@@ -203,4 +203,4 @@ def test_sampler_reconverges_near_isolated_solutions():
 def test_sampler_requires_solved_report():
     family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
     with pytest.raises(EmptyManifold):
-        solution_sampler(family, TpSolveReport(status="no_solution", xi_diagonal=True))
+        solution_sampler(family, TpSolveReport(status="no_solution"))
