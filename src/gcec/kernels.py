@@ -25,9 +25,10 @@ discrete groups, D1 for Lie groups) and the one acting on its columns (D1,
 resp. D2) are each split into the finest index partition that every one of
 their generators maps into itself, read off the generators' nonzero
 pattern (never from the labels, so a densely rotated representation is
-simply one block).  The relations then decouple: the entries A_k[I, J] for
-a row block I and a column block J, over all k, form an independent
-system of K*|I|*|J| unknowns.  Each block is factored by a thin SVD, and
+simply one block); ``Rep.split`` computes this once per representation
+object, so a sweep splits each representation once.  The relations then
+decouple: the entries A_k[I, J] for a row block I and a column block J,
+over all k, form an independent system of K*|I|*|J| unknowns.  Each block is factored by a thin SVD, and
 the instance's kernel is the direct sum of the block kernels, embedded into
 K*d^2 space in (row block, column block) order.
 
@@ -74,7 +75,8 @@ class CovarianceBlock:
     the block's K*r*c entries in the stacked K*d^2 vector, in the block's
     own row-major (k, row, column) order.  ``row_gens`` and ``col_gens`` are
     the generator sub-blocks acting on the rows and the columns,
-    ``omega_gens`` the channel label's generators.
+    ``omega_gens`` the channel label's generators, and ``content`` the bytes
+    of those three tuples.
     """
 
     kind: str
@@ -83,6 +85,7 @@ class CovarianceBlock:
     row_gens: tuple[np.ndarray, ...]
     col_gens: tuple[np.ndarray, ...]
     omega_gens: tuple[np.ndarray, ...]
+    content: tuple[tuple[bytes, ...], ...]
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -97,8 +100,7 @@ class CovarianceBlock:
 
     def key(self, tol_kernel: float) -> tuple:
         """Cache key: equal keys mean equal systems, hence equal kernels."""
-        gens = (self.row_gens, self.col_gens, self.omega_gens)
-        return (self.kind, tol_kernel, *(tuple(m.tobytes() for m in g) for g in gens))
+        return (self.kind, tol_kernel, *self.content)
 
 
 @dataclass(frozen=True)
@@ -152,17 +154,6 @@ def kraus_to_vec(matrices) -> np.ndarray:
     return np.concatenate([np.asarray(m, dtype=complex).reshape(-1) for m in matrices])
 
 
-def _invariant_blocks(gens) -> list[np.ndarray]:
-    """Finest partition of the basis indices that every generator maps into
-    itself: connected components of the generators' joint nonzero pattern,
-    each sorted, ordered by smallest index."""
-    d = gens[0].shape[0]
-    reach = np.eye(d, dtype=int) + sum((g != 0) | (g.T != 0) for g in gens)
-    for _ in range(d.bit_length()):  # transitive closure by repeated squaring
-        reach = ((reach @ reach) > 0).astype(int)
-    return [np.flatnonzero(reach[i]) for i in range(d) if not reach[i, :i].any()]
-
-
 def _rows_cols(kind: str, D1: Rep, D2: Rep) -> tuple[Rep, Rep]:
     """(representation acting on the rows of A_k, the one on its columns)."""
     return (D2, D1) if kind == "discrete" else (D1, D2)
@@ -172,27 +163,22 @@ def _build_system(kind: str, D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem
     if D1.dim != D2.dim:
         raise DimMismatch(f"input/output rep dims differ: {D1.dim} vs {D2.dim}")
     d, K = D1.dim, omega.dim
-    # Sub-blocks are cast to complex so equal content always has equal bytes.
-    row_split, col_split = (
-        [
-            (idx, tuple(g[idx[:, None], idx].astype(complex, copy=False) for g in rep.generator_matrices))
-            for idx in _invariant_blocks(rep.generator_matrices)
-        ]
-        for rep in _rows_cols(kind, D1, D2)
-    )
+    row_rep, col_rep = _rows_cols(kind, D1, D2)
     omega_gens = tuple(np.asarray(g, dtype=complex) for g in omega.generator_matrices)
+    omega_bytes = tuple(g.tobytes() for g in omega_gens)
     kraus_offsets = np.arange(K)[:, None, None] * d * d
     blocks = tuple(
         CovarianceBlock(
             kind=kind,
-            shape=(K, rows.size, cols.size),
-            index=(kraus_offsets + rows[:, None] * d + cols).reshape(-1),
-            row_gens=row_gens,
-            col_gens=col_gens,
+            shape=(K, rows.index.size, cols.index.size),
+            index=(kraus_offsets + rows.index[:, None] * d + cols.index).reshape(-1),
+            row_gens=rows.generators,
+            col_gens=cols.generators,
             omega_gens=omega_gens,
+            content=(rows.content, cols.content, omega_bytes),
         )
-        for rows, row_gens in row_split
-        for cols, col_gens in col_split
+        for rows in row_rep.split
+        for cols in col_rep.split
     )
     return CovarianceSystem(blocks=blocks, K=K, d=d)
 

@@ -5,7 +5,9 @@ equal dimension plus a channel-labeling irrep.  The sweep walks instances
 in deterministic order (Omega outermost in catalog order, then D1, then D2
 in enumeration order), builds the covariance kernel, imposes trace
 preservation, classifies the outcome, and collects everything into a
-manifest whose JSON form is byte-identical across runs with equal inputs.
+manifest whose JSON form is byte-identical across runs with equal inputs
+and an equal BLAS thread count (a multithreaded BLAS rounds its reductions
+differently, which reaches the stored digits of Lie-group sweeps).
 """
 
 from __future__ import annotations

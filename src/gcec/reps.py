@@ -2,12 +2,15 @@
 
 A d-dimensional representation is a multiset of catalog irreps whose
 dimensions sum to d, realized concretely as block-diagonal generator
-matrices with the blocks in canonical (dimension, index) order.
+matrices with the blocks in canonical (dimension, index) order.  A
+materialized representation also knows its finest invariant split, which
+the covariance kernels read once per representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +29,31 @@ class RepLabel:
 
 
 @dataclass(frozen=True)
+class InvariantBlock:
+    """One part of a representation's finest invariant split.
+
+    ``index`` holds the part's sorted basis indices, ``generators`` the
+    generator sub-blocks on them (complex, so equal content always has
+    equal bytes) and ``content`` those sub-blocks' bytes.
+    """
+
+    index: np.ndarray
+    generators: tuple[np.ndarray, ...]
+    content: tuple[bytes, ...]
+
+
+def _invariant_blocks(gens) -> list[np.ndarray]:
+    """Finest partition of the basis indices that every generator maps into
+    itself: connected components of the generators' joint nonzero pattern,
+    each sorted, ordered by smallest index."""
+    d = gens[0].shape[0]
+    reach = np.eye(d, dtype=int) + sum((g != 0) | (g.T != 0) for g in gens)
+    for _ in range(d.bit_length()):  # transitive closure by repeated squaring
+        reach = ((reach @ reach) > 0).astype(int)
+    return [np.flatnonzero(reach[i]) for i in range(d) if not reach[i, :i].any()]
+
+
+@dataclass(frozen=True)
 class Rep:
     """A concrete block-diagonal representation."""
 
@@ -35,6 +63,16 @@ class Rep:
     @property
     def dim(self) -> int:
         return self.label.total_dim
+
+    @cached_property
+    def split(self) -> tuple[InvariantBlock, ...]:
+        """The finest invariant split, read off the generators' nonzero
+        pattern (never from the label); computed once per object."""
+        parts = []
+        for idx in _invariant_blocks(self.generator_matrices):
+            gens = tuple(g[idx[:, None], idx].astype(complex, copy=False) for g in self.generator_matrices)
+            parts.append(InvariantBlock(idx, gens, tuple(g.tobytes() for g in gens)))
+        return tuple(parts)
 
 
 def make_rep_label(spec: GroupSpec, parts) -> RepLabel:

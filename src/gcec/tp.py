@@ -6,22 +6,29 @@ Xi(c) = identity.  Every entry of Xi is a Hermitian quadratic form
 Xi_pq(c) = c^dag M^(pq) c, which drives a three-stage strategy:
 
 1. Certificates.  If the vertical stack of the A_k never reaches column
-   rank d anywhere on the family (generic rank < d), or the diagonal
-   constraints are infeasible over moduli, no solution exists.
+   rank d anywhere on the family, or the diagonal constraints are
+   infeasible over moduli, no solution exists.  Exact zeros of the basis
+   settle the rank first: fewer than d rows or columns of the stack that are
+   not identically zero bound its rank below d.  Otherwise the rank at up to
+   three random points decides (generic rank < d).
 2. Linear path.  When the diagonal forms M^(pp) commute they share an
    eigenbasis; in those decoupled coordinates u the diagonal constraints
    read R t = 1 with t_j = |u_j|^2, a linear-programming problem.  If the
    off-diagonal forms vanish structurally the phases of u stay free and the
-   LP describes the full solution set.
+   LP describes the full solution set.  Besides the canonical vertex, six
+   random-cost vertices are sought by one block-diagonal LP
+   (:func:`_vertex`); when rank(R) = n the polytope is the canonical point
+   alone and that LP is skipped, its costs still drawn so the RNG stream is
+   unchanged.
 3. Fallback.  Otherwise seeded random starts, each landed on the
    trace-preserving set by :func:`_converge` (alternating projection, then
    damped least squares on ||Xi(c) - 1||_F^2 and a polish when projection
    misses); failure to converge is reported as such, not as proof of
    infeasibility.
 
-The solution sampler reuses both halves: :func:`_mix` draws points of the
-moduli polytope with free phases, and :func:`_converge` re-lands perturbed
-solutions of the nonlinear families.
+The solution sampler reuses both halves: :func:`_vertex` and :func:`_mix`
+draw points of the moduli polytope with free phases, and :func:`_converge`
+re-lands perturbed solutions of the nonlinear families.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 from scipy.optimize import least_squares, linprog
 
 from .errors import EmptyManifold
-from .kernels import KernelFamily, leading_entry, vec_to_kraus
+from .kernels import KernelFamily, leading_entry
 
 DEFAULT_TOL_TP = 1e-10
 MAX_SOLUTIONS = 8
@@ -71,16 +78,14 @@ def xi_of(coeffs, family: KernelFamily) -> np.ndarray:
 
 
 def xi_forms(family: KernelFamily) -> np.ndarray:
-    """Coefficient tensor F with Xi_pq(c) = c^dag F[p, q] c, shape (d,d,n,n)."""
-    n, d = family.n_params, family.d
-    kraus_basis = [vec_to_kraus(family.basis[:, j], family.K, d) for j in range(n)]
-    forms = np.zeros((d, d, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            forms[:, :, i, j] = sum(
-                a.conj().T @ b for a, b in zip(kraus_basis[i], kraus_basis[j])
-            )
-    return forms
+    """Coefficient tensor F with Xi_pq(c) = c^dag F[p, q] c, shape (d,d,n,n).
+
+    One batched product A_ik^dag A_jk over (i, j, k), summed over k in slot
+    order."""
+    n, K, d = family.n_params, family.K, family.d
+    ops = family.basis.T.reshape(n, K, d, d)
+    prods = np.swapaxes(ops.conj(), -1, -2)[:, None] @ ops[None, :]
+    return np.ascontiguousarray(np.moveaxis(prods.sum(axis=2), (0, 1), (2, 3)))
 
 
 def _offdiag_vanishes(forms: np.ndarray) -> bool:
@@ -105,15 +110,24 @@ def _solution_key(c: np.ndarray) -> bytes:
     return (np.round(np.asarray(c), 9) + 0.0).tobytes()
 
 
+def _structural_rank_bound(family: KernelFamily) -> int:
+    """Bound on the rank of the stacked (K d, d) operator over the whole
+    family: the number of its rows, and of its columns, that some basis
+    vector makes nonzero.  Only exact zeros of the basis count."""
+    support = np.any(family.basis != 0, axis=1).reshape(family.K * family.d, family.d)
+    return min(int(support.any(axis=1).sum()), int(support.any(axis=0).sum()))
+
+
 def _generic_stack_rank(family: KernelFamily, tries: int = 3) -> int:
     """Max over random coefficients of rank of the stacked (K d, d) operator.
 
     Rank is lower-semicontinuous, so a random point attains the family's
     maximal rank almost surely; below d this certifies that Xi(c) = 1 (an
-    isometry condition on the stack) has no solution.
+    isometry condition on the stack) has no solution.  Stops at the first
+    try that reaches full rank d.
     """
     rng = np.random.default_rng(_CERT_SEED)
-    n = family.n_params
+    n, d = family.n_params, family.d
     best = 0
     for _ in range(tries):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -121,6 +135,8 @@ def _generic_stack_rank(family: KernelFamily, tries: int = 3) -> int:
         svals = np.linalg.svd(stack, compute_uv=False)
         if svals[0] > 0.0:
             best = max(best, int(np.sum(svals > 1e-10 * svals[0])))
+        if best == d:
+            break
     return best
 
 
@@ -188,19 +204,27 @@ def _constraint_strings(R: np.ndarray) -> list[str]:
     return seen
 
 
-def _vertex(R: np.ndarray, cost: np.ndarray):
+def _vertex(R: np.ndarray, costs) -> list:
+    """Vertices of {t >= 0 : R t = 1} minimising each vector in ``costs``.
+
+    All costs go into one block-diagonal LP, kron(I, R), whose solution
+    splits into one vertex per cost: the LPs are independent, and one solver
+    call costs about what one small LP does.  Each entry is an array, or all
+    are "infeasible", or all None when the solver fails otherwise.
+    """
+    m, (rows, n) = len(costs), R.shape
     res = linprog(
-        cost,
-        A_eq=R,
-        b_eq=np.ones(R.shape[0]),
-        bounds=[(0.0, None)] * R.shape[1],
+        np.concatenate(costs),
+        A_eq=np.kron(np.eye(m), R),
+        b_eq=np.ones(m * rows),
+        bounds=[(0.0, None)] * (m * n),
         method="highs",
     )
     if res.status == 2:
-        return "infeasible"
+        return ["infeasible"] * m
     if res.status == 0:
-        return np.clip(res.x, 0.0, None)
-    return None
+        return list(np.clip(res.x, 0.0, None).reshape(m, n))
+    return [None] * m
 
 
 def _coeff_from_moduli(W: np.ndarray, t: np.ndarray, phases=None) -> np.ndarray:
@@ -239,7 +263,7 @@ def solve_tp(
             detail="empty family: only the zero map is covariant",
         )
 
-    if _generic_stack_rank(family) < d:
+    if _structural_rank_bound(family) < d or _generic_stack_rank(family) < d:
         return TpSolveReport(
             status="no_solution",
             detail="stacked Kraus operator is rank deficient on the whole family",
@@ -277,7 +301,7 @@ def _linear_path(family, forms, W, R, tol_tp, rng):
 
     if np.any(R.sum(axis=1) == 0.0):
         return lp_report("no_solution", "a diagonal entry of Xi is identically zero")
-    canonical = _vertex(R, np.arange(1.0, n + 1.0))
+    (canonical,) = _vertex(R, [np.arange(1.0, n + 1.0)])
     if isinstance(canonical, str):  # infeasible
         return lp_report("no_solution", "diagonal moduli constraints are infeasible")
     if canonical is None:
@@ -290,12 +314,15 @@ def _linear_path(family, forms, W, R, tol_tp, rng):
     solutions, residuals = [c0], [r0]
     keys = {_solution_key(c0)}
     vertices = [canonical]
-    for _ in range(6):
-        v = _vertex(R, rng.uniform(0.1, 1.0, n))
-        if isinstance(v, np.ndarray) and not any(
-            np.allclose(v, known, atol=1e-9) for known in vertices
-        ):
-            vertices.append(v)
+    # The costs are drawn even when unused, so the RNG stream does not depend
+    # on the polytope.  With rank(R) = n the polytope is the canonical point.
+    costs = [rng.uniform(0.1, 1.0, n) for _ in range(6)]
+    if np.linalg.matrix_rank(R) < n:
+        for v in _vertex(R, costs):
+            if isinstance(v, np.ndarray) and not any(
+                np.allclose(v, known, atol=1e-9) for known in vertices
+            ):
+                vertices.append(v)
     attempts = 0
     while len(solutions) < MAX_SOLUTIONS and attempts < 8 * MAX_SOLUTIONS:
         attempts += 1
@@ -432,11 +459,8 @@ def solution_sampler(family: KernelFamily, report: TpSolveReport, tol_tp: float 
         R, W = report.moduli_rows, report.decoupling
 
         def sampler(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-            vertices = []
-            for _ in range(max(6, count // 2)):
-                v = _vertex(R, rng.uniform(0.1, 1.0, n))
-                if isinstance(v, np.ndarray):
-                    vertices.append(v)
+            costs = [rng.uniform(0.1, 1.0, n) for _ in range(max(6, count // 2))]
+            vertices = [v for v in _vertex(R, costs) if isinstance(v, np.ndarray)]
             if not vertices:
                 vertices = [np.abs(np.asarray(report.solutions[0])) ** 2]
             return [_mix(vertices, W, rng) for _ in range(count)]

@@ -13,7 +13,9 @@ from gcec.kernels import (
     kraus_to_vec,
     vec_to_kraus,
 )
-from gcec.reps import Rep, make_rep_label, materialize
+import gcec.reps as reps
+from gcec.pipeline import run_enumeration
+from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize
 
 from fixtures import (
     a4_qutrit_triple,
@@ -301,3 +303,18 @@ def test_mismatched_rep_dims_rejected():
     L2 = materialize(su2, make_rep_label(su2, (1,)))
     with pytest.raises(DimMismatch):
         build_lie_system(L3, L2, su2.irrep_by_index(1))
+
+
+def test_each_representation_is_split_once_per_sweep(monkeypatch):
+    calls = []
+    original = reps._invariant_blocks
+
+    def counted(gens):
+        calls.append(gens)
+        return original(gens)
+
+    monkeypatch.setattr(reps, "_invariant_blocks", counted)
+    manifest = run_enumeration("S3", None, 3)
+    n_reps = len(enumerate_reps(props("S3", "discrete", 3).group, 3))
+    assert manifest.total_instances == 3 * n_reps * n_reps
+    assert len(calls) == n_reps

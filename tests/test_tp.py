@@ -9,7 +9,8 @@ from gcec.errors import EmptyManifold
 from gcec.groups import props
 from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace, kraus_to_vec
 from gcec.reps import make_rep_label, materialize
-from gcec.tp import TpSolveReport, _offdiag_vanishes, solution_sampler, solve_tp, xi_forms, xi_of
+import gcec.tp as tp
+from gcec.tp import TpSolveReport, _offdiag_vanishes, _vertex, solution_sampler, solve_tp, xi_forms, xi_of
 
 from fixtures import s3_qutrit_family
 
@@ -56,7 +57,35 @@ def test_empty_family_reports_no_solution():
     assert "empty family" in report.detail
 
 
-def test_rank_deficient_certificate():
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(tp, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tp, name, counted)
+    return calls
+
+
+def test_xi_forms_match_pairwise_products():
+    family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
+    ops = family.basis.T.reshape(family.n_params, family.K, 3, 3)
+    forms = xi_forms(family)
+    for i in range(family.n_params):
+        for j in range(family.n_params):
+            ref = sum(a.conj().T @ b for a, b in zip(ops[i], ops[j]))
+            assert np.array_equal(forms[:, :, i, j], ref)
+
+
+def test_rank_deficient_certificate(monkeypatch):
+    # Both families have structurally zero rows or columns in the stacked
+    # Kraus operator, so no random SVD is needed to settle them.
+    def unexpected(family, tries=3):
+        raise AssertionError("structural certificate should have decided")
+
+    monkeypatch.setattr(tp, "_generic_stack_rank", unexpected)
     # mixed Z2 rep pair: every covariant map factors through a proper subspace
     family = _family("Z2", "discrete", 2, 0, (0, 0), (0, 1))
     assert family.n_params == 2
@@ -68,6 +97,53 @@ def test_rank_deficient_certificate():
     report = solve_tp(nilpotent)
     assert report.status == "no_solution"
     assert "rank deficient" in report.detail
+
+
+def test_generic_rank_certificate_without_zero_pattern():
+    # a rank-1 family whose stack has no zero row or column
+    ones = _synthetic([np.ones(4, dtype=complex) / 2], 1, 2)
+    assert tp._structural_rank_bound(ones) == 2
+    assert tp._generic_stack_rank(ones) == 1
+    report = solve_tp(ones)
+    assert report.status == "no_solution"
+    assert "rank deficient" in report.detail
+
+
+def _canonical(R):
+    return _vertex(R, [np.arange(1.0, R.shape[1] + 1.0)])[0]
+
+
+def test_one_point_polytope_needs_one_lp(monkeypatch):
+    family = _family("SO3", "lie", 3, 1, (1,), (1,))
+    R = solve_tp(family).moduli_rows
+    assert np.linalg.matrix_rank(R) == R.shape[1]
+    # every cost reaches the canonical vertex, so skipping these LPs loses nothing
+    canonical = _canonical(R)
+    rng = np.random.default_rng(35)
+    for _ in range(6):
+        (v,) = _vertex(R, [rng.uniform(0.1, 1.0, R.shape[1])])
+        assert np.allclose(v, canonical, atol=1e-9)
+    calls = _count_calls(monkeypatch, "_vertex")
+    assert solve_tp(family).status == "solved"
+    assert len(calls) == 1
+
+
+def test_batched_lp_matches_individual_lps(monkeypatch):
+    family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
+    R = solve_tp(family).moduli_rows
+    assert np.linalg.matrix_rank(R) < R.shape[1]
+    rng = np.random.default_rng(36)
+    costs = [rng.uniform(0.1, 1.0, R.shape[1]) for _ in range(6)]
+    batched = _vertex(R, costs)
+    single = [_vertex(R, [c])[0] for c in costs]
+    assert len(batched) == 6
+    for a, b in zip(batched, single):
+        assert np.allclose(a, b, atol=1e-12)
+    # the costs reach more than one vertex: the polytope is not a point
+    assert any(not np.allclose(v, _canonical(R), atol=1e-9) for v in single)
+    calls = _count_calls(monkeypatch, "_vertex")
+    assert solve_tp(family).status == "solved"
+    assert len(calls) == 2
 
 
 def test_s3_family_solves_on_linear_path():
