@@ -171,7 +171,7 @@ def sweep_family(
         for c, v in zip(grid, verdicts)
         if not v.is_extreme and _product_sv_ratio(family, c) <= tol_rank / 10.0
     ]
-    if tp_report.free_phase and tp_report.moduli_rows is not None:
+    if tp_report.moduli_rows is not None:
         order = np.argsort([_product_sv_ratio(family, c) for c in grid])
         seeds = [grid[i] for i in order]
         for c_min in _refine_rank_drop(family, tp_report, seeds, tol_rank, rng):

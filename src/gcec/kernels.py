@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DimMismatch, LengthMismatch
 from .groups import Irrep
-from .reps import Rep, RepLabel
+from .reps import Rep
 
 DEFAULT_TOL_KERNEL = 1e-10
 
@@ -117,13 +117,11 @@ class KernelFamily:
     """Orthonormal basis of the joint nullspace: a CP-map family.
 
     ``basis`` has shape (K*d^2, n_params); column j is the j-th basis vector.
-    ``labels`` records the (D1, D2, Omega-index) triple the family belongs to.
     """
 
     basis: np.ndarray
     K: int
     d: int
-    labels: tuple[RepLabel, RepLabel, int] | None = None
 
     @property
     def n_params(self) -> int:
@@ -230,7 +228,6 @@ def _block_nullspace(block: CovarianceBlock, tol_kernel: float) -> np.ndarray:
 def joint_nullspace(
     system: CovarianceSystem,
     tol_kernel: float = DEFAULT_TOL_KERNEL,
-    labels: tuple[RepLabel, RepLabel, int] | None = None,
     cache: dict | None = None,
 ) -> KernelFamily:
     """Orthonormal basis of the intersection of all generators' kernels.
@@ -255,7 +252,7 @@ def joint_nullspace(
     for block, part in zip(system.blocks, parts):
         basis[block.index, at : at + part.shape[1]] = part
         at += part.shape[1]
-    return KernelFamily(basis=basis, K=system.K, d=system.d, labels=labels)
+    return KernelFamily(basis=basis, K=system.K, d=system.d)
 
 
 def covariance_residual(kraus, D1: Rep, D2: Rep, omega: Irrep, kind: str) -> float:

@@ -196,9 +196,7 @@ def _solve_instance(
     )
     try:
         system = build_discrete_system(rep1, rep2, omega) if kind == "discrete" else build_lie_system(rep1, rep2, omega)
-        family = joint_nullspace(
-            system, tol_kernel, labels=(rep1.label, rep2.label, omega.index), cache=block_cache
-        )
+        family = joint_nullspace(system, tol_kernel, cache=block_cache)
         record.n_params = family.n_params
         if family.n_params == 0:
             return record
@@ -304,6 +302,18 @@ def _read_json(path):
             raise SchemaError(f"not valid JSON: {exc}") from None
 
 
+_RESIDUAL_KEYS = ("covariance", "rank_sigma_min", "tp")
+
+
+def _residuals_from(obj) -> dict:
+    """A record's residuals: empty, or exactly ``_RESIDUAL_KEYS`` mapped to
+    real numbers (what :func:`report` prints)."""
+    if isinstance(obj, dict) and (not obj or sorted(obj) == list(_RESIDUAL_KEYS)):
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj.values()):
+            return dict(obj)
+    raise SchemaError(f"residuals must be empty or map {', '.join(_RESIDUAL_KEYS)} to real numbers, got {obj!r}")
+
+
 def manifest_from_dict(obj) -> RunManifest:
     if not isinstance(obj, dict) or "records" not in obj:
         raise SchemaError("not a run manifest: missing 'records'")
@@ -336,7 +346,7 @@ def manifest_from_dict(obj) -> RunManifest:
                     kraus_samples=[kraus_from_dict(s) for s in rec["kraus_samples"]],
                     moduli_constraints=list(rec["moduli_constraints"]),
                     classification=rec["classification"],
-                    residuals=dict(rec["residuals"]),
+                    residuals=_residuals_from(rec["residuals"]),
                     error=rec.get("error"),
                 )
             )

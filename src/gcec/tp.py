@@ -11,20 +11,21 @@ Xi_pq(c) = c^dag M^(pq) c, which drives a three-stage strategy:
    settle the rank first: fewer than d rows or columns of the stack that are
    not identically zero bound its rank below d.  Otherwise the rank at up to
    three random points decides (generic rank < d).
-2. Linear path.  When the diagonal forms M^(pp) commute they share an
-   eigenbasis; in those decoupled coordinates u the diagonal constraints
-   read R t = 1 with t_j = |u_j|^2, a linear-programming problem.  If the
-   off-diagonal forms vanish structurally the phases of u stay free and the
-   LP describes the full solution set.  Besides the canonical vertex, six
-   random-cost vertices are sought by one block-diagonal LP
-   (:func:`_vertex`); when rank(R) = n the polytope is the canonical point
-   alone and that LP is skipped, its costs still drawn so the RNG stream is
-   unchanged.
-3. Fallback.  Otherwise seeded random starts, each landed on the
-   trace-preserving set by :func:`_converge` (alternating projection, then
-   damped least squares on ||Xi(c) - 1||_F^2 and a polish when projection
-   misses); failure to converge is reported as such, not as proof of
-   infeasibility.
+2. Linear path, for free-phase families: every off-diagonal form M^(pq)
+   vanishes structurally, so Xi(c) is diagonal for every c.  When the
+   diagonal forms M^(pp) also commute they share an eigenbasis; in those
+   decoupled coordinates u the constraints read R t = 1 with t_j = |u_j|^2,
+   a linear-programming problem, and the phases of u stay free.  Besides
+   the canonical vertex, six random-cost vertices are sought by one
+   block-diagonal LP (:func:`_vertex`); when rank(R) = n the polytope is the
+   canonical point alone and that LP is skipped, its costs still drawn so
+   the RNG stream is unchanged.
+3. Multi-start projection, for every other family (and, as a numerical
+   safety net, for a free-phase family whose forms do not diagonalise or
+   whose canonical LP point misses ``tol_tp``).  Seeded random starts are
+   each landed on the trace-preserving set by alternating projection
+   (:func:`_converge`); failure to converge is reported as such, not as
+   proof of infeasibility.
 
 The solution sampler reuses both halves: :func:`_vertex` and :func:`_mix`
 draw points of the moduli polytope with free phases, and :func:`_converge`
@@ -37,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, linprog
+from scipy.optimize import linprog
 
 from .errors import EmptyManifold
 from .kernels import KernelFamily, leading_entry
@@ -54,11 +55,11 @@ _CERT_SEED = 0x5EED  # fixed seed: certificates must not depend on user seed
 class TpSolveReport:
     """Outcome of a trace-preservation solve.
 
-    ``solutions`` are coefficient vectors over the family's kernel basis;
-    when the linear path applies, ``decoupling`` maps decoupled coordinates
-    u to those coefficients (c = decoupling @ u) and ``moduli_rows`` holds
-    R with R @ |u|^2 = 1.  ``free_phase`` marks families whose constraint
-    depends on moduli only, leaving every phase of u free.
+    ``solutions`` are coefficient vectors over the family's kernel basis.
+    ``moduli_rows`` is set only by the linear path, so a non-None value
+    means the family is free-phase: R @ |u|^2 = 1 is the whole constraint,
+    ``decoupling`` maps the decoupled coordinates u to coefficients
+    (c = decoupling @ u), and every phase of u is free.
     """
 
     status: str  # "solved" | "no_solution" | "solver_failed"
@@ -67,7 +68,6 @@ class TpSolveReport:
     moduli_rows: np.ndarray | None = None
     moduli_constraints: list = field(default_factory=list)
     decoupling: np.ndarray | None = None
-    free_phase: bool = False
     detail: str = ""
 
 
@@ -75,6 +75,11 @@ def xi_of(coeffs, family: KernelFamily) -> np.ndarray:
     """Xi(c) = sum_k A_k(c)^dag A_k(c) for coefficients over the basis."""
     kraus = family.kraus_at(np.asarray(coeffs, dtype=complex))
     return sum(m.conj().T @ m for m in kraus)
+
+
+def _tp_residual(coeffs, family: KernelFamily) -> float:
+    """Frobenius norm of Xi(c) - 1."""
+    return float(np.linalg.norm(xi_of(coeffs, family) - np.eye(family.d)))
 
 
 def xi_forms(family: KernelFamily) -> np.ndarray:
@@ -253,7 +258,7 @@ def solve_tp(
     """Find trace-preserving points of the family, with certificates.
 
     ``deadline`` is an absolute ``time.perf_counter`` value after which the
-    fallback stops issuing new starts (statuses stay deterministic for runs
+    multi-start stops issuing new starts (statuses stay deterministic for runs
     that do not hit it).
     """
     n, d = family.n_params, family.d
@@ -270,24 +275,22 @@ def solve_tp(
         )
 
     forms = xi_forms(family)
-    diag_forms = [forms[p, p] for p in range(d)]
-    W = _joint_diagonalizer(diag_forms)
     rng = np.random.default_rng(seed)
-
-    if W is not None:
-        W = _order_decoupled(family.basis, W)
-        R = _moduli_rows(forms, W)
-        report = _linear_path(family, forms, W, R, tol_tp, rng)
-        if report is not None:
-            return report
-        # canonical moduli point failed the full residual: constraints are
-        # genuinely quadratic in phases, handled below
-
+    if _offdiag_vanishes(forms):
+        W = _joint_diagonalizer([forms[p, p] for p in range(d)])
+        if W is not None:
+            W = _order_decoupled(family.basis, W)
+            report = _linear_path(family, W, _moduli_rows(forms, W), tol_tp, rng)
+            if report is not None:
+                return report
     return _nonlinear_path(family, tol_tp, n_starts, rng, deadline)
 
 
-def _linear_path(family, forms, W, R, tol_tp, rng):
-    d, n = family.d, family.n_params
+def _linear_path(family, W, R, tol_tp, rng):
+    """Solve a free-phase family over moduli; None when the LP solver fails
+    or the canonical point misses ``tol_tp`` (drawing nothing from ``rng``
+    first, so the multi-start sees the same stream)."""
+    n = family.n_params
 
     def lp_report(status: str, detail: str, **found) -> TpSolveReport:
         return TpSolveReport(
@@ -307,7 +310,7 @@ def _linear_path(family, forms, W, R, tol_tp, rng):
     if canonical is None:
         return None
     c0 = _coeff_from_moduli(W, canonical)
-    r0 = float(np.linalg.norm(xi_of(c0, family) - np.eye(d)))
+    r0 = _tp_residual(c0, family)
     if r0 > tol_tp:
         return None
 
@@ -327,7 +330,7 @@ def _linear_path(family, forms, W, R, tol_tp, rng):
     while len(solutions) < MAX_SOLUTIONS and attempts < 8 * MAX_SOLUTIONS:
         attempts += 1
         c = _mix(vertices, W, rng)
-        r = float(np.linalg.norm(xi_of(c, family) - np.eye(d)))
+        r = _tp_residual(c, family)
         if r > tol_tp:
             continue
         key = _solution_key(c)
@@ -335,30 +338,21 @@ def _linear_path(family, forms, W, R, tol_tp, rng):
             keys.add(key)
             solutions.append(c)
             residuals.append(r)
-    diag_ok = _offdiag_vanishes(forms)
-    return lp_report(
-        "solved",
-        "moduli linear program" + ("" if diag_ok else " + residual check"),
-        solutions=solutions,
-        residuals=residuals,
-        free_phase=diag_ok,
-    )
+    return lp_report("solved", "moduli linear program", solutions=solutions, residuals=residuals)
 
 
 def _project(c: np.ndarray, family: KernelFamily, max_iter: int = 60):
     """Pull a point onto the trace-preserving set by alternating between the
     nearest isometry (polar factor of the stacked Kraus matrix) and the kernel
-    span.  Unlike damped least squares, each step is an explicit well-
-    conditioned map, so the landing point is a stable function of the start —
-    important where the solution set has flat directions, along which an
-    iterative solver's endpoint is exquisitely sensitive to rounding noise."""
-    eye = np.eye(family.d)
-    best_c = c
-    best_r = float(np.linalg.norm(xi_of(c, family) - eye))
+    span.  Each step is an explicit, well-conditioned map, so the landing
+    point is a stable function of the start — important where the solution
+    set has flat directions, along which a minimiser's endpoint would be
+    exquisitely sensitive to rounding noise."""
+    best_c, best_r = c, _tp_residual(c, family)
     for _ in range(max_iter):
         u, _, vh = np.linalg.svd(np.vstack(family.kraus_at(c)), full_matrices=False)
         c = family.basis.conj().T @ (u @ vh).reshape(-1)
-        r = float(np.linalg.norm(xi_of(c, family) - eye))
+        r = _tp_residual(c, family)
         if r < best_r:
             best_c, best_r = c, r
         elif r > 2.0 * best_r:
@@ -368,48 +362,23 @@ def _project(c: np.ndarray, family: KernelFamily, max_iter: int = 60):
     return best_c, best_r
 
 
-def _polish(c: np.ndarray, family: KernelFamily, tol_tp: float):
-    """Sharpen a near-solution: the gauge freedom makes the LM Jacobian
-    singular, stalling it near sqrt(eps); alternating projection between the
-    isometry manifold (polar factor) and the family span finishes the job."""
-    r = float(np.linalg.norm(xi_of(c, family) - np.eye(family.d)))
-    if r > 1e4 * tol_tp:
-        return c, r
-    return _project(c, family, max_iter=25)
-
-
 def _snap(c: np.ndarray, family: KernelFamily, tol_tp: float):
-    """Round a solution onto a coarse lattice and re-polish.  Repeated runs
-    then agree bitwise even if the optimizer's last few ulps differ."""
+    """Round a solution onto a coarse lattice and, when the rounded point is
+    within 1e4 * tol_tp, re-project it.  Repeated runs then agree bitwise
+    even if the last few ulps of the landing point differ."""
     c = np.round(_gauge_phase(c), 8) + (0.0 + 0.0j)
-    c, r = _polish(c, family, tol_tp)
+    r = _tp_residual(c, family)
+    if r <= 1e4 * tol_tp:
+        c, r = _project(c, family, max_iter=25)
     return _gauge_phase(c), r
 
 
 def _converge(x0: np.ndarray, family: KernelFamily, tol_tp: float) -> np.ndarray | None:
-    """Land a start x0 = (Re c, Im c) on the trace-preserving set.
-
-    Projects first; if that misses ``tol_tp``, runs damped least squares on
-    the stacked real and imaginary parts of Xi(c) - 1 from x0 and polishes
-    the result.  Returns c, or None when the solver raises or the residual
-    still exceeds ``tol_tp``.
-    """
-    n, d = family.n_params, family.d
+    """Land a start x0 = (Re c, Im c) on the trace-preserving set by
+    :func:`_project`; returns c, or None when its residual exceeds
+    ``tol_tp``."""
+    n = family.n_params
     c, r = _project(x0[:n] + 1j * x0[n:], family)
-    if r <= tol_tp:
-        return c
-    eye = np.eye(d)
-
-    def residual_vec(x):
-        xi = xi_of(x[:n] + 1j * x[n:], family) - eye
-        return np.concatenate([xi.real.reshape(-1), xi.imag.reshape(-1)])
-
-    method = "lm" if 2 * d * d >= 2 * n else "trf"
-    try:
-        fit = least_squares(residual_vec, x0, method=method, xtol=1e-14, ftol=1e-14, max_nfev=4000)
-    except Exception:  # pragma: no cover - solver hiccups are skippable
-        return None
-    c, r = _polish(fit.x[:n] + 1j * fit.x[n:], family, tol_tp)
     return c if r <= tol_tp else None
 
 
@@ -438,7 +407,7 @@ def _nonlinear_path(family, tol_tp, n_starts, rng, deadline):
             status="solved",
             solutions=solutions,
             residuals=residuals,
-            detail="multi-start projection and least squares",
+            detail="multi-start projection",
         )
     return TpSolveReport(
         status="solver_failed",
@@ -455,7 +424,7 @@ def solution_sampler(family: KernelFamily, report: TpSolveReport, tol_tp: float 
         raise EmptyManifold("family has no known trace-preserving points")
     n = family.n_params
 
-    if report.moduli_rows is not None and report.free_phase:
+    if report.moduli_rows is not None:
         R, W = report.moduli_rows, report.decoupling
 
         def sampler(rng: np.random.Generator, count: int) -> list[np.ndarray]:

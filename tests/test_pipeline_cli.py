@@ -194,6 +194,27 @@ def test_save_load_round_trip(tmp_path, s3_manifest):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "residuals",
+    [{"tp": 1e-12}, {"covariance": 0.0, "tp": 0.0, "rank_sigma_min": "0.5"},
+     {"covariance": 0.0, "tp": 0.0, "rank_sigma_min": 0.5, "extra": 0.0}, [1e-12]],
+)
+def test_malformed_residuals_are_schema_errors(tmp_path, capsys, z2_manifest, residuals):
+    path = tmp_path / "z2.json"
+    save_manifest(z2_manifest, path)
+    obj = json.loads(path.read_text())
+    found = [rec for rec in obj["records"] if rec["residuals"]]
+    assert found and all(
+        sorted(rec["residuals"]) == ["covariance", "rank_sigma_min", "tp"] for rec in found
+    )
+    found[0]["residuals"] = residuals
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match="residuals must be empty"):
+        load_manifest(path)
+    assert main(["report", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: residuals must be empty")
+
+
 def test_classify_file_on_manifest(tmp_path, a4_manifest):
     path = tmp_path / "a4.json"
     save_manifest(a4_manifest, path)

@@ -150,7 +150,7 @@ def test_s3_family_solves_on_linear_path():
     family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
     report = solve_tp(family, seed=0)
     assert report.status == "solved"
-    assert report.free_phase
+    assert report.moduli_rows is not None
     assert "linear program" in report.detail
     assert len(report.solutions) == 8
     assert max(report.residuals) <= 1e-10
@@ -206,7 +206,7 @@ def test_nonlinear_fallback_on_noncommuting_diagonal_forms():
     )
     report = solve_tp(family, seed=2)
     assert report.status == "solved"
-    assert report.detail == "multi-start projection and least squares"
+    assert report.detail == "multi-start projection"
     assert max(report.residuals) <= 1e-10
     # the only TP points are the two unitary axes of the span
     for c in report.solutions:
@@ -214,17 +214,24 @@ def test_nonlinear_fallback_on_noncommuting_diagonal_forms():
         assert abs(max(abs(c[0]), abs(c[1])) - np.sqrt(3)) <= 1e-6
 
 
-def test_hybrid_path_checks_full_residual():
+def test_offdiagonal_family_goes_straight_to_multistart(monkeypatch):
+    # span{1, sigma_x}: Xi has the off-diagonal entry 2 Re(a conj(b)), so the
+    # phases are not free and no diagonaliser or LP is consulted
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     family = _synthetic(
         [np.eye(2, dtype=complex).reshape(-1) / np.sqrt(2), sx.reshape(-1) / np.sqrt(2)],
         1, 2,
     )
+    vertex_calls = _count_calls(monkeypatch, "_vertex")
+    diag_calls = _count_calls(monkeypatch, "_joint_diagonalizer")
     report = solve_tp(family, seed=7)
     assert report.status == "solved"
-    assert not report.free_phase
-    assert "residual check" in report.detail
+    assert report.detail == "multi-start projection"
+    assert report.moduli_rows is None
+    assert max(report.residuals) <= 1e-12
     assert np.linalg.norm(xi_of(report.solutions[0], family) - np.eye(2)) <= 1e-12
+    assert len(vertex_calls) == 0
+    assert len(diag_calls) == 0
 
 
 def test_undecided_family_reports_solver_failure():
