@@ -32,6 +32,21 @@ over all k, form an independent system of K*|I|*|J| unknowns.  Each block is fac
 the instance's kernel is the direct sum of the block kernels, embedded into
 K*d^2 space in (row block, column block) order.
 
+Weight space.  A Lie generator whose row, column and Omega sub-blocks are
+all diagonal relates each unknown to itself alone: for Lz in the catalog's
+descending-m basis the relation reads (m_i - m'_j - mu_k) A_k[i, j] = 0, so
+every entry of nonzero weight is forced to zero.  The weight is the
+generator's defect of the all-ones stack, so the convention stays written
+once in :func:`_defect`.  A block is factored only on its entries of weight
+zero (:attr:`CovarianceBlock.free_entries`): its matrices are built on those
+columns alone, as the defects of those unit vectors, and the kernel is
+embedded back at them.  By the Wigner-Eckart theorem that leaves at most
+K*min(r, c) of the K*r*c unknowns, and the forced zeros are exact.  The
+cut applies to Lie blocks only, so discrete blocks, diagonal Zn characters
+included, factor every column and keep the bytes of a plain SVD; a densely
+rotated Lie representation has no diagonal generator and keeps every
+column too.
+
 Rank threshold.  A singular value counts as zero when it is at most
 ``tol_kernel * max(1, sigma_max)`` of its block; a block whose matrices are
 identically zero is unconstrained (identity basis).  The absolute floor
@@ -91,12 +106,32 @@ class CovarianceBlock:
     def matrices(self) -> tuple[np.ndarray, ...]:
         """One (K r c) x (K r c) matrix per generator; column i is the
         defect of the i-th unit vector."""
-        n = self.index.size
-        units = np.eye(n, dtype=complex).reshape(n, *self.shape)
+        return self.columns(np.arange(self.index.size))
+
+    def columns(self, entries: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The columns of :attr:`matrices` at ``entries`` (positions in the
+        block's own order), built from those unit vectors alone."""
+        n, m = self.index.size, entries.size
+        units = np.zeros((m, n), dtype=complex)
+        units[np.arange(m), entries] = 1.0
+        units = units.reshape(m, *self.shape)
         return tuple(
-            _defect(self.kind, a, b, om, units).reshape(n, n).T
+            _defect(self.kind, a, b, om, units).reshape(m, n).T
             for a, b, om in zip(self.row_gens, self.col_gens, self.omega_gens)
         )
+
+    @property
+    def free_entries(self) -> np.ndarray:
+        """Positions, in the block's own order, of the unknowns that no
+        diagonal Lie generator forces to zero (see "Weight space" above);
+        discrete blocks keep every entry."""
+        free = np.ones(self.shape, dtype=bool)
+        if self.kind == "lie":
+            ones = np.ones(self.shape, dtype=complex)
+            for a, b, om in zip(self.row_gens, self.col_gens, self.omega_gens):
+                if all(np.array_equal(g, np.diag(np.diag(g))) for g in (a, b, om)):
+                    free &= _defect(self.kind, a, b, om, ones) == 0
+        return np.flatnonzero(free)
 
     def key(self, tol_kernel: float) -> tuple:
         """Cache key: equal keys mean equal systems, hence equal kernels."""
@@ -215,14 +250,22 @@ def _gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
 
 
 def _block_nullspace(block: CovarianceBlock, tol_kernel: float) -> np.ndarray:
-    """Gauge-fixed orthonormal kernel basis of one block's stacked system."""
-    stacked = np.vstack(block.matrices)
+    """Gauge-fixed orthonormal kernel basis of one block's stacked system,
+    factored on the block's free entries only."""
+    free = block.free_entries
+    stacked = np.vstack(block.columns(free))
     if not np.any(stacked):
-        # Unconstrained block: every choice of its entries is covariant.
-        return np.eye(block.index.size, dtype=complex)
-    _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(svals > tol_kernel * max(1.0, svals[0])))
-    return _gauge_fix_columns(vh[rank:].conj().T)
+        # Unconstrained entries: every choice of them is covariant.
+        kernel = np.eye(free.size, dtype=complex)
+    else:
+        _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+        rank = int(np.sum(svals > tol_kernel * max(1.0, svals[0])))
+        kernel = _gauge_fix_columns(vh[rank:].conj().T)
+    # The forced zeros sit between free entries and never lead a column, so
+    # gauge-fixing before embedding is the same as after.
+    basis = np.zeros((block.index.size, kernel.shape[1]), dtype=complex)
+    basis[free] = kernel
+    return basis
 
 
 def joint_nullspace(

@@ -7,7 +7,8 @@ in enumeration order), builds the covariance kernel, imposes trace
 preservation, classifies the outcome, and collects everything into a
 manifest whose JSON form is byte-identical across runs with equal inputs
 and an equal BLAS thread count (a multithreaded BLAS rounds its reductions
-differently, which reaches the stored digits of Lie-group sweeps).
+differently, which reaches the stored digits of some Lie-group sweeps, such
+as SO3 d=9).
 """
 
 from __future__ import annotations

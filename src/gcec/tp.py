@@ -302,8 +302,6 @@ def _linear_path(family, W, R, tol_tp, rng):
             **found,
         )
 
-    if np.any(R.sum(axis=1) == 0.0):
-        return lp_report("no_solution", "a diagonal entry of Xi is identically zero")
     (canonical,) = _vertex(R, [np.arange(1.0, n + 1.0)])
     if isinstance(canonical, str):  # infeasible
         return lp_report("no_solution", "diagonal moduli constraints are infeasible")

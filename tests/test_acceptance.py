@@ -344,6 +344,22 @@ def test_spin_group_d6_kernels_match_clebsch_gordan_within_budget():
     assert elapsed < 10.0
 
 
+def test_rotation_group_d9_sweep_matches_clebsch_gordan_within_budget():
+    # weight space leaves at most K*min(r, c) unknowns per Schur block
+    spec = props("SO3", "lie", 9).group
+    dims = {ir.index: ir.dim for ir in spec.irreps}
+    started = time.perf_counter()
+    manifest = run_enumeration("SO3", None, 9)
+    elapsed = time.perf_counter() - started
+    assert manifest.total_instances == len(manifest.records) == 320
+    for rec in manifest.records:
+        expected = clebsch_gordan_n_params(
+            [dims[p] for p in rec.d1_label.parts], [dims[p] for p in rec.d2_label.parts], dims[rec.omega_index]
+        )
+        assert rec.n_params == expected, (rec.d1_label.text, rec.d2_label.text, rec.omega_label)
+    assert elapsed < 5.0
+
+
 def test_instance_and_representation_counts(s3_sweep, a4_sweep, d5_sweep):
     assert s3_sweep.total_instances == 36
     assert a4_sweep.total_instances == 121

@@ -23,7 +23,9 @@ SWEEPS = [
     ("A4", 3),
     ("D5", 3),
     ("SO3", 5),
+    ("SO3", 7),
     ("SU2", 4),
+    ("SU2", 5),
 ]
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gcec.errors import DimMismatch, LengthMismatch
-from gcec.groups import Irrep, props
+from gcec.groups import Irrep, infer_kind, props
+import gcec.kernels as kernels
 from gcec.kernels import (
     build_discrete_system,
     build_lie_system,
@@ -15,7 +16,7 @@ from gcec.kernels import (
 )
 import gcec.reps as reps
 from gcec.pipeline import run_enumeration
-from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize
+from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize, omega_candidates
 
 from fixtures import (
     a4_qutrit_triple,
@@ -318,3 +319,76 @@ def test_each_representation_is_split_once_per_sweep(monkeypatch):
     n_reps = len(enumerate_reps(props("S3", "discrete", 3).group, 3))
     assert manifest.total_instances == 3 * n_reps * n_reps
     assert len(calls) == n_reps
+
+
+def _distinct_blocks(name, d):
+    kind = infer_kind(name)
+    spec = props(name, kind, d).group
+    build = build_discrete_system if kind == "discrete" else build_lie_system
+    reps_ = [materialize(spec, lab) for lab in enumerate_reps(spec, d)]
+    blocks = {}
+    for omega in omega_candidates(spec, d):
+        for D1 in reps_:
+            for D2 in reps_:
+                for b in build(D1, D2, omega).blocks:
+                    blocks.setdefault(b.key(1e-10), b)
+    return list(blocks.values())
+
+
+def _dense_kernel(block, tol):
+    stacked = np.vstack(block.matrices)
+    if not np.any(stacked):
+        return np.eye(block.index.size)
+    _, svals, vh = np.linalg.svd(stacked)
+    return vh[int(np.sum(svals > tol * max(1.0, svals[0]))) :].conj().T
+
+
+def _is_diagonal(g):
+    return np.array_equal(g, np.diag(np.diag(g)))
+
+
+def test_weight_space_kernel_matches_dense_svd(monkeypatch):
+    # Each block is factored on its free entries only; its kernel must span
+    # what the full dense SVD of the block's matrices spans.
+    rng = np.random.default_rng(22)
+    su2 = props("SU2", "lie", 3).group
+    rep = materialize(su2, make_rep_label(su2, (0, 1)))
+    D1, D2 = (_rotated(rep, random_unitary(rng, 3)) for _ in range(2))
+    (rotated,) = build_lie_system(D1, D2, su2.irrep_by_index(1)).blocks
+    discrete = _distinct_blocks("Z4", 3)  # diagonal generators, but no cut
+    blocks = _distinct_blocks("SO3", 7) + _distinct_blocks("SU2", 5) + [rotated] + discrete
+    svd_inputs = []
+    original = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        svd_inputs.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    cut = 0
+    for block in blocks:
+        svd_inputs.clear()
+        basis = kernels._block_nullspace(block, 1e-10)
+        factored = list(svd_inputs)
+        ref = _dense_kernel(block, 1e-10)
+        assert basis.shape == ref.shape
+        assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-9
+        K, r, c = block.shape
+        lz_diagonal = block.kind == "lie" and all(
+            _is_diagonal(g) for g in (block.row_gens[2], block.col_gens[2], block.omega_gens[2])
+        )
+        if lz_diagonal:
+            assert block.free_entries.size <= K * min(r, c)
+            cut += 1
+        else:
+            assert np.array_equal(block.free_entries, np.arange(K * r * c))
+        assert all(shape[1] == block.free_entries.size for shape in factored)
+    assert cut == len(blocks) - 1 - len(discrete)
+
+
+def test_block_columns_are_the_matrices_columns():
+    # the restricted build and the full view share one assembly routine
+    for block in _distinct_blocks("SU2", 3) + _distinct_blocks("Z4", 2):
+        picked = block.free_entries[::2]
+        for part, full in zip(block.columns(picked), block.matrices):
+            assert np.array_equal(part, full[:, picked])

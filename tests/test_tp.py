@@ -99,6 +99,21 @@ def test_rank_deficient_certificate(monkeypatch):
     assert "rank deficient" in report.detail
 
 
+def test_zero_column_is_rank_deficient_before_any_lp(monkeypatch):
+    # Column 1 of every A_k is zero, so Xi_11 vanishes identically: the rank
+    # certificate decides before the free-phase linear path is reached.
+    family = _synthetic(
+        [np.array([1, 0, 0, 0], dtype=complex), np.array([0, 0, 1, 0], dtype=complex)], 1, 2
+    )
+    forms = xi_forms(family)
+    assert _offdiag_vanishes(forms) and not np.any(forms[1, 1])
+    calls = _count_calls(monkeypatch, "_vertex")
+    report = solve_tp(family)
+    assert report.status == "no_solution"
+    assert "rank deficient" in report.detail
+    assert calls == []
+
+
 def test_generic_rank_certificate_without_zero_pattern():
     # a rank-1 family whose stack has no zero row or column
     ones = _synthetic([np.ones(4, dtype=complex) / 2], 1, 2)
