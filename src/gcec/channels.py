@@ -79,7 +79,8 @@ def conjugate(kraus: KrausSet, U: np.ndarray, V: np.ndarray, tol: float = 1e-10)
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def matrix_from_json(obj, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -92,12 +93,18 @@ def matrix_from_json(obj, shape: tuple[int, int] | None = None) -> np.ndarray:
     return m
 
 
+def kraus_fields(kraus: KrausSet) -> dict:
+    """The JSON fields of a Kraus set, with the operators as one (K, d, d, 2)
+    float array of [re, im] pairs (a view of the stacked complex matrices)."""
+    mats = np.stack(kraus.matrices).astype(complex, copy=False)
+    return {"d": kraus.d, "K": kraus.K, "kraus": mats.view(float).reshape(kraus.K, kraus.d, kraus.d, 2)}
+
+
 def kraus_to_dict(kraus: KrausSet) -> dict:
-    return {
-        "d": kraus.d,
-        "K": kraus.K,
-        "kraus": [matrix_to_json(m) for m in kraus.matrices],
-    }
+    """:func:`kraus_fields` in plain JSON types."""
+    fields = kraus_fields(kraus)
+    fields["kraus"] = fields["kraus"].tolist()
+    return fields
 
 
 def kraus_from_dict(obj) -> KrausSet:

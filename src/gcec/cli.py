@@ -10,7 +10,6 @@ pairs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .channels import matrix_to_json
@@ -21,11 +20,11 @@ from .kernels import DEFAULT_TOL_KERNEL
 from .pipeline import (
     DEFAULT_TIME_BUDGET,
     classify_file,
+    json_text,
     load_manifest,
     manifest_to_json,
     report,
     run_enumeration,
-    save_manifest,
 )
 from .reps import enumerate_reps, omega_candidates
 from .tp import DEFAULT_TOL_TP
@@ -87,6 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _cmd_catalog(args) -> int:
     kind = args.kind or infer_kind(args.group)
     payload = props(args.group, kind, args.dim)
@@ -109,7 +113,7 @@ def _cmd_catalog(args) -> int:
                 for ir in payload.group.irreps
             ],
         }
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(json_text(obj))
     else:
         print(f"{payload.group.name} ({payload.group.kind}), "
               f"generators: {', '.join(payload.group.generator_names)}")
@@ -134,7 +138,7 @@ def _cmd_enumerate(args) -> int:
             "omega_candidates": [om.label for om in omegas],
             "total_instances": len(labels) ** 2 * len(omegas),
         }
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(json_text(obj))
     else:
         print(f"{len(labels)} representations of {args.group} at d={args.dim}:")
         for lab in labels:
@@ -159,21 +163,18 @@ def _cmd_run(args) -> int:
         reps=reps,
         time_budget=args.time_budget,
     )
+    text = manifest_to_json(manifest) if args.out or args.format == "json" else ""
     if args.out:
-        save_manifest(manifest, args.out)
-    if args.format == "json":
-        sys.stdout.write(manifest_to_json(manifest))
-    else:
-        sys.stdout.write(report(manifest, "text"))
+        _write(args.out, text)
+    sys.stdout.write(text if args.format == "json" else report(manifest, "text"))
     return 0
 
 
 def _cmd_classify(args) -> int:
     results = classify_file(args.path, tol_rank=args.tol_rank)
-    text = json.dumps(results, indent=2, sort_keys=True) + "\n"
+    text = json_text(results) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     sys.stdout.write(text)
     return 0
 

@@ -9,6 +9,12 @@ manifest whose JSON form is byte-identical across runs with equal inputs
 and an equal BLAS thread count (a multithreaded BLAS rounds its reductions
 differently, which reaches the stored digits of some Lie-group sweeps, such
 as SO3 d=9).
+
+Every JSON text the package writes (manifests, reports, the CLI printers)
+comes from one writer, :func:`json_text`: its bytes are those of
+``json.dumps(obj, indent=2, sort_keys=True)``, and its keys and scalars go
+through the standard library's C encoder in a few batched calls instead of
+that call's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +30,7 @@ from .channels import (
     KRAUS_SCHEMA_VERSION,
     KrausSet,
     choi,
+    kraus_fields,
     kraus_from_dict,
     kraus_to_dict,
 )
@@ -251,7 +259,8 @@ def _solve_instance(
 # ---------------------------------------------------------------------------
 
 
-def record_to_dict(record: ChannelRecord) -> dict:
+def _record_fields(record: ChannelRecord, sample) -> dict:
+    """The JSON fields of a record; ``sample`` renders each Kraus set."""
     return {
         "group": record.group,
         "d": record.d,
@@ -261,7 +270,7 @@ def record_to_dict(record: ChannelRecord) -> dict:
         "omega_label": record.omega_label,
         "n_params": record.n_params,
         "status": record.status,
-        "kraus_samples": [kraus_to_dict(s) for s in record.kraus_samples],
+        "kraus_samples": [sample(s) for s in record.kraus_samples],
         "moduli_constraints": list(record.moduli_constraints),
         "classification": record.classification,
         "residuals": {k: float(v) for k, v in record.residuals.items()},
@@ -269,7 +278,7 @@ def record_to_dict(record: ChannelRecord) -> dict:
     }
 
 
-def manifest_to_dict(manifest: RunManifest) -> dict:
+def _manifest_fields(manifest: RunManifest, sample) -> dict:
     return {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kraus_schema_version": KRAUS_SCHEMA_VERSION,
@@ -281,12 +290,85 @@ def manifest_to_dict(manifest: RunManifest) -> dict:
         "options": manifest.options,
         "total_instances": manifest.total_instances,
         "count_found": manifest.count_found,
-        "records": [record_to_dict(r) for r in manifest.records],
+        "records": [_record_fields(r, sample) for r in manifest.records],
     }
 
 
+def record_to_dict(record: ChannelRecord) -> dict:
+    return _record_fields(record, kraus_to_dict)
+
+
+def manifest_to_dict(manifest: RunManifest) -> dict:
+    return _manifest_fields(manifest, kraus_to_dict)
+
+
+# The C encoder (``indent`` is None) with a newline between list items: no
+# encoded scalar contains a raw newline, since strings escape every control
+# character, so the items of one encoded list split apart exactly.
+_LEAF_ENCODER = json.JSONEncoder(separators=("\n", ": "))
+
+
+def json_text(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    ``obj`` holds dicts with string keys, lists, tuples, numpy arrays (laid
+    out as nested lists) and JSON scalars.  A walk in Python lays out the
+    containers by the standard library's indent rules; the C encoder
+    encodes every key, every array's entries (one call per array) and the
+    remaining scalars (one call in all), so escaping, NaN/Infinity and float
+    repr are the standard library's.
+    """
+    seps, leaves = [""], []
+    _layout(obj, 0, seps, leaves, {})
+    return _interleave(seps, leaves)
+
+
+def _interleave(seps: list, leaves: list) -> str:
+    """``seps[0]``, encoded ``leaves[0]``, ``seps[1]``, ..., ``seps[-1]``,
+    with every leaf encoded by one C-encoder call."""
+    tokens = _LEAF_ENCODER.encode(leaves)[1:-1].split("\n") if leaves else []
+    return "".join(chain.from_iterable(zip(seps, tokens))) + seps[-1]
+
+
+def _layout(obj, level: int, seps: list, leaves: list, memo: dict) -> None:
+    """Append ``obj`` at indent ``level``: ``leaves`` gains its scalars, and
+    ``seps[i]`` holds the literal text before ``leaves[i]`` (``seps[-1]``
+    the text after the last).  Keys and arrays are encoded on the spot and
+    join the literal text.  ``memo`` lives for one :func:`json_text` call;
+    it maps an array's (shape, level) to the literal pieces around its
+    entries, and a (separator, key) pair to its text up to the value."""
+    if isinstance(obj, np.ndarray):
+        if (obj.shape, level) not in memo:
+            pieces = memo[obj.shape, level] = [""]
+            _layout(np.zeros(obj.shape).tolist(), level, pieces, [], memo)
+        seps[-1] += _interleave(memo[obj.shape, level], obj.ravel().tolist())
+    elif isinstance(obj, (dict, list, tuple)):
+        keyed = isinstance(obj, dict)
+        brackets = "{}" if keyed else "[]"
+        if not obj:
+            seps[-1] += brackets
+            return
+        items = sorted(obj.items()) if keyed else [(None, item) for item in obj]
+        inner = "\n" + "  " * (level + 1)
+        sep, comma = brackets[0] + inner, "," + inner
+        for key, value in items:
+            if keyed:
+                if (sep, key) not in memo:
+                    if not isinstance(key, str):
+                        raise TypeError(f"json_text needs string keys, got {key!r}")
+                    memo[sep, key] = sep + _LEAF_ENCODER.encode(key) + ": "
+                sep = memo[sep, key]
+            seps[-1] += sep
+            _layout(value, level + 1, seps, leaves, memo)
+            sep = comma
+        seps[-1] += "\n" + "  " * level + brackets[1]
+    else:
+        leaves.append(obj)
+        seps.append("")
+
+
 def manifest_to_json(manifest: RunManifest) -> str:
-    return json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True) + "\n"
+    return json_text(_manifest_fields(manifest, kraus_fields)) + "\n"
 
 
 def save_manifest(manifest: RunManifest, path) -> None:

@@ -19,7 +19,10 @@ Xi_pq(c) = c^dag M^(pq) c, which drives a three-stage strategy:
    the canonical vertex, six random-cost vertices are sought by one
    block-diagonal LP (:func:`_vertex`); when rank(R) = n the polytope is the
    canonical point alone and that LP is skipped, its costs still drawn so
-   the RNG stream is unchanged.
+   the RNG stream is unchanged.  When that one point also has at most one
+   nonzero modulus, every random-phase mix of it gauges back to the
+   canonical solution, so the canonical solution is returned alone without
+   mixing (no draw follows the linear path, so none changes).
 3. Multi-start projection, for every other family (and, as a numerical
    safety net, for a free-phase family whose forms do not diagonalise or
    whose canonical LP point misses ``tol_tp``).  Seeded random starts are
@@ -313,12 +316,18 @@ def _linear_path(family, W, R, tol_tp, rng):
         return None
 
     solutions, residuals = [c0], [r0]
+    # With rank(R) = n the polytope is the canonical point.
+    one_point = np.linalg.matrix_rank(R) == n
+    if one_point and np.count_nonzero(canonical) <= 1:
+        # Every mix then has a single nonzero u_j, whose phase the gauge
+        # turns back: each one is c0 again.
+        return lp_report("solved", "moduli linear program", solutions=solutions, residuals=residuals)
     keys = {_solution_key(c0)}
     vertices = [canonical]
     # The costs are drawn even when unused, so the RNG stream does not depend
-    # on the polytope.  With rank(R) = n the polytope is the canonical point.
+    # on the polytope.
     costs = [rng.uniform(0.1, 1.0, n) for _ in range(6)]
-    if np.linalg.matrix_rank(R) < n:
+    if not one_point:
         for v in _vertex(R, costs):
             if isinstance(v, np.ndarray) and not any(
                 np.allclose(v, known, atol=1e-9) for known in vertices

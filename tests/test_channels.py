@@ -9,8 +9,10 @@ from gcec.channels import (
     choi,
     conjugate,
     kraus_from_dict,
+    kraus_fields,
     kraus_to_dict,
     matrix_from_json,
+    matrix_to_json,
 )
 from gcec.errors import DimMismatch, NotUnitary, SchemaError
 
@@ -98,6 +100,18 @@ def test_json_round_trip_is_bit_exact():
     assert back.K == ks.K and back.d == ks.d
     for a, b in zip(ks.matrices, back.matrices):
         assert np.array_equal(a, b)
+
+
+def test_json_pairs_are_the_elementwise_floats():
+    rng = np.random.default_rng(29)
+    ks = KrausSet.from_matrices(random_full_rank_channel(rng, 3))
+    m = ks.matrices[0] * np.array([[-0.0, 1, 1], [1, 1, 1], [1, 1, 1]])
+    for mat in (m, m.real, np.arange(9).reshape(3, 3)):
+        pairs = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=complex)]
+        assert repr(matrix_to_json(mat)) == repr(pairs)
+    fields = kraus_fields(ks)
+    assert fields["kraus"].shape == (ks.K, 3, 3, 2)
+    assert kraus_to_dict(ks) == {"d": 3, "K": ks.K, "kraus": [matrix_to_json(a) for a in ks.matrices]}
 
 
 def test_schema_errors():

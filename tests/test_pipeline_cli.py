@@ -1,19 +1,23 @@
 """Full enumeration pipeline, persistence, classify-file loop, and the CLI."""
 
 import collections
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from gcec.channels import KrausSet, kraus_to_dict
+from gcec import cli
 from gcec.cli import main
 from gcec.errors import SchemaError, UnknownGroup
 from gcec import pipeline
 from gcec.pipeline import (
     RunManifest,
     classify_file,
+    json_text,
     load_manifest,
+    manifest_to_dict,
     manifest_to_json,
     record_to_dict,
     report,
@@ -181,6 +185,60 @@ def test_manifest_json_is_deterministic(s3_manifest):
     assert manifest_to_json(s3_manifest) == manifest_to_json(again)
 
 
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "group,d,nonunitary_only",
+    [("Z3", 1, False), ("Z2", 2, False), ("S3", 3, False), ("SU2", 4, True), ("SO3", 5, True)],
+)
+def test_manifest_json_matches_stdlib(group, d, nonunitary_only):
+    manifest = run_enumeration(group, None, d, nonunitary_only=nonunitary_only)
+    shapes = {(s.K, s.d) for r in manifest.records for s in r.kraus_samples}
+    assert shapes and (d > 1 or shapes == {(1, 1)})
+    if group == "SU2":  # several Kraus counts per manifest, up to K = d
+        assert {K for K, _ in shapes} == {2, 3, 4}
+    assert manifest_to_json(manifest) == _stdlib_json(manifest_to_dict(manifest)) + "\n"
+
+
+def test_hand_built_manifest_json_matches_stdlib(z2_manifest):
+    empty = RunManifest(
+        group="S3",
+        kind="discrete",
+        d=3,
+        tolerances={"kernel": 1e-10, "tp": 1e-10, "rank": 1e-8},
+        seed=0,
+        options={"reps": None},
+        total_instances=0,
+        count_found=0,
+    )
+    assert manifest_to_json(empty) == _stdlib_json(manifest_to_dict(empty)) + "\n"
+
+    found = [r for r in z2_manifest.records if r.residuals]
+    odd = [
+        dataclasses.replace(
+            found[0],
+            error='said "no", C:\\path\\x\nnext line, caf\u00e9 \u2713',
+            residuals={"covariance": float("nan"), "tp": float("inf"), "rank_sigma_min": -0.0},
+            moduli_constraints=["0.5|u1|^2 + 0.5|u2|^2 = 1", "|u3|^2 = 1"],
+        ),
+        dataclasses.replace(
+            found[1],
+            residuals={"covariance": 5e-324, "tp": -float("inf"), "rank_sigma_min": 1e300},
+        ),
+    ]
+    manifest = dataclasses.replace(
+        z2_manifest,
+        options={**z2_manifest.options, "reps": ["q0+q0", "q1+q1"]},
+        records=odd,
+    )
+    text = manifest_to_json(manifest)
+    assert text == _stdlib_json(manifest_to_dict(manifest)) + "\n"
+    assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "-0.0" in text
+    assert "\\u00e9" in text and '\\"no\\"' in text
+
+
 def test_save_load_round_trip(tmp_path, s3_manifest):
     path = tmp_path / "s3.json"
     save_manifest(s3_manifest, path)
@@ -316,7 +374,14 @@ def test_cli_catalog_and_enumerate(capsys):
     assert len(obj["reps"]) == 6 and obj["omega_candidates"] == ["2"]
 
 
-def test_cli_run_writes_manifest(tmp_path, capsys):
+def test_cli_run_writes_manifest(tmp_path, capsys, monkeypatch):
+    encoded = []
+
+    def counted(manifest):
+        encoded.append(manifest)
+        return manifest_to_json(manifest)
+
+    monkeypatch.setattr(cli, "manifest_to_json", counted)
     out_path = tmp_path / "z2.json"
     rc = main([
         "run", "--group", "Z2", "--dim", "2",
@@ -325,7 +390,45 @@ def test_cli_run_writes_manifest(tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     assert json.loads(stdout)["total_instances"] == 8
-    assert out_path.read_text() == stdout
+    assert out_path.read_bytes() == stdout.encode()
+    assert len(encoded) == 1  # one encoding serves the file and stdout
+
+
+def test_cli_json_outputs_match_stdlib(tmp_path, capsys, s3_manifest):
+    def stdout_of(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    obj = json.loads(stdout_of(["catalog", "--group", "SU2", "--dim", "3", "--format", "json"]))
+    assert obj["irreps"][1]["generators"]
+    assert stdout_of(["catalog", "--group", "SU2", "--dim", "3", "--format", "json"]) == _stdlib_json(obj) + "\n"
+    argv = ["enumerate", "--group", "A4", "--dim", "3", "--format", "json"]
+    assert stdout_of(argv) == _stdlib_json(json.loads(stdout_of(argv))) + "\n"
+
+    manifest_path = tmp_path / "s3.json"
+    save_manifest(s3_manifest, manifest_path)
+    assert stdout_of(["report", "--in", str(manifest_path), "--format", "json"]) == (
+        _stdlib_json(manifest_to_dict(s3_manifest)) + "\n"
+    )
+    verdict_path = tmp_path / "verdicts.json"
+    stdout = stdout_of(["classify", "--in", str(manifest_path), "--out", str(verdict_path)])
+    assert stdout == _stdlib_json(classify_file(manifest_path)) + "\n"
+    assert verdict_path.read_text() == stdout
+
+
+def test_json_text_layouts():
+    obj = {
+        "empty": [{}, [], ()],
+        "nested": [np.arange(12.0).reshape(3, 2, 2), np.zeros((2, 0)), np.zeros((0, 3)), np.array(-0.0)],
+        "scalars": (None, True, False, 0, -7, 1.5, "tab\tquote\"", float("nan")),
+    }
+    as_lists = {**obj, "nested": [a.tolist() for a in obj["nested"]]}
+    assert json_text(obj) == _stdlib_json(as_lists)
+    for scalar in (None, 3, "x", float("inf")):
+        assert json_text(scalar) == _stdlib_json(scalar)
+    for key in (1, None):
+        with pytest.raises(TypeError):
+            json_text({key: "not a string key"})
 
 
 def test_cli_run_text_report(capsys):

@@ -143,6 +143,54 @@ def test_one_point_polytope_needs_one_lp(monkeypatch):
     assert len(calls) == 1
 
 
+def _mixed_solutions(family, report, seed):
+    """The canonical point followed by the 64-attempt mixing loop, as
+    ``_linear_path`` runs it on a one-point polytope."""
+    R, W = report.moduli_rows, report.decoupling
+    rng = np.random.default_rng(seed)
+    canonical = _canonical(R)
+    solutions = [tp._coeff_from_moduli(W, canonical)]
+    keys = {tp._solution_key(solutions[0])}
+    [rng.uniform(0.1, 1.0, family.n_params) for _ in range(6)]  # the unused vertex costs
+    for _ in range(8 * tp.MAX_SOLUTIONS):
+        if len(solutions) == tp.MAX_SOLUTIONS:
+            break
+        c = tp._mix([canonical], W, rng)
+        if tp._tp_residual(c, family) <= 1e-10 and tp._solution_key(c) not in keys:
+            keys.add(tp._solution_key(c))
+            solutions.append(c)
+    return solutions
+
+
+def test_one_point_one_modulus_family_is_not_mixed(monkeypatch):
+    family = _family("SO3", "lie", 3, 1, (1,), (1,))
+    assert family.n_params == 1
+    reference = _mixed_solutions(family, solve_tp(family), seed=4)
+    assert len(reference) == 1  # every mix gauges back to the canonical point
+    calls = _count_calls(monkeypatch, "_mix")
+    report = solve_tp(family, seed=4)
+    assert report.detail == "moduli linear program"
+    assert calls == []
+    assert len(report.solutions) == 1
+    assert report.solutions[0].tobytes() == reference[0].tobytes()
+
+
+def test_one_point_two_moduli_family_is_still_mixed(monkeypatch):
+    # A = diag(a, b): Xi = diag(|a|^2, |b|^2), so the polytope is the point
+    # |a| = |b| = 1 and the relative phase of a and b stays free.
+    family = _synthetic([np.array([1, 0, 0, 0], dtype=complex), np.array([0, 0, 0, 1], dtype=complex)], 1, 2)
+    first = solve_tp(family, seed=4)
+    assert np.linalg.matrix_rank(first.moduli_rows) == 2
+    assert np.count_nonzero(_canonical(first.moduli_rows)) == 2
+    reference = _mixed_solutions(family, first, seed=4)
+    calls = _count_calls(monkeypatch, "_mix")
+    report = solve_tp(family, seed=4)
+    assert len(calls) >= tp.MAX_SOLUTIONS - 1
+    assert len(report.solutions) == len(reference) == tp.MAX_SOLUTIONS
+    for a, b in zip(report.solutions, reference):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_batched_lp_matches_individual_lps(monkeypatch):
     family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
     R = solve_tp(family).moduli_rows
