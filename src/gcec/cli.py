@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated representation labels restricting the sweep, e.g. '1+2,1'+2'",
     )
-    p_run.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET, help="seconds per instance")
+    p_run.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET, help="seconds per solved instance")
     p_run.add_argument("--out", default=None, help="write the JSON manifest here")
     p_run.add_argument("--format", choices=("json", "text"), default="text")
 

@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import DimMismatch, LengthMismatch
 from .groups import Irrep
-from .reps import Rep
+from .reps import InvariantBlock, Rep
 
 DEFAULT_TOL_KERNEL = 1e-10
 
@@ -195,10 +195,15 @@ def _rows_cols(kind: str, D1: Rep, D2: Rep) -> tuple[Rep, Rep]:
 def _build_system(kind: str, D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
     if D1.dim != D2.dim:
         raise DimMismatch(f"input/output rep dims differ: {D1.dim} vs {D2.dim}")
-    d, K = D1.dim, omega.dim
     row_rep, col_rep = _rows_cols(kind, D1, D2)
-    omega_gens = tuple(np.asarray(g, dtype=complex) for g in omega.generator_matrices)
+    return _system(kind, row_rep.split, col_rep.split, omega.generator_matrices, D1.dim)
+
+
+def _system(kind: str, row_parts, col_parts, omega_gens, d: int) -> CovarianceSystem:
+    """The blocks of every (row part, column part) pair, in that order."""
+    omega_gens = tuple(np.asarray(g, dtype=complex) for g in omega_gens)
     omega_bytes = tuple(g.tobytes() for g in omega_gens)
+    K = omega_gens[0].shape[0]
     kraus_offsets = np.arange(K)[:, None, None] * d * d
     blocks = tuple(
         CovarianceBlock(
@@ -210,8 +215,8 @@ def _build_system(kind: str, D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem
             omega_gens=omega_gens,
             content=(rows.content, cols.content, omega_bytes),
         )
-        for rows in row_rep.split
-        for cols in col_rep.split
+        for rows in row_parts
+        for cols in col_parts
     )
     return CovarianceSystem(blocks=blocks, K=K, d=d)
 
@@ -296,6 +301,27 @@ def joint_nullspace(
         basis[block.index, at : at + part.shape[1]] = part
         at += part.shape[1]
     return KernelFamily(basis=basis, K=system.K, d=system.d)
+
+
+def intertwiner(target, moved, tol_kernel: float = DEFAULT_TOL_KERNEL, cache: dict | None = None) -> np.ndarray:
+    """Unitary T with T^dag moved(g) T = target(g) for every generator g.
+
+    ``target`` and ``moved`` are the generator matrices of two equivalent
+    irreducible representations of a finite group.  T spans the kernel of
+    the discrete covariance system moved(g)^dag T target(g) = T: the system
+    :func:`build_discrete_system` gives for D1 = target, D2 = moved and the
+    trivial channel label, built here as one block without splitting
+    either side.  By Schur's lemma that kernel is one dimensional and
+    T^dag T is a multiple of the identity, so the unit kernel vector scaled
+    by sqrt(dim) is unitary.  ``cache`` is as for :func:`joint_nullspace`.
+    """
+    r = target[0].shape[0]
+    parts = [InvariantBlock.on(np.arange(r), gens) for gens in (moved, target)]
+    trivial = [np.ones((1, 1))] * len(target)
+    family = joint_nullspace(_system("discrete", parts[:1], parts[1:], trivial, r), tol_kernel, cache)
+    if family.n_params != 1:
+        raise DimMismatch(f"expected one intertwiner between equivalent irreps, found {family.n_params}")
+    return np.sqrt(r) * family.basis[:, 0].reshape(r, r)
 
 
 def covariance_residual(kraus, D1: Rep, D2: Rep, omega: Irrep, kind: str) -> float:

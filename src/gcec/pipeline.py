@@ -10,6 +10,16 @@ and an equal BLAS thread count (a multithreaded BLAS rounds its reductions
 differently, which reaches the stored digits of some Lie-group sweeps, such
 as SO3 d=9).
 
+For finite groups the instances fall into label classes
+(:mod:`gcec.classes`): twisting by 1-dimensional characters and complex
+conjugation map an instance to an equivalent one.  Only the least instance
+of each class in sweep order, its representative, is solved.  Every other
+member takes the representative's ``n_params``, status, error and moduli
+constraints, and the representative's samples moved to it by intertwiners;
+each moved sample is re-checked for covariance against the member's own
+representations and for trace preservation, and its rank test is run
+again.  Lie-group sweeps solve every instance.
+
 Every JSON text the package writes (manifests, reports, the CLI printers)
 comes from one writer, :func:`json_text`: its bytes are those of
 ``json.dumps(obj, indent=2, sort_keys=True)``, and its keys and scalars go
@@ -34,6 +44,7 @@ from .channels import (
     kraus_from_dict,
     kraus_to_dict,
 )
+from .classes import LabelClasses
 from .errors import GcecError, SchemaError, NotTracePreserving, UnknownGroup
 from .extremality import DEFAULT_TOL_RANK, test_extreme
 from .groups import infer_kind, props
@@ -44,11 +55,12 @@ from .kernels import (
     covariance_residual,
     joint_nullspace,
 )
-from .reps import RepLabel, enumerate_reps, materialize, omega_candidates
+from .reps import Rep, RepLabel, enumerate_reps, make_rep_label, materialize, omega_candidates
 from .tp import DEFAULT_TOL_TP, solve_tp
 
 MANIFEST_SCHEMA_VERSION = 1
 DEFAULT_TIME_BUDGET = 10.0
+TRANSPORT_TOL_COV = 1e-8  # largest covariance residual of a transported sample
 
 
 @dataclass
@@ -106,10 +118,16 @@ def run_enumeration(
     ``reps`` optionally restricts the sweep to representations with the
     given display texts (a sub-sweep; totals then count the restriction).
     ``nonunitary_only`` drops 1-dimensional channel labels, whose channels
-    are plain unitaries.  ``time_budget`` bounds each instance's nonlinear
-    TP fallback: once that many seconds have passed since the instance
-    began, no new random start is issued.  The status is then
+    are plain unitaries.  ``time_budget`` bounds the nonlinear TP fallback
+    of each solved instance: once that many seconds have passed since the
+    instance began, no new random start is issued.  The status is then
     ``solver_failed`` only if no earlier start converged.
+
+    For a finite group only one representative per label class is solved
+    (see the module docstring), with the seed of its own labels and even
+    when ``reps`` leaves it out, so a sub-sweep reproduces the full sweep's
+    records for the instances it shares.  A member whose transported sample
+    fails its re-check gets status ``error``.
     """
     if kind is None:
         kind = infer_kind(group)
@@ -131,31 +149,49 @@ def run_enumeration(
 
     rep_cache = {lab.parts: materialize(spec, lab) for lab in labels}
     block_cache: dict = {}  # Schur-block kernels shared by this sweep's instances
+    classes = LabelClasses(spec, tol_kernel, block_cache) if kind == "discrete" else None
+    solved: dict = {}  # representative instance -> its record
+
+    def rep_of(parts) -> Rep:
+        if parts not in rep_cache:  # a representative outside a --reps sub-sweep
+            rep_cache[parts] = materialize(spec, make_rep_label(spec, parts))
+        return rep_cache[parts]
+
+    def solve(inst) -> ChannelRecord:
+        om, parts1, parts2 = inst
+        return _solve_instance(
+            group,
+            kind,
+            d,
+            rep_of(parts1),
+            rep_of(parts2),
+            spec.irrep_by_index(om),
+            tol_kernel=tol_kernel,
+            tol_tp=tol_tp,
+            tol_rank=tol_rank,
+            n_starts=n_starts,
+            # Seed keyed by the instance labels (not the loop position): a
+            # filtered sub-sweep then reproduces the full sweep's records
+            # for the instances it shares.
+            seed=[seed, om, *parts1, 0xFFFFFFFF, *parts2],
+            time_budget=time_budget,
+            block_cache=block_cache,
+        )
 
     records: list[ChannelRecord] = []
     for omega in omegas:
         for lab1 in labels:
             for lab2 in labels:
-                # Seed keyed by the instance labels (not the loop position):
-                # a filtered sub-sweep then reproduces the full sweep's
-                # records for the instances it shares.
-                instance_seed = [seed, omega.index, *lab1.parts, 0xFFFFFFFF, *lab2.parts]
+                inst = (omega.index, lab1.parts, lab2.parts)
+                head, move = (inst, None) if classes is None else classes.representative(inst)
+                if head not in solved:  # even when the sweep leaves it out
+                    solved[head] = solve(head)
+                if move is None:
+                    records.append(solved[head])
+                    continue
+                rep1, rep2 = rep_cache[lab1.parts], rep_cache[lab2.parts]
                 records.append(
-                    _solve_instance(
-                        group,
-                        kind,
-                        d,
-                        rep_cache[lab1.parts],
-                        rep_cache[lab2.parts],
-                        omega,
-                        tol_kernel=tol_kernel,
-                        tol_tp=tol_tp,
-                        tol_rank=tol_rank,
-                        n_starts=n_starts,
-                        seed=instance_seed,
-                        time_budget=time_budget,
-                        block_cache=block_cache,
-                    )
+                    _transported(solved[head], rep1, rep2, omega, classes, head, move, tol_rank=tol_rank, tol_tp=tol_tp)
                 )
 
     return RunManifest(
@@ -223,26 +259,10 @@ def _solve_instance(
         if report.status == "solver_failed":
             record.status = "solver_failed"
             return record
-        record.status = "channel_found"
         samples = [
             KrausSet.from_matrices(family.kraus_at(c)) for c in report.solutions
         ]
-        record.kraus_samples = samples
-        verdicts = [test_extreme(s, tol_rank, tol_tp=max(tol_tp, 1e-8)) for s in samples]
-        if omega.dim == 1:
-            record.classification = "unitary"
-        elif all(v.is_extreme for v in verdicts):
-            record.classification = "extreme"
-        else:
-            record.classification = "quasi_extreme"
-        record.residuals = {
-            "covariance": max(
-                covariance_residual(s.matrices, rep1, rep2, omega, kind)
-                for s in samples
-            ),
-            "tp": max(report.residuals),
-            "rank_sigma_min": min(v.min_singular_value for v in verdicts),
-        }
+        _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, max(report.residuals))
     except (GcecError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         record.status = "solver_failed"
@@ -251,6 +271,63 @@ def _solve_instance(
         record.error = f"{type(exc).__name__}: {exc}"
         record.status = "error"
         record.classification = "not_applicable"
+    return record
+
+
+def _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, tp) -> None:
+    """Fill a ``channel_found`` record from its samples: the rank test and
+    the covariance residual of each, and ``tp`` as the TP residual."""
+    verdicts = [test_extreme(s, tol_rank, tol_tp=max(tol_tp, 1e-8)) for s in samples]
+    record.status = "channel_found"
+    record.kraus_samples = samples
+    if omega.dim == 1:
+        record.classification = "unitary"
+    elif all(v.is_extreme for v in verdicts):
+        record.classification = "extreme"
+    else:
+        record.classification = "quasi_extreme"
+    record.residuals = {
+        "covariance": max(
+            covariance_residual(s.matrices, rep1, rep2, omega, kind)
+            for s in samples
+        ),
+        "tp": tp,
+        "rank_sigma_min": min(v.min_singular_value for v in verdicts),
+    }
+
+
+def _transported(source, rep1, rep2, omega, classes, head, move, *, tol_rank, tol_tp) -> ChannelRecord:
+    """The record of the instance ``move`` maps the representative ``head``
+    to, from the representative's record ``source``: the same ``n_params``,
+    status, error and moduli constraints (in the representative's
+    coordinates), and the representative's samples transported, each
+    re-checked against the member's own representations.  A sample that
+    misses covariance or trace preservation makes the record an ``error``:
+    it is never re-solved."""
+    record = ChannelRecord(
+        group=source.group,
+        d=source.d,
+        d1_label=rep1.label,
+        d2_label=rep2.label,
+        omega_index=omega.index,
+        omega_label=omega.label,
+        n_params=source.n_params,
+        status=source.status,
+        moduli_constraints=list(source.moduli_constraints),
+        error=source.error,
+    )
+    if source.status != "channel_found":
+        return record
+    try:
+        samples = [classes.transport(s, head, move) for s in source.kraus_samples]
+        tp = max(s.tp_residual() for s in samples)
+        _found(record, samples, rep1, rep2, omega, "discrete", tol_rank, tol_tp, tp)
+        if record.residuals["covariance"] > TRANSPORT_TOL_COV:
+            raise GcecError(f"covariance residual {record.residuals['covariance']:.3e} exceeds {TRANSPORT_TOL_COV:.0e}")
+    except Exception as exc:  # never solver_failed: the representative decided existence
+        record.status = "error"
+        record.error = f"transport failed: {type(exc).__name__}: {exc}"
+        record.kraus_samples, record.classification, record.residuals = [], "not_applicable", {}
     return record
 
 

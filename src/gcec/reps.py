@@ -41,6 +41,12 @@ class InvariantBlock:
     generators: tuple[np.ndarray, ...]
     content: tuple[bytes, ...]
 
+    @staticmethod
+    def on(index: np.ndarray, generators) -> "InvariantBlock":
+        """The part on ``index`` with the given generator sub-blocks."""
+        gens = tuple(g.astype(complex, copy=False) for g in generators)
+        return InvariantBlock(index, gens, tuple(g.tobytes() for g in gens))
+
 
 def _invariant_blocks(gens) -> list[np.ndarray]:
     """Finest partition of the basis indices that every generator maps into
@@ -68,11 +74,10 @@ class Rep:
     def split(self) -> tuple[InvariantBlock, ...]:
         """The finest invariant split, read off the generators' nonzero
         pattern (never from the label); computed once per object."""
-        parts = []
-        for idx in _invariant_blocks(self.generator_matrices):
-            gens = tuple(g[idx[:, None], idx].astype(complex, copy=False) for g in self.generator_matrices)
-            parts.append(InvariantBlock(idx, gens, tuple(g.tobytes() for g in gens)))
-        return tuple(parts)
+        return tuple(
+            InvariantBlock.on(idx, (g[idx[:, None], idx] for g in self.generator_matrices))
+            for idx in _invariant_blocks(self.generator_matrices)
+        )
 
 
 def make_rep_label(spec: GroupSpec, parts) -> RepLabel:

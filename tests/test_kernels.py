@@ -10,6 +10,7 @@ from gcec.kernels import (
     build_discrete_system,
     build_lie_system,
     covariance_residual,
+    intertwiner,
     joint_nullspace,
     kraus_to_vec,
     vec_to_kraus,
@@ -392,3 +393,12 @@ def test_block_columns_are_the_matrices_columns():
         picked = block.free_entries[::2]
         for part, full in zip(block.columns(picked), block.matrices):
             assert np.array_equal(part, full[:, picked])
+
+
+def test_intertwiner_needs_equivalent_irreps():
+    d5 = props("D5", "discrete", 2).group
+    one, two = (d5.irrep_by_index(i).generator_matrices for i in (2, 3))  # 2_1 and 2_2
+    T = intertwiner(one, one)
+    assert np.linalg.norm(T - np.eye(2)) <= 1e-12
+    with pytest.raises(DimMismatch):
+        intertwiner(one, two)

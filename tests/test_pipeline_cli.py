@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from gcec.channels import KrausSet, kraus_to_dict
+from gcec import classes as classes_module
 from gcec import cli
+from gcec.classes import LabelClasses
 from gcec.cli import main
 from gcec.errors import SchemaError, UnknownGroup
+from gcec import extremality
+from gcec.groups import props
+from gcec.kernels import build_discrete_system, joint_nullspace
 from gcec import pipeline
 from gcec.pipeline import (
     RunManifest,
@@ -24,6 +29,8 @@ from gcec.pipeline import (
     run_enumeration,
     save_manifest,
 )
+from gcec.reps import enumerate_reps, materialize, omega_candidates
+from gcec.tp import solve_tp
 
 from fixtures import a4_qutrit_triple_alt_gauge, identity_kraus, s3_qutrit_family
 
@@ -463,3 +470,94 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["run", "--group", "S3", "--dim", "3", "--reps", "nope"]) == 1
     assert "error:" in capsys.readouterr().err
     assert not missing.exists()
+
+
+def _per_instance(group, d, nonunitary_only, seed=0):
+    """(n_params, status, classification) of every instance of a finite
+    sweep, in sweep order, each instance solved on its own."""
+    spec = props(group, "discrete", d).group
+    reps_ = [materialize(spec, lab) for lab in enumerate_reps(spec, d)]
+    statuses = {"solved": "channel_found", "no_solution": "no_tp_solution", "solver_failed": "solver_failed"}
+    out = []
+    for omega in omega_candidates(spec, d):
+        if nonunitary_only and omega.dim < 2:
+            continue
+        for r1 in reps_:
+            for r2 in reps_:
+                family = joint_nullspace(build_discrete_system(r1, r2, omega))
+                if family.n_params == 0:
+                    out.append((0, "no_cp_map", "not_applicable"))
+                    continue
+                tp = solve_tp(family, seed=[seed, omega.index, *r1.label.parts, 0xFFFFFFFF, *r2.label.parts])
+                classification = "not_applicable"
+                if tp.status == "solved":
+                    samples = [KrausSet.from_matrices(family.kraus_at(c)) for c in tp.solutions]
+                    if omega.dim == 1:
+                        classification = "unitary"
+                    elif all(extremality.test_extreme(s).is_extreme for s in samples):
+                        classification = "extreme"
+                    else:
+                        classification = "quasi_extreme"
+                out.append((family.n_params, statuses[tp.status], classification))
+    return out
+
+
+@pytest.fixture(scope="module")
+def z4_manifest():
+    return run_enumeration("Z4", None, 3)
+
+
+@pytest.mark.parametrize(
+    "group,d,nonunitary_only", [("Z4", 3, False), ("S3", 5, True), ("A4", 4, True), ("D5", 4, True)]
+)
+def test_label_classes_match_per_instance_solves(request, monkeypatch, group, d, nonunitary_only):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve_tp(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_tp", counted)
+    manifest = run_enumeration(group, None, d, nonunitary_only=nonunitary_only)
+    if group == "Z4":  # the module's full sweep gives the same records
+        assert manifest_to_json(manifest) == manifest_to_json(request.getfixturevalue("z4_manifest"))
+    got = [(r.n_params, r.status, r.classification) for r in manifest.records]
+    assert got == _per_instance(group, d, nonunitary_only)
+    assert all(r.error is None for r in manifest.records)
+    # one TP solve per class with a nonzero kernel, far fewer than instances
+    assert 0 < len(solves) < sum(r.n_params > 0 for r in manifest.records)
+
+
+def test_sub_sweep_without_representative_reproduces_full_records(z4_manifest):
+    kept = ["q0+q1+q3", "q1+q2+q3"]
+    sub = run_enumeration("Z4", None, 3, reps=kept)
+    spec = props("Z4", "discrete", 3).group
+    classes = LabelClasses(spec, 1e-10, {})
+    swept = {r.d1_label.parts for r in sub.records}
+    reps_ = [classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts))[0] for r in sub.records]
+    assert any(
+        not {parts1, parts2} <= swept and r.status == "channel_found"
+        for r, (_, parts1, parts2) in zip(sub.records, reps_)
+    )  # a transported record whose representative is not swept
+    full = {(r.omega_index, r.d1_label.text, r.d2_label.text): r for r in z4_manifest.records}
+    assert len(sub.records) == 4 * 4
+    for r in sub.records:
+        assert record_to_dict(r) == record_to_dict(full[r.omega_index, r.d1_label.text, r.d2_label.text])
+
+
+@pytest.mark.parametrize("scale,reason", [(1.0, "covariance residual"), (2.0, "NotTracePreserving")])
+def test_failed_transport_is_an_error_not_solver_failed(monkeypatch, s3_manifest, scale, reason):
+    # S3's 2-dim irrep twisted by the sign character needs a real intertwiner;
+    # replace it by a wrong matrix (the identity, or twice the identity).
+    monkeypatch.setattr(classes_module, "intertwiner", lambda target, moved, *a: scale * np.eye(len(target[0])))
+    manifest = run_enumeration("S3", None, 3, nonunitary_only=True)
+    broken = [r for r in manifest.records if r.status == "error"]
+    assert broken
+    assert not any(r.status == "solver_failed" for r in manifest.records)
+    for r, ref in zip(manifest.records, s3_manifest.records):
+        if r.status == "error":
+            assert ref.status == "channel_found" and r.n_params == ref.n_params
+            assert r.error.startswith("transport failed") and reason in r.error
+            assert not r.kraus_samples and r.classification == "not_applicable" and not r.residuals
+        else:
+            assert record_to_dict(r) == record_to_dict(ref)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from gcec.classes import LabelClasses
 from gcec.errors import DimensionZero, UnknownIrrepIndex
-from gcec.groups import props, word_matrix
+from gcec.groups import character_table, props, word_matrix
 from gcec.reps import enumerate_reps, make_rep_label, materialize, omega_candidates
 
 from oracles import partitions_all, partitions_odd
@@ -94,3 +95,70 @@ def test_dimension_zero_rejected():
     spec = props("S3", "discrete", 3).group
     with pytest.raises(DimensionZero):
         enumerate_reps(spec, 0)
+
+
+# Every irrep of each group is kept at these dimensions.
+CLASS_GROUPS = [("Z2", 1), ("Z6", 1), ("S3", 2), ("A4", 3), ("D5", 2)]
+
+
+def _classes(name, d):
+    spec = props(name, "discrete", d).group
+    return spec, LabelClasses(spec, 1e-10, {})
+
+
+@pytest.mark.parametrize("name,d", CLASS_GROUPS)
+def test_moves_permute_irreps_by_character_inner_products(name, d):
+    spec, classes = _classes(name, d)
+    table = np.asarray(character_table(spec))
+    chi = {ir.index: row for ir, row in zip(spec.irreps, table)}
+    chars = [ir.index for ir in spec.irreps if ir.dim == 1]
+    assert sorted(classes.twist_of) == chars
+
+    def multiplicity(q, character):  # <chi_q, character> over the group
+        return np.sum(chi[q].conj() * character) / table.shape[1]
+
+    for p in chi:
+        for q in chi:
+            assert abs(multiplicity(q, chi[p].conj()) - (q == classes.conj_of[p])) <= 1e-12
+            for s in chars:
+                assert abs(multiplicity(q, chi[p] * chi[s]) - (q == classes.twist_of[s][p])) <= 1e-12
+
+
+def test_cyclic_characters_carry_roundoff():
+    # The moves match Z2's q1 = -1 + 1.2e-16j to itself under conjugation.
+    spec, classes = _classes("Z2", 1)
+    assert spec.irrep_by_index(1).generator_matrices[0][0, 0].imag != 0.0
+    assert classes.conj_of == {0: 0, 1: 1}
+    assert classes.twist_of == {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}}
+
+
+@pytest.mark.parametrize("name,d", CLASS_GROUPS)
+def test_move_unitaries_intertwine_each_generator(name, d):
+    spec, classes = _classes(name, d)
+    for ir in spec.irreps:
+        for twist in classes.twist_of:
+            for conj in (False, True):
+                T = classes.unitary(ir.index, twist, conj)
+                image = spec.irrep_by_index(classes.irrep_image(ir.index, twist, conj))
+                assert np.linalg.norm(T.conj().T @ T - np.eye(ir.dim)) <= 1e-12
+                chi = spec.irrep_by_index(twist).generator_matrices
+                for g, z, target in zip(ir.generator_matrices, chi, image.generator_matrices):
+                    moved = (g.conj() if conj else g) * z[0, 0]
+                    assert np.linalg.norm(T.conj().T @ moved @ T - target) <= 1e-12
+
+
+@pytest.mark.parametrize("name,d", [("Z4", 3), ("S3", 5), ("A4", 4), ("D5", 4)])
+def test_move_placements_intertwine_whole_representations(name, d):
+    spec, classes = _classes(name, d)
+    by_parts = {lab.parts: lab for lab in enumerate_reps(spec, d)}
+    for lab in by_parts.values():
+        rep = materialize(spec, lab)
+        for twist in classes.twist_of:
+            for conj in (False, True):
+                P = classes.placement(lab.parts, twist, conj)
+                image = materialize(spec, by_parts[classes.parts_image(lab.parts, twist, conj)])
+                assert np.linalg.norm(P.conj().T @ P - np.eye(d)) <= 1e-12
+                chi = spec.irrep_by_index(twist).generator_matrices
+                for g, z, target in zip(rep.generator_matrices, chi, image.generator_matrices):
+                    moved = (g.conj() if conj else g) * z[0, 0]
+                    assert np.linalg.norm(P.conj().T @ moved @ P - target) <= 1e-12
