@@ -3,6 +3,11 @@
 Conventions: operators act on a d-dimensional system; the Choi matrix is
 C = (1/d) sum_k |a_k><a_k| with |a_k> the row-major vectorization of the
 k-th Kraus operator, so C is trace-one PSD for a trace-preserving set.
+
+Stacks.  The checks take a stack of Kraus sets of one shape, an array of
+shape (S, K, d, d), and evaluate every set in a few batched numpy calls
+(batched matmul, one LAPACK call per stack); a single :class:`KrausSet` is
+the S = 1 case.  Each set's values are those of a loop over the sets.
 """
 
 from __future__ import annotations
@@ -18,48 +23,52 @@ KRAUS_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class KrausSet:
-    """K complex d x d Kraus operators."""
+    """K complex d x d Kraus operators, stored as one (K, d, d) array."""
 
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
 
     @property
     def K(self) -> int:
-        return len(self.matrices)
+        return self.matrices.shape[0]
 
     @property
     def d(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     @staticmethod
     def from_matrices(matrices) -> "KrausSet":
-        mats = tuple(np.asarray(m, dtype=complex) for m in matrices)
+        mats = [np.asarray(m, dtype=complex) for m in matrices]
         if not mats:
             raise DimMismatch("a Kraus set needs at least one operator")
         d = mats[0].shape[0]
         for m in mats:
             if m.shape != (d, d):
                 raise DimMismatch(f"Kraus operators must all be {d}x{d}, got {m.shape}")
-        return KrausSet(matrices=mats)
+        return KrausSet(matrices=np.array(mats))
 
     def tp_residual(self) -> float:
-        xi = sum(m.conj().T @ m for m in self.matrices)
-        return float(np.linalg.norm(xi - np.eye(self.d)))
+        return float(tp_residuals(self.matrices[None])[0])
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    matrix: np.ndarray
-    d: int
+def tp_residuals(stack: np.ndarray) -> np.ndarray:
+    """||sum_k A_k^dag A_k - I||_F of each set in an (S, K, d, d) stack.
+
+    The K products are added in order and the norm is the real and
+    imaginary dot products, as ``np.linalg.norm`` of one d x d matrix
+    computes it, so each value is that of the set alone bit for bit."""
+    S, _, d, _ = stack.shape
+    xi = sum((stack.conj().swapaxes(-1, -2) @ stack).swapaxes(0, 1))
+    defect = (xi - np.eye(d)).reshape(S, 1, d * d)
+    re, im = defect.real, defect.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)).reshape(S)
 
 
-def choi(kraus: KrausSet) -> ChoiMatrix:
-    """Choi matrix (1/d) sum_k vec(A_k) vec(A_k)^dag with row-major vec."""
-    d = kraus.d
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for m in kraus.matrices:
-        v = m.reshape(-1)
-        c += np.outer(v, v.conj())
-    return ChoiMatrix(matrix=c / d, d=d)
+def choi(stack: np.ndarray) -> np.ndarray:
+    """Choi matrices (1/d) sum_k vec(A_k) vec(A_k)^dag, row-major vec, of an
+    (S, K, d, d) stack: shape (S, d^2, d^2)."""
+    S, K, d, _ = stack.shape
+    vecs = stack.reshape(S, K, d * d)
+    return (vecs.swapaxes(-1, -2) @ vecs.conj()) / d
 
 
 def conjugate(kraus: KrausSet, U: np.ndarray, V: np.ndarray, tol: float = 1e-10) -> KrausSet:
@@ -70,7 +79,7 @@ def conjugate(kraus: KrausSet, U: np.ndarray, V: np.ndarray, tol: float = 1e-10)
             raise DimMismatch(f"{name} must be {kraus.d}x{kraus.d}")
         if np.linalg.norm(mat.conj().T @ mat - np.eye(kraus.d)) > tol:
             raise NotUnitary(f"{name} is not unitary within {tol}")
-    return KrausSet.from_matrices([U @ m @ V for m in kraus.matrices])
+    return KrausSet(matrices=U @ kraus.matrices @ V)
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +92,11 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def matrix_from_json(obj, shape: tuple[int, int] | None = None) -> np.ndarray:
-    try:
-        m = np.array([[complex(z[0], z[1]) for z in row] for row in obj])
-    except (TypeError, IndexError, ValueError) as exc:
-        raise SchemaError(f"malformed complex matrix: {exc}") from None
-    if shape is not None and m.shape != shape:
-        raise SchemaError(f"expected matrix shape {shape}, got {m.shape}")
-    return m
-
-
 def kraus_fields(kraus: KrausSet) -> dict:
     """The JSON fields of a Kraus set, with the operators as one (K, d, d, 2)
-    float array of [re, im] pairs (a view of the stacked complex matrices)."""
-    mats = np.stack(kraus.matrices).astype(complex, copy=False)
-    return {"d": kraus.d, "K": kraus.K, "kraus": mats.view(float).reshape(kraus.K, kraus.d, kraus.d, 2)}
+    float array of [re, im] pairs (a view of the complex matrices)."""
+    pairs = np.ascontiguousarray(kraus.matrices).view(float)
+    return {"d": kraus.d, "K": kraus.K, "kraus": pairs.reshape(kraus.K, kraus.d, kraus.d, 2)}
 
 
 def kraus_to_dict(kraus: KrausSet) -> dict:
@@ -108,6 +107,9 @@ def kraus_to_dict(kraus: KrausSet) -> dict:
 
 
 def kraus_from_dict(obj) -> KrausSet:
+    """Parse a Kraus-set object: positive integers ``d`` and ``K`` and
+    ``kraus``, K matrices of d x d finite [re, im] pairs, converted in one
+    ``np.array`` call.  Anything else raises ``SchemaError``."""
     if not isinstance(obj, dict):
         raise SchemaError(f"expected a Kraus-set object, got {type(obj).__name__}")
     for key in ("d", "K", "kraus"):
@@ -118,5 +120,14 @@ def kraus_from_dict(obj) -> KrausSet:
         raise SchemaError("Kraus-set 'd' and 'K' must be positive integers")
     if not isinstance(obj["kraus"], list) or len(obj["kraus"]) != K:
         raise SchemaError(f"expected {K} Kraus matrices")
-    mats = [matrix_from_json(m, shape=(d, d)) for m in obj["kraus"]]
-    return KrausSet.from_matrices(mats)
+    try:
+        pairs = np.array(obj["kraus"])
+    except ValueError as exc:  # ragged nesting
+        raise SchemaError(f"malformed complex matrices: {exc}") from None
+    if pairs.dtype.kind not in "iuf":
+        raise SchemaError(f"Kraus entries must be real numbers, got dtype {pairs.dtype}")
+    if pairs.shape != (K, d, d, 2):
+        raise SchemaError(f"expected Kraus array shape {(K, d, d, 2)}, got {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise SchemaError("Kraus entries must be finite")
+    return KrausSet(matrices=pairs.astype(float).view(complex)[..., 0])

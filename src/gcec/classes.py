@@ -173,7 +173,5 @@ class LabelClasses:
         P = self.placement(parts1, move.s, move.conj)
         R = self.placement(parts2, move.t, move.conj)
         Q = self.placement((omega,), move.u, move.conj)
-        B = np.stack(kraus.matrices)
-        if move.conj:
-            B = B.conj()
-        return KrausSet.from_matrices(np.einsum("kj,kab->jab", Q.conj(), R.conj().T @ B @ P))
+        B = kraus.matrices.conj() if move.conj else kraus.matrices
+        return KrausSet(matrices=np.einsum("kj,kab->jab", Q.conj(), R.conj().T @ B @ P))

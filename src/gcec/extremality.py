@@ -4,11 +4,18 @@ A channel with Kraus operators {A_k} is extreme in the convex body of
 channels exactly when the K^2 products {A_k^dag A_l} are linearly
 independent.  We stack their vectorizations into a d^2 x K^2 matrix and
 read the numerical rank off its singular values.  A generalized-extreme
-channel (K <= d) that fails the test is quasi-extreme.  Since quasi-extreme
-points form measure-zero loci inside solution families, random sampling
-alone cannot find them; :func:`sweep_family` therefore follows up with a
-local minimization of the smallest product singular value over the family's
-moduli/phase parameterization and reports the refined minimizers.
+channel (K <= d) that fails the test is quasi-extreme.
+
+:func:`test_extreme` tests an (S, K, d, d) stack of Kraus sets at once,
+with batched products and one batched SVD; each set's singular values are
+those of its own SVD bit for bit, and :meth:`RankTest.verdict` gives one
+set's verdict.
+
+Since quasi-extreme points form measure-zero loci inside solution
+families, random sampling alone cannot find them; :func:`sweep_family`
+therefore follows up with a local minimization of the smallest product
+singular value over the family's moduli/phase parameterization and reports
+the refined minimizers.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .channels import KrausSet
+from .channels import tp_residuals
 from .errors import NotTracePreserving
 from .kernels import KernelFamily
 from .tp import TpSolveReport, solution_sampler
@@ -43,50 +50,75 @@ class SweepResult:
     rank_drop_points: list = field(default_factory=list)
 
 
-def product_stack(kraus: KrausSet) -> np.ndarray:
-    """The d^2 x K^2 matrix whose columns are vec(A_k^dag A_l)."""
-    cols = [
-        (a.conj().T @ b).reshape(-1) for a in kraus.matrices for b in kraus.matrices
-    ]
-    return np.array(cols).T
+@dataclass(frozen=True)
+class RankTest:
+    """The rank test of a stack of S Kraus sets with K operators on a
+    dimension-d system: per set, its TP residual, the singular values of
+    its product stack (descending), and its rank, the count of those above
+    ``tol_rank`` times the largest."""
+
+    K: int
+    d: int
+    tol_tp: float
+    tp_residual: np.ndarray  # (S,)
+    singular_values: np.ndarray  # (S, min(d^2, K^2))
+    rank: np.ndarray  # (S,)
+
+    @property
+    def is_extreme(self) -> bool:
+        """Whether every set of the stack is extreme."""
+        return self.K <= self.d and bool(np.all(self.rank == self.K * self.K))
+
+    def verdict(self, i: int) -> ExtremalityVerdict:
+        """Set ``i``'s verdict; ``NotTracePreserving`` when it is no channel."""
+        if self.tp_residual[i] > self.tol_tp:
+            raise NotTracePreserving(
+                f"trace-preservation residual {self.tp_residual[i]:.3e} exceeds {self.tol_tp:.1e}"
+            )
+        K, d, rank = self.K, self.d, int(self.rank[i])
+        return ExtremalityVerdict(
+            # K^2 operators cannot be independent in a d^2-dimensional space.
+            is_extreme=K <= d and rank == K * K,
+            rank=rank,
+            expected_rank=K * K,
+            min_singular_value=float(self.singular_values[i, -1]),
+            reason="" if K <= d else f"{K} Kraus operators on a dimension-{d} system; not generalized extreme",
+        )
+
+
+def product_stack(stack: np.ndarray) -> np.ndarray:
+    """Per set of an (S, K, d, d) stack, the d^2 x K^2 matrix whose columns
+    are vec(A_k^dag A_l), k-major: shape (S, d^2, K^2)."""
+    S, K, d, _ = stack.shape
+    products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
+    return products.reshape(S, K * K, d * d).swapaxes(-1, -2)
 
 
 def test_extreme(
-    kraus: KrausSet,
+    stack: np.ndarray,
     tol_rank: float = DEFAULT_TOL_RANK,
     tol_tp: float = 1e-8,
-) -> ExtremalityVerdict:
-    """Rank test on the Kraus products; only meaningful for channels."""
-    tp_res = kraus.tp_residual()
-    if tp_res > tol_tp:
-        raise NotTracePreserving(
-            f"trace-preservation residual {tp_res:.3e} exceeds {tol_tp:.1e}"
-        )
-    K, d = kraus.K, kraus.d
-    stack = product_stack(kraus)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    rank = int(np.sum(svals > tol_rank * svals[0])) if svals[0] > 0 else 0
-    if K > d:
-        # K^2 operators cannot be independent in a d^2-dimensional space.
-        return ExtremalityVerdict(
-            is_extreme=False,
-            rank=rank,
-            expected_rank=K * K,
-            min_singular_value=float(svals[-1]),
-            reason=f"{K} Kraus operators on a dimension-{d} system; not generalized extreme",
-        )
-    return ExtremalityVerdict(
-        is_extreme=(rank == K * K),
-        rank=rank,
-        expected_rank=K * K,
-        min_singular_value=float(svals[-1]),
-    )
+) -> RankTest:
+    """Rank test on the Kraus products of each set of an (S, K, d, d)
+    stack, with one batched SVD; only meaningful for channels, so
+    :meth:`RankTest.verdict` refuses a set whose TP residual exceeds
+    ``tol_tp``."""
+    _, K, d, _ = stack.shape
+    svals = np.linalg.svd(product_stack(stack), compute_uv=False)
+    top = svals[:, :1]
+    rank = np.where(top[:, 0] > 0, np.sum(svals > tol_rank * top, axis=1), 0)
+    return RankTest(K=K, d=d, tol_tp=tol_tp, tp_residual=tp_residuals(stack), singular_values=svals, rank=rank)
+
+
+def _sv_ratios(singular_values: np.ndarray) -> np.ndarray:
+    """sigma_min / sigma_max per row, 0 for an all-zero row."""
+    top = singular_values[:, 0]
+    return np.divide(singular_values[:, -1], top, out=np.zeros_like(top), where=top > 0)
 
 
 def _product_sv_ratio(family: KernelFamily, coeffs: np.ndarray) -> float:
-    stack = product_stack(KrausSet.from_matrices(family.kraus_at(coeffs)))
-    svals = np.linalg.svd(stack, compute_uv=False)
-    return float(svals[-1] / svals[0]) if svals[0] > 0 else 0.0
+    stack = np.array(family.kraus_at(coeffs))[None]
+    return float(_sv_ratios(np.linalg.svd(product_stack(stack), compute_uv=False))[0])
 
 
 def _refine_rank_drop(
@@ -162,22 +194,13 @@ def sweep_family(
     grid = [np.asarray(c, dtype=complex) for c in tp_report.solutions]
     if len(grid) < grid_size:
         grid += sampler(rng, grid_size - len(grid))
-    verdicts = [
-        test_extreme(KrausSet.from_matrices(family.kraus_at(c)), tol_rank)
-        for c in grid
-    ]
-    drops = [
-        c
-        for c, v in zip(grid, verdicts)
-        if not v.is_extreme and _product_sv_ratio(family, c) <= tol_rank / 10.0
-    ]
+    test = test_extreme(np.array([family.kraus_at(c) for c in grid]), tol_rank)
+    verdicts = [test.verdict(i) for i in range(len(grid))]
+    ratios = _sv_ratios(test.singular_values)
+    drops = [c for c, v, r in zip(grid, verdicts, ratios) if not v.is_extreme and r <= tol_rank / 10.0]
     if tp_report.moduli_rows is not None:
-        order = np.argsort([_product_sv_ratio(family, c) for c in grid])
-        seeds = [grid[i] for i in order]
+        seeds = [grid[i] for i in np.argsort(ratios)]
         for c_min in _refine_rank_drop(family, tp_report, seeds, tol_rank, rng):
-            verdict = test_extreme(
-                KrausSet.from_matrices(family.kraus_at(c_min)), tol_rank
-            )
-            if not verdict.is_extreme:
+            if not test_extreme(np.array(family.kraus_at(c_min))[None], tol_rank).verdict(0).is_extreme:
                 drops.append(c_min)
     return SweepResult(grid=grid, verdicts=verdicts, rank_drop_points=drops)

@@ -335,11 +335,15 @@ def word_matrix(irrep: Irrep, word: Word) -> np.ndarray:
 
 
 def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
-    """One representative word per group element, by closure of the generators.
+    """One representative word per element of G/N, by closure of the generators.
 
-    Elements are fingerprinted through the direct sum of all catalog irreps,
-    which is faithful for the finite groups stored here (it contains every
-    irreducible constituent of the regular representation).
+    Elements are fingerprinted through the direct sum of the spec's irreps,
+    whose kernel N is the common kernel of those irreps.  For a full catalog
+    spec the sum holds every irreducible constituent of the regular
+    representation, so it is faithful, N is trivial and the words enumerate
+    G.  A spec restricted by :func:`props` to irreps of dimension <= d keeps
+    only some irreps, and the words then enumerate the quotient G/N: S3 at
+    d=1 gives 2 words, A4 at d=1 gives 3 and D5 at d=1 gives 2.
     """
     if spec.kind != "discrete":
         raise UnknownGroup(f"element enumeration needs a finite group, not {spec.name}")
@@ -382,7 +386,14 @@ def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
 
 
 def character_table(spec: GroupSpec) -> np.ndarray:
-    """Characters chi_i(g) over the element list, shape (num_irreps, |G|)."""
+    """Characters chi_i(g) over :func:`element_words`, shape (num_irreps, |G/N|).
+
+    N is the common kernel of the spec's irreps (trivial for a full catalog
+    spec, see :func:`element_words`).  Every kept irrep is constant on the
+    cosets of N, so the rows are orthonormal under the inner product
+    (1/|G/N|) sum_g chi_i(g) conj(chi_j(g)), and character inner products
+    among the kept irreps are those of G.
+    """
     words = element_words(spec)
     return np.array(
         [[np.trace(word_matrix(ir, w)) for w in words] for ir in spec.irreps]

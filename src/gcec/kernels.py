@@ -324,13 +324,13 @@ def intertwiner(target, moved, tol_kernel: float = DEFAULT_TOL_KERNEL, cache: di
     return np.sqrt(r) * family.basis[:, 0].reshape(r, r)
 
 
-def covariance_residual(kraus, D1: Rep, D2: Rep, omega: Irrep, kind: str) -> float:
-    """Worst-case Frobenius defect of the covariance relations for ``kraus``,
-    over generators and Kraus slots."""
+def covariance_residual(kraus, D1: Rep, D2: Rep, omega: Irrep, kind: str) -> np.ndarray:
+    """Worst-case Frobenius defect of the covariance relations, over
+    generators and Kraus slots, of each Kraus set in ``kraus`` (shape
+    (..., K, d, d), e.g. an (S, K, d, d) stack): shape (...)."""
     X = np.asarray(kraus, dtype=complex)
     row_rep, col_rep = _rows_cols(kind, D1, D2)
-    gens = zip(row_rep.generator_matrices, col_rep.generator_matrices, omega.generator_matrices)
-    return max(
-        (float(np.linalg.norm(_defect(kind, a, b, om, X), axis=(1, 2)).max()) for a, b, om in gens),
-        default=0.0,
-    )
+    worst = np.zeros(X.shape[:-3])
+    for a, b, om in zip(row_rep.generator_matrices, col_rep.generator_matrices, omega.generator_matrices):
+        worst = np.maximum(worst, np.linalg.norm(_defect(kind, a, b, om, X), axis=(-2, -1)).max(axis=-1))
+    return worst

@@ -20,6 +20,13 @@ each moved sample is re-checked for covariance against the member's own
 representations and for trace preservation, and its rank test is run
 again.  Lie-group sweeps solve every instance.
 
+Checks run on stacks of same-shape Kraus sets: a record's samples get one
+batched rank test and one batched covariance residual, and
+:func:`classify_file` parses every entry of a file first and then checks
+the sets of each (K, d) shape as one stack (Choi eigenvalues, TP residual,
+rank test).  Each set's values are those of a loop over the sets, so the
+manifests do not depend on the batching.
+
 Every JSON text the package writes (manifests, reports, the CLI printers)
 comes from one writer, :func:`json_text`: its bytes are those of
 ``json.dumps(obj, indent=2, sort_keys=True)``, and its keys and scalars go
@@ -274,10 +281,13 @@ def _solve_instance(
     return record
 
 
-def _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, tp) -> None:
-    """Fill a ``channel_found`` record from its samples: the rank test and
-    the covariance residual of each, and ``tp`` as the TP residual."""
-    verdicts = [test_extreme(s, tol_rank, tol_tp=max(tol_tp, 1e-8)) for s in samples]
+def _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, tp=None) -> None:
+    """Fill a ``channel_found`` record from its samples with one batched rank
+    test and one batched covariance residual; ``tp`` is the TP residual, by
+    default the largest of the samples'."""
+    stack = np.stack([s.matrices for s in samples])
+    test = test_extreme(stack, tol_rank, tol_tp=max(tol_tp, 1e-8))
+    verdicts = [test.verdict(i) for i in range(len(samples))]  # raises at the first non-TP sample
     record.status = "channel_found"
     record.kraus_samples = samples
     if omega.dim == 1:
@@ -287,11 +297,8 @@ def _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, tp) -> No
     else:
         record.classification = "quasi_extreme"
     record.residuals = {
-        "covariance": max(
-            covariance_residual(s.matrices, rep1, rep2, omega, kind)
-            for s in samples
-        ),
-        "tp": tp,
+        "covariance": float(covariance_residual(stack, rep1, rep2, omega, kind).max()),
+        "tp": float(test.tp_residual.max()) if tp is None else tp,
         "rank_sigma_min": min(v.min_singular_value for v in verdicts),
     }
 
@@ -320,8 +327,7 @@ def _transported(source, rep1, rep2, omega, classes, head, move, *, tol_rank, to
         return record
     try:
         samples = [classes.transport(s, head, move) for s in source.kraus_samples]
-        tp = max(s.tp_residual() for s in samples)
-        _found(record, samples, rep1, rep2, omega, "discrete", tol_rank, tol_tp, tp)
+        _found(record, samples, rep1, rep2, omega, "discrete", tol_rank, tol_tp)
         if record.residuals["covariance"] > TRANSPORT_TOL_COV:
             raise GcecError(f"covariance residual {record.residuals['covariance']:.3e} exceeds {TRANSPORT_TOL_COV:.0e}")
     except Exception as exc:  # never solver_failed: the representative decided existence
@@ -560,35 +566,50 @@ def _kraus_sets_in(obj) -> list[tuple[str, dict]]:
 def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK, tol_tp: float = 1e-8) -> list[dict]:
     """Validate (CP, TP) and classify every Kraus set stored in a JSON file.
 
-    Trace-preservation failures become per-entry diagnostics rather than
-    exceptions, so a clean run over a mixed file still exits 0.
+    Every entry is parsed first; a schema error stays on its own entry.
+    The sets of each (K, d) shape are then checked as one stack: one
+    batched Choi eigenvalue call, TP residual and rank test per shape, with
+    each set's results filled back into its entry in file order.
+    Complete-positivity and trace-preservation failures become per-entry
+    diagnostics rather than exceptions, so a clean run over a mixed file
+    still exits 0.
     """
-    results = []
+    entries, shapes = [], {}
     for tag, item in _kraus_sets_in(_read_json(path)):
         entry = {"source": tag, "classification": None, "error": None}
+        entries.append(entry)
         try:
             ks = kraus_from_dict(item)
-            entry.update({"d": ks.d, "K": ks.K})
-            cp_floor = float(np.linalg.eigvalsh(choi(ks).matrix)[0])
-            entry["choi_min_eigenvalue"] = cp_floor
-            if cp_floor < -1e-10:
-                raise SchemaError(f"not completely positive: min Choi eigenvalue {cp_floor:.3e}")
-            entry["tp_residual"] = ks.tp_residual()
-            verdict = test_extreme(ks, tol_rank, tol_tp=tol_tp)
-            entry.update(
-                {
-                    "rank": verdict.rank,
-                    "expected_rank": verdict.expected_rank,
-                    "min_singular_value": verdict.min_singular_value,
-                    "classification": "unitary"
-                    if ks.K == 1
-                    else ("extreme" if verdict.is_extreme else "quasi_extreme"),
-                }
-            )
-        except (SchemaError, NotTracePreserving) as exc:
+        except SchemaError as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
-        results.append(entry)
-    return results
+            continue
+        entry.update({"d": ks.d, "K": ks.K})
+        shapes.setdefault((ks.K, ks.d), []).append((entry, ks.matrices))
+    # The parsed JSON tree is garbage from here on: only the matrices stay.
+    for (K, _), members in shapes.items():
+        stack = np.stack([mats for _, mats in members])
+        cp_floors = np.linalg.eigvalsh(choi(stack))[:, 0]
+        test = test_extreme(stack, tol_rank, tol_tp=tol_tp)
+        for i, (entry, _) in enumerate(members):
+            try:
+                entry["choi_min_eigenvalue"] = cp_floor = float(cp_floors[i])
+                if cp_floor < -1e-10:
+                    raise SchemaError(f"not completely positive: min Choi eigenvalue {cp_floor:.3e}")
+                entry["tp_residual"] = float(test.tp_residual[i])
+                verdict = test.verdict(i)
+                entry.update(
+                    {
+                        "rank": verdict.rank,
+                        "expected_rank": verdict.expected_rank,
+                        "min_singular_value": verdict.min_singular_value,
+                        "classification": "unitary"
+                        if K == 1
+                        else ("extreme" if verdict.is_extreme else "quasi_extreme"),
+                    }
+                )
+            except (SchemaError, NotTracePreserving) as exc:
+                entry["error"] = f"{type(exc).__name__}: {exc}"
+    return entries
 
 
 # ---------------------------------------------------------------------------

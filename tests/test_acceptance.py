@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gcec.channels import KrausSet, choi, conjugate
-from gcec.extremality import sweep_family, test_extreme as check_extreme
+from gcec.extremality import sweep_family, test_extreme as rank_test
 from gcec.groups import Irrep, props
 from gcec.kernels import (
     build_discrete_system,
@@ -53,13 +53,23 @@ def _family(name, kind, d, omega_index, parts1, parts2):
     return joint_nullspace(build(D1, D2, omega), 1e-10), spec, D1, D2, omega
 
 
+def check_extreme(ks):
+    """The rank-test verdict of one Kraus set (a stack of one)."""
+    return rank_test(ks.matrices[None]).verdict(0)
+
+
+def choi_of(ks):
+    """The Choi matrix of one Kraus set."""
+    return choi(ks.matrices[None])[0]
+
+
 def _projector(basis):
     return basis @ basis.conj().T
 
 
 def _choi_gap(mats1, mats2):
-    c1 = choi(KrausSet.from_matrices(list(mats1))).matrix
-    c2 = choi(KrausSet.from_matrices(list(mats2))).matrix
+    c1 = choi_of(KrausSet.from_matrices(list(mats1)))
+    c2 = choi_of(KrausSet.from_matrices(list(mats2)))
     return float(np.linalg.norm(c1 - c2))
 
 
@@ -389,7 +399,7 @@ def test_property_suite_residuals_invariances_determinism(
             for ks in rec.kraus_samples:
                 assert covariance_residual(list(ks.matrices), D1, D2, omega, man.kind) <= 1e-9
                 assert ks.tp_residual() <= 1e-10
-                assert np.linalg.eigvalsh(choi(ks).matrix).min() >= -1e-10
+                assert np.linalg.eigvalsh(choi_of(ks)).min() >= -1e-10
 
     # channel-level invariances, 20 random unitaries per fixture: mixing the
     # Kraus index leaves the Choi matrix alone, and two-sided unitary
@@ -407,7 +417,7 @@ def test_property_suite_residuals_invariances_determinism(
     for mats in fixture_sets:
         ks = KrausSet.from_matrices(mats)
         base_verdict = check_extreme(ks).is_extreme
-        base_choi = choi(ks).matrix
+        base_choi = choi_of(ks)
         for _ in range(20):
             w = random_unitary(rng, ks.K)
             mixed = KrausSet.from_matrices(
@@ -416,7 +426,7 @@ def test_property_suite_residuals_invariances_determinism(
                     for k in range(ks.K)
                 ]
             )
-            assert np.linalg.norm(choi(mixed).matrix - base_choi) <= 1e-9
+            assert np.linalg.norm(choi_of(mixed) - base_choi) <= 1e-9
             assert check_extreme(mixed).is_extreme == base_verdict
             moved = conjugate(ks, random_unitary(rng, ks.d), random_unitary(rng, ks.d))
             assert moved.tp_residual() <= 1e-9

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from gcec.channels import (
-    ChoiMatrix,
     KrausSet,
     choi,
     conjugate,
     kraus_from_dict,
     kraus_fields,
     kraus_to_dict,
-    matrix_from_json,
     matrix_to_json,
 )
 from gcec.errors import DimMismatch, NotUnitary, SchemaError
@@ -37,19 +35,23 @@ def test_kraus_set_accessors():
         KrausSet.from_matrices([np.eye(2), np.eye(3)])
 
 
+def _choi_of(mats):
+    return choi(KrausSet.from_matrices(mats).matrices[None])[0]
+
+
 def test_choi_identity_channel_rank_one():
-    c = choi(KrausSet.from_matrices(identity_kraus(2)))
+    c = _choi_of(identity_kraus(2))
     v = np.eye(2).reshape(-1)
-    assert np.linalg.norm(c.matrix - np.outer(v, v) / 2) <= 1e-14
-    evals = np.linalg.eigvalsh(c.matrix)
+    assert np.linalg.norm(c - np.outer(v, v) / 2) <= 1e-14
+    evals = np.linalg.eigvalsh(c)
     assert abs(evals[-1] - 1.0) <= 1e-12
     assert np.linalg.norm(evals[:-1]) <= 1e-12
 
 
 def test_choi_depolarizing_is_maximally_mixed():
     d = 3
-    c = choi(KrausSet.from_matrices(depolarizing_kraus(d)))
-    assert np.linalg.norm(c.matrix - np.eye(d * d) / (d * d)) <= 1e-14
+    c = _choi_of(depolarizing_kraus(d))
+    assert np.linalg.norm(c - np.eye(d * d) / (d * d)) <= 1e-14
 
 
 def test_choi_properties_on_tp_sets():
@@ -62,8 +64,8 @@ def test_choi_properties_on_tp_sets():
     ]
     for mats in sets:
         ks = KrausSet.from_matrices(mats)
-        c = choi(ks).matrix
-        assert isinstance(choi(ks), ChoiMatrix)
+        c = _choi_of(mats)
+        assert c.shape == (ks.d**2, ks.d**2)
         assert np.linalg.norm(c - c.conj().T) <= 1e-13
         assert np.linalg.eigvalsh(c)[0] >= -1e-12
         assert abs(np.trace(c) - 1.0) <= 1e-12
@@ -79,8 +81,7 @@ def test_conjugate_preserves_tp_and_choi_spectrum():
     u, v = random_unitary(rng, 3), random_unitary(rng, 3)
     moved = conjugate(ks, u, v)
     assert moved.tp_residual() <= 1e-12
-    before = np.linalg.eigvalsh(choi(ks).matrix)
-    after = np.linalg.eigvalsh(choi(moved).matrix)
+    before, after = np.linalg.eigvalsh(choi(np.stack([ks.matrices, moved.matrices])))
     assert np.linalg.norm(before - after) <= 1e-12
 
 
@@ -129,5 +130,37 @@ def test_schema_errors():
         kraus_from_dict({**good, "K": 3})
     with pytest.raises(SchemaError):
         kraus_from_dict({**good, "d": 3})
+
+    def with_entry(value):
+        kraus = kraus_to_dict(KrausSet.from_matrices(identity_kraus(2)))["kraus"]
+        kraus[0][1][0] = value
+        return {**good, "kraus": kraus}
+
+    # malformed complex entries: a bare number, a triple, a string, a null
+    # or a nested pair where an [re, im] pair belongs
+    for value in (1.0, [1.0, 0.0, 0.0], ["1", 0.0], [None, 0.0], [[1.0, 0.0]]):
+        with pytest.raises(SchemaError):
+            kraus_from_dict(with_entry(value))
+    # ragged rows and matrices of the wrong size
+    ragged = kraus_to_dict(KrausSet.from_matrices(identity_kraus(2)))
+    ragged["kraus"][0] = ragged["kraus"][0][:1]
     with pytest.raises(SchemaError):
-        matrix_from_json([[1.0, 2.0]])
+        kraus_from_dict(ragged)
+    with pytest.raises(SchemaError):
+        kraus_from_dict({"d": 2, "K": 1, "kraus": [[[1.0, 2.0]]]})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_entries_are_schema_errors(value):
+    obj = kraus_to_dict(KrausSet.from_matrices(identity_kraus(2)))
+    obj["kraus"][0][0][0][1] = value
+    with pytest.raises(SchemaError, match="finite"):
+        kraus_from_dict(obj)
+
+
+def test_parse_is_bit_exact_for_integer_and_float_pairs():
+    obj = {"d": 2, "K": 1, "kraus": [[[[1, 0], [0.5, -0.25]], [[-0.0, 3], [2, 1e-300]]]]}
+    ks = kraus_from_dict(obj)
+    expected = np.array([[[1 + 0j, complex(0.5, -0.25)], [complex(-0.0, 3), complex(2, 1e-300)]]])
+    assert ks.matrices.shape == (1, 2, 2)
+    assert ks.matrices.tobytes() == expected.tobytes()

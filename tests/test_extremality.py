@@ -6,7 +6,7 @@ import pytest
 from gcec.channels import KrausSet
 from gcec.errors import EmptyManifold, NotTracePreserving
 from gcec.extremality import product_stack, sweep_family
-from gcec.extremality import test_extreme as check_extreme
+from gcec.extremality import test_extreme as rank_test
 from gcec.groups import props
 from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace
 from gcec.reps import make_rep_label, materialize
@@ -40,6 +40,11 @@ EXTREME_FIXTURES = [
 ]
 
 
+def check_extreme(ks):
+    """The rank-test verdict of one Kraus set (a stack of one)."""
+    return rank_test(ks.matrices[None]).verdict(0)
+
+
 def _family(name, kind, d, omega_index, parts):
     spec = props(name, kind, d).group
     D = materialize(spec, make_rep_label(spec, parts))
@@ -48,8 +53,8 @@ def _family(name, kind, d, omega_index, parts):
 
 
 def test_product_stack_shape():
-    stack = product_stack(KrausSet.from_matrices(S3_GENERIC))
-    assert stack.shape == (9, 4)
+    stack = product_stack(KrausSet.from_matrices(S3_GENERIC).matrices[None])
+    assert stack.shape == (1, 9, 4)
 
 
 @pytest.mark.parametrize("label,mats", EXTREME_FIXTURES, ids=lambda v: v if isinstance(v, str) else "")

@@ -64,6 +64,23 @@ def test_character_rows_orthogonal():
         assert np.linalg.norm(gram - np.eye(len(spec.irreps))) <= 1e-10, name
 
 
+@pytest.mark.parametrize(
+    "name,d,quotient_order",
+    [("S3", 1, 2), ("A4", 1, 3), ("D5", 1, 2), ("S3", 2, 6), ("A4", 3, 12), ("D5", 2, 10)],
+)
+def test_restricted_spec_enumerates_the_quotient(name, d, quotient_order):
+    # Only the irreps of dimension <= d are kept, so the words enumerate
+    # G/N for N the common kernel of the kept irreps (S3, A4 and D5 at d=1
+    # keep their 1-dimensional irreps alone); the kept rows stay
+    # orthonormal under the 1/|G/N| inner product.
+    spec = props(name, "discrete", d).group
+    assert len(element_words(spec)) == quotient_order
+    table = np.asarray(character_table(spec))
+    assert table.shape == (len(spec.irreps), quotient_order)
+    gram = table @ table.conj().T / quotient_order
+    assert np.linalg.norm(gram - np.eye(len(spec.irreps))) <= 1e-10
+
+
 def test_s3_two_dim_irrep_matrices():
     spec = props("S3", "discrete", 3).group
     two = spec.irrep_by_index(2)

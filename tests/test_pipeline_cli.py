@@ -494,7 +494,7 @@ def _per_instance(group, d, nonunitary_only, seed=0):
                     samples = [KrausSet.from_matrices(family.kraus_at(c)) for c in tp.solutions]
                     if omega.dim == 1:
                         classification = "unitary"
-                    elif all(extremality.test_extreme(s).is_extreme for s in samples):
+                    elif all(extremality.test_extreme(s.matrices[None]).is_extreme for s in samples):
                         classification = "extreme"
                     else:
                         classification = "quasi_extreme"
