@@ -8,6 +8,8 @@ Stacks.  The checks take a stack of Kraus sets of one shape, an array of
 shape (S, K, d, d), and evaluate every set in a few batched numpy calls
 (batched matmul, one LAPACK call per stack); a single :class:`KrausSet` is
 the S = 1 case.  Each set's values are those of a loop over the sets.
+:func:`tp_residuals` is the package's one TP residual: the TP solver, the
+rank test, sweep records and ``classify`` all read it.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ class KrausSet:
             if m.shape != (d, d):
                 raise DimMismatch(f"Kraus operators must all be {d}x{d}, got {m.shape}")
         return KrausSet(matrices=np.array(mats))
-
-    def tp_residual(self) -> float:
-        return float(tp_residuals(self.matrices[None])[0])
 
 
 def tp_residuals(stack: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ class RankTest:
 
     def verdict(self, i: int) -> ExtremalityVerdict:
         """Set ``i``'s verdict; ``NotTracePreserving`` when it is no channel."""
-        if self.tp_residual[i] > self.tol_tp:
+        if not self.tp_residual[i] <= self.tol_tp:  # a NaN residual fails too
             raise NotTracePreserving(
                 f"trace-preservation residual {self.tp_residual[i]:.3e} exceeds {self.tol_tp:.1e}"
             )
@@ -116,11 +116,6 @@ def _sv_ratios(singular_values: np.ndarray) -> np.ndarray:
     return np.divide(singular_values[:, -1], top, out=np.zeros_like(top), where=top > 0)
 
 
-def _product_sv_ratio(family: KernelFamily, coeffs: np.ndarray) -> float:
-    stack = np.array(family.kraus_at(coeffs))[None]
-    return float(_sv_ratios(np.linalg.svd(product_stack(stack), compute_uv=False))[0])
-
-
 def _refine_rank_drop(
     family: KernelFamily,
     report: TpSolveReport,
@@ -150,7 +145,8 @@ def _refine_rank_drop(
             c = unpack(x, t0)
             if c is None:
                 return 1.0
-            return _product_sv_ratio(family, c)
+            svals = np.linalg.svd(product_stack(family.kraus_at(c)[None]), compute_uv=False)
+            return float(_sv_ratios(svals)[0])
 
         return f
 
@@ -194,13 +190,13 @@ def sweep_family(
     grid = [np.asarray(c, dtype=complex) for c in tp_report.solutions]
     if len(grid) < grid_size:
         grid += sampler(rng, grid_size - len(grid))
-    test = test_extreme(np.array([family.kraus_at(c) for c in grid]), tol_rank)
+    test = test_extreme(np.stack([family.kraus_at(c) for c in grid]), tol_rank)
     verdicts = [test.verdict(i) for i in range(len(grid))]
     ratios = _sv_ratios(test.singular_values)
     drops = [c for c, v, r in zip(grid, verdicts, ratios) if not v.is_extreme and r <= tol_rank / 10.0]
     if tp_report.moduli_rows is not None:
         seeds = [grid[i] for i in np.argsort(ratios)]
         for c_min in _refine_rank_drop(family, tp_report, seeds, tol_rank, rng):
-            if not test_extreme(np.array(family.kraus_at(c_min))[None], tol_rank).verdict(0).is_extreme:
+            if not test_extreme(family.kraus_at(c_min)[None], tol_rank).verdict(0).is_extreme:
                 drops.append(c_min)
     return SweepResult(grid=grid, verdicts=verdicts, rank_drop_points=drops)

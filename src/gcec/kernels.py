@@ -1,8 +1,9 @@
 """Covariance constraints as linear systems, and their joint nullspace.
 
 A candidate Kraus family {A_1..A_K} is stored as one stacked vector of
-length K*d^2 (row-major within each operator).  For every group generator g
-the covariance condition
+length K*d^2 (row-major within each operator); :meth:`KernelFamily.kraus_at`
+returns it as the (K, d, d) array that every check takes.  For every group
+generator g the covariance condition
 
     D2(g)^dag A_k D1(g) = sum_l Omega(g)_{kl} A_l
 
@@ -170,21 +171,9 @@ class KernelFamily:
             )
         return self.basis @ coeffs
 
-    def kraus_at(self, coeffs: np.ndarray) -> list[np.ndarray]:
-        return vec_to_kraus(self.vector_at(coeffs), self.K, self.d)
-
-
-def vec_to_kraus(v: np.ndarray, K: int, d: int) -> list[np.ndarray]:
-    """Split a length-K*d^2 vector into K row-major d x d matrices."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != K * d * d:
-        raise LengthMismatch(f"expected length {K * d * d}, got {v.size}")
-    return [chunk.copy() for chunk in v.reshape(K, d, d)]
-
-
-def kraus_to_vec(matrices) -> np.ndarray:
-    """Inverse of :func:`vec_to_kraus` (row-major concatenation)."""
-    return np.concatenate([np.asarray(m, dtype=complex).reshape(-1) for m in matrices])
+    def kraus_at(self, coeffs: np.ndarray) -> np.ndarray:
+        """The Kraus operators at ``coeffs``, as one (K, d, d) array."""
+        return self.vector_at(coeffs).reshape(self.K, self.d, self.d)
 
 
 def _rows_cols(kind: str, D1: Rep, D2: Rep) -> tuple[Rep, Rep]:

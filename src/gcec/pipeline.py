@@ -266,9 +266,7 @@ def _solve_instance(
         if report.status == "solver_failed":
             record.status = "solver_failed"
             return record
-        samples = [
-            KrausSet.from_matrices(family.kraus_at(c)) for c in report.solutions
-        ]
+        samples = [KrausSet(family.kraus_at(c)) for c in report.solutions]
         _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, max(report.residuals))
     except (GcecError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
@@ -588,12 +586,14 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK, tol_tp: float = 1e-8
     # The parsed JSON tree is garbage from here on: only the matrices stay.
     for (K, _), members in shapes.items():
         stack = np.stack([mats for _, mats in members])
-        cp_floors = np.linalg.eigvalsh(choi(stack))[:, 0]
-        test = test_extreme(stack, tol_rank, tol_tp=tol_tp)
+        # Finite entries can still overflow; their NaN values fail the checks below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cp_floors = np.linalg.eigvalsh(choi(stack))[:, 0]
+            test = test_extreme(stack, tol_rank, tol_tp=tol_tp)
         for i, (entry, _) in enumerate(members):
             try:
                 entry["choi_min_eigenvalue"] = cp_floor = float(cp_floors[i])
-                if cp_floor < -1e-10:
+                if not cp_floor >= -1e-10:
                     raise SchemaError(f"not completely positive: min Choi eigenvalue {cp_floor:.3e}")
                 entry["tp_residual"] = float(test.tp_residual[i])
                 verdict = test.verdict(i)

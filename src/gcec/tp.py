@@ -27,12 +27,14 @@ Xi_pq(c) = c^dag M^(pq) c, which drives a three-stage strategy:
    safety net, for a free-phase family whose forms do not diagonalise or
    whose canonical LP point misses ``tol_tp``).  Seeded random starts are
    each landed on the trace-preserving set by alternating projection
-   (:func:`_converge`); failure to converge is reported as such, not as
+   (:func:`_project`); failure to converge is reported as such, not as
    proof of infeasibility.
 
 The solution sampler reuses both halves: :func:`_vertex` and :func:`_mix`
-draw points of the moduli polytope with free phases, and :func:`_converge`
-re-lands perturbed solutions of the nonlinear families.
+draw points of the moduli polytope with free phases, and :func:`_project`
+re-lands perturbed solutions of the nonlinear families.  :func:`_project`
+is the one landing map; the multi-start and the sampler differ on purpose
+in where they start, and in snapping, de-duplication, deadline and count.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
+from .channels import tp_residuals
 from .errors import EmptyManifold
 from .kernels import KernelFamily, leading_entry
 
@@ -74,15 +77,9 @@ class TpSolveReport:
     detail: str = ""
 
 
-def xi_of(coeffs, family: KernelFamily) -> np.ndarray:
-    """Xi(c) = sum_k A_k(c)^dag A_k(c) for coefficients over the basis."""
-    kraus = family.kraus_at(np.asarray(coeffs, dtype=complex))
-    return sum(m.conj().T @ m for m in kraus)
-
-
 def _tp_residual(coeffs, family: KernelFamily) -> float:
-    """Frobenius norm of Xi(c) - 1."""
-    return float(np.linalg.norm(xi_of(coeffs, family) - np.eye(family.d)))
+    """Frobenius norm of Xi(c) - 1, by :func:`gcec.channels.tp_residuals`."""
+    return float(tp_residuals(family.kraus_at(coeffs)[None])[0])
 
 
 def xi_forms(family: KernelFamily) -> np.ndarray:
@@ -139,8 +136,7 @@ def _generic_stack_rank(family: KernelFamily, tries: int = 3) -> int:
     best = 0
     for _ in range(tries):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        stack = np.vstack(family.kraus_at(c))
-        svals = np.linalg.svd(stack, compute_uv=False)
+        svals = np.linalg.svd(family.kraus_at(c).reshape(-1, d), compute_uv=False)
         if svals[0] > 0.0:
             best = max(best, int(np.sum(svals > 1e-10 * svals[0])))
         if best == d:
@@ -357,7 +353,7 @@ def _project(c: np.ndarray, family: KernelFamily, max_iter: int = 60):
     exquisitely sensitive to rounding noise."""
     best_c, best_r = c, _tp_residual(c, family)
     for _ in range(max_iter):
-        u, _, vh = np.linalg.svd(np.vstack(family.kraus_at(c)), full_matrices=False)
+        u, _, vh = np.linalg.svd(family.kraus_at(c).reshape(-1, family.d), full_matrices=False)
         c = family.basis.conj().T @ (u @ vh).reshape(-1)
         r = _tp_residual(c, family)
         if r < best_r:
@@ -380,15 +376,6 @@ def _snap(c: np.ndarray, family: KernelFamily, tol_tp: float):
     return _gauge_phase(c), r
 
 
-def _converge(x0: np.ndarray, family: KernelFamily, tol_tp: float) -> np.ndarray | None:
-    """Land a start x0 = (Re c, Im c) on the trace-preserving set by
-    :func:`_project`; returns c, or None when its residual exceeds
-    ``tol_tp``."""
-    n = family.n_params
-    c, r = _project(x0[:n] + 1j * x0[n:], family)
-    return c if r <= tol_tp else None
-
-
 def _nonlinear_path(family, tol_tp, n_starts, rng, deadline):
     solutions, residuals = [], []
     keys = set()
@@ -397,8 +384,9 @@ def _nonlinear_path(family, tol_tp, n_starts, rng, deadline):
         if deadline is not None and time.perf_counter() > deadline:
             timed_out = True
             break
-        c = _converge(rng.standard_normal(2 * family.n_params), family, tol_tp)
-        if c is None:
+        re, im = rng.standard_normal((2, family.n_params))
+        c, r = _project(re + 1j * im, family)
+        if not r <= tol_tp:
             continue
         c, r = _snap(c, family, tol_tp)
         if r <= tol_tp:
@@ -450,11 +438,10 @@ def solution_sampler(family: KernelFamily, report: TpSolveReport, tol_tp: float 
         attempts = 0
         while len(out) < count and attempts < 10 * count:
             attempts += 1
-            c = base[attempts % len(base)]
-            x0 = np.concatenate([c.real, c.imag]) + 0.2 * rng.standard_normal(2 * n)
-            cc = _converge(x0, family, tol_tp)
-            if cc is not None:
-                out.append(_gauge_phase(cc))
+            re, im = 0.2 * rng.standard_normal((2, n))
+            c, r = _project(base[attempts % len(base)] + (re + 1j * im), family)
+            if r <= tol_tp:
+                out.append(_gauge_phase(c))
         if not out:
             raise EmptyManifold("could not re-converge onto the solution set")
         return out

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from gcec.channels import KrausSet, choi, conjugate
+from gcec.channels import KrausSet, choi, conjugate, tp_residuals
 from gcec.extremality import sweep_family, test_extreme as rank_test
 from gcec.groups import Irrep, props
 from gcec.kernels import (
@@ -20,7 +20,6 @@ from gcec.kernels import (
     build_lie_system,
     covariance_residual,
     joint_nullspace,
-    kraus_to_vec,
 )
 from gcec.pipeline import (
     load_manifest,
@@ -29,7 +28,7 @@ from gcec.pipeline import (
     save_manifest,
 )
 from gcec.reps import enumerate_reps, make_rep_label, materialize, omega_candidates
-from gcec.tp import solve_tp, xi_of
+from gcec.tp import solve_tp
 
 from fixtures import (
     a4_gauge_bridge,
@@ -63,6 +62,11 @@ def choi_of(ks):
     return choi(ks.matrices[None])[0]
 
 
+def tp_of(ks):
+    """The TP residual of one Kraus set."""
+    return tp_residuals(ks.matrices[None])[0]
+
+
 def _projector(basis):
     return basis @ basis.conj().T
 
@@ -74,7 +78,7 @@ def _choi_gap(mats1, mats2):
 
 
 def _kernel_gap(family, matrices):
-    v = kraus_to_vec(matrices)
+    v = np.asarray(matrices).reshape(-1)
     v = v / np.linalg.norm(v)
     return float(np.linalg.norm(v - family.basis @ (family.basis.conj().T @ v)))
 
@@ -176,11 +180,11 @@ def test_triangle_group_qutrit_family_constraints_and_rank_drop_locus():
             np.sqrt(0.5) * phases[1],
             np.sqrt((1 - s) / 2) * phases[2],
         )
-        c = family.basis.conj().T @ kraus_to_vec(trio)
-        assert np.linalg.norm(xi_of(c, family) - np.eye(3)) <= 1e-10
+        c = family.basis.conj().T @ np.asarray(trio).reshape(-1)
+        assert tp_residuals(family.kraus_at(c)[None])[0] <= 1e-10
 
     # computed kernel coincides with the closed-form span
-    cols = [kraus_to_vec(s3_qutrit_family(*e)) for e in np.eye(3)]
+    cols = [np.asarray(s3_qutrit_family(*e)).reshape(-1) for e in np.eye(3)]
     q, _ = np.linalg.qr(np.column_stack(cols))
     assert np.linalg.norm(_projector(q) - _projector(family.basis)) <= 1e-9
 
@@ -208,7 +212,7 @@ def test_tetrahedral_group_qutrit_instance_kernel_and_channel():
     assert covariance_residual(fix, D1, D2, omega, "discrete") <= 1e-9
     assert _kernel_gap(family, fix) <= 1e-9
     ks = KrausSet.from_matrices(fix)
-    assert ks.tp_residual() <= 1e-10
+    assert tp_of(ks) <= 1e-10
     verdict = check_extreme(ks)
     assert verdict.is_extreme and verdict.rank == 9
 
@@ -307,7 +311,7 @@ def test_spin_group_flip_families_across_dimensions():
     fix4 = su2_flip_family(4)
     assert covariance_residual(fix4, D1, D2, omega, "lie") <= 1e-9
     assert _kernel_gap(fam4, fix4) <= 1e-9
-    assert KrausSet.from_matrices(fix4).tp_residual() <= 1e-12
+    assert tp_of(KrausSet.from_matrices(fix4)) <= 1e-12
     assert check_extreme(KrausSet.from_matrices(fix4)).is_extreme
     man4 = run_enumeration("SU2", "lie", 4, reps=["1+3"])
     rec4 = next(r for r in man4.records if r.omega_label == "3")
@@ -398,7 +402,7 @@ def test_property_suite_residuals_invariances_determinism(
             omega = spec.irrep_by_index(rec.omega_index)
             for ks in rec.kraus_samples:
                 assert covariance_residual(list(ks.matrices), D1, D2, omega, man.kind) <= 1e-9
-                assert ks.tp_residual() <= 1e-10
+                assert tp_of(ks) <= 1e-10
                 assert np.linalg.eigvalsh(choi_of(ks)).min() >= -1e-10
 
     # channel-level invariances, 20 random unitaries per fixture: mixing the
@@ -429,7 +433,7 @@ def test_property_suite_residuals_invariances_determinism(
             assert np.linalg.norm(choi_of(mixed) - base_choi) <= 1e-9
             assert check_extreme(mixed).is_extreme == base_verdict
             moved = conjugate(ks, random_unitary(rng, ks.d), random_unitary(rng, ks.d))
-            assert moved.tp_residual() <= 1e-9
+            assert tp_of(moved) <= 1e-9
             assert check_extreme(moved).is_extreme == base_verdict
 
     # kernel-level invariance: conjugating the channel label moves the kernel
@@ -471,4 +475,4 @@ def test_property_suite_residuals_invariances_determinism(
     assert manifest_to_json(loaded) == manifest_to_json(a4_sweep)
     for rec in loaded.records:
         for ks in rec.kraus_samples:
-            assert ks.tp_residual() <= 1e-9
+            assert tp_of(ks) <= 1e-9

@@ -16,7 +16,7 @@ import pytest
 
 from gcec import classes as classes_module
 from gcec import pipeline
-from gcec.channels import KrausSet, kraus_from_dict, kraus_to_dict
+from gcec.channels import KrausSet, kraus_from_dict, kraus_to_dict, tp_residuals
 from gcec.classes import LabelClasses
 from gcec.cli import main
 from gcec.errors import NotTracePreserving, SchemaError
@@ -79,11 +79,12 @@ def _diagonal(rng, K, d):
     return np.array([np.diag(row * np.exp(2j * np.pi * rng.random(d))) for row in w])
 
 
-@pytest.mark.parametrize("S,K,d", [(5, 1, 1), (7, 9, 1), (4, 2, 3), (6, 9, 9), (3, 4, 2)])
+@pytest.mark.parametrize("S,K,d", [(5, 1, 1), (7, 9, 1), (4, 2, 3), (6, 9, 9), (3, 4, 2), (1, 3, 10)])
 def test_rank_test_equals_the_per_set_loop_bit_for_bit(S, K, d):
     # Manifests store these values, so each set's value must not depend on
     # the stack it is checked in (d = 1 included, where a reduction over K
-    # would otherwise be summed pairwise).
+    # would otherwise be summed pairwise; S = 1 is how the TP solver checks
+    # one point).
     rng = np.random.default_rng([93, S, K, d])
     stack = rng.normal(size=(S, K, d, d)) + 1j * rng.normal(size=(S, K, d, d))
     test = rank_test(stack)
@@ -197,6 +198,27 @@ def test_non_finite_entries_are_per_entry_schema_errors(tmp_path, capsys):
     assert [e["error"] is None for e in json.loads(out.read_text())] == [True, False, True, True, False, True]
 
 
+def test_overflowing_entry_is_an_error_and_its_neighbour_keeps_its_verdict(tmp_path):
+    # Finite entries whose products overflow: the Choi eigenvalue, TP residual
+    # and singular values come out NaN, and NaN must fail the checks quietly.
+    overflow = {"d": 2, "K": 1, "kraus": [[[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+    good = kraus_to_dict(KrausSet.from_matrices(np.eye(2)[None]))
+    got = _classify(tmp_path, [overflow, good], "overflow.json")
+    assert got[0]["classification"] is None and "rank" not in got[0]
+    assert got[0]["error"].startswith("SchemaError: not completely positive: min Choi eigenvalue nan")
+    alone = _classify(tmp_path, [good], "good.json")
+    assert got[1] == {**alone[0], "source": "[1]"}
+    assert got[1]["classification"] == "unitary" and got[1]["error"] is None
+
+
+def test_nan_tp_residual_is_not_a_channel():
+    # The guard a sweep record's samples pass through in the pipeline.
+    test = rank_test(np.eye(2, dtype=complex)[None, None])
+    test = dataclasses.replace(test, tp_residual=np.array([np.nan]))
+    with pytest.raises(NotTracePreserving):
+        test.verdict(0)
+
+
 @pytest.fixture(scope="module")
 def s3_sweep():
     return run_enumeration("S3", None, 3, nonunitary_only=True)
@@ -277,6 +299,6 @@ def test_record_residuals_equal_the_per_sample_loop(s3_sweep):
             float(covariance_residual(s.matrices, D1, D2, omega, "discrete")) for s in r.kraus_samples
         )
         if moved:
-            assert r.residuals["tp"] == max(s.tp_residual() for s in r.kraus_samples)
+            assert r.residuals["tp"] == max(tp_residuals(s.matrices[None])[0] for s in r.kraus_samples)
             checked += len(r.kraus_samples) > 1
     assert checked > 0

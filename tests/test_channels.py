@@ -11,6 +11,7 @@ from gcec.channels import (
     kraus_fields,
     kraus_to_dict,
     matrix_to_json,
+    tp_residuals,
 )
 from gcec.errors import DimMismatch, NotUnitary, SchemaError
 
@@ -28,7 +29,7 @@ from oracles import random_unitary
 def test_kraus_set_accessors():
     ks = KrausSet.from_matrices(s3_qutrit_family(0.5**0.5, 0.5**0.5, 0.5))
     assert ks.K == 2 and ks.d == 3
-    assert ks.tp_residual() <= 1e-12
+    assert tp_residuals(ks.matrices[None])[0] <= 1e-12
     with pytest.raises(DimMismatch):
         KrausSet.from_matrices([])
     with pytest.raises(DimMismatch):
@@ -80,7 +81,7 @@ def test_conjugate_preserves_tp_and_choi_spectrum():
     ks = KrausSet.from_matrices(a4_qutrit_triple())
     u, v = random_unitary(rng, 3), random_unitary(rng, 3)
     moved = conjugate(ks, u, v)
-    assert moved.tp_residual() <= 1e-12
+    assert tp_residuals(moved.matrices[None])[0] <= 1e-12
     before, after = np.linalg.eigvalsh(choi(np.stack([ks.matrices, moved.matrices])))
     assert np.linalg.norm(before - after) <= 1e-12
 

@@ -12,8 +12,6 @@ from gcec.kernels import (
     covariance_residual,
     intertwiner,
     joint_nullspace,
-    kraus_to_vec,
-    vec_to_kraus,
 )
 import gcec.reps as reps
 from gcec.pipeline import run_enumeration
@@ -64,22 +62,19 @@ def _system_defect(system, v):
     )
 
 
-def test_vec_round_trip():
-    rng = np.random.default_rng(7)
-    v = rng.normal(size=18) + 1j * rng.normal(size=18)
-    mats = vec_to_kraus(v, 2, 3)
-    assert len(mats) == 2 and mats[0].shape == (3, 3)
-    assert np.array_equal(kraus_to_vec(mats), v)
-    assert np.array_equal(mats[0], v[:9].reshape(3, 3))
-
-
-def test_vec_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        vec_to_kraus(np.zeros(7), 2, 2)
+def test_kraus_at_is_one_row_major_array():
     system, *_ = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
     family = joint_nullspace(system, 1e-10)
-    with pytest.raises(LengthMismatch):
-        family.vector_at(np.zeros(family.n_params + 1))
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=family.n_params) + 1j * rng.normal(size=family.n_params)
+    kraus = family.kraus_at(c)
+    assert isinstance(kraus, np.ndarray) and kraus.shape == (2, 3, 3)
+    assert np.array_equal(kraus, (family.basis @ c).reshape(2, 3, 3))
+    for wrong in (np.zeros(family.n_params + 1), np.zeros((1, family.n_params))):
+        with pytest.raises(LengthMismatch):
+            family.kraus_at(wrong)
+        with pytest.raises(LengthMismatch):
+            family.vector_at(wrong)
 
 
 def test_system_shape_matches_kraus_count():
@@ -121,7 +116,7 @@ def test_kernel_dims_orthonormality_and_fixtures(name, kind, d, om, p1, p2, n, f
     for j in range(n):
         assert _system_defect(system, family.basis[:, j]) <= 1e-9
     if fixture is not None:
-        v = kraus_to_vec(fixture)
+        v = np.asarray(fixture).reshape(-1)
         assert _system_defect(system, v) <= 1e-12
         assert covariance_residual(fixture, D1, D2, omega, kind) <= 1e-9
 
@@ -130,7 +125,7 @@ def test_s3_kernel_equals_closed_form_span():
     system, *_ = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
     family = joint_nullspace(system, 1e-10)
     cols = [
-        kraus_to_vec(s3_qutrit_family(*coeffs))
+        np.asarray(s3_qutrit_family(*coeffs)).reshape(-1)
         for coeffs in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     ]
     q, _ = np.linalg.qr(np.array(cols).T)

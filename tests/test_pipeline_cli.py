@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from gcec.channels import KrausSet, kraus_to_dict
+from gcec.channels import KrausSet, kraus_to_dict, tp_residuals
 from gcec import classes as classes_module
 from gcec import cli
 from gcec.classes import LabelClasses
@@ -153,7 +153,7 @@ def test_record_invariants(z2_manifest, a4_manifest):
                 assert r.residuals["covariance"] <= 1e-9
                 assert r.residuals["tp"] <= 1e-10
                 for ks in r.kraus_samples:
-                    assert ks.tp_residual() <= 1e-9
+                    assert tp_residuals(ks.matrices[None])[0] <= 1e-9
             else:
                 assert not r.kraus_samples
                 assert r.classification == "not_applicable"

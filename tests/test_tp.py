@@ -7,10 +7,11 @@ import pytest
 
 from gcec.errors import EmptyManifold
 from gcec.groups import props
-from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace, kraus_to_vec
+from gcec.channels import tp_residuals
+from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace
 from gcec.reps import make_rep_label, materialize
 import gcec.tp as tp
-from gcec.tp import TpSolveReport, _offdiag_vanishes, _vertex, solution_sampler, solve_tp, xi_forms, xi_of
+from gcec.tp import TpSolveReport, _offdiag_vanishes, _vertex, solution_sampler, solve_tp, xi_forms
 
 from fixtures import s3_qutrit_family
 
@@ -28,12 +29,20 @@ def _synthetic(columns, K, d):
     return KernelFamily(basis=np.column_stack(columns), K=K, d=d)
 
 
+def _tp_residual(c, family):
+    return tp_residuals(family.kraus_at(c)[None])[0]
+
+
 def test_xi_is_quadratic_and_hermitian():
     family = _family("SO3", "lie", 3, 1, (1,), (1,))
+    forms = xi_forms(family)
+
+    def xi(c):  # Xi_pq(c) = c^dag F[p, q] c
+        return np.einsum("i,pqij,j->pq", c.conj(), forms, c)
+
     rng = np.random.default_rng(31)
     c = rng.normal(size=1) + 1j * rng.normal(size=1)
-    xi1 = xi_of(np.ones(1), family)
-    xic = xi_of(c, family)
+    xi1, xic = xi(np.ones(1, dtype=complex)), xi(c)
     assert np.linalg.norm(xic - abs(c[0]) ** 2 * xi1) <= 1e-12
     assert np.linalg.norm(xic - xic.conj().T) <= 1e-13
 
@@ -218,7 +227,7 @@ def test_s3_family_solves_on_linear_path():
     assert len(report.solutions) == 8
     assert max(report.residuals) <= 1e-10
     for c in report.solutions:
-        assert np.linalg.norm(xi_of(c, family) - np.eye(3)) <= 1e-10
+        assert _tp_residual(c, family) <= 1e-10
 
 
 def test_s3_solutions_match_closed_form_constraints():
@@ -237,8 +246,8 @@ def test_s3_solutions_match_closed_form_constraints():
         alpha = np.sqrt(s) * phases[0]
         beta = np.sqrt(0.5) * phases[1]
         gamma = np.sqrt((1 - s) / 2) * phases[2]
-        c = family.basis.conj().T @ kraus_to_vec(s3_qutrit_family(alpha, beta, gamma))
-        assert np.linalg.norm(xi_of(c, family) - np.eye(3)) <= 1e-10
+        c = family.basis.conj().T @ np.asarray(s3_qutrit_family(alpha, beta, gamma)).reshape(-1)
+        assert _tp_residual(c, family) <= 1e-10
 
 
 def test_so3_moduli_are_forced():
@@ -292,7 +301,7 @@ def test_offdiagonal_family_goes_straight_to_multistart(monkeypatch):
     assert report.detail == "multi-start projection"
     assert report.moduli_rows is None
     assert max(report.residuals) <= 1e-12
-    assert np.linalg.norm(xi_of(report.solutions[0], family) - np.eye(2)) <= 1e-12
+    assert _tp_residual(report.solutions[0], family) <= 1e-12
     assert len(vertex_calls) == 0
     assert len(diag_calls) == 0
 
@@ -328,7 +337,7 @@ def test_sampler_covers_free_phase_manifold():
     points = sampler(np.random.default_rng(33), 10)
     assert len(points) == 10
     for c in points:
-        assert np.linalg.norm(xi_of(c, family) - np.eye(3)) <= 1e-10
+        assert _tp_residual(c, family) <= 1e-10
 
 
 def test_sampler_reconverges_near_isolated_solutions():
@@ -343,7 +352,7 @@ def test_sampler_reconverges_near_isolated_solutions():
     points = sampler(np.random.default_rng(34), 4)
     assert len(points) == 4
     for c in points:
-        assert np.linalg.norm(xi_of(c, family) - np.eye(3)) <= 1e-10
+        assert _tp_residual(c, family) <= 1e-10
 
 
 def test_sampler_requires_solved_report():
