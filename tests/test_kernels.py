@@ -62,14 +62,23 @@ def _system_defect(system, v):
     )
 
 
-def test_kraus_at_is_one_row_major_array():
+def test_vec_round_trip():
+    """``kraus_at`` is the stacked vector read as one row-major (K, d, d) array."""
     system, *_ = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
     family = joint_nullspace(system, 1e-10)
     rng = np.random.default_rng(7)
     c = rng.normal(size=family.n_params) + 1j * rng.normal(size=family.n_params)
     kraus = family.kraus_at(c)
+    v = family.vector_at(c)
     assert isinstance(kraus, np.ndarray) and kraus.shape == (2, 3, 3)
     assert np.array_equal(kraus, (family.basis @ c).reshape(2, 3, 3))
+    assert np.array_equal(kraus.reshape(-1), v)
+    assert np.array_equal(kraus[0], v[:9].reshape(3, 3))
+
+
+def test_vec_length_mismatch():
+    system, *_ = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
+    family = joint_nullspace(system, 1e-10)
     for wrong in (np.zeros(family.n_params + 1), np.zeros((1, family.n_params))):
         with pytest.raises(LengthMismatch):
             family.kraus_at(wrong)
