@@ -1,4 +1,4 @@
-"""Channel utilities: Kraus sets, Choi matrices, validation, transforms.
+"""Channel utilities: Kraus sets, Choi matrices, validation, JSON encoding.
 
 Conventions: operators act on a d-dimensional system; the Choi matrix is
 C = (1/d) sum_k |a_k><a_k| with |a_k> the row-major vectorization of the
@@ -10,6 +10,9 @@ shape (S, K, d, d), and evaluate every set in a few batched numpy calls
 the S = 1 case.  Each set's values are those of a loop over the sets.
 :func:`tp_residuals` is the package's one TP residual: the TP solver, the
 rank test, sweep records and ``classify`` all read it.
+
+JSON.  Complex numbers are [re, im] pairs, written by one encoder,
+:func:`matrix_to_json` (manifests and ``gcec catalog``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotUnitary, SchemaError
+from .errors import SchemaError
 
 KRAUS_SCHEMA_VERSION = 1
 
@@ -36,17 +39,6 @@ class KrausSet:
     @property
     def d(self) -> int:
         return self.matrices.shape[1]
-
-    @staticmethod
-    def from_matrices(matrices) -> "KrausSet":
-        mats = [np.asarray(m, dtype=complex) for m in matrices]
-        if not mats:
-            raise DimMismatch("a Kraus set needs at least one operator")
-        d = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (d, d):
-                raise DimMismatch(f"Kraus operators must all be {d}x{d}, got {m.shape}")
-        return KrausSet(matrices=np.array(mats))
 
 
 def tp_residuals(stack: np.ndarray) -> np.ndarray:
@@ -70,39 +62,20 @@ def choi(stack: np.ndarray) -> np.ndarray:
     return (vecs.swapaxes(-1, -2) @ vecs.conj()) / d
 
 
-def conjugate(kraus: KrausSet, U: np.ndarray, V: np.ndarray, tol: float = 1e-10) -> KrausSet:
-    """Unitary transport {A_k} -> {U A_k V} (channel-equivalence move)."""
-    for name, mat in (("U", U), ("V", V)):
-        mat = np.asarray(mat)
-        if mat.shape != (kraus.d, kraus.d):
-            raise DimMismatch(f"{name} must be {kraus.d}x{kraus.d}")
-        if np.linalg.norm(mat.conj().T @ mat - np.eye(kraus.d)) > tol:
-            raise NotUnitary(f"{name} is not unitary within {tol}")
-    return KrausSet(matrices=U @ kraus.matrices @ V)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization: complex numbers as [re, im] pairs throughout
 # ---------------------------------------------------------------------------
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
+def matrix_to_json(m: np.ndarray) -> np.ndarray:
+    """The [re, im] pairs of a complex array: its float view, shape ``(..., 2)``."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2)
 
 
 def kraus_fields(kraus: KrausSet) -> dict:
-    """The JSON fields of a Kraus set, with the operators as one (K, d, d, 2)
-    float array of [re, im] pairs (a view of the complex matrices)."""
-    pairs = np.ascontiguousarray(kraus.matrices).view(float)
-    return {"d": kraus.d, "K": kraus.K, "kraus": pairs.reshape(kraus.K, kraus.d, kraus.d, 2)}
-
-
-def kraus_to_dict(kraus: KrausSet) -> dict:
-    """:func:`kraus_fields` in plain JSON types."""
-    fields = kraus_fields(kraus)
-    fields["kraus"] = fields["kraus"].tolist()
-    return fields
+    """The JSON fields of a Kraus set, its operators as one (K, d, d, 2) array."""
+    return {"d": kraus.d, "K": kraus.K, "kraus": matrix_to_json(kraus.matrices)}
 
 
 def kraus_from_dict(obj) -> KrausSet:

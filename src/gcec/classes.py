@@ -5,7 +5,7 @@ Two moves map an instance (D1, D2, Omega) to an equivalent one:
 * twist by 1-dimensional characters chi_s, chi_t:
   (D1 chi_s, D2 chi_t, Omega chi_s conj(chi_t)), since
   (D2 chi_t)^dag A (D1 chi_s) = chi_s conj(chi_t) D2^dag A D1;
-* conjugate: (conj D1, conj D2, conj Omega), with conj(A_k) as Kraus set.
+* conjugation: (conj D1, conj D2, conj Omega), with conj(A_k) as Kraus set.
 
 Both act on labels through irrep permutations read off the character table:
 twisting by chi_s sends irrep p to the irrep whose character is chi_p chi_s,

@@ -29,10 +29,6 @@ class LengthMismatch(GcecError):
     """A vector does not have the expected length."""
 
 
-class NotUnitary(GcecError):
-    """A matrix expected to be unitary is not, within tolerance."""
-
-
 class NotTracePreserving(GcecError):
     """A Kraus set expected to be trace preserving is not, within tolerance."""
 

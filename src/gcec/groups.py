@@ -10,7 +10,8 @@ All matrices are materialized in double precision; roots of unity come from
 the complex exponential.  New groups can be registered by extending
 ``_DISCRETE_BUILDERS`` with a callable returning a :class:`GroupSpec` (see
 the existing builders for the expected shape: generator images per irrep,
-plus defining relations as pairs of generator words).
+plus defining relations as pairs of generator words).  :func:`direct_sum`
+is the one block-diagonal direct sum of irreps, in the given order.
 """
 
 from __future__ import annotations
@@ -326,6 +327,15 @@ def infer_kind(group_name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def direct_sum(irreps, g: int) -> np.ndarray:
+    """Generator ``g`` of the direct sum of ``irreps`` (complex, block diagonal)."""
+    dims = [ir.dim for ir in irreps]
+    out = np.zeros((sum(dims), sum(dims)), dtype=complex)
+    for ir, at in zip(irreps, np.cumsum([0, *dims])):
+        out[at : at + ir.dim, at : at + ir.dim] = ir.generator_matrices[g]
+    return out
+
+
 def word_matrix(irrep: Irrep, word: Word) -> np.ndarray:
     """Product of generator images along ``word`` (empty word -> identity)."""
     out = np.eye(irrep.dim, dtype=complex)
@@ -347,20 +357,7 @@ def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
     """
     if spec.kind != "discrete":
         raise UnknownGroup(f"element enumeration needs a finite group, not {spec.name}")
-    gens = [
-        np.block(
-            [
-                [
-                    ir.generator_matrices[g]
-                    if i == k
-                    else np.zeros((ir.dim, spec.irreps[k].dim))
-                    for k, _ in enumerate(spec.irreps)
-                ]
-                for i, ir in enumerate(spec.irreps)
-            ]
-        )
-        for g in range(spec.num_generators)
-    ]
+    gens = [direct_sum(spec.irreps, g) for g in range(spec.num_generators)]
 
     def key(mat: np.ndarray) -> bytes:
         return (np.round(mat, 9) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0

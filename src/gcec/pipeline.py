@@ -49,7 +49,6 @@ from .channels import (
     choi,
     kraus_fields,
     kraus_from_dict,
-    kraus_to_dict,
 )
 from .classes import LabelClasses
 from .errors import GcecError, SchemaError, NotTracePreserving, UnknownGroup
@@ -149,7 +148,7 @@ def run_enumeration(
                 f"no {group} representation(s) labelled {missing} at d={d}; "
                 f"available: {sorted(by_text)}"
             )
-        labels = sorted((by_text[t] for t in reps), key=lambda lab: lab.parts)
+        labels = sorted({by_text[t] for t in reps}, key=lambda lab: lab.parts)
     omegas = omega_candidates(spec, d)
     if nonunitary_only:
         omegas = [om for om in omegas if om.dim >= 2]
@@ -288,17 +287,19 @@ def _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, tp=None) 
     verdicts = [test.verdict(i) for i in range(len(samples))]  # raises at the first non-TP sample
     record.status = "channel_found"
     record.kraus_samples = samples
-    if omega.dim == 1:
-        record.classification = "unitary"
-    elif all(v.is_extreme for v in verdicts):
-        record.classification = "extreme"
-    else:
-        record.classification = "quasi_extreme"
+    record.classification = _classification(stack.shape[1], verdicts)
     record.residuals = {
         "covariance": float(covariance_residual(stack, rep1, rep2, omega, kind).max()),
         "tp": float(test.tp_residual.max()) if tp is None else tp,
         "rank_sigma_min": min(v.min_singular_value for v in verdicts),
     }
+
+
+def _classification(K: int, verdicts) -> str:
+    """``unitary`` if K = 1, else ``extreme`` if every verdict passes the rank test, else ``quasi_extreme``."""
+    if K == 1:
+        return "unitary"
+    return "extreme" if all(v.is_extreme for v in verdicts) else "quasi_extreme"
 
 
 def _transported(source, rep1, rep2, omega, classes, head, move, *, tol_rank, tol_tp) -> ChannelRecord:
@@ -340,8 +341,8 @@ def _transported(source, rep1, rep2, omega, classes, head, move, *, tol_rank, to
 # ---------------------------------------------------------------------------
 
 
-def _record_fields(record: ChannelRecord, sample) -> dict:
-    """The JSON fields of a record; ``sample`` renders each Kraus set."""
+def _record_fields(record: ChannelRecord) -> dict:
+    """The JSON fields of a record."""
     return {
         "group": record.group,
         "d": record.d,
@@ -351,7 +352,7 @@ def _record_fields(record: ChannelRecord, sample) -> dict:
         "omega_label": record.omega_label,
         "n_params": record.n_params,
         "status": record.status,
-        "kraus_samples": [sample(s) for s in record.kraus_samples],
+        "kraus_samples": [kraus_fields(s) for s in record.kraus_samples],
         "moduli_constraints": list(record.moduli_constraints),
         "classification": record.classification,
         "residuals": {k: float(v) for k, v in record.residuals.items()},
@@ -359,7 +360,7 @@ def _record_fields(record: ChannelRecord, sample) -> dict:
     }
 
 
-def _manifest_fields(manifest: RunManifest, sample) -> dict:
+def _manifest_fields(manifest: RunManifest) -> dict:
     return {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kraus_schema_version": KRAUS_SCHEMA_VERSION,
@@ -371,16 +372,8 @@ def _manifest_fields(manifest: RunManifest, sample) -> dict:
         "options": manifest.options,
         "total_instances": manifest.total_instances,
         "count_found": manifest.count_found,
-        "records": [_record_fields(r, sample) for r in manifest.records],
+        "records": [_record_fields(r) for r in manifest.records],
     }
-
-
-def record_to_dict(record: ChannelRecord) -> dict:
-    return _record_fields(record, kraus_to_dict)
-
-
-def manifest_to_dict(manifest: RunManifest) -> dict:
-    return _manifest_fields(manifest, kraus_to_dict)
 
 
 # The C encoder (``indent`` is None) with a newline between list items: no
@@ -449,7 +442,7 @@ def _layout(obj, level: int, seps: list, leaves: list, memo: dict) -> None:
 
 
 def manifest_to_json(manifest: RunManifest) -> str:
-    return json_text(_manifest_fields(manifest, kraus_fields)) + "\n"
+    return json_text(_manifest_fields(manifest)) + "\n"
 
 
 def save_manifest(manifest: RunManifest, path) -> None:
@@ -476,6 +469,14 @@ def _residuals_from(obj) -> dict:
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj.values()):
             return dict(obj)
     raise SchemaError(f"residuals must be empty or map {', '.join(_RESIDUAL_KEYS)} to real numbers, got {obj!r}")
+
+
+def _typed(obj: dict, key: str, kind: type, optional: bool = False):
+    """``obj[key]`` (empty if ``optional`` and absent), checked to be a ``kind``."""
+    value = obj.get(key, kind()) if optional else obj[key]
+    if not isinstance(value, kind):
+        raise SchemaError(f"{key!r} must be a JSON {'object' if kind is dict else 'array'}, got {value!r:.60}")
+    return value
 
 
 def manifest_from_dict(obj) -> RunManifest:
@@ -508,7 +509,7 @@ def manifest_from_dict(obj) -> RunManifest:
                     n_params=rec["n_params"],
                     status=rec["status"],
                     kraus_samples=[kraus_from_dict(s) for s in rec["kraus_samples"]],
-                    moduli_constraints=list(rec["moduli_constraints"]),
+                    moduli_constraints=list(_typed(rec, "moduli_constraints", list)),
                     classification=rec["classification"],
                     residuals=_residuals_from(rec["residuals"]),
                     error=rec.get("error"),
@@ -518,9 +519,9 @@ def manifest_from_dict(obj) -> RunManifest:
             group=group,
             kind=kind,
             d=d,
-            tolerances=dict(obj["tolerances"]),
+            tolerances=dict(_typed(obj, "tolerances", dict)),
             seed=obj["seed"],
-            options=dict(obj.get("options", {})),
+            options=dict(_typed(obj, "options", dict, optional=True)),
             total_instances=obj["total_instances"],
             count_found=obj["count_found"],
             records=records,
@@ -552,7 +553,7 @@ def _kraus_sets_in(obj) -> list[tuple[str, dict]]:
             for i, rec in enumerate(obj["records"]):
                 if not isinstance(rec, dict):
                     raise SchemaError(f"record {i} is not an object")
-                for j, item in enumerate(rec.get("kraus_samples", [])):
+                for j, item in enumerate(_typed(rec, "kraus_samples", list, optional=True)):
                     out.append((f"records[{i}].kraus_samples[{j}]", item))
             return out
     raise SchemaError(
@@ -602,9 +603,7 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK, tol_tp: float = 1e-8
                         "rank": verdict.rank,
                         "expected_rank": verdict.expected_rank,
                         "min_singular_value": verdict.min_singular_value,
-                        "classification": "unitary"
-                        if K == 1
-                        else ("extreme" if verdict.is_extreme else "quasi_extreme"),
+                        "classification": _classification(K, [verdict]),
                     }
                 )
             except (SchemaError, NotTracePreserving) as exc:

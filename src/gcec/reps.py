@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionZero, UnknownIrrepIndex
-from .groups import GroupSpec, Irrep
+from .groups import GroupSpec, Irrep, direct_sum
 
 
 @dataclass(frozen=True)
@@ -127,12 +126,7 @@ def enumerate_reps(spec: GroupSpec, d: int) -> list[RepLabel]:
 def materialize(spec: GroupSpec, label: RepLabel) -> Rep:
     """Assemble the block-diagonal generator matrices for ``label``."""
     blocks = [spec.irrep_by_index(p) for p in label.parts]
-    mats = tuple(
-        scipy.linalg.block_diag(
-            *(ir.generator_matrices[g] for ir in blocks)
-        ).astype(complex)
-        for g in range(spec.num_generators)
-    )
+    mats = tuple(direct_sum(blocks, g) for g in range(spec.num_generators))
     return Rep(label=label, generator_matrices=mats)
 
 

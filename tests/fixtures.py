@@ -1,4 +1,5 @@
-"""Frozen closed-form Kraus families used as golden values.
+"""Frozen closed-form Kraus families used as golden values, and helpers
+for one Kraus set's rank test and for plain JSON values of sets and records.
 
 Each builder returns plain lists of ndarrays; all were validated against
 independent derivations (covariance residuals and trace preservation at
@@ -6,6 +7,10 @@ machine precision) before being frozen here.
 """
 
 import numpy as np
+
+from gcec.channels import KrausSet, kraus_fields
+from gcec.extremality import test_extreme
+from gcec.pipeline import _manifest_fields, _record_fields
 
 _SQ2 = np.sqrt(2.0)
 
@@ -113,3 +118,34 @@ def random_full_rank_channel(rng, d):
     x = rng.standard_normal((d * d * d, d)) + 1j * rng.standard_normal((d * d * d, d))
     q, _ = np.linalg.qr(x)
     return [q[k * d : (k + 1) * d, :] for k in range(d * d)]
+
+
+def plain(obj):
+    """``obj`` with every ndarray and tuple as nested lists: plain JSON values."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    return [plain(item) for item in obj] if isinstance(obj, (list, tuple)) else obj
+
+
+def kraus_set(mats):
+    return KrausSet(np.asarray(mats, dtype=complex))
+
+
+def check_extreme(ks):
+    """The rank-test verdict of one Kraus set (a stack of one)."""
+    return test_extreme(ks.matrices[None]).verdict(0)
+
+
+def kraus_dict(mats):
+    return plain(kraus_fields(kraus_set(mats)))
+
+
+def record_dict(record):
+    return plain(_record_fields(record))
+
+
+def manifest_dict(manifest):
+    """``json.dumps(manifest_dict(m), indent=2, sort_keys=True)`` is ``manifest_to_json``'s reference."""
+    return plain(_manifest_fields(manifest))

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from gcec.channels import KrausSet, choi, conjugate, tp_residuals
-from gcec.extremality import sweep_family, test_extreme as rank_test
+from gcec.channels import KrausSet, choi, tp_residuals
+from gcec.extremality import sweep_family
 from gcec.groups import Irrep, props
 from gcec.kernels import (
     build_discrete_system,
@@ -34,7 +34,9 @@ from fixtures import (
     a4_gauge_bridge,
     a4_qutrit_triple,
     a4_qutrit_triple_alt_gauge,
+    check_extreme,
     d5_qutrit_pair,
+    kraus_set,
     s3_qutrit_family,
     so3_d5_family,
     so3_qutrit_family,
@@ -52,11 +54,6 @@ def _family(name, kind, d, omega_index, parts1, parts2):
     return joint_nullspace(build(D1, D2, omega), 1e-10), spec, D1, D2, omega
 
 
-def check_extreme(ks):
-    """The rank-test verdict of one Kraus set (a stack of one)."""
-    return rank_test(ks.matrices[None]).verdict(0)
-
-
 def choi_of(ks):
     """The Choi matrix of one Kraus set."""
     return choi(ks.matrices[None])[0]
@@ -72,8 +69,8 @@ def _projector(basis):
 
 
 def _choi_gap(mats1, mats2):
-    c1 = choi_of(KrausSet.from_matrices(list(mats1)))
-    c2 = choi_of(KrausSet.from_matrices(list(mats2)))
+    c1 = choi_of(kraus_set(mats1))
+    c2 = choi_of(kraus_set(mats2))
     return float(np.linalg.norm(c1 - c2))
 
 
@@ -196,7 +193,7 @@ def test_triangle_group_qutrit_family_constraints_and_rank_drop_locus():
         a1 = family.kraus_at(c)[0]
         assert abs(abs(a1[0, 1]) ** 2 - 0.5) <= 1e-3
         assert abs(abs(a1[1, 1]) ** 2 - 0.25) <= 1e-3
-        verdict = check_extreme(KrausSet.from_matrices(family.kraus_at(c)))
+        verdict = check_extreme(kraus_set(family.kraus_at(c)))
         assert not verdict.is_extreme and verdict.rank == 3
     assert time.perf_counter() - started < 10.0
 
@@ -211,7 +208,7 @@ def test_tetrahedral_group_qutrit_instance_kernel_and_channel():
     fix = a4_qutrit_triple()
     assert covariance_residual(fix, D1, D2, omega, "discrete") <= 1e-9
     assert _kernel_gap(family, fix) <= 1e-9
-    ks = KrausSet.from_matrices(fix)
+    ks = kraus_set(fix)
     assert tp_of(ks) <= 1e-10
     verdict = check_extreme(ks)
     assert verdict.is_extreme and verdict.rank == 9
@@ -219,7 +216,7 @@ def test_tetrahedral_group_qutrit_instance_kernel_and_channel():
     # the diagonal gauge bridge carries the frozen triple onto the variant
     # that circulates in print, as channels (Choi-equal)
     w = a4_gauge_bridge()
-    moved = conjugate(ks, w, w.conj().T)
+    moved = KrausSet(w @ ks.matrices @ w.conj().T)
     assert _choi_gap(moved.matrices, a4_qutrit_triple_alt_gauge()) <= 1e-12
 
     man = run_enumeration("A4", "discrete", 3, reps=["3"])
@@ -250,7 +247,7 @@ def test_pentagon_group_qutrit_instances_reduce_to_triangle_point():
         assert report.status == "solved"
         canonical = family.kraus_at(report.solutions[0])
         assert _choi_gap(canonical, fix) <= 1e-9
-        assert check_extreme(KrausSet.from_matrices(canonical)).is_extreme
+        assert check_extreme(kraus_set(canonical)).is_extreme
     # the shared channel is the triangle-symmetry family at (1, 1/sqrt2, 0)
     assert _choi_gap(fix, s3_qutrit_family(1.0, 2**-0.5, 0.0)) <= 1e-9
     assert time.perf_counter() - started < 10.0
@@ -265,7 +262,7 @@ def test_rotation_group_spherical_families_have_forced_moduli():
         kraus = fam3.kraus_at(c)
         # the middle (diagonal) operator carries corner weight |a|^2 = 1/2
         assert abs(abs(kraus[1][0, 0]) ** 2 - 0.5) <= 1e-10
-        assert check_extreme(KrausSet.from_matrices(kraus)).is_extreme
+        assert check_extreme(kraus_set(kraus)).is_extreme
 
     fam5 = _family("SO3", "lie", 5, 2, (2,), (2,))[0]
     rep5 = solve_tp(fam5)
@@ -274,7 +271,7 @@ def test_rotation_group_spherical_families_have_forced_moduli():
     for c in rep5.solutions:
         kraus = fam5.kraus_at(c)
         assert abs(abs(kraus[2][0, 0]) ** 2 - 2.0 / 7.0) <= 1e-9
-        assert check_extreme(KrausSet.from_matrices(kraus)).is_extreme
+        assert check_extreme(kraus_set(kraus)).is_extreme
         assert _choi_gap(kraus, fix5) <= 1e-8
     assert time.perf_counter() - started < 30.0
 
@@ -288,7 +285,7 @@ def test_spin_group_flip_families_across_dimensions():
     assert rep3.status == "solved"
     canonical = fam3.kraus_at(rep3.solutions[0])
     assert _choi_gap(canonical, su2_flip_family(3)) <= 1e-8
-    assert check_extreme(KrausSet.from_matrices(canonical)).is_extreme
+    assert check_extreme(kraus_set(canonical)).is_extreme
 
     # d=2: the kernel is all of C^{2x2} and the TP set is the whole unitary
     # group, so no single sample is canonical; the bit flip is one member
@@ -311,8 +308,8 @@ def test_spin_group_flip_families_across_dimensions():
     fix4 = su2_flip_family(4)
     assert covariance_residual(fix4, D1, D2, omega, "lie") <= 1e-9
     assert _kernel_gap(fam4, fix4) <= 1e-9
-    assert tp_of(KrausSet.from_matrices(fix4)) <= 1e-12
-    assert check_extreme(KrausSet.from_matrices(fix4)).is_extreme
+    assert tp_of(kraus_set(fix4)) <= 1e-12
+    assert check_extreme(kraus_set(fix4)).is_extreme
     man4 = run_enumeration("SU2", "lie", 4, reps=["1+3"])
     rec4 = next(r for r in man4.records if r.omega_label == "3")
     assert rec4.status == "channel_found" and rec4.classification == "extreme"
@@ -419,12 +416,12 @@ def test_property_suite_residuals_invariances_determinism(
         su2_flip_family(4),
     ]
     for mats in fixture_sets:
-        ks = KrausSet.from_matrices(mats)
+        ks = kraus_set(mats)
         base_verdict = check_extreme(ks).is_extreme
         base_choi = choi_of(ks)
         for _ in range(20):
             w = random_unitary(rng, ks.K)
-            mixed = KrausSet.from_matrices(
+            mixed = kraus_set(
                 [
                     sum(w[k, l] * ks.matrices[l] for l in range(ks.K))
                     for k in range(ks.K)
@@ -432,7 +429,7 @@ def test_property_suite_residuals_invariances_determinism(
             )
             assert np.linalg.norm(choi_of(mixed) - base_choi) <= 1e-9
             assert check_extreme(mixed).is_extreme == base_verdict
-            moved = conjugate(ks, random_unitary(rng, ks.d), random_unitary(rng, ks.d))
+            moved = KrausSet(random_unitary(rng, ks.d) @ ks.matrices @ random_unitary(rng, ks.d))
             assert tp_of(moved) <= 1e-9
             assert check_extreme(moved).is_extreme == base_verdict
 

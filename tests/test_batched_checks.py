@@ -16,17 +16,18 @@ import pytest
 
 from gcec import classes as classes_module
 from gcec import pipeline
-from gcec.channels import KrausSet, kraus_from_dict, kraus_to_dict, tp_residuals
+from gcec.channels import KrausSet, kraus_from_dict, tp_residuals
 from gcec.classes import LabelClasses
 from gcec.cli import main
 from gcec.errors import NotTracePreserving, SchemaError
 from gcec.extremality import test_extreme as rank_test
 from gcec.groups import props
 from gcec.kernels import covariance_residual
-from gcec.pipeline import classify_file, record_to_dict, run_enumeration
+from gcec.pipeline import classify_file, run_enumeration
 from gcec.reps import make_rep_label, materialize
 from gcec.tp import solve_tp
 
+from fixtures import kraus_dict, record_dict
 from oracles import random_unitary
 
 TOL_RANK = TOL_TP = 1e-8
@@ -125,7 +126,7 @@ def _mixed_items(rng):
         _isometry(rng, 3, 3),
         _isometry(rng, 1, 2) @ random_unitary(rng, 2),
     ]
-    items = [kraus_to_dict(KrausSet.from_matrices(s)) for s in sets]
+    items = [kraus_dict(s) for s in sets]
     items.insert(3, {"d": 2, "K": 1, "kraus": [[[1.0, 0.0]]]})
     items.insert(8, "not a Kraus set")
     return items
@@ -165,8 +166,8 @@ def test_non_tp_set_leaves_its_group_neighbours_unchanged(tmp_path):
     rng = np.random.default_rng(91)
     good = [_isometry(rng, 2, 3) for _ in range(4)] + [_diagonal(rng, 2, 3)]
     bad = 1.5 * _isometry(rng, 2, 3)
-    items = [kraus_to_dict(KrausSet.from_matrices(s)) for s in good]
-    with_bad = items[:2] + [kraus_to_dict(KrausSet.from_matrices(bad))] + items[2:]
+    items = [kraus_dict(s) for s in good]
+    with_bad = items[:2] + [kraus_dict(bad)] + items[2:]
     alone = _classify(tmp_path, items, "good.json")
     mixed = _classify(tmp_path, with_bad, "mixed.json")
     assert mixed[2]["error"].startswith("NotTracePreserving: trace-preservation residual")
@@ -178,10 +179,10 @@ def test_non_tp_set_leaves_its_group_neighbours_unchanged(tmp_path):
 
 def test_non_finite_entries_are_per_entry_schema_errors(tmp_path, capsys):
     rng = np.random.default_rng(92)
-    good = [kraus_to_dict(KrausSet.from_matrices(_isometry(rng, K, 2))) for K in (1, 2, 2, 3)]
-    nan_set = kraus_to_dict(KrausSet.from_matrices(np.eye(2)[None]))
+    good = [kraus_dict(_isometry(rng, K, 2)) for K in (1, 2, 2, 3)]
+    nan_set = kraus_dict(np.eye(2)[None])
     nan_set["kraus"][0][0][0][0] = float("nan")
-    inf_set = kraus_to_dict(KrausSet.from_matrices(_isometry(rng, 2, 2)))
+    inf_set = kraus_dict(_isometry(rng, 2, 2))
     inf_set["kraus"][1][1][0][1] = float("-inf")
     items = [good[0], nan_set, good[1], good[2], inf_set, good[3]]
     got = _classify(tmp_path, items, "nonfinite.json")
@@ -202,7 +203,7 @@ def test_overflowing_entry_is_an_error_and_its_neighbour_keeps_its_verdict(tmp_p
     # Finite entries whose products overflow: the Choi eigenvalue, TP residual
     # and singular values come out NaN, and NaN must fail the checks quietly.
     overflow = {"d": 2, "K": 1, "kraus": [[[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]]}
-    good = kraus_to_dict(KrausSet.from_matrices(np.eye(2)[None]))
+    good = kraus_dict(np.eye(2)[None])
     got = _classify(tmp_path, [overflow, good], "overflow.json")
     assert got[0]["classification"] is None and "rank" not in got[0]
     assert got[0]["error"].startswith("SchemaError: not completely positive: min Choi eigenvalue nan")
@@ -254,7 +255,7 @@ def test_one_non_tp_sample_fails_a_solved_record(monkeypatch, s3_sweep):
             assert not r.kraus_samples and not r.residuals
             failed += not moved
         else:
-            assert record_to_dict(r) == record_to_dict(ref)
+            assert record_dict(r) == record_dict(ref)
     assert failed > 0
 
 
@@ -278,7 +279,7 @@ def test_one_non_tp_sample_makes_a_transported_record_an_error(monkeypatch, s3_s
             assert not r.kraus_samples and r.classification == "not_applicable" and not r.residuals
             broken += 1
         else:
-            assert record_to_dict(r) == record_to_dict(ref)
+            assert record_dict(r) == record_dict(ref)
     assert broken > 0
 
 

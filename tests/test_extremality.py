@@ -6,7 +6,6 @@ import pytest
 from gcec.channels import KrausSet
 from gcec.errors import EmptyManifold, NotTracePreserving
 from gcec.extremality import product_stack, sweep_family
-from gcec.extremality import test_extreme as rank_test
 from gcec.groups import props
 from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace
 from gcec.reps import make_rep_label, materialize
@@ -14,9 +13,11 @@ from gcec.tp import TpSolveReport, solve_tp
 
 from fixtures import (
     a4_qutrit_triple,
+    check_extreme,
     d5_qutrit_pair,
     depolarizing_kraus,
     identity_kraus,
+    kraus_set,
     s3_qutrit_family,
     so3_d5_family,
     so3_qutrit_family,
@@ -40,11 +41,6 @@ EXTREME_FIXTURES = [
 ]
 
 
-def check_extreme(ks):
-    """The rank-test verdict of one Kraus set (a stack of one)."""
-    return rank_test(ks.matrices[None]).verdict(0)
-
-
 def _family(name, kind, d, omega_index, parts):
     spec = props(name, kind, d).group
     D = materialize(spec, make_rep_label(spec, parts))
@@ -53,13 +49,13 @@ def _family(name, kind, d, omega_index, parts):
 
 
 def test_product_stack_shape():
-    stack = product_stack(KrausSet.from_matrices(S3_GENERIC).matrices[None])
+    stack = product_stack(kraus_set(S3_GENERIC).matrices[None])
     assert stack.shape == (1, 9, 4)
 
 
 @pytest.mark.parametrize("label,mats", EXTREME_FIXTURES, ids=lambda v: v if isinstance(v, str) else "")
 def test_fixture_channels_are_extreme(label, mats):
-    ks = KrausSet.from_matrices(mats)
+    ks = kraus_set(mats)
     verdict = check_extreme(ks)
     assert verdict.is_extreme
     assert verdict.rank == verdict.expected_rank == ks.K**2
@@ -67,7 +63,7 @@ def test_fixture_channels_are_extreme(label, mats):
 
 
 def test_s3_locus_is_quasi_extreme():
-    verdict = check_extreme(KrausSet.from_matrices(S3_LOCUS))
+    verdict = check_extreme(kraus_set(S3_LOCUS))
     assert not verdict.is_extreme
     assert verdict.rank == 3 and verdict.expected_rank == 4
     assert verdict.reason == ""  # generalized extreme, just not extreme
@@ -75,7 +71,7 @@ def test_s3_locus_is_quasi_extreme():
 
 def test_rank_bounded_by_dimensions():
     for _, mats in EXTREME_FIXTURES:
-        ks = KrausSet.from_matrices(mats)
+        ks = kraus_set(mats)
         verdict = check_extreme(ks)
         assert verdict.rank <= min(ks.d**2, ks.K**2)
 
@@ -83,12 +79,12 @@ def test_rank_bounded_by_dimensions():
 def test_verdict_invariant_under_unitary_conjugation():
     rng = np.random.default_rng(41)
     for mats, expect in [(a4_qutrit_triple(), True), (S3_LOCUS, False)]:
-        ks = KrausSet.from_matrices(mats)
+        ks = kraus_set(mats)
         base = check_extreme(ks)
         assert base.is_extreme == expect
         for _ in range(20):
             u, v = random_unitary(rng, 3), random_unitary(rng, 3)
-            moved = KrausSet.from_matrices([u @ m @ v.conj().T for m in ks.matrices])
+            moved = KrausSet(u @ ks.matrices @ v.conj().T)
             verdict = check_extreme(moved)
             assert verdict.is_extreme == base.is_extreme
             assert verdict.rank == base.rank
@@ -97,7 +93,7 @@ def test_verdict_invariant_under_unitary_conjugation():
 def test_verdict_invariant_under_kraus_mixing():
     rng = np.random.default_rng(42)
     for mats, expect in [(S3_GENERIC, True), (S3_LOCUS, False)]:
-        base = check_extreme(KrausSet.from_matrices(mats))
+        base = check_extreme(kraus_set(mats))
         assert base.is_extreme == expect
         for _ in range(20):
             w = random_unitary(rng, len(mats))
@@ -105,7 +101,7 @@ def test_verdict_invariant_under_kraus_mixing():
                 sum(w[j, k] * mats[k] for k in range(len(mats)))
                 for j in range(len(mats))
             ]
-            verdict = check_extreme(KrausSet.from_matrices(mixed))
+            verdict = check_extreme(kraus_set(mixed))
             assert verdict.is_extreme == base.is_extreme
             assert verdict.rank == base.rank
 
@@ -113,19 +109,19 @@ def test_verdict_invariant_under_kraus_mixing():
 def test_verdict_stable_under_tiny_perturbation():
     rng = np.random.default_rng(43)
     for mats in [S3_GENERIC, S3_LOCUS]:
-        base = check_extreme(KrausSet.from_matrices(mats))
+        base = check_extreme(kraus_set(mats))
         noise = [
             1e-12 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
             for _ in mats
         ]
-        bumped = KrausSet.from_matrices([m + n for m, n in zip(mats, noise)])
+        bumped = kraus_set([m + n for m, n in zip(mats, noise)])
         verdict = check_extreme(bumped)
         assert verdict.is_extreme == base.is_extreme
         assert verdict.rank == base.rank
 
 
 def test_too_many_kraus_reported_not_raised():
-    verdict = check_extreme(KrausSet.from_matrices(depolarizing_kraus(2)))
+    verdict = check_extreme(kraus_set(depolarizing_kraus(2)))
     assert not verdict.is_extreme
     assert "not generalized extreme" in verdict.reason
     assert verdict.rank <= 4 and verdict.expected_rank == 16
@@ -133,7 +129,7 @@ def test_too_many_kraus_reported_not_raised():
 
 def test_non_tp_input_rejected():
     with pytest.raises(NotTracePreserving):
-        check_extreme(KrausSet.from_matrices([0.5 * np.eye(2)]))
+        check_extreme(kraus_set([0.5 * np.eye(2)]))
 
 
 def test_sweep_localizes_s3_rank_drop():
@@ -150,7 +146,7 @@ def test_sweep_localizes_s3_rank_drop():
         assert abs(abs(alpha) ** 2 - 0.5) <= 1e-8
         assert abs(abs(beta) ** 2 - 0.5) <= 1e-8
         assert abs(abs(gamma) ** 2 - 0.25) <= 1e-8
-        verdict = check_extreme(KrausSet.from_matrices(family.kraus_at(c)))
+        verdict = check_extreme(kraus_set(family.kraus_at(c)))
         assert not verdict.is_extreme and verdict.rank == 3
 
 

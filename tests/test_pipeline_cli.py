@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from gcec.channels import KrausSet, kraus_to_dict, tp_residuals
+from gcec.channels import tp_residuals
 from gcec import classes as classes_module
 from gcec import cli
 from gcec.classes import LabelClasses
@@ -22,9 +22,7 @@ from gcec.pipeline import (
     classify_file,
     json_text,
     load_manifest,
-    manifest_to_dict,
     manifest_to_json,
-    record_to_dict,
     report,
     run_enumeration,
     save_manifest,
@@ -32,7 +30,7 @@ from gcec.pipeline import (
 from gcec.reps import enumerate_reps, materialize, omega_candidates
 from gcec.tp import solve_tp
 
-from fixtures import a4_qutrit_triple_alt_gauge, identity_kraus, s3_qutrit_family
+from fixtures import a4_qutrit_triple_alt_gauge, identity_kraus, kraus_dict, manifest_dict, record_dict, s3_qutrit_family
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +136,15 @@ def test_restricted_sweep_reproduces_full_records(z2_manifest, z2_restricted):
     ]
     assert len(expected) == len(z2_restricted.records)
     for full, sub in zip(expected, z2_restricted.records):
-        a = json.dumps(record_to_dict(full), sort_keys=True)
-        b = json.dumps(record_to_dict(sub), sort_keys=True)
+        a = json.dumps(record_dict(full), sort_keys=True)
+        b = json.dumps(record_dict(sub), sort_keys=True)
         assert a == b
+
+
+def test_repeated_rep_labels_sweep_each_once(z2_restricted):
+    repeated = run_enumeration("Z2", None, 2, reps=["q0+q1", "q0+q0", "q0+q1"])
+    assert repeated.options["reps"] == ["q0+q0", "q0+q1"]
+    assert manifest_to_json(repeated) == manifest_to_json(z2_restricted)
 
 
 def test_record_invariants(z2_manifest, a4_manifest):
@@ -206,7 +210,7 @@ def test_manifest_json_matches_stdlib(group, d, nonunitary_only):
     assert shapes and (d > 1 or shapes == {(1, 1)})
     if group == "SU2":  # several Kraus counts per manifest, up to K = d
         assert {K for K, _ in shapes} == {2, 3, 4}
-    assert manifest_to_json(manifest) == _stdlib_json(manifest_to_dict(manifest)) + "\n"
+    assert manifest_to_json(manifest) == _stdlib_json(manifest_dict(manifest)) + "\n"
 
 
 def test_hand_built_manifest_json_matches_stdlib(z2_manifest):
@@ -220,7 +224,7 @@ def test_hand_built_manifest_json_matches_stdlib(z2_manifest):
         total_instances=0,
         count_found=0,
     )
-    assert manifest_to_json(empty) == _stdlib_json(manifest_to_dict(empty)) + "\n"
+    assert manifest_to_json(empty) == _stdlib_json(manifest_dict(empty)) + "\n"
 
     found = [r for r in z2_manifest.records if r.residuals]
     odd = [
@@ -241,7 +245,7 @@ def test_hand_built_manifest_json_matches_stdlib(z2_manifest):
         records=odd,
     )
     text = manifest_to_json(manifest)
-    assert text == _stdlib_json(manifest_to_dict(manifest)) + "\n"
+    assert text == _stdlib_json(manifest_dict(manifest)) + "\n"
     assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "-0.0" in text
     assert "\\u00e9" in text and '\\"no\\"' in text
 
@@ -280,6 +284,21 @@ def test_malformed_residuals_are_schema_errors(tmp_path, capsys, z2_manifest, re
     assert capsys.readouterr().err.startswith("error: residuals must be empty")
 
 
+@pytest.mark.parametrize(
+    "record,key,value,command",
+    [(None, "tolerances", "ab", "report"), (None, "options", "ab", "report"),
+     (0, "moduli_constraints", "x = 1", "report"), (0, "kraus_samples", 5, "classify")],
+)
+def test_malformed_manifest_fields_are_schema_errors(tmp_path, capsys, z2_manifest, record, key, value, command):
+    path = tmp_path / "z2.json"
+    save_manifest(z2_manifest, path)
+    obj = json.loads(path.read_text())
+    (obj if record is None else obj["records"][record])[key] = value
+    path.write_text(json.dumps(obj))
+    assert main([command, "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key!r} must be a JSON ")
+
+
 def test_classify_file_on_manifest(tmp_path, a4_manifest):
     path = tmp_path / "a4.json"
     save_manifest(a4_manifest, path)
@@ -295,7 +314,7 @@ def test_classify_file_on_manifest(tmp_path, a4_manifest):
 
 def test_classify_file_payload_shapes(tmp_path):
     single = tmp_path / "single.json"
-    single.write_text(json.dumps(kraus_to_dict(KrausSet.from_matrices(identity_kraus(3)))))
+    single.write_text(json.dumps(kraus_dict(identity_kraus(3))))
     (only,) = classify_file(single)
     assert only["classification"] == "unitary" and only["K"] == 1
 
@@ -303,11 +322,9 @@ def test_classify_file_payload_shapes(tmp_path):
     mixed.write_text(
         json.dumps(
             [
-                kraus_to_dict(
-                    KrausSet.from_matrices(s3_qutrit_family(0.5**0.5, 0.5**0.5, 0.5))
-                ),
-                kraus_to_dict(KrausSet.from_matrices(a4_qutrit_triple_alt_gauge())),
-                kraus_to_dict(KrausSet.from_matrices([0.7 * np.eye(2)])),
+                kraus_dict(s3_qutrit_family(0.5**0.5, 0.5**0.5, 0.5)),
+                kraus_dict(a4_qutrit_triple_alt_gauge()),
+                kraus_dict([0.7 * np.eye(2)]),
             ]
         )
     )
@@ -318,11 +335,7 @@ def test_classify_file_payload_shapes(tmp_path):
     assert "NotTracePreserving" in broken["error"]
 
     wrapped = tmp_path / "wrapped.json"
-    wrapped.write_text(
-        json.dumps(
-            {"kraus_sets": [kraus_to_dict(KrausSet.from_matrices(identity_kraus(2)))]}
-        )
-    )
+    wrapped.write_text(json.dumps({"kraus_sets": [kraus_dict(identity_kraus(2))]}))
     (entry,) = classify_file(wrapped)
     assert entry["classification"] == "unitary"
 
@@ -415,7 +428,7 @@ def test_cli_json_outputs_match_stdlib(tmp_path, capsys, s3_manifest):
     manifest_path = tmp_path / "s3.json"
     save_manifest(s3_manifest, manifest_path)
     assert stdout_of(["report", "--in", str(manifest_path), "--format", "json"]) == (
-        _stdlib_json(manifest_to_dict(s3_manifest)) + "\n"
+        _stdlib_json(manifest_dict(s3_manifest)) + "\n"
     )
     verdict_path = tmp_path / "verdicts.json"
     stdout = stdout_of(["classify", "--in", str(manifest_path), "--out", str(verdict_path)])
@@ -447,7 +460,7 @@ def test_cli_run_text_report(capsys):
 
 def test_cli_classify_and_report(tmp_path, capsys):
     kraus_path = tmp_path / "id.json"
-    kraus_path.write_text(json.dumps(kraus_to_dict(KrausSet.from_matrices(identity_kraus(2)))))
+    kraus_path.write_text(json.dumps(kraus_dict(identity_kraus(2))))
     verdict_path = tmp_path / "verdicts.json"
     rc = main(["classify", "--in", str(kraus_path), "--out", str(verdict_path)])
     assert rc == 0
@@ -491,10 +504,10 @@ def _per_instance(group, d, nonunitary_only, seed=0):
                 tp = solve_tp(family, seed=[seed, omega.index, *r1.label.parts, 0xFFFFFFFF, *r2.label.parts])
                 classification = "not_applicable"
                 if tp.status == "solved":
-                    samples = [KrausSet.from_matrices(family.kraus_at(c)) for c in tp.solutions]
+                    samples = [family.kraus_at(c) for c in tp.solutions]
                     if omega.dim == 1:
                         classification = "unitary"
-                    elif all(extremality.test_extreme(s.matrices[None]).is_extreme for s in samples):
+                    elif all(extremality.test_extreme(s[None]).is_extreme for s in samples):
                         classification = "extreme"
                     else:
                         classification = "quasi_extreme"
@@ -542,7 +555,7 @@ def test_sub_sweep_without_representative_reproduces_full_records(z4_manifest):
     full = {(r.omega_index, r.d1_label.text, r.d2_label.text): r for r in z4_manifest.records}
     assert len(sub.records) == 4 * 4
     for r in sub.records:
-        assert record_to_dict(r) == record_to_dict(full[r.omega_index, r.d1_label.text, r.d2_label.text])
+        assert record_dict(r) == record_dict(full[r.omega_index, r.d1_label.text, r.d2_label.text])
 
 
 @pytest.mark.parametrize("scale,reason", [(1.0, "covariance residual"), (2.0, "NotTracePreserving")])
@@ -560,4 +573,4 @@ def test_failed_transport_is_an_error_not_solver_failed(monkeypatch, s3_manifest
             assert r.error.startswith("transport failed") and reason in r.error
             assert not r.kraus_samples and r.classification == "not_applicable" and not r.residuals
         else:
-            assert record_to_dict(r) == record_to_dict(ref)
+            assert record_dict(r) == record_dict(ref)

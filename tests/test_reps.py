@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gcec.classes import LabelClasses
 from gcec.errors import DimensionZero, UnknownIrrepIndex
@@ -56,6 +57,12 @@ def test_materialize_is_block_diagonal():
         assert np.allclose(mat[1:, 1:], two)
         assert np.linalg.norm(mat[0, 1:]) == 0.0
         assert np.linalg.norm(mat[1:, 0]) == 0.0
+    # three parts (1'+1''+3) with complex entries: bitwise scipy's block_diag
+    spec = props("A4", "discrete", 5).group
+    rep = materialize(spec, make_rep_label(spec, (3, 2, 1)))
+    for g_idx, mat in enumerate(rep.generator_matrices):
+        want = scipy.linalg.block_diag(*(spec.irrep_by_index(p).generator_matrices[g_idx] for p in (1, 2, 3)))
+        assert mat.dtype == want.dtype == np.complex128 and mat.tobytes() == want.tobytes()
 
 
 def test_materialized_reps_satisfy_relations():
