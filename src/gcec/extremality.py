@@ -15,7 +15,8 @@ Since quasi-extreme points form measure-zero loci inside solution
 families, random sampling alone cannot find them; :func:`sweep_family`
 therefore follows up with a local minimization of the smallest product
 singular value over the family's moduli/phase parameterization and reports
-the refined minimizers.
+the refined minimizers.  That search is the package's only use of scipy,
+which :func:`_refine_rank_drop` imports when it runs.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .channels import tp_residuals
 from .errors import NotTracePreserving
@@ -125,6 +124,9 @@ def _refine_rank_drop(
 ) -> list[np.ndarray]:
     """Minimize the relative K^2-th product singular value over the
     trace-preserving manifold in (moduli, phase) coordinates."""
+    import scipy.linalg
+    import scipy.optimize
+
     R, W = report.moduli_rows, report.decoupling
     n = family.n_params
     null = scipy.linalg.null_space(R)

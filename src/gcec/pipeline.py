@@ -266,7 +266,7 @@ def _solve_instance(
             record.status = "solver_failed"
             return record
         samples = [KrausSet(family.kraus_at(c)) for c in report.solutions]
-        _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, max(report.residuals))
+        _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp)
     except (GcecError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         record.status = "solver_failed"
@@ -278,10 +278,10 @@ def _solve_instance(
     return record
 
 
-def _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, tp=None) -> None:
+def _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp) -> None:
     """Fill a ``channel_found`` record from its samples with one batched rank
-    test and one batched covariance residual; ``tp`` is the TP residual, by
-    default the largest of the samples'."""
+    test and one batched covariance residual; its TP residual is the largest
+    of the samples'."""
     stack = np.stack([s.matrices for s in samples])
     test = test_extreme(stack, tol_rank, tol_tp=max(tol_tp, 1e-8))
     verdicts = [test.verdict(i) for i in range(len(samples))]  # raises at the first non-TP sample
@@ -290,7 +290,7 @@ def _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp, tp=None) 
     record.classification = _classification(stack.shape[1], verdicts)
     record.residuals = {
         "covariance": float(covariance_residual(stack, rep1, rep2, omega, kind).max()),
-        "tp": float(test.tp_residual.max()) if tp is None else tp,
+        "tp": float(test.tp_residual.max()),
         "rank_sigma_min": min(v.min_singular_value for v in verdicts),
     }
 
@@ -471,11 +471,23 @@ def _residuals_from(obj) -> dict:
     raise SchemaError(f"residuals must be empty or map {', '.join(_RESIDUAL_KEYS)} to real numbers, got {obj!r}")
 
 
-def _typed(obj: dict, key: str, kind: type, optional: bool = False):
-    """``obj[key]`` (empty if ``optional`` and absent), checked to be a ``kind``."""
-    value = obj.get(key, kind()) if optional else obj[key]
-    if not isinstance(value, kind):
-        raise SchemaError(f"{key!r} must be a JSON {'object' if kind is dict else 'array'}, got {value!r:.60}")
+# JSON type name -> the Python types json.load gives it (a bool is never a number)
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+    "string or null": (str, type(None)),
+}
+
+
+def _typed(obj: dict, key: str, json_type: str, default=...):
+    """``obj[key]`` (``default`` if given and absent), checked to be of
+    ``json_type``, a key of ``_JSON_TYPES``."""
+    value = obj[key] if default is ... else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[json_type]):
+        raise SchemaError(f"{key!r} must be a JSON {json_type}, got {value!r:.60}")
     return value
 
 
@@ -500,30 +512,31 @@ def manifest_from_dict(obj) -> RunManifest:
         for rec in obj["records"]:
             records.append(
                 ChannelRecord(
-                    group=rec["group"],
-                    d=rec["d"],
+                    group=_typed(rec, "group", "string"),
+                    d=_typed(rec, "d", "integer"),
                     d1_label=label(rec["d1_label"]),
                     d2_label=label(rec["d2_label"]),
-                    omega_index=rec["omega_index"],
-                    omega_label=rec["omega_label"],
-                    n_params=rec["n_params"],
-                    status=rec["status"],
+                    omega_index=_typed(rec, "omega_index", "integer"),
+                    omega_label=_typed(rec, "omega_label", "string"),
+                    n_params=_typed(rec, "n_params", "integer"),
+                    status=_typed(rec, "status", "string"),
                     kraus_samples=[kraus_from_dict(s) for s in rec["kraus_samples"]],
-                    moduli_constraints=list(_typed(rec, "moduli_constraints", list)),
-                    classification=rec["classification"],
+                    moduli_constraints=list(_typed(rec, "moduli_constraints", "array")),
+                    classification=_typed(rec, "classification", "string"),
                     residuals=_residuals_from(rec["residuals"]),
-                    error=rec.get("error"),
+                    error=_typed(rec, "error", "string or null", None),
                 )
             )
+        tolerances = _typed(obj, "tolerances", "object")
         return RunManifest(
             group=group,
             kind=kind,
             d=d,
-            tolerances=dict(_typed(obj, "tolerances", dict)),
-            seed=obj["seed"],
-            options=dict(_typed(obj, "options", dict, optional=True)),
-            total_instances=obj["total_instances"],
-            count_found=obj["count_found"],
+            tolerances={key: _typed(tolerances, key, "number") for key in tolerances},
+            seed=_typed(obj, "seed", "integer"),
+            options=dict(_typed(obj, "options", "object", {})),
+            total_instances=_typed(obj, "total_instances", "integer"),
+            count_found=_typed(obj, "count_found", "integer"),
             records=records,
         )
     except (KeyError, TypeError) as exc:
@@ -553,7 +566,7 @@ def _kraus_sets_in(obj) -> list[tuple[str, dict]]:
             for i, rec in enumerate(obj["records"]):
                 if not isinstance(rec, dict):
                     raise SchemaError(f"record {i} is not an object")
-                for j, item in enumerate(_typed(rec, "kraus_samples", list, optional=True)):
+                for j, item in enumerate(_typed(rec, "kraus_samples", "array", [])):
                     out.append((f"records[{i}].kraus_samples[{j}]", item))
             return out
     raise SchemaError(

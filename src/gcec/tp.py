@@ -15,35 +15,36 @@ Xi_pq(c) = c^dag M^(pq) c, which drives a three-stage strategy:
    vanishes structurally, so Xi(c) is diagonal for every c.  When the
    diagonal forms M^(pp) also commute they share an eigenbasis; in those
    decoupled coordinates u the constraints read R t = 1 with t_j = |u_j|^2,
-   a linear-programming problem, and the phases of u stay free.  Besides
-   the canonical vertex, six random-cost vertices are sought by one
-   block-diagonal LP (:func:`_vertex`); when rank(R) = n the polytope is the
-   canonical point alone and that LP is skipped, its costs still drawn so
-   the RNG stream is unchanged.  When that one point also has at most one
+   a linear-programming problem, and the phases of u stay free.  Every
+   vertex of that polytope is enumerated exactly (:func:`_vertices`); an
+   empty list certifies infeasibility.  The canonical solution sits at the
+   vertex of least t_1 + 2 t_2 + ... + n t_n, and the others mix all the
+   vertices with random weights and phases.  When the polytope is one point with at most one
    nonzero modulus, every random-phase mix of it gauges back to the
    canonical solution, so the canonical solution is returned alone without
-   mixing (no draw follows the linear path, so none changes).
+   mixing.
 3. Multi-start projection, for every other family (and, as a numerical
    safety net, for a free-phase family whose forms do not diagonalise or
-   whose canonical LP point misses ``tol_tp``).  Seeded random starts are
+   whose canonical vertex misses ``tol_tp``).  Seeded random starts are
    each landed on the trace-preserving set by alternating projection
    (:func:`_project`); failure to converge is reported as such, not as
    proof of infeasibility.
 
-The solution sampler reuses both halves: :func:`_vertex` and :func:`_mix`
-draw points of the moduli polytope with free phases, and :func:`_project`
-re-lands perturbed solutions of the nonlinear families.  :func:`_project`
-is the one landing map; the multi-start and the sampler differ on purpose
-in where they start, and in snapping, de-duplication, deadline and count.
+The solution sampler reuses both halves: :func:`_mix` draws points of the
+moduli polytope from all of its vertices, with free phases, and
+:func:`_project` re-lands perturbed solutions of the nonlinear families.
+:func:`_project` is the one landing map; the multi-start and the sampler
+differ on purpose in where they start, and in snapping, de-duplication,
+deadline and count.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channels import tp_residuals
 from .errors import EmptyManifold
@@ -55,6 +56,7 @@ MAX_SOLUTIONS = 8
 _STRUCT_TOL = 1e-12  # structural-zero decision for quadratic-form tensors
 _DIAG_TOL = 1e-10  # joint-diagonalization verification
 _CERT_SEED = 0x5EED  # fixed seed: certificates must not depend on user seed
+_MODULI_TOL = 1e-9  # rank, feasibility and duplicate tolerance of the moduli polytope
 
 
 @dataclass
@@ -70,7 +72,6 @@ class TpSolveReport:
 
     status: str  # "solved" | "no_solution" | "solver_failed"
     solutions: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
     moduli_rows: np.ndarray | None = None
     moduli_constraints: list = field(default_factory=list)
     decoupling: np.ndarray | None = None
@@ -208,27 +209,33 @@ def _constraint_strings(R: np.ndarray) -> list[str]:
     return seen
 
 
-def _vertex(R: np.ndarray, costs) -> list:
-    """Vertices of {t >= 0 : R t = 1} minimising each vector in ``costs``.
+def _vertices(R: np.ndarray) -> np.ndarray:
+    """Every vertex of {t >= 0 : R t = 1}, one per row; none when infeasible.
 
-    All costs go into one block-diagonal LP, kron(I, R), whose solution
-    splits into one vertex per cost: the LPs are independent, and one solver
-    call costs about what one small LP does.  Each entry is an array, or all
-    are "infeasible", or all None when the solver fails otherwise.
+    Each column of R sums to 1 (the trace of Xi is |u|^2), so sum_j t_j = d
+    and the polytope is bounded: it is the hull of its vertices, the basic
+    feasible solutions.  Every set of rank(R) columns with full column rank
+    is solved and kept when its solution is nonnegative and satisfies
+    R t = 1, so a call costs C(n, rank R) small solves; the most measured
+    is 252 (D4 d=6), and sweeps up to SO3 d=13 and SU2 d=9 need at most 165.
+    Rows of R can agree only up to roundoff, so every rank is read at
+    ``_MODULI_TOL``.  Vertices come in column-subset order, without
+    near-duplicates (a degenerate vertex solves several subsets).
     """
-    m, (rows, n) = len(costs), R.shape
-    res = linprog(
-        np.concatenate(costs),
-        A_eq=np.kron(np.eye(m), R),
-        b_eq=np.ones(m * rows),
-        bounds=[(0.0, None)] * (m * n),
-        method="highs",
-    )
-    if res.status == 2:
-        return ["infeasible"] * m
-    if res.status == 0:
-        return list(np.clip(res.x, 0.0, None).reshape(m, n))
-    return [None] * m
+    rows, n = R.shape
+    rank = np.linalg.matrix_rank(R, tol=_MODULI_TOL)
+    found: list[np.ndarray] = []
+    for cols in combinations(range(n), rank):
+        sub = R[:, cols]
+        if np.linalg.matrix_rank(sub, tol=_MODULI_TOL) < rank:
+            continue
+        t = np.zeros(n)
+        t[list(cols)] = np.linalg.lstsq(sub, np.ones(rows))[0]
+        if t.min() >= -1e-12 and np.abs(R @ t - 1.0).max() <= _MODULI_TOL:
+            t = np.clip(t, 0.0, None)
+            if not any(np.allclose(t, v, atol=_MODULI_TOL) for v in found):
+                found.append(t)
+    return np.array(found).reshape(-1, n)
 
 
 def _coeff_from_moduli(W: np.ndarray, t: np.ndarray, phases=None) -> np.ndarray:
@@ -238,12 +245,11 @@ def _coeff_from_moduli(W: np.ndarray, t: np.ndarray, phases=None) -> np.ndarray:
     return _gauge_phase(W @ u)
 
 
-def _mix(vertices: list[np.ndarray], W: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Coefficients at a random convex combination of moduli vertices, with
-    uniformly random phases of u (weights are drawn before phases)."""
+def _mix(vertices: np.ndarray, W: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Coefficients at a random convex combination of the moduli vertices
+    (rows), with uniformly random phases of u (weights drawn first)."""
     weights = rng.random(len(vertices))
-    weights /= weights.sum()
-    t = sum(w * v for w, v in zip(weights, vertices))
+    t = weights @ vertices / weights.sum()
     return _coeff_from_moduli(W, t, rng.uniform(0.0, 2.0 * np.pi, W.shape[1]))
 
 
@@ -286,9 +292,9 @@ def solve_tp(
 
 
 def _linear_path(family, W, R, tol_tp, rng):
-    """Solve a free-phase family over moduli; None when the LP solver fails
-    or the canonical point misses ``tol_tp`` (drawing nothing from ``rng``
-    first, so the multi-start sees the same stream)."""
+    """Solve a free-phase family over moduli; None when the canonical vertex
+    misses ``tol_tp`` (drawing nothing from ``rng`` first, so the
+    multi-start sees the same stream)."""
     n = family.n_params
 
     def lp_report(status: str, detail: str, **found) -> TpSolveReport:
@@ -301,47 +307,33 @@ def _linear_path(family, W, R, tol_tp, rng):
             **found,
         )
 
-    (canonical,) = _vertex(R, [np.arange(1.0, n + 1.0)])
-    if isinstance(canonical, str):  # infeasible
+    vertices = _vertices(R)
+    if not len(vertices):
         return lp_report("no_solution", "diagonal moduli constraints are infeasible")
-    if canonical is None:
-        return None
+    # The canonical vertex minimises t_1 + 2 t_2 + ... + n t_n; argmin gives
+    # a tie to the first vertex in subset order.
+    canonical = vertices[np.argmin(vertices @ np.arange(1.0, n + 1.0))]
     c0 = _coeff_from_moduli(W, canonical)
-    r0 = _tp_residual(c0, family)
-    if r0 > tol_tp:
+    if _tp_residual(c0, family) > tol_tp:
         return None
 
-    solutions, residuals = [c0], [r0]
-    # With rank(R) = n the polytope is the canonical point.
-    one_point = np.linalg.matrix_rank(R) == n
-    if one_point and np.count_nonzero(canonical) <= 1:
+    solutions = [c0]
+    if len(vertices) == 1 and np.count_nonzero(canonical) <= 1:
         # Every mix then has a single nonzero u_j, whose phase the gauge
         # turns back: each one is c0 again.
-        return lp_report("solved", "moduli linear program", solutions=solutions, residuals=residuals)
+        return lp_report("solved", "moduli linear program", solutions=solutions)
     keys = {_solution_key(c0)}
-    vertices = [canonical]
-    # The costs are drawn even when unused, so the RNG stream does not depend
-    # on the polytope.
-    costs = [rng.uniform(0.1, 1.0, n) for _ in range(6)]
-    if not one_point:
-        for v in _vertex(R, costs):
-            if isinstance(v, np.ndarray) and not any(
-                np.allclose(v, known, atol=1e-9) for known in vertices
-            ):
-                vertices.append(v)
     attempts = 0
     while len(solutions) < MAX_SOLUTIONS and attempts < 8 * MAX_SOLUTIONS:
         attempts += 1
         c = _mix(vertices, W, rng)
-        r = _tp_residual(c, family)
-        if r > tol_tp:
+        if _tp_residual(c, family) > tol_tp:
             continue
         key = _solution_key(c)
         if key not in keys:
             keys.add(key)
             solutions.append(c)
-            residuals.append(r)
-    return lp_report("solved", "moduli linear program", solutions=solutions, residuals=residuals)
+    return lp_report("solved", "moduli linear program", solutions=solutions)
 
 
 def _project(c: np.ndarray, family: KernelFamily, max_iter: int = 60):
@@ -377,7 +369,7 @@ def _snap(c: np.ndarray, family: KernelFamily, tol_tp: float):
 
 
 def _nonlinear_path(family, tol_tp, n_starts, rng, deadline):
-    solutions, residuals = [], []
+    solutions = []
     keys = set()
     timed_out = False
     for _ in range(n_starts):
@@ -394,14 +386,12 @@ def _nonlinear_path(family, tol_tp, n_starts, rng, deadline):
             if key not in keys:
                 keys.add(key)
                 solutions.append(c)
-                residuals.append(r)
             if len(solutions) >= MAX_SOLUTIONS:
                 break
     if solutions:
         return TpSolveReport(
             status="solved",
             solutions=solutions,
-            residuals=residuals,
             detail="multi-start projection",
         )
     return TpSolveReport(
@@ -420,16 +410,8 @@ def solution_sampler(family: KernelFamily, report: TpSolveReport, tol_tp: float 
     n = family.n_params
 
     if report.moduli_rows is not None:
-        R, W = report.moduli_rows, report.decoupling
-
-        def sampler(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-            costs = [rng.uniform(0.1, 1.0, n) for _ in range(max(6, count // 2))]
-            vertices = [v for v in _vertex(R, costs) if isinstance(v, np.ndarray)]
-            if not vertices:
-                vertices = [np.abs(np.asarray(report.solutions[0])) ** 2]
-            return [_mix(vertices, W, rng) for _ in range(count)]
-
-        return sampler
+        vertices, W = _vertices(report.moduli_rows), report.decoupling
+        return lambda rng, count: [_mix(vertices, W, rng) for _ in range(count)]
 
     base = [np.asarray(c, dtype=complex) for c in report.solutions]
 

@@ -285,11 +285,11 @@ def test_one_non_tp_sample_makes_a_transported_record_an_error(monkeypatch, s3_s
 
 def test_record_residuals_equal_the_per_sample_loop(s3_sweep):
     # A record's residuals come from one stack of its samples; each must
-    # equal the loop over the samples bit for bit (a transported record's
-    # "tp" included, which reuses the rank test's TP residuals).
+    # equal the loop over the samples bit for bit ("tp" included, which
+    # reuses the rank test's TP residuals, solved and transported alike).
     spec = props(s3_sweep.group, s3_sweep.kind, s3_sweep.d).group
     checked = 0
-    for r, moved in zip(s3_sweep.records, _transported(s3_sweep)):
+    for r in s3_sweep.records:
         if r.status != "channel_found":
             continue
         D1, D2 = materialize(spec, r.d1_label), materialize(spec, r.d2_label)
@@ -299,7 +299,6 @@ def test_record_residuals_equal_the_per_sample_loop(s3_sweep):
         assert r.residuals["covariance"] == max(
             float(covariance_residual(s.matrices, D1, D2, omega, "discrete")) for s in r.kraus_samples
         )
-        if moved:
-            assert r.residuals["tp"] == max(tp_residuals(s.matrices[None])[0] for s in r.kraus_samples)
-            checked += len(r.kraus_samples) > 1
+        assert r.residuals["tp"] == max(tp_residuals(s.matrices[None])[0] for s in r.kraus_samples)
+        checked += len(r.kraus_samples) > 1
     assert checked > 0

@@ -3,10 +3,16 @@
 import collections
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import gcec
 from gcec.channels import tp_residuals
 from gcec import classes as classes_module
 from gcec import cli
@@ -287,7 +293,11 @@ def test_malformed_residuals_are_schema_errors(tmp_path, capsys, z2_manifest, re
 @pytest.mark.parametrize(
     "record,key,value,command",
     [(None, "tolerances", "ab", "report"), (None, "options", "ab", "report"),
-     (0, "moduli_constraints", "x = 1", "report"), (0, "kraus_samples", 5, "classify")],
+     (0, "moduli_constraints", "x = 1", "report"), (0, "kraus_samples", 5, "classify"),
+     (0, "d", 2.0, "report"), (0, "omega_index", True, "report"), (0, "n_params", {}, "report"),
+     (0, "status", [1], "report"), (0, "omega_label", None, "report"),
+     (0, "classification", 3, "report"), (0, "error", 5, "report"), (0, "group", 5, "report"),
+     (None, "seed", [1], "report"), (None, "total_instances", None, "report"), (None, "count_found", "x", "report")],
 )
 def test_malformed_manifest_fields_are_schema_errors(tmp_path, capsys, z2_manifest, record, key, value, command):
     path = tmp_path / "z2.json"
@@ -297,6 +307,33 @@ def test_malformed_manifest_fields_are_schema_errors(tmp_path, capsys, z2_manife
     path.write_text(json.dumps(obj))
     assert main([command, "--in", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key!r} must be a JSON ")
+
+
+def test_non_numeric_tolerance_is_a_schema_error(tmp_path, capsys, z2_manifest):
+    path = tmp_path / "z2.json"
+    obj = json.loads(manifest_to_json(z2_manifest))
+    obj["tolerances"]["kernel"] = "x"
+    path.write_text(json.dumps(obj))
+    assert main(["report", "--format", "json", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: 'kernel' must be a JSON number")
+
+
+def test_cli_round_trip_imports_no_scipy(tmp_path):
+    # run, report and classify need numpy alone: with scipy made
+    # unimportable, each still exits 0.
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        from gcec.cli import main
+        path = sys.argv[1]
+        for argv in (["run", "--group", "S3", "--dim", "3", "--out", path], ["report", "--in", path],
+                     ["classify", "--in", path]):
+            assert main(argv) == 0, argv
+    """)
+    src = pathlib.Path(gcec.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s3.json")], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_classify_file_on_manifest(tmp_path, a4_manifest):

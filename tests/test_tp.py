@@ -4,14 +4,16 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from gcec.errors import EmptyManifold
 from gcec.groups import props
 from gcec.channels import tp_residuals
 from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace
+from gcec.pipeline import run_enumeration
 from gcec.reps import make_rep_label, materialize
 import gcec.tp as tp
-from gcec.tp import TpSolveReport, _offdiag_vanishes, _vertex, solution_sampler, solve_tp, xi_forms
+from gcec.tp import TpSolveReport, _offdiag_vanishes, _vertices, solution_sampler, solve_tp, xi_forms
 
 from fixtures import s3_qutrit_family
 
@@ -31,6 +33,10 @@ def _synthetic(columns, K, d):
 
 def _tp_residual(c, family):
     return tp_residuals(family.kraus_at(c)[None])[0]
+
+
+def _max_residual(report, family):
+    return max(_tp_residual(c, family) for c in report.solutions)
 
 
 def test_xi_is_quadratic_and_hermitian():
@@ -116,7 +122,7 @@ def test_zero_column_is_rank_deficient_before_any_lp(monkeypatch):
     )
     forms = xi_forms(family)
     assert _offdiag_vanishes(forms) and not np.any(forms[1, 1])
-    calls = _count_calls(monkeypatch, "_vertex")
+    calls = _count_calls(monkeypatch, "_vertices")
     report = solve_tp(family)
     assert report.status == "no_solution"
     assert "rank deficient" in report.detail
@@ -134,41 +140,88 @@ def test_generic_rank_certificate_without_zero_pattern():
 
 
 def _canonical(R):
-    return _vertex(R, [np.arange(1.0, R.shape[1] + 1.0)])[0]
+    vertices = _vertices(R)
+    return vertices[np.argmin(vertices @ np.arange(1.0, R.shape[1] + 1.0))]
 
 
 def test_one_point_polytope_needs_one_lp(monkeypatch):
+    # rank(R) = n: the polytope is one vertex, and one enumeration finds it
     family = _family("SO3", "lie", 3, 1, (1,), (1,))
     R = solve_tp(family).moduli_rows
     assert np.linalg.matrix_rank(R) == R.shape[1]
-    # every cost reaches the canonical vertex, so skipping these LPs loses nothing
-    canonical = _canonical(R)
-    rng = np.random.default_rng(35)
-    for _ in range(6):
-        (v,) = _vertex(R, [rng.uniform(0.1, 1.0, R.shape[1])])
-        assert np.allclose(v, canonical, atol=1e-9)
-    calls = _count_calls(monkeypatch, "_vertex")
+    assert len(_vertices(R)) == 1
+    calls = _count_calls(monkeypatch, "_vertices")
     assert solve_tp(family).status == "solved"
     assert len(calls) == 1
 
 
 def _mixed_solutions(family, report, seed):
-    """The canonical point followed by the 64-attempt mixing loop, as
-    ``_linear_path`` runs it on a one-point polytope."""
+    """The canonical point followed by the 64-attempt mixing loop over
+    every vertex, as ``_linear_path`` runs it."""
     R, W = report.moduli_rows, report.decoupling
     rng = np.random.default_rng(seed)
-    canonical = _canonical(R)
-    solutions = [tp._coeff_from_moduli(W, canonical)]
+    vertices = _vertices(R)
+    solutions = [tp._coeff_from_moduli(W, _canonical(R))]
     keys = {tp._solution_key(solutions[0])}
-    [rng.uniform(0.1, 1.0, family.n_params) for _ in range(6)]  # the unused vertex costs
     for _ in range(8 * tp.MAX_SOLUTIONS):
         if len(solutions) == tp.MAX_SOLUTIONS:
             break
-        c = tp._mix([canonical], W, rng)
+        c = tp._mix(vertices, W, rng)
         if tp._tp_residual(c, family) <= 1e-10 and tp._solution_key(c) not in keys:
             keys.add(tp._solution_key(c))
             solutions.append(c)
     return solutions
+
+
+BENCH_SWEEPS = [("SO3", 7, False), ("SU2", 5, False), ("Z2", 2, False), ("Z3", 1, False),
+                ("S3", 5, True), ("A4", 4, True), ("D5", 4, True), ("Z4", 3, False)]
+
+
+def test_vertices_match_highs_on_every_bench_polytope(monkeypatch):
+    # HiGHS is the reference: the least cost over the enumerated vertices is
+    # the LP optimum, for every moduli polytope the bench sweeps reach.
+    polytopes = {}
+    calls = _count_calls(monkeypatch, "_vertices")
+    for group, d, nonunitary_only in BENCH_SWEEPS:
+        run_enumeration(group, None, d, nonunitary_only=nonunitary_only)
+    for (R,) in calls:
+        polytopes.setdefault(R.tobytes(), R)
+    assert len(polytopes) > 50
+    rng = np.random.default_rng(37)
+    for R in polytopes.values():
+        vertices = _vertices(R)
+        for _ in range(6):
+            cost = rng.uniform(0.1, 1.0, R.shape[1])
+            lp = linprog(cost, A_eq=R, b_eq=np.ones(len(R)), bounds=(0.0, None), method="highs")
+            assert lp.status == 0
+            assert abs((vertices @ cost).min() - lp.fun) <= 1e-9
+
+
+def test_inconsistent_diagonal_rows_are_lp_infeasible():
+    # A = c diag(1, sqrt 2) / sqrt 3: the stack has rank 2, but Xi = |c|^2
+    # diag(1, 2) / 3 = 1 asks |c|^2 = 3 and |c|^2 = 3 / 2 at once.
+    family = _synthetic([np.diag([1.0, np.sqrt(2.0)]).astype(complex).reshape(-1) / np.sqrt(3.0)], 1, 2)
+    report = solve_tp(family)
+    assert report.status == "no_solution"
+    assert report.detail == "diagonal moduli constraints are infeasible"
+    assert report.moduli_constraints == ["0.333333|u1|^2 = 1", "0.666667|u1|^2 = 1"]
+    assert _vertices(report.moduli_rows).shape == (0, 1)
+
+
+def test_rows_equal_up_to_roundoff_span_a_segment():
+    # SO3 d=9, 1+3+5 -> 9 under the 7-dimensional irrep: every entry of R is
+    # 1/9 up to roundoff, so |u1|^2 + |u2|^2 = 9 is a segment with two
+    # vertices, not a point, and the record stores a full set of samples.
+    family = _family("SO3", "lie", 9, 3, (0, 1, 2), (4,))
+    R = solve_tp(family).moduli_rows
+    assert R.shape == (9, 2) and np.allclose(R, 1.0 / 9.0, atol=1e-14)
+    assert np.allclose(_vertices(R), [[9.0, 0.0], [0.0, 9.0]], atol=1e-9)
+    manifest = run_enumeration("SO3", "lie", 9, reps=["1+3+5", "9"], seed=7)
+    (record,) = [
+        r for r in manifest.records if (r.d1_label.text, r.d2_label.text, r.omega_index) == ("1+3+5", "9", 3)
+    ]
+    assert record.status == "channel_found" and record.classification == "extreme"
+    assert len(record.kraus_samples) == tp.MAX_SOLUTIONS
 
 
 def test_one_point_one_modulus_family_is_not_mixed(monkeypatch):
@@ -200,24 +253,6 @@ def test_one_point_two_moduli_family_is_still_mixed(monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
-def test_batched_lp_matches_individual_lps(monkeypatch):
-    family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
-    R = solve_tp(family).moduli_rows
-    assert np.linalg.matrix_rank(R) < R.shape[1]
-    rng = np.random.default_rng(36)
-    costs = [rng.uniform(0.1, 1.0, R.shape[1]) for _ in range(6)]
-    batched = _vertex(R, costs)
-    single = [_vertex(R, [c])[0] for c in costs]
-    assert len(batched) == 6
-    for a, b in zip(batched, single):
-        assert np.allclose(a, b, atol=1e-12)
-    # the costs reach more than one vertex: the polytope is not a point
-    assert any(not np.allclose(v, _canonical(R), atol=1e-9) for v in single)
-    calls = _count_calls(monkeypatch, "_vertex")
-    assert solve_tp(family).status == "solved"
-    assert len(calls) == 2
-
-
 def test_s3_family_solves_on_linear_path():
     family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
     report = solve_tp(family, seed=0)
@@ -225,7 +260,6 @@ def test_s3_family_solves_on_linear_path():
     assert report.moduli_rows is not None
     assert "linear program" in report.detail
     assert len(report.solutions) == 8
-    assert max(report.residuals) <= 1e-10
     for c in report.solutions:
         assert _tp_residual(c, family) <= 1e-10
 
@@ -279,7 +313,7 @@ def test_nonlinear_fallback_on_noncommuting_diagonal_forms():
     report = solve_tp(family, seed=2)
     assert report.status == "solved"
     assert report.detail == "multi-start projection"
-    assert max(report.residuals) <= 1e-10
+    assert _max_residual(report, family) <= 1e-10
     # the only TP points are the two unitary axes of the span
     for c in report.solutions:
         assert min(abs(c[0]), abs(c[1])) <= 1e-6
@@ -294,14 +328,13 @@ def test_offdiagonal_family_goes_straight_to_multistart(monkeypatch):
         [np.eye(2, dtype=complex).reshape(-1) / np.sqrt(2), sx.reshape(-1) / np.sqrt(2)],
         1, 2,
     )
-    vertex_calls = _count_calls(monkeypatch, "_vertex")
+    vertex_calls = _count_calls(monkeypatch, "_vertices")
     diag_calls = _count_calls(monkeypatch, "_joint_diagonalizer")
     report = solve_tp(family, seed=7)
     assert report.status == "solved"
     assert report.detail == "multi-start projection"
     assert report.moduli_rows is None
-    assert max(report.residuals) <= 1e-12
-    assert _tp_residual(report.solutions[0], family) <= 1e-12
+    assert _max_residual(report, family) <= 1e-12
     assert len(vertex_calls) == 0
     assert len(diag_calls) == 0
 
