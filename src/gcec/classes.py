@@ -1,49 +1,81 @@
 """Label classes of a finite-group sweep, and transport between their members.
 
-Two moves map an instance (D1, D2, Omega) to an equivalent one:
+Three moves map an instance (D1, D2, Omega) to an equivalent one:
 
 * twist by 1-dimensional characters chi_s, chi_t:
   (D1 chi_s, D2 chi_t, Omega chi_s conj(chi_t)), since
   (D2 chi_t)^dag A (D1 chi_s) = chi_s conj(chi_t) D2^dag A D1;
-* conjugation: (conj D1, conj D2, conj Omega), with conj(A_k) as Kraus set.
+* conjugation: (conj D1, conj D2, conj Omega), with conj(A_k) as Kraus set;
+* an automorphism alpha of the group: (D1 o alpha, D2 o alpha,
+  Omega o alpha), with the same Kraus set, since the covariance relation
+  D2(g)^dag A_k D1(g) = sum_l Omega(g)_kl A_l holds at every element g,
+  hence at alpha(g).
 
-Both act on labels through irrep permutations read off the character table:
-twisting by chi_s sends irrep p to the irrep whose character is chi_p chi_s,
-conjugation to the one whose character is conj(chi_p).  Characters are
-matched within ``_CHAR_TOL`` (Zn characters carry roundoff, such as Z2's
+All three act on labels through irrep permutations read off the character
+table: twisting by chi_s sends irrep p to the irrep whose character is
+chi_p chi_s, conjugation to the one whose character is conj(chi_p), and
+alpha to the one whose character is chi_p o alpha.  Characters are matched
+within ``_CHAR_TOL`` (Zn characters carry roundoff, such as Z2's
 -1 + 1.2e-16j) and each must match exactly one irrep.  The moves form a
-group; each element is an optional conjugation followed by one twist,
-written :class:`Move` (s, t, c).  A *class* is an orbit of that group, and
-its representative is its least instance in sweep order (Omega index, D1
-parts, D2 parts).
+group; each element is an automorphism, then an optional conjugation, then
+one twist, written :class:`Move` (s, t, conj, aut).  A *class* is an orbit
+of that group, and its representative is its least instance in sweep order
+(Omega index, D1 parts, D2 parts).
+
+Automorphisms.  The search runs on the group the spec's irreps see: for a
+spec restricted to irreps of dimension <= d, :func:`gcec.groups.element_words`
+enumerates G/N, with N the common kernel of the kept irreps, and every kept
+irrep factors through G/N, so the automorphisms of G/N are the ones to
+find.  A candidate picks one element of G/N per generator.  It is an
+automorphism when the images satisfy ``spec.relations`` (so they define a
+homomorphism from G) and map the element words one to one (so it is onto
+G/N; then each rho_p o alpha is an irreducible representation of dimension
+dim rho_p <= d, hence kept, and N lies in the kernel).  Both checks are
+lookups in the Cayley table of G/N (:func:`gcec.groups.cayley_table`).  The
+twists and conjugation form a normal subgroup of the moves
+(alpha^-1 twist_s alpha is the twist by chi_s o alpha, and conjugation
+commutes with alpha), so one automorphism per coset is enough: an
+automorphism is kept when its irrep permutation is neither the identity or
+conjugation (inner automorphisms fix every character) nor that of a kept one
+or of a kept one composed with conjugation.  No automorphism is kept on Z2,
+Z3, Z4, S3 or A4; on D5 one is, swapping 2_1 and 2_2.
 
 Transport.  Write B_k = conj(A_k) when the move conjugates and A_k
-otherwise, and M1 = c(D1) chi_s, M2 = c(D2) chi_t and M = c(Omega) chi_s
-conj(chi_t) for the moved representations.  For unitaries P, R and Q with
-P^dag M1 P = D1', R^dag M2 R = D2' and Q^dag M Q = Omega', the member's
-Kraus operators
+otherwise, and M1 = c(D1 o alpha) chi_s, M2 = c(D2 o alpha) chi_t and
+M = c(Omega o alpha) chi_s conj(chi_t) for the moved representations
+(alpha the identity when the move has no automorphism).  The
+representative's relation at alpha(g), conjugated when c and multiplied by
+chi_s conj(chi_t), reads M2^dag B_k M1 = sum_l M_kl B_l at g: the
+automorphism moves the representations and leaves B_k as it is.  For
+unitaries P, R and Q with P^dag M1 P = D1', R^dag M2 R = D2' and
+Q^dag M Q = Omega', the member's Kraus operators
 
     A'_j = sum_k conj(Q_kj) R^dag B_k P
 
-satisfy D2'^dag A'_j D1' = sum_l Omega'_jl A'_l (because
-M2^dag B_k M1 = sum_l M_kl B_l) and sum_j A'_j^dag A'_j =
+satisfy D2'^dag A'_j D1' = sum_l Omega'_jl A'_l and sum_j A'_j^dag A'_j =
 P^dag (sum_k B_k^dag B_k) P = 1.  The Kraus products A'_i^dag A'_j are a
 unitary recombination of the P^dag B_k^dag B_l P, so the singular values of
 the product stack, and with them the rank test, carry over too.  Each of
 P, R and Q is a block permutation of one unitary per irrep part
-(:func:`gcec.kernels.intertwiner`), placed by the canonical sort of the
-moved parts.
+(:func:`gcec.kernels.intertwiner`, with rho o alpha at generator g read as
+:func:`gcec.groups.word_matrix` of rho at alpha's word for g), placed by the
+canonical sort of the moved parts.
+
+Orbits.  Each label (a D's parts, or an Omega) gets a table of its images
+under every (automorphism, conjugation, twist) the first time it is seen,
+so an orbit is read by lookups alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import KrausSet
 from .errors import GcecError
-from .groups import GroupSpec, character_table
+from .groups import GroupSpec, Word, cayley_table, character_table, element_words, word_matrix
 from .kernels import intertwiner
 
 _CHAR_TOL = 1e-8  # characters are sums of roots of unity; roundoff is ~1e-15
@@ -51,30 +83,60 @@ _CHAR_TOL = 1e-8  # characters are sums of roots of unity; roundoff is ~1e-15
 
 @dataclass(frozen=True)
 class Move:
-    """Conjugate when ``conj``, then twist D1 by the 1-dim irrep ``s``, D2
-    by ``t`` and Omega by ``u``, the irrep whose character is
-    chi_s conj(chi_t)."""
+    """Apply the automorphism ``aut`` (an index into
+    ``LabelClasses.aut_words``, 0 for the identity), conjugate when
+    ``conj``, then twist D1 by the 1-dim irrep ``s``, D2 by ``t`` and Omega
+    by ``u``, the irrep whose character is chi_s conj(chi_t)."""
 
     s: int
     t: int
     u: int
     conj: bool
+    aut: int
 
 
 Instance = tuple  # (Omega index, D1 parts, D2 parts): compares in sweep order
+
+
+def _automorphisms(spec: GroupSpec, words: list[Word], table: np.ndarray) -> list[tuple]:
+    """Every automorphism of G/N (see the module docstring), in the order of
+    its generator images, as (one element word per generator, the position
+    in ``spec.irreps`` of the irrep each irrep's character moves to)."""
+    n, m = len(words), spec.num_generators
+    mult = cayley_table(spec, words)
+    images = np.array(list(itertools.product(range(n), repeat=m)), dtype=int).reshape(-1, m)
+
+    def image(word: Word, x: np.ndarray) -> np.ndarray:  # each row's alpha(word); words[0] = ()
+        at = np.zeros(len(x), dtype=int)
+        for g in word:
+            at = mult[at, x[:, g]]
+        return at
+
+    for lhs, rhs in spec.relations:
+        images = images[image(lhs, images) == image(rhs, images)]
+    of_words = np.stack([image(w, images) for w in words], axis=1)
+    onto = (np.sort(of_words, axis=1) == np.arange(n)).all(axis=1)
+    out = []
+    for x, row in zip(images[onto], of_words[onto]):
+        hits = np.abs(table[:, None, :] - table[None, :, row]).max(axis=-1) <= _CHAR_TOL  # [q, p]
+        if not (hits.sum(axis=0) == 1).all():
+            raise GcecError(f"{spec.name}: a character moved by an automorphism matches no single irrep")
+        out.append((tuple(words[i] for i in x), tuple(hits.argmax(axis=0).tolist())))
+    return out
 
 
 class LabelClasses:
     """The classes of one sweep's instances and the transport between them.
 
     ``tol_kernel`` and ``cache`` go to the intertwiner solves; every
-    intertwiner and placement is computed once per object.
+    intertwiner, placement and label table is computed once per object.
     """
 
     def __init__(self, spec: GroupSpec, tol_kernel: float, cache: dict):
         self.tol_kernel, self.cache = tol_kernel, cache
         self.irreps = {ir.index: ir for ir in spec.irreps}
-        table = np.asarray(character_table(spec))
+        words = element_words(spec)
+        table = np.asarray(character_table(spec, words))
         chi = {ir.index: row for ir, row in zip(spec.irreps, table)}
 
         def match(target) -> int:
@@ -86,82 +148,116 @@ class LabelClasses:
         chars = [p for p, ir in self.irreps.items() if ir.dim == 1]
         self.conj_of = {p: match(row.conj()) for p, row in chi.items()}
         self.twist_of = {s: {p: match(row * chi[s]) for p, row in chi.items()} for s in chars}
+
+        # aut_of[a] maps each irrep to its image under automorphism a, a = 0
+        # the identity; one automorphism is kept per coset of the twists and
+        # conjugation (module docstring), as positions in spec.irreps
+        index = [ir.index for ir in spec.irreps]
+        conj_perm = tuple(index.index(self.conj_of[p]) for p in index)
+        covered = {tuple(range(len(index))), conj_perm}
+        self.aut_words: list[tuple[Word, ...] | None] = [None]
+        self.aut_of = [{p: p for p in index}]
+        for gen_words, perm in _automorphisms(spec, words, table):
+            if perm not in covered:
+                covered |= {perm, tuple(conj_perm[i] for i in perm)}
+                self.aut_words.append(gen_words)
+                self.aut_of.append({p: index[i] for p, i in zip(index, perm)})
+
         self.moves = [
-            Move(s, t, self.twist_of[s][self.conj_of[t]], conj)
+            Move(s, t, self.twist_of[s][self.conj_of[t]], conj, aut)
+            for aut in range(len(self.aut_of))
             for conj in (False, True)
             for s in chars
             for t in chars
         ]
+        self._sides = [(a, c, s) for a in range(len(self.aut_of)) for c in (False, True) for s in chars]
+        side = {key: i for i, key in enumerate(self._sides)}
+        self._move_sides = [
+            (side[m.aut, m.conj, m.u], side[m.aut, m.conj, m.s], side[m.aut, m.conj, m.t]) for m in self.moves
+        ]
+        self._tables: dict = {}
         self._of: dict[Instance, tuple[Instance, Move | None]] = {}
         self._unitaries: dict = {}
         self._placements: dict = {}
 
-    def irrep_image(self, p: int, twist: int, conj: bool) -> int:
-        """The irrep equivalent to conj^c(rho_p) chi_twist."""
-        return self.twist_of[twist][self.conj_of[p] if conj else p]
+    def irrep_image(self, p: int, twist: int, conj: bool, aut: int = 0) -> int:
+        """The irrep equivalent to conj^c(rho_p o alpha_aut) chi_twist."""
+        q = self.aut_of[aut][p]
+        return self.twist_of[twist][self.conj_of[q] if conj else q]
 
-    def parts_image(self, parts: tuple, twist: int, conj: bool) -> tuple:
+    def parts_image(self, parts: tuple, twist: int, conj: bool, aut: int = 0) -> tuple:
         """The canonical parts of the representation equivalent to
-        conj^c(D) chi_twist."""
-        return tuple(sorted((self.irrep_image(p, twist, conj) for p in parts), key=self._canonical))
+        conj^c(D o alpha_aut) chi_twist."""
+        return tuple(sorted((self.irrep_image(p, twist, conj, aut) for p in parts), key=self._canonical))
 
     def _canonical(self, p: int) -> tuple[int, int]:
         """Sort key of the canonical part order (``reps.make_rep_label``)."""
         return self.irreps[p].dim, p
 
-    def apply(self, move: Move, inst: Instance) -> Instance:
-        """The instance ``move`` maps ``inst`` to."""
+    def _table(self, label, image) -> tuple:
+        """``label``'s images under every (automorphism, conjugation,
+        twist), computed the first time it is asked for."""
+        if label not in self._tables:
+            self._tables[label] = tuple(image(label, s, c, a) for a, c, s in self._sides)
+        return self._tables[label]
+
+    def _orbit(self, inst: Instance) -> list[Instance]:
+        """The images of ``inst`` under ``self.moves``, in order."""
         omega, parts1, parts2 = inst
-        return (
-            self.irrep_image(omega, move.u, move.conj),
-            self.parts_image(parts1, move.s, move.conj),
-            self.parts_image(parts2, move.t, move.conj),
-        )
+        om = self._table(omega, self.irrep_image)
+        d1, d2 = self._table(parts1, self.parts_image), self._table(parts2, self.parts_image)
+        return [(om[i], d1[j], d2[k]) for i, j, k in self._move_sides]
 
     def representative(self, inst: Instance) -> tuple[Instance, Move | None]:
         """(least instance of the class, the first move that maps it to
         ``inst``); the move is None when ``inst`` is the representative.
         The whole class is assigned when its first instance is asked for."""
         if inst not in self._of:
-            rep = min(self.apply(m, inst) for m in self.moves)
+            rep = min(self._orbit(inst))
             self._of[rep] = (rep, None)
-            for m in self.moves:
-                self._of.setdefault(self.apply(m, rep), (rep, m))
+            for m, image in zip(self.moves, self._orbit(rep)):
+                self._of.setdefault(image, (rep, m))
         return self._of[inst]
 
-    def unitary(self, p: int, twist: int, conj: bool) -> np.ndarray:
-        """T with T^dag (conj^c(rho_p) chi_twist) T = rho_p' for the image p'.
+    def _generators(self, p: int, aut: int) -> tuple:
+        """The generator matrices of rho_p o alpha_aut."""
+        ir = self.irreps[p]
+        if aut == 0:
+            return ir.generator_matrices
+        return tuple(word_matrix(ir, w) for w in self.aut_words[aut])
+
+    def unitary(self, p: int, twist: int, conj: bool, aut: int = 0) -> np.ndarray:
+        """T with T^dag (conj^c(rho_p o alpha_aut) chi_twist) T = rho_p' for
+        the image p'.
 
         A 1-dim part takes T = 1 and a part whose moved generators equal the
         image's takes the identity, without a kernel solve."""
-        key = (p, twist, conj)
+        key = (p, twist, conj, aut)
         if key not in self._unitaries:
-            ir, image = self.irreps[p], self.irreps[self.irrep_image(p, twist, conj)]
+            ir, image = self.irreps[p], self.irreps[self.irrep_image(p, twist, conj, aut)]
             chi = self.irreps[twist].generator_matrices
-            moved = tuple(
-                (g.conj() if conj else g) * z[0, 0] for g, z in zip(ir.generator_matrices, chi)
-            )
+            moved = tuple((g.conj() if conj else g) * z[0, 0] for g, z in zip(self._generators(p, aut), chi))
             if ir.dim == 1 or all(np.array_equal(a, b) for a, b in zip(moved, image.generator_matrices)):
                 self._unitaries[key] = np.eye(ir.dim, dtype=complex)
             else:
                 self._unitaries[key] = intertwiner(image.generator_matrices, moved, self.tol_kernel, self.cache)
         return self._unitaries[key]
 
-    def placement(self, parts: tuple, twist: int, conj: bool) -> np.ndarray:
-        """Unitary P with P^dag (conj^c(D) chi_twist) P = D' for the
-        representation D with these parts and its image D': the part at
+    def placement(self, parts: tuple, twist: int, conj: bool, aut: int = 0) -> np.ndarray:
+        """Unitary P with P^dag (conj^c(D o alpha_aut) chi_twist) P = D' for
+        the representation D with these parts and its image D': the part at
         canonical position j of D' takes the unitary of the moved part
         that sorts there, equal parts keeping their order."""
-        key = (parts, twist, conj)
+        key = (parts, twist, conj, aut)
         if key not in self._placements:
             dims = [self.irreps[p].dim for p in parts]
             starts = np.cumsum([0] + dims)
-            moved = [self.irrep_image(p, twist, conj) for p in parts]
+            moved = [self.irrep_image(p, twist, conj, aut) for p in parts]
             order = sorted(range(len(parts)), key=lambda i: self._canonical(moved[i]))
             out = np.zeros((starts[-1], starts[-1]), dtype=complex)
             at = 0
             for i in order:
-                out[starts[i] : starts[i + 1], at : at + dims[i]] = self.unitary(parts[i], twist, conj)
+                out[starts[i] : starts[i + 1], at : at + dims[i]] = self.unitary(parts[i], twist, conj, aut)
                 at += dims[i]
             self._placements[key] = out
         return self._placements[key]
@@ -170,8 +266,8 @@ class LabelClasses:
         """The Kraus set of the instance ``move`` maps ``rep`` to:
         A'_j = sum_k conj(Q_kj) R^dag B_k P (see the module docstring)."""
         omega, parts1, parts2 = rep
-        P = self.placement(parts1, move.s, move.conj)
-        R = self.placement(parts2, move.t, move.conj)
-        Q = self.placement((omega,), move.u, move.conj)
+        P = self.placement(parts1, move.s, move.conj, move.aut)
+        R = self.placement(parts2, move.t, move.conj, move.aut)
+        Q = self.placement((omega,), move.u, move.conj, move.aut)
         B = kraus.matrices.conj() if move.conj else kraus.matrices
         return KrausSet(matrices=np.einsum("kj,kab->jab", Q.conj(), R.conj().T @ B @ P))

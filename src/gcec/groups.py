@@ -344,6 +344,11 @@ def word_matrix(irrep: Irrep, word: Word) -> np.ndarray:
     return out
 
 
+def _element_key(mat: np.ndarray) -> bytes:
+    """Fingerprint of a group element from its direct-sum matrix."""
+    return (np.round(mat, 9) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
+
+
 def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
     """One representative word per element of G/N, by closure of the generators.
 
@@ -358,19 +363,15 @@ def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
     if spec.kind != "discrete":
         raise UnknownGroup(f"element enumeration needs a finite group, not {spec.name}")
     gens = [direct_sum(spec.irreps, g) for g in range(spec.num_generators)]
-
-    def key(mat: np.ndarray) -> bytes:
-        return (np.round(mat, 9) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
-
     total = sum(ir.dim for ir in spec.irreps)
-    seen = {key(np.eye(total, dtype=complex)): ()}
+    seen = {_element_key(np.eye(total, dtype=complex)): ()}
     frontier: list[tuple[Word, np.ndarray]] = [((), np.eye(total, dtype=complex))]
     while frontier:
         new_frontier = []
         for word, mat in frontier:
             for g, gen in enumerate(gens):
                 nxt = mat @ gen
-                k = key(nxt)
+                k = _element_key(nxt)
                 if k not in seen:
                     seen[k] = word + (g,)
                     new_frontier.append((word + (g,), nxt))
@@ -382,8 +383,34 @@ def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
     return sorted(seen.values(), key=lambda w: (len(w), w))
 
 
-def character_table(spec: GroupSpec) -> np.ndarray:
-    """Characters chi_i(g) over :func:`element_words`, shape (num_irreps, |G/N|).
+def cayley_table(spec: GroupSpec, words: list[Word]) -> np.ndarray:
+    """Multiplication table of G/N over ``words``, the spec's
+    :func:`element_words`: entry [i, j] is the index of the element
+    words[i] words[j].
+
+    Each word's matrix is its prefix's times one generator, the product
+    :func:`element_words` formed, so each fingerprint is found again; the
+    table is then read by folding each word's generators over the
+    right-multiplication table.
+    """
+    gens = [direct_sum(spec.irreps, g) for g in range(spec.num_generators)]
+    mats = {(): np.eye(sum(ir.dim for ir in spec.irreps), dtype=complex)}
+    for w in words[1:]:  # sorted by length, so each prefix comes first
+        mats[w] = mats[w[:-1]] @ gens[w[-1]]
+    index = {_element_key(mats[w]): i for i, w in enumerate(words)}
+    right = np.array([[index[_element_key(mats[w] @ gen)] for gen in gens] for w in words])
+    table = np.empty((len(words), len(words)), dtype=int)
+    for j, w in enumerate(words):
+        col = np.arange(len(words))
+        for g in w:
+            col = right[col, g]
+        table[:, j] = col
+    return table
+
+
+def character_table(spec: GroupSpec, words: list[Word] | None = None) -> np.ndarray:
+    """Characters chi_i(g) over ``words`` (by default :func:`element_words`),
+    shape (num_irreps, |G/N|).
 
     N is the common kernel of the spec's irreps (trivial for a full catalog
     spec, see :func:`element_words`).  Every kept irrep is constant on the
@@ -391,7 +418,8 @@ def character_table(spec: GroupSpec) -> np.ndarray:
     (1/|G/N|) sum_g chi_i(g) conj(chi_j(g)), and character inner products
     among the kept irreps are those of G.
     """
-    words = element_words(spec)
+    if words is None:
+        words = element_words(spec)
     return np.array(
         [[np.trace(word_matrix(ir, w)) for w in words] for ir in spec.irreps]
     )

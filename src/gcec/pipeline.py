@@ -11,14 +11,15 @@ differently, which reaches the stored digits of some Lie-group sweeps, such
 as SO3 d=9).
 
 For finite groups the instances fall into label classes
-(:mod:`gcec.classes`): twisting by 1-dimensional characters and complex
-conjugation map an instance to an equivalent one.  Only the least instance
-of each class in sweep order, its representative, is solved.  Every other
-member takes the representative's ``n_params``, status, error and moduli
-constraints, and the representative's samples moved to it by intertwiners;
-each moved sample is re-checked for covariance against the member's own
-representations and for trace preservation, and its rank test is run
-again.  Lie-group sweeps solve every instance.
+(:mod:`gcec.classes`): twisting by 1-dimensional characters, complex
+conjugation and group automorphisms map an instance to an equivalent one.
+Only the least instance of each class in sweep order, its representative,
+is solved.  Every other member takes the representative's ``n_params``,
+status, error and moduli constraints, and the representative's samples
+moved to it by intertwiners; each moved sample is re-checked for
+covariance against the member's own representations and for trace
+preservation, and its rank test is run again.  Lie-group sweeps solve
+every instance.
 
 Checks run on stacks of same-shape Kraus sets: a record's samples get one
 batched rank test and one batched covariance residual, and
@@ -471,14 +472,24 @@ def _residuals_from(obj) -> dict:
     raise SchemaError(f"residuals must be empty or map {', '.join(_RESIDUAL_KEYS)} to real numbers, got {obj!r}")
 
 
-# JSON type name -> the Python types json.load gives it (a bool is never a number)
+# JSON type name -> whether a value json.load gives is of it (a bool is never a number)
 _JSON_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-    "string or null": (str, type(None)),
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "string or null": lambda v: v is None or isinstance(v, str),
+    "array of strings or null": lambda v: v is None or (isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+
+# run_enumeration option -> the JSON type of the value it writes
+_OPTION_TYPES = {
+    "n_starts": "integer",
+    "nonunitary_only": "boolean",
+    "reps": "array of strings or null",
+    "time_budget": "number",
 }
 
 
@@ -486,7 +497,7 @@ def _typed(obj: dict, key: str, json_type: str, default=...):
     """``obj[key]`` (``default`` if given and absent), checked to be of
     ``json_type``, a key of ``_JSON_TYPES``."""
     value = obj[key] if default is ... else obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[json_type]):
+    if not _JSON_TYPES[json_type](value):
         raise SchemaError(f"{key!r} must be a JSON {json_type}, got {value!r:.60}")
     return value
 
@@ -528,13 +539,17 @@ def manifest_from_dict(obj) -> RunManifest:
                 )
             )
         tolerances = _typed(obj, "tolerances", "object")
+        options = _typed(obj, "options", "object", {})
+        for key, json_type in _OPTION_TYPES.items():
+            if key in options:
+                _typed(options, key, json_type)
         return RunManifest(
             group=group,
             kind=kind,
             d=d,
             tolerances={key: _typed(tolerances, key, "number") for key in tolerances},
             seed=_typed(obj, "seed", "integer"),
-            options=dict(_typed(obj, "options", "object", {})),
+            options=dict(options),
             total_instances=_typed(obj, "total_instances", "integer"),
             count_found=_typed(obj, "count_found", "integer"),
             records=records,

@@ -18,11 +18,12 @@ Xi_pq(c) = c^dag M^(pq) c, which drives a three-stage strategy:
    a linear-programming problem, and the phases of u stay free.  Every
    vertex of that polytope is enumerated exactly (:func:`_vertices`); an
    empty list certifies infeasibility.  The canonical solution sits at the
-   vertex of least t_1 + 2 t_2 + ... + n t_n, and the others mix all the
-   vertices with random weights and phases.  When the polytope is one point with at most one
-   nonzero modulus, every random-phase mix of it gauges back to the
-   canonical solution, so the canonical solution is returned alone without
-   mixing.
+   vertex of least t_1 + 2 t_2 + ... + n t_n among those that pass the
+   rank test (among all when none does), and the others mix all the
+   vertices with random weights and phases.  When the polytope is one
+   point with at most one nonzero modulus, every random-phase mix of it
+   gauges back to the canonical solution, so the canonical solution is
+   returned alone without mixing.
 3. Multi-start projection, for every other family (and, as a numerical
    safety net, for a free-phase family whose forms do not diagonalise or
    whose canonical vertex misses ``tol_tp``).  Seeded random starts are
@@ -291,6 +292,27 @@ def solve_tp(
     return _nonlinear_path(family, tol_tp, n_starts, rng, deadline)
 
 
+def _canonical_vertex(family: KernelFamily, W: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """The vertex of least t_1 + 2 t_2 + ... + n t_n among those whose
+    point (all phases 0) passes the rank test, or among all vertices when
+    none does; a tie goes to the first vertex in subset order.
+
+    Two families that a label move maps onto each other (:mod:`gcec.classes`)
+    have the same polytope with the decoupled coordinates in another order,
+    so the least-cost vertex of one can fail the rank test where the
+    other's passes.  Preferring a passing vertex gives both the same
+    classification.
+    """
+    from .extremality import test_extreme  # extremality imports this module
+
+    cost = vertices @ np.arange(1.0, family.n_params + 1.0)
+    if len(vertices) == 1 or family.K > family.d:  # K > d never passes
+        return vertices[np.argmin(cost)]
+    stack = np.stack([family.kraus_at(_coeff_from_moduli(W, v)) for v in vertices])
+    fails = test_extreme(stack).rank != family.K**2
+    return vertices[min(range(len(vertices)), key=lambda i: (fails[i], cost[i]))]
+
+
 def _linear_path(family, W, R, tol_tp, rng):
     """Solve a free-phase family over moduli; None when the canonical vertex
     misses ``tol_tp`` (drawing nothing from ``rng`` first, so the
@@ -310,9 +332,7 @@ def _linear_path(family, W, R, tol_tp, rng):
     vertices = _vertices(R)
     if not len(vertices):
         return lp_report("no_solution", "diagonal moduli constraints are infeasible")
-    # The canonical vertex minimises t_1 + 2 t_2 + ... + n t_n; argmin gives
-    # a tie to the first vertex in subset order.
-    canonical = vertices[np.argmin(vertices @ np.arange(1.0, n + 1.0))]
+    canonical = _canonical_vertex(family, W, vertices)
     c0 = _coeff_from_moduli(W, canonical)
     if _tp_residual(c0, family) > tol_tp:
         return None

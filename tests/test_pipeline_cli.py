@@ -297,13 +297,18 @@ def test_malformed_residuals_are_schema_errors(tmp_path, capsys, z2_manifest, re
      (0, "d", 2.0, "report"), (0, "omega_index", True, "report"), (0, "n_params", {}, "report"),
      (0, "status", [1], "report"), (0, "omega_label", None, "report"),
      (0, "classification", 3, "report"), (0, "error", 5, "report"), (0, "group", 5, "report"),
-     (None, "seed", [1], "report"), (None, "total_instances", None, "report"), (None, "count_found", "x", "report")],
+     (None, "seed", [1], "report"), (None, "total_instances", None, "report"), (None, "count_found", "x", "report"),
+     ("options", "n_starts", "x", "report"), ("options", "nonunitary_only", 1, "report"),
+     ("options", "reps", ["q0+q0", 1], "report"), ("options", "time_budget", "10", "report")],
 )
 def test_malformed_manifest_fields_are_schema_errors(tmp_path, capsys, z2_manifest, record, key, value, command):
+    # ``record`` picks where ``key`` is set: the manifest (None), its
+    # options ("options") or the record at that position
     path = tmp_path / "z2.json"
     save_manifest(z2_manifest, path)
     obj = json.loads(path.read_text())
-    (obj if record is None else obj["records"][record])[key] = value
+    target = obj if record is None else obj["options"] if record == "options" else obj["records"][record]
+    target[key] = value
     path.write_text(json.dumps(obj))
     assert main([command, "--in", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key!r} must be a JSON ")
@@ -593,6 +598,25 @@ def test_sub_sweep_without_representative_reproduces_full_records(z4_manifest):
     assert len(sub.records) == 4 * 4
     for r in sub.records:
         assert record_dict(r) == record_dict(full[r.omega_index, r.d1_label.text, r.d2_label.text])
+
+
+def test_sub_sweep_reproduces_records_moved_by_an_automorphism():
+    # (2_2, 1+1'+2_1, 2_1+2_2) is reached from (2_1, 1+1'+2_2, 2_1+2_2) only
+    # by the automorphism swapping 2_1 and 2_2, and 1+1'+2_2 is not swept.
+    kept = ["1+1'+2_1", "2_1+2_2"]
+    sub = run_enumeration("D5", None, 4, nonunitary_only=True, reps=kept)
+    full = run_enumeration("D5", None, 4, nonunitary_only=True)
+    classes = LabelClasses(props("D5", "discrete", 4).group, 1e-10, {})
+    swept = {r.d1_label.parts for r in sub.records}
+    heads = [classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts)) for r in sub.records]
+    assert any(
+        move is not None and move.aut > 0 and not {parts1, parts2} <= swept and r.status == "channel_found"
+        for r, ((_, parts1, parts2), move) in zip(sub.records, heads)
+    )
+    by_key = {(r.omega_index, r.d1_label.text, r.d2_label.text): r for r in full.records}
+    assert len(sub.records) == 2 * 2 * 2
+    for r in sub.records:
+        assert record_dict(r) == record_dict(by_key[r.omega_index, r.d1_label.text, r.d2_label.text])
 
 
 @pytest.mark.parametrize("scale,reason", [(1.0, "covariance residual"), (2.0, "NotTracePreserving")])

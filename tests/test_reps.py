@@ -6,7 +6,7 @@ import scipy.linalg
 
 from gcec.classes import LabelClasses
 from gcec.errors import DimensionZero, UnknownIrrepIndex
-from gcec.groups import character_table, props, word_matrix
+from gcec.groups import character_table, element_words, props, word_matrix
 from gcec.reps import enumerate_reps, make_rep_label, materialize, omega_candidates
 
 from oracles import partitions_all, partitions_odd
@@ -169,3 +169,108 @@ def test_move_placements_intertwine_whole_representations(name, d):
                 for g, z, target in zip(rep.generator_matrices, chi, image.generator_matrices):
                     moved = (g.conj() if conj else g) * z[0, 0]
                     assert np.linalg.norm(P.conj().T @ moved @ P - target) <= 1e-12
+
+
+# Groups and dimensions for the automorphism moves, with the number of
+# automorphisms kept beside the identity (one per irrep permutation that
+# twists and conjugation do not give).
+AUT_GROUPS = [("D5", 4, 1), ("D6", 4, 1), ("Z5", 3, 1), ("A4", 4, 0), ("S3", 5, 0)]
+
+
+@pytest.mark.parametrize("name,d,kept", AUT_GROUPS)
+def test_automorphisms_permute_irreps_by_character_inner_products(name, d, kept):
+    spec, classes = _classes(name, d)
+    assert len(classes.aut_words) == 1 + kept and classes.aut_of[0] == {p: p for p in classes.irreps}
+    words = element_words(spec)
+    table = np.asarray(character_table(spec))
+    for aut in range(1, len(classes.aut_words)):
+        for ir in spec.irreps:
+            # chi_p o alpha at each element: the trace of the product of its
+            # generators' image words
+            moved = []
+            for w in words:
+                at = np.eye(ir.dim, dtype=complex)
+                for g in w:
+                    at = at @ word_matrix(ir, classes.aut_words[aut][g])
+                moved.append(np.trace(at))
+            for row, q in zip(table, spec.irreps):
+                want = q.index == classes.aut_of[aut][ir.index]
+                assert abs(np.sum(row.conj() * np.array(moved)) / len(words) - want) <= 1e-12
+        # the permutation is neither the identity nor conjugation
+        assert classes.aut_of[aut] not in ({p: p for p in classes.irreps}, classes.conj_of)
+
+
+def test_d5_automorphism_swaps_the_two_dimensional_irreps():
+    spec, classes = _classes("D5", 4)
+    label = {ir.index: ir.label for ir in spec.irreps}
+    assert {label[p]: label[q] for p, q in classes.aut_of[1].items()} == {"1": "1", "1'": "1'", "2_1": "2_2", "2_2": "2_1"}
+
+
+@pytest.mark.parametrize("name,d", [("D5", 4), ("D6", 4), ("D6", 1), ("Z5", 3), ("S3", 3)])
+def test_move_label_actions_are_closed_under_composition(name, d):
+    spec, classes = _classes(name, d)
+
+    def action(m):  # (Omega, D1, D2) irrep permutations of a move
+        return tuple(
+            tuple(classes.irrep_image(p, twist, m.conj, m.aut) for p in classes.irreps)
+            for twist in (m.u, m.s, m.t)
+        )
+
+    position = {p: i for i, p in enumerate(classes.irreps)}
+    actions = {action(m) for m in classes.moves}
+    for a in actions:
+        for b in actions:
+            composed = tuple(tuple(y[position[x]] for x in xs) for xs, y in zip(a, b))
+            assert composed in actions
+
+
+@pytest.mark.parametrize("name,d", [("D5", 4), ("Z5", 3), ("D6", 4)])
+def test_automorphism_placements_intertwine_whole_representations(name, d):
+    spec, classes = _classes(name, d)
+    by_parts = {lab.parts: lab for lab in enumerate_reps(spec, d)}
+    for lab in by_parts.values():
+        rep = materialize(spec, lab)
+        for aut in range(1, len(classes.aut_words)):
+            for twist in classes.twist_of:
+                for conj in (False, True):
+                    P = classes.placement(lab.parts, twist, conj, aut)
+                    image = materialize(spec, by_parts[classes.parts_image(lab.parts, twist, conj, aut)])
+                    assert np.linalg.norm(P.conj().T @ P - np.eye(d)) <= 1e-12
+                    # conj^c(rep o alpha) chi_twist at each generator, from
+                    # the automorphism's generator words
+                    chi = spec.irrep_by_index(twist).generator_matrices
+                    for w, z, target in zip(classes.aut_words[aut], chi, image.generator_matrices):
+                        moved = (word_matrix(rep, w).conj() if conj else word_matrix(rep, w)) * z[0, 0]
+                        assert np.linalg.norm(P.conj().T @ moved @ P - target) <= 1e-12
+
+
+# (group, d, nonunitary_only, classes): the twists and conjugation alone
+# give D5 d=4* 200, Z5 d=3 127, D6 d=4 1460 and D6 d=1 4 classes
+CLASS_COUNTS = [
+    ("D5", 4, True, 100), ("Z5", 3, False, 64), ("D6", 4, False, 932), ("S3", 5, True, 36),
+    ("A4", 4, True, 26), ("Z4", 3, False, 59), ("Z2", 2, False, 5), ("Z3", 1, False, 2),
+    ("D6", 1, False, 2),  # five automorphisms kept: D6/N is the Klein group
+]
+
+
+@pytest.mark.parametrize("name,d,nonunitary_only,count", CLASS_COUNTS)
+def test_label_class_counts(name, d, nonunitary_only, count):
+    spec, classes = _classes(name, d)
+    labels = [lab.parts for lab in enumerate_reps(spec, d)]
+    omegas = [om.index for om in omega_candidates(spec, d) if om.dim >= 2 or not nonunitary_only]
+    heads = {classes.representative((om, a, b))[0] for om in omegas for a in labels for b in labels}
+    assert len(heads) == count
+    # Burnside: the number of orbits is the mean number of instances that
+    # an element of the group of label actions fixes
+    actions = {}
+    for m in classes.moves:
+        actions.setdefault(tuple(tuple(classes.irrep_image(p, tw, m.conj, m.aut) for p in classes.irreps)
+                                 for tw in (m.u, m.s, m.t)), m)
+    fixed = 0
+    for m in actions.values():
+        fixed += (
+            sum(classes.irrep_image(om, m.u, m.conj, m.aut) == om for om in omegas)
+            * sum(classes.parts_image(a, m.s, m.conj, m.aut) == a for a in labels)
+            * sum(classes.parts_image(b, m.t, m.conj, m.aut) == b for b in labels)
+        )
+    assert fixed == count * len(actions)

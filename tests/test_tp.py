@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from gcec import extremality
 from gcec.errors import EmptyManifold
 from gcec.groups import props
 from gcec.channels import tp_residuals
@@ -392,3 +393,21 @@ def test_sampler_requires_solved_report():
     family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
     with pytest.raises(EmptyManifold):
         solution_sampler(family, TpSolveReport(status="no_solution"))
+
+
+@pytest.mark.parametrize("omega", [2, 3])
+def test_canonical_solution_sits_at_a_vertex_that_passes_the_rank_test(omega):
+    # D5 d=4, 2_1+2_2 -> 2_1+2_2 under 2_1 and under 2_2: the automorphism
+    # swapping 2_1 and 2_2 maps one family onto the other, and each has two
+    # vertices, one failing the rank test.  Under 2_1 the least-cost vertex
+    # is the failing one, under 2_2 the passing one; both canonical
+    # solutions pass.
+    family = _family("D5", "discrete", 4, omega, (2, 3), (2, 3))
+    report = solve_tp(family)
+    W, vertices = report.decoupling, _vertices(report.moduli_rows)
+    points = np.stack([family.kraus_at(tp._coeff_from_moduli(W, v)) for v in vertices])
+    passes = extremality.test_extreme(points).rank == family.K**2
+    least = np.argmin(vertices @ np.arange(1.0, family.n_params + 1.0))
+    assert len(vertices) == 2 and passes.sum() == 1 and passes[least] == (omega == 3)
+    assert extremality.test_extreme(family.kraus_at(report.solutions[0])[None]).is_extreme
+    assert np.allclose(report.solutions[0], tp._coeff_from_moduli(W, vertices[passes][0]))
