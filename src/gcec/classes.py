@@ -31,14 +31,20 @@ automorphism when the images satisfy ``spec.relations`` (so they define a
 homomorphism from G) and map the element words one to one (so it is onto
 G/N; then each rho_p o alpha is an irreducible representation of dimension
 dim rho_p <= d, hence kept, and N lies in the kernel).  Both checks are
-lookups in the Cayley table of G/N (:func:`gcec.groups.cayley_table`).  The
-twists and conjugation form a normal subgroup of the moves
-(alpha^-1 twist_s alpha is the twist by chi_s o alpha, and conjugation
-commutes with alpha), so one automorphism per coset is enough: an
-automorphism is kept when its irrep permutation is neither the identity or
-conjugation (inner automorphisms fix every character) nor that of a kept one
-or of a kept one composed with conjugation.  No automorphism is kept on Z2,
-Z3, Z4, S3 or A4; on D5 one is, swapping 2_1 and 2_2.
+lookups in the Cayley table of G/N (:func:`gcec.groups.cayley_table`).
+Candidates are cut down first: each generator's image has the generator's
+order, and generator 0's image is the least element of its conjugacy
+class, since alpha and h alpha h^-1 differ by an inner automorphism, which
+fixes every character.  The candidates left number a few times
+|Out(G/N)|, each checked with about |G/N| table lookups, and chi_p o alpha
+is read at alpha's element indices and matched by its rounded values
+(:func:`_char_key`).  The twists and conjugation form a normal subgroup of
+the moves (alpha^-1 twist_s alpha is the twist by chi_s o alpha, and
+conjugation commutes with alpha), so one automorphism per coset is enough:
+an automorphism is kept when its irrep permutation is neither the identity
+or conjugation nor that of a kept one or of a kept one composed with
+conjugation.  No automorphism is kept on Z2, Z3, Z4, S3 or A4; on D5 one
+is, swapping 2_1 and 2_2.
 
 Transport.  Write B_k = conj(A_k) when the move conjugates and A_k
 otherwise, and M1 = c(D1 o alpha) chi_s, M2 = c(D2 o alpha) chi_t and
@@ -75,10 +81,15 @@ import numpy as np
 
 from .channels import KrausSet
 from .errors import GcecError
-from .groups import GroupSpec, Word, cayley_table, character_table, element_words, word_matrix
+from .groups import GroupSpec, Word, cayley_table, character_table, word_matrix
 from .kernels import intertwiner
 
 _CHAR_TOL = 1e-8  # characters are sums of roots of unity; roundoff is ~1e-15
+
+
+def _char_key(row: np.ndarray) -> bytes:
+    """Lookup key of a character row: its values rounded to _CHAR_TOL."""
+    return (np.round(row, 8) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
 
 
 @dataclass(frozen=True)
@@ -98,31 +109,38 @@ class Move:
 Instance = tuple  # (Omega index, D1 parts, D2 parts): compares in sweep order
 
 
-def _automorphisms(spec: GroupSpec, words: list[Word], table: np.ndarray) -> list[tuple]:
-    """Every automorphism of G/N (see the module docstring), in the order of
-    its generator images, as (one element word per generator, the position
-    in ``spec.irreps`` of the irrep each irrep's character moves to)."""
-    n, m = len(words), spec.num_generators
-    mult = cayley_table(spec, words)
-    images = np.array(list(itertools.product(range(n), repeat=m)), dtype=int).reshape(-1, m)
+def _automorphisms(spec: GroupSpec) -> tuple[list[Word], list[tuple[tuple[Word, ...], np.ndarray]]]:
+    """(the element words of G/N, automorphisms of G/N): one automorphism at
+    least per class modulo inner automorphisms (see the module docstring),
+    in the order of their generator images, each as (one element word per
+    generator, row) with row[i] the index of alpha(words[i])."""
+    words, gens, mult = cayley_table(spec)
+    n = len(words)
+    order, power, k = np.zeros(n, dtype=int), np.arange(n), 1
+    while not order.all():  # power = each element to the k-th
+        order[(power == 0) & (order == 0)] = k
+        power, k = mult[power, np.arange(n)], k + 1
+    # alpha and h alpha h^-1 move the irreps alike, so generator 0's image
+    # is taken to be the least element of its conjugacy class
+    conjugates = mult[mult, np.argmax(mult == 0, axis=1)[:, None]]  # [h, x] = h x h^-1
+    least = conjugates.min(axis=0) == np.arange(n)
+    choices = [np.flatnonzero((order == order[x]) & (least | (g > 0))) for g, x in enumerate(gens)]
+    images = np.array(list(itertools.product(*choices)), dtype=int).reshape(-1, len(gens))
 
-    def image(word: Word, x: np.ndarray) -> np.ndarray:  # each row's alpha(word); words[0] = ()
-        at = np.zeros(len(x), dtype=int)
+    def image(word: Word) -> np.ndarray:  # each candidate's alpha(word); words[0] = ()
+        at = np.zeros(len(images), dtype=int)
         for g in word:
-            at = mult[at, x[:, g]]
+            at = mult[at, images[:, g]]
         return at
 
     for lhs, rhs in spec.relations:
-        images = images[image(lhs, images) == image(rhs, images)]
-    of_words = np.stack([image(w, images) for w in words], axis=1)
-    onto = (np.sort(of_words, axis=1) == np.arange(n)).all(axis=1)
-    out = []
-    for x, row in zip(images[onto], of_words[onto]):
-        hits = np.abs(table[:, None, :] - table[None, :, row]).max(axis=-1) <= _CHAR_TOL  # [q, p]
-        if not (hits.sum(axis=0) == 1).all():
-            raise GcecError(f"{spec.name}: a character moved by an automorphism matches no single irrep")
-        out.append((tuple(words[i] for i in x), tuple(hits.argmax(axis=0).tolist())))
-    return out
+        images = images[image(lhs) == image(rhs)]
+    position = {w: j for j, w in enumerate(words)}
+    rows = np.zeros((len(images), n), dtype=int)
+    for j, w in enumerate(words[1:], 1):
+        rows[:, j] = mult[rows[:, position[w[:-1]]], images[:, w[-1]]]
+    onto = (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
+    return words, [(tuple(words[i] for i in x), row) for x, row in zip(images[onto], rows[onto])]
 
 
 class LabelClasses:
@@ -135,11 +153,15 @@ class LabelClasses:
     def __init__(self, spec: GroupSpec, tol_kernel: float, cache: dict):
         self.tol_kernel, self.cache = tol_kernel, cache
         self.irreps = {ir.index: ir for ir in spec.irreps}
-        words = element_words(spec)
+        words, automorphisms = _automorphisms(spec)
         table = np.asarray(character_table(spec, words))
         chi = {ir.index: row for ir, row in zip(spec.irreps, table)}
+        by_key = {_char_key(row): p for p, row in chi.items()}
 
         def match(target) -> int:
+            if (p := by_key.get(_char_key(target))) is not None:
+                return p
+            # a value within roundoff of a rounding boundary rounds apart
             hits = [p for p, row in chi.items() if np.abs(row - target).max() <= _CHAR_TOL]
             if len(hits) != 1:
                 raise GcecError(f"{spec.name}: a moved character matches {len(hits)} irreps")
@@ -151,17 +173,16 @@ class LabelClasses:
 
         # aut_of[a] maps each irrep to its image under automorphism a, a = 0
         # the identity; one automorphism is kept per coset of the twists and
-        # conjugation (module docstring), as positions in spec.irreps
-        index = [ir.index for ir in spec.irreps]
-        conj_perm = tuple(index.index(self.conj_of[p]) for p in index)
-        covered = {tuple(range(len(index))), conj_perm}
+        # conjugation (module docstring)
         self.aut_words: list[tuple[Word, ...] | None] = [None]
-        self.aut_of = [{p: p for p in index}]
-        for gen_words, perm in _automorphisms(spec, words, table):
-            if perm not in covered:
-                covered |= {perm, tuple(conj_perm[i] for i in perm)}
+        self.aut_of = [{p: p for p in chi}]
+        covered = [self.aut_of[0], self.conj_of]
+        for gen_words, row in automorphisms:
+            aut = {p: match(chi_p[row]) for p, chi_p in chi.items()}
+            if aut not in covered:
+                covered += [aut, {p: self.conj_of[q] for p, q in aut.items()}]
                 self.aut_words.append(gen_words)
-                self.aut_of.append({p: index[i] for p, i in zip(index, perm)})
+                self.aut_of.append(aut)
 
         self.moves = [
             Move(s, t, self.twist_of[s][self.conj_of[t]], conj, aut)

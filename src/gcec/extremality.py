@@ -25,12 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import tp_residuals
+from .channels import DEFAULT_TOL_RANK, product_rank, product_stack, tp_residuals
 from .errors import NotTracePreserving
 from .kernels import KernelFamily
 from .tp import TpSolveReport, solution_sampler
-
-DEFAULT_TOL_RANK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,14 +83,6 @@ class RankTest:
         )
 
 
-def product_stack(stack: np.ndarray) -> np.ndarray:
-    """Per set of an (S, K, d, d) stack, the d^2 x K^2 matrix whose columns
-    are vec(A_k^dag A_l), k-major: shape (S, d^2, K^2)."""
-    S, K, d, _ = stack.shape
-    products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
-    return products.reshape(S, K * K, d * d).swapaxes(-1, -2)
-
-
 def test_extreme(
     stack: np.ndarray,
     tol_rank: float = DEFAULT_TOL_RANK,
@@ -103,9 +93,7 @@ def test_extreme(
     :meth:`RankTest.verdict` refuses a set whose TP residual exceeds
     ``tol_tp``."""
     _, K, d, _ = stack.shape
-    svals = np.linalg.svd(product_stack(stack), compute_uv=False)
-    top = svals[:, :1]
-    rank = np.where(top[:, 0] > 0, np.sum(svals > tol_rank * top, axis=1), 0)
+    svals, rank = product_rank(stack, tol_rank)
     return RankTest(K=K, d=d, tol_tp=tol_tp, tp_residual=tp_residuals(stack), singular_values=svals, rank=rank)
 
 

@@ -17,6 +17,7 @@ is the one block-diagonal direct sum of irreps, in the given order.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -349,8 +350,41 @@ def _element_key(mat: np.ndarray) -> bytes:
     return (np.round(mat, 9) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
 
 
+def _closure(spec: GroupSpec, max_elements: int = 100_000) -> tuple[list[Word], np.ndarray]:
+    """(one word per element of G/N, right) with right[i, g] the index of
+    the element words[i] times generator g.
+
+    Breadth first from the identity, taking generators in order: each
+    element keeps the first word that reaches it, so the words come out
+    sorted by (length, word) and each word's prefix is an earlier word.
+    """
+    if spec.kind != "discrete":
+        raise UnknownGroup(f"element enumeration needs a finite group, not {spec.name}")
+    gens = [direct_sum(spec.irreps, g) for g in range(spec.num_generators)]
+    eye = np.eye(sum(ir.dim for ir in spec.irreps), dtype=complex)
+    index = {_element_key(eye): 0}
+    words: list[Word] = [()]
+    queue = deque([eye])  # matrices of words[len(right):], the closure's frontier
+    right = []
+    while queue:
+        mat, row = queue.popleft(), []
+        for g, gen in enumerate(gens):
+            nxt = mat @ gen
+            k = _element_key(nxt)
+            if k not in index:
+                if len(words) >= max_elements:
+                    raise UnknownGroup(f"{spec.name}: element closure exceeded {max_elements}")
+                index[k] = len(words)
+                words.append(words[len(right)] + (g,))
+                queue.append(nxt)
+            row.append(index[k])
+        right.append(row)
+    return words, np.array(right, dtype=int).reshape(len(words), len(gens))
+
+
 def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
-    """One representative word per element of G/N, by closure of the generators.
+    """One representative word per element of G/N, by closure of the
+    generators, sorted by (length, word).
 
     Elements are fingerprinted through the direct sum of the spec's irreps,
     whose kernel N is the common kernel of those irreps.  For a full catalog
@@ -360,52 +394,24 @@ def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
     only some irreps, and the words then enumerate the quotient G/N: S3 at
     d=1 gives 2 words, A4 at d=1 gives 3 and D5 at d=1 gives 2.
     """
-    if spec.kind != "discrete":
-        raise UnknownGroup(f"element enumeration needs a finite group, not {spec.name}")
-    gens = [direct_sum(spec.irreps, g) for g in range(spec.num_generators)]
-    total = sum(ir.dim for ir in spec.irreps)
-    seen = {_element_key(np.eye(total, dtype=complex)): ()}
-    frontier: list[tuple[Word, np.ndarray]] = [((), np.eye(total, dtype=complex))]
-    while frontier:
-        new_frontier = []
-        for word, mat in frontier:
-            for g, gen in enumerate(gens):
-                nxt = mat @ gen
-                k = _element_key(nxt)
-                if k not in seen:
-                    seen[k] = word + (g,)
-                    new_frontier.append((word + (g,), nxt))
-                    if len(seen) > max_elements:
-                        raise UnknownGroup(
-                            f"{spec.name}: element closure exceeded {max_elements}"
-                        )
-        frontier = new_frontier
-    return sorted(seen.values(), key=lambda w: (len(w), w))
+    return _closure(spec, max_elements)[0]
 
 
-def cayley_table(spec: GroupSpec, words: list[Word]) -> np.ndarray:
-    """Multiplication table of G/N over ``words``, the spec's
-    :func:`element_words`: entry [i, j] is the index of the element
-    words[i] words[j].
+def cayley_table(spec: GroupSpec) -> tuple[list[Word], np.ndarray, np.ndarray]:
+    """(words, gens, table) for G/N: the :func:`element_words`, the index of
+    each generator's element, and the multiplication table, table[i, j] the
+    index of words[i] words[j].
 
-    Each word's matrix is its prefix's times one generator, the product
-    :func:`element_words` formed, so each fingerprint is found again; the
-    table is then read by folding each word's generators over the
-    right-multiplication table.
+    Column j is read off the closure's right multiplication by generators:
+    words[j] is an earlier word times one generator.
     """
-    gens = [direct_sum(spec.irreps, g) for g in range(spec.num_generators)]
-    mats = {(): np.eye(sum(ir.dim for ir in spec.irreps), dtype=complex)}
-    for w in words[1:]:  # sorted by length, so each prefix comes first
-        mats[w] = mats[w[:-1]] @ gens[w[-1]]
-    index = {_element_key(mats[w]): i for i, w in enumerate(words)}
-    right = np.array([[index[_element_key(mats[w] @ gen)] for gen in gens] for w in words])
+    words, right = _closure(spec)
+    position = {w: j for j, w in enumerate(words)}
     table = np.empty((len(words), len(words)), dtype=int)
-    for j, w in enumerate(words):
-        col = np.arange(len(words))
-        for g in w:
-            col = right[col, g]
-        table[:, j] = col
-    return table
+    table[:, 0] = np.arange(len(words))
+    for j, w in enumerate(words[1:], 1):
+        table[:, j] = right[table[:, position[w[:-1]]], w[-1]]
+    return words, right[0], table
 
 
 def character_table(spec: GroupSpec, words: list[Word] | None = None) -> np.ndarray:

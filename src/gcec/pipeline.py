@@ -258,6 +258,7 @@ def _solve_instance(
             n_starts=n_starts,
             seed=seed,
             deadline=started + time_budget,
+            tol_rank=tol_rank,
         )
         record.moduli_constraints = list(report.moduli_constraints)
         if report.status == "no_solution":

@@ -18,12 +18,12 @@ Xi_pq(c) = c^dag M^(pq) c, which drives a three-stage strategy:
    a linear-programming problem, and the phases of u stay free.  Every
    vertex of that polytope is enumerated exactly (:func:`_vertices`); an
    empty list certifies infeasibility.  The canonical solution sits at the
-   vertex of least t_1 + 2 t_2 + ... + n t_n among those that pass the
-   rank test (among all when none does), and the others mix all the
-   vertices with random weights and phases.  When the polytope is one
-   point with at most one nonzero modulus, every random-phase mix of it
-   gauges back to the canonical solution, so the canonical solution is
-   returned alone without mixing.
+   vertex of least t_1 + 2 t_2 + ... + n t_n among those that fail the
+   rank test (among all when none does), so a non-extreme vertex is always
+   a sample, and the others mix all the vertices with random weights and
+   phases.  When the polytope is one point with at most one nonzero
+   modulus, every random-phase mix of it gauges back to the canonical
+   solution, so the canonical solution is returned alone without mixing.
 3. Multi-start projection, for every other family (and, as a numerical
    safety net, for a free-phase family whose forms do not diagonalise or
    whose canonical vertex misses ``tol_tp``).  Seeded random starts are
@@ -47,7 +47,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import tp_residuals
+from .channels import DEFAULT_TOL_RANK, product_rank, tp_residuals
 from .errors import EmptyManifold
 from .kernels import KernelFamily, leading_entry
 
@@ -260,12 +260,14 @@ def solve_tp(
     n_starts: int = 64,
     seed=0,
     deadline: float | None = None,
+    tol_rank: float = DEFAULT_TOL_RANK,
 ) -> TpSolveReport:
     """Find trace-preserving points of the family, with certificates.
 
     ``deadline`` is an absolute ``time.perf_counter`` value after which the
     multi-start stops issuing new starts (statuses stay deterministic for runs
-    that do not hit it).
+    that do not hit it).  ``tol_rank`` is the rank test's tolerance, with
+    which the linear path picks its canonical vertex.
     """
     n, d = family.n_params, family.d
     if n == 0:
@@ -286,34 +288,34 @@ def solve_tp(
         W = _joint_diagonalizer([forms[p, p] for p in range(d)])
         if W is not None:
             W = _order_decoupled(family.basis, W)
-            report = _linear_path(family, W, _moduli_rows(forms, W), tol_tp, rng)
+            report = _linear_path(family, W, _moduli_rows(forms, W), tol_tp, tol_rank, rng)
             if report is not None:
                 return report
     return _nonlinear_path(family, tol_tp, n_starts, rng, deadline)
 
 
-def _canonical_vertex(family: KernelFamily, W: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+def _canonical_vertex(family: KernelFamily, W: np.ndarray, vertices: np.ndarray, tol_rank: float) -> np.ndarray:
     """The vertex of least t_1 + 2 t_2 + ... + n t_n among those whose
-    point (all phases 0) passes the rank test, or among all vertices when
-    none does; a tie goes to the first vertex in subset order.
+    point (all phases 0) fails the rank test at ``tol_rank``, or among all
+    vertices when none does; a tie goes to the first vertex in subset order.
 
-    Two families that a label move maps onto each other (:mod:`gcec.classes`)
-    have the same polytope with the decoupled coordinates in another order,
-    so the least-cost vertex of one can fail the rank test where the
-    other's passes.  Preferring a passing vertex gives both the same
-    classification.
+    A failing vertex is a channel of the family that is not extreme, so it
+    makes the record quasi_extreme.  Two families that a label move maps
+    onto each other (:mod:`gcec.classes`) have the same polytope with the
+    decoupled coordinates in another order, so by cost alone one could sit
+    at a failing vertex and the other at a passing one; taking a failing
+    vertex whenever there is one gives both the same classification.
     """
-    from .extremality import test_extreme  # extremality imports this module
-
     cost = vertices @ np.arange(1.0, family.n_params + 1.0)
-    if len(vertices) == 1 or family.K > family.d:  # K > d never passes
-        return vertices[np.argmin(cost)]
-    stack = np.stack([family.kraus_at(_coeff_from_moduli(W, v)) for v in vertices])
-    fails = test_extreme(stack).rank != family.K**2
-    return vertices[min(range(len(vertices)), key=lambda i: (fails[i], cost[i]))]
+    if len(vertices) > 1 and family.K <= family.d:  # K > d: every vertex fails
+        stack = np.stack([family.kraus_at(_coeff_from_moduli(W, v)) for v in vertices])
+        fails = product_rank(stack, tol_rank)[1] != family.K**2
+        if fails.any():
+            cost = np.where(fails, cost, np.inf)
+    return vertices[np.argmin(cost)]
 
 
-def _linear_path(family, W, R, tol_tp, rng):
+def _linear_path(family, W, R, tol_tp, tol_rank, rng):
     """Solve a free-phase family over moduli; None when the canonical vertex
     misses ``tol_tp`` (drawing nothing from ``rng`` first, so the
     multi-start sees the same stream)."""
@@ -332,7 +334,7 @@ def _linear_path(family, W, R, tol_tp, rng):
     vertices = _vertices(R)
     if not len(vertices):
         return lp_report("no_solution", "diagonal moduli constraints are infeasible")
-    canonical = _canonical_vertex(family, W, vertices)
+    canonical = _canonical_vertex(family, W, vertices, tol_rank)
     c0 = _coeff_from_moduli(W, canonical)
     if _tp_residual(c0, family) > tol_tp:
         return None

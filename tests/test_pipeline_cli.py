@@ -583,6 +583,23 @@ def test_label_classes_match_per_instance_solves(request, monkeypatch, group, d,
     assert 0 < len(solves) < sum(r.n_params > 0 for r in manifest.records)
 
 
+def test_sweep_passes_its_tol_rank_to_the_tp_solver(monkeypatch):
+    # The canonical vertex depends on tol_rank
+    # (tests/test_tp.py::test_canonical_vertex_follows_tol_rank, on these labels).
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(kwargs["tol_rank"])
+        return solve_tp(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_tp", counted)
+    loose = run_enumeration("D5", None, 4, nonunitary_only=True, tol_rank=0.75, reps=["1+1'+2_2", "2_1+2_1"])
+    assert seen and set(seen) == {0.75}
+    default = run_enumeration("D5", None, 4, nonunitary_only=True, reps=["1+1'+2_2", "2_1+2_1"])
+    firsts = [(a.kraus_samples[0], b.kraus_samples[0]) for a, b in zip(loose.records, default.records) if a.kraus_samples]
+    assert any(not np.allclose(a.matrices, b.matrices) for a, b in firsts)
+
+
 def test_sub_sweep_without_representative_reproduces_full_records(z4_manifest):
     kept = ["q0+q1+q3", "q1+q2+q3"]
     sub = run_enumeration("Z4", None, 3, reps=kept)

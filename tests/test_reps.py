@@ -1,12 +1,14 @@
 """Representation enumeration: multiset counts, block sums, channel labels."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gcec.classes import LabelClasses
 from gcec.errors import DimensionZero, UnknownIrrepIndex
-from gcec.groups import character_table, element_words, props, word_matrix
+from gcec.groups import cayley_table, character_table, element_words, props, word_matrix
 from gcec.reps import enumerate_reps, make_rep_label, materialize, omega_candidates
 
 from oracles import partitions_all, partitions_odd
@@ -198,6 +200,38 @@ def test_automorphisms_permute_irreps_by_character_inner_products(name, d, kept)
                 assert abs(np.sum(row.conj() * np.array(moved)) / len(words) - want) <= 1e-12
         # the permutation is neither the identity nor conjugation
         assert classes.aut_of[aut] not in ({p: p for p in classes.irreps}, classes.conj_of)
+
+
+@pytest.mark.parametrize("name,d", [("D8", 2), ("D6", 1), ("D6", 4), ("Z12", 1), ("A4", 3), ("S3", 3)])
+def test_automorphism_search_misses_no_irrep_permutation(name, d):
+    # Every choice of generator images, without the search's cuts by element
+    # order and conjugacy class: each automorphism's irrep permutation, read
+    # by character inner products, is one the kept moves give.
+    spec, classes = _classes(name, d)
+    words, _, mult = cayley_table(spec)
+    table = np.asarray(character_table(spec, words))
+    given = [
+        tuple(classes.conj_of[aut[p]] if conj else aut[p] for p in classes.irreps)
+        for aut in classes.aut_of
+        for conj in (False, True)
+    ]
+    found = set()
+    for images in itertools.product(range(len(words)), repeat=spec.num_generators):
+        def alpha(word):
+            at = 0
+            for g in word:
+                at = mult[at, images[g]]
+            return at
+
+        if any(alpha(lhs) != alpha(rhs) for lhs, rhs in spec.relations):
+            continue
+        row = [alpha(w) for w in words]
+        if sorted(row) != list(range(len(words))):
+            continue
+        inner = table[:, row] @ table.conj().T / len(words)  # [p, q] = <chi_p o alpha, chi_q>
+        assert np.allclose(inner, np.round(inner.real)) and (np.round(inner.real).sum(axis=1) == 1).all()
+        found.add(tuple(spec.irreps[q].index for q in np.argmax(inner.real, axis=1)))
+    assert found and found <= set(given)
 
 
 def test_d5_automorphism_swaps_the_two_dimensional_irreps():

@@ -396,18 +396,37 @@ def test_sampler_requires_solved_report():
 
 
 @pytest.mark.parametrize("omega", [2, 3])
-def test_canonical_solution_sits_at_a_vertex_that_passes_the_rank_test(omega):
+def test_canonical_solution_sits_at_a_vertex_that_fails_the_rank_test(omega):
     # D5 d=4, 2_1+2_2 -> 2_1+2_2 under 2_1 and under 2_2: the automorphism
     # swapping 2_1 and 2_2 maps one family onto the other, and each has two
     # vertices, one failing the rank test.  Under 2_1 the least-cost vertex
     # is the failing one, under 2_2 the passing one; both canonical
-    # solutions pass.
+    # solutions sit at the failing vertex.
     family = _family("D5", "discrete", 4, omega, (2, 3), (2, 3))
     report = solve_tp(family)
     W, vertices = report.decoupling, _vertices(report.moduli_rows)
     points = np.stack([family.kraus_at(tp._coeff_from_moduli(W, v)) for v in vertices])
-    passes = extremality.test_extreme(points).rank == family.K**2
+    fails = extremality.test_extreme(points).rank != family.K**2
     least = np.argmin(vertices @ np.arange(1.0, family.n_params + 1.0))
-    assert len(vertices) == 2 and passes.sum() == 1 and passes[least] == (omega == 3)
-    assert extremality.test_extreme(family.kraus_at(report.solutions[0])[None]).is_extreme
-    assert np.allclose(report.solutions[0], tp._coeff_from_moduli(W, vertices[passes][0]))
+    assert len(vertices) == 2 and fails.sum() == 1 and fails[least] == (omega == 2)
+    assert not extremality.test_extreme(family.kraus_at(report.solutions[0])[None]).is_extreme
+    assert np.allclose(report.solutions[0], tp._coeff_from_moduli(W, vertices[fails][0]))
+
+
+def test_canonical_vertex_follows_tol_rank():
+    # D5 d=4, 1+1'+2_2 -> 2_1+2_1 under 2_1: eight vertices whose product
+    # stacks have singular-value ratios 1, 0.71 or ~1e-16.  At the default
+    # tolerance only the ~1e-16 ones fail; at 0.75 the 0.71 ones fail too,
+    # and a cheaper one of them becomes the canonical vertex.
+    family = _family("D5", "discrete", 4, 2, (0, 1, 3), (2, 2))
+    report = solve_tp(family)
+    W, vertices = report.decoupling, _vertices(report.moduli_rows)
+    points = np.stack([family.kraus_at(tp._coeff_from_moduli(W, v)) for v in vertices])
+    cost = vertices @ np.arange(1.0, family.n_params + 1.0)
+    chosen = []
+    for tol_rank in (extremality.DEFAULT_TOL_RANK, 0.75):
+        fails = extremality.test_extreme(points, tol_rank=tol_rank).rank != family.K**2
+        canonical = vertices[np.argmin(np.where(fails, cost, np.inf))]
+        assert np.allclose(solve_tp(family, tol_rank=tol_rank).solutions[0], tp._coeff_from_moduli(W, canonical))
+        chosen.append(canonical)
+    assert not np.array_equal(*chosen)
