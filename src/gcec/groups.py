@@ -415,17 +415,24 @@ def cayley_table(spec: GroupSpec) -> tuple[list[Word], np.ndarray, np.ndarray]:
 
 
 def character_table(spec: GroupSpec, words: list[Word] | None = None) -> np.ndarray:
-    """Characters chi_i(g) over ``words`` (by default :func:`element_words`),
-    shape (num_irreps, |G/N|).
+    """Characters chi_i(g) over the spec's :func:`element_words` (pass them
+    as ``words`` when already at hand), shape (num_irreps, |G/N|).
 
     N is the common kernel of the spec's irreps (trivial for a full catalog
     spec, see :func:`element_words`).  Every kept irrep is constant on the
     cosets of N, so the rows are orthonormal under the inner product
     (1/|G/N|) sum_g chi_i(g) conj(chi_j(g)), and character inner products
-    among the kept irreps are those of G.
+    among the kept irreps are those of G.  Each word's matrix is its
+    prefix's times one generator, the product :func:`word_matrix` forms
+    last, so the values are :func:`word_matrix`'s.
     """
     if words is None:
         words = element_words(spec)
-    return np.array(
-        [[np.trace(word_matrix(ir, w)) for w in words] for ir in spec.irreps]
-    )
+    position = {w: j for j, w in enumerate(words)}
+    table = np.empty((len(spec.irreps), len(words)), dtype=complex)
+    for i, ir in enumerate(spec.irreps):
+        mats = [np.eye(ir.dim, dtype=complex)]
+        for w in words[1:]:
+            mats.append(mats[position[w[:-1]]] @ ir.generator_matrices[w[-1]])
+        table[i] = [np.trace(m) for m in mats]
+    return table
