@@ -65,7 +65,9 @@ the product stack, and with them the rank test, carry over too.  Each of
 P, R and Q is a block permutation of one unitary per irrep part
 (:func:`gcec.kernels.intertwiner`, with rho o alpha at generator g read as
 :func:`gcec.groups.word_matrix` of rho at alpha's word for g), placed by the
-canonical sort of the moved parts.
+canonical sort of the moved parts.  :meth:`LabelClasses.transport` moves a
+whole (S, K, d, d) sample stack at once; each moved set is bitwise the one
+the same formula gives for that set alone.
 
 Orbits.  Each label (a D's parts, or an Omega) gets a table of its images
 under every (automorphism, conjugation, twist) the first time it is seen,
@@ -79,7 +81,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausSet
 from .errors import GcecError
 from .groups import GroupSpec, Word, cayley_table, character_table, word_matrix
 from .kernels import intertwiner
@@ -283,12 +284,13 @@ class LabelClasses:
             self._placements[key] = out
         return self._placements[key]
 
-    def transport(self, kraus: KrausSet, rep: Instance, move: Move) -> KrausSet:
-        """The Kraus set of the instance ``move`` maps ``rep`` to:
-        A'_j = sum_k conj(Q_kj) R^dag B_k P (see the module docstring)."""
+    def transport(self, stack: np.ndarray, rep: Instance, move: Move) -> np.ndarray:
+        """The representative's (S, K, d, d) sample stack moved to the
+        instance ``move`` maps ``rep`` to: A'_j = sum_k conj(Q_kj) R^dag B_k P
+        for each sample (see the module docstring)."""
         omega, parts1, parts2 = rep
         P = self.placement(parts1, move.s, move.conj, move.aut)
         R = self.placement(parts2, move.t, move.conj, move.aut)
         Q = self.placement((omega,), move.u, move.conj, move.aut)
-        B = kraus.matrices.conj() if move.conj else kraus.matrices
-        return KrausSet(matrices=np.einsum("kj,kab->jab", Q.conj(), R.conj().T @ B @ P))
+        B = stack.conj() if move.conj else stack
+        return np.einsum("kj,skab->sjab", Q.conj(), R.conj().T @ B @ P)

@@ -57,8 +57,11 @@ matters for blocks made only of roundoff, such as a Z2 character stored as
 Cache.  A sweep meets the same (row irrep, column irrep, Omega) block in
 many instances.  :func:`joint_nullspace` accepts a plain dict, keyed by the
 block's content (kind, tolerance and generator bytes), and factors each
-distinct block once.  Cached and fresh results are identical, so the cache
-never changes output.
+distinct block once.  A :class:`CovarianceSystem` holds only its parts and
+Omega: the key is read off the parts' ``content`` and Omega's bytes, a
+:class:`CovarianceBlock` is built only on a cache miss, and the basis is
+assembled from each pair's entry positions.  Cached and fresh results are
+identical, so the cache never changes output.
 """
 
 from __future__ import annotations
@@ -141,11 +144,46 @@ class CovarianceBlock:
 
 @dataclass(frozen=True)
 class CovarianceSystem:
-    """The Schur blocks of one instance, in (row block, column block) order."""
+    """The covariance relations of one instance: the invariant parts of the
+    representations acting on the rows and on the columns of each A_k, and
+    Omega's generators (complex) with their bytes.  Each (row part, column
+    part) pair is one Schur block, built by :meth:`block` only when asked
+    for; :attr:`blocks` lists them all in that order."""
 
-    blocks: tuple[CovarianceBlock, ...]
-    K: int
+    kind: str
+    row_parts: tuple[InvariantBlock, ...]
+    col_parts: tuple[InvariantBlock, ...]
+    omega_gens: tuple[np.ndarray, ...]
+    omega_content: tuple[bytes, ...]
     d: int
+
+    @property
+    def K(self) -> int:
+        return self.omega_gens[0].shape[0]
+
+    def entries(self, rows: InvariantBlock, cols: InvariantBlock) -> np.ndarray:
+        """Positions of the entries A_k[rows, cols] in the stacked K*d^2
+        vector, in (k, row, column) order."""
+        d = self.d
+        offsets = np.arange(self.K)[:, None, None] * d * d
+        return (offsets + rows.index[:, None] * d + cols.index).reshape(-1)
+
+    def block(self, rows: InvariantBlock, cols: InvariantBlock) -> CovarianceBlock:
+        """The Schur block of one (row part, column part) pair."""
+        return CovarianceBlock(
+            kind=self.kind,
+            shape=(self.K, rows.index.size, cols.index.size),
+            index=self.entries(rows, cols),
+            row_gens=rows.generators,
+            col_gens=cols.generators,
+            omega_gens=self.omega_gens,
+            content=(rows.content, cols.content, self.omega_content),
+        )
+
+    @property
+    def blocks(self) -> tuple[CovarianceBlock, ...]:
+        """Every Schur block, in (row part, column part) order."""
+        return tuple(self.block(rows, cols) for rows in self.row_parts for cols in self.col_parts)
 
 
 @dataclass(frozen=True)
@@ -189,25 +227,10 @@ def _build_system(kind: str, D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem
 
 
 def _system(kind: str, row_parts, col_parts, omega_gens, d: int) -> CovarianceSystem:
-    """The blocks of every (row part, column part) pair, in that order."""
     omega_gens = tuple(np.asarray(g, dtype=complex) for g in omega_gens)
-    omega_bytes = tuple(g.tobytes() for g in omega_gens)
-    K = omega_gens[0].shape[0]
-    kraus_offsets = np.arange(K)[:, None, None] * d * d
-    blocks = tuple(
-        CovarianceBlock(
-            kind=kind,
-            shape=(K, rows.index.size, cols.index.size),
-            index=(kraus_offsets + rows.index[:, None] * d + cols.index).reshape(-1),
-            row_gens=rows.generators,
-            col_gens=cols.generators,
-            omega_gens=omega_gens,
-            content=(rows.content, cols.content, omega_bytes),
-        )
-        for rows in row_parts
-        for cols in col_parts
+    return CovarianceSystem(
+        kind, tuple(row_parts), tuple(col_parts), omega_gens, tuple(g.tobytes() for g in omega_gens), d
     )
-    return CovarianceSystem(blocks=blocks, K=K, d=d)
 
 
 def build_discrete_system(D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
@@ -278,18 +301,21 @@ def joint_nullspace(
     """
     if cache is None:
         cache = {}
-    parts = []
-    for block in system.blocks:
-        key = block.key(tol_kernel)
-        if key not in cache:
-            cache[key] = _block_nullspace(block, tol_kernel)
-        parts.append(cache[key])
-    basis = np.zeros((system.K * system.d * system.d, sum(p.shape[1] for p in parts)), dtype=complex)
+    placed = []  # (entry positions, block basis) of each block with a kernel
+    for rows in system.row_parts:
+        for cols in system.col_parts:
+            key = (system.kind, tol_kernel, rows.content, cols.content, system.omega_content)  # CovarianceBlock.key
+            if key not in cache:
+                cache[key] = _block_nullspace(system.block(rows, cols), tol_kernel)
+            if cache[key].shape[1]:
+                placed.append((system.entries(rows, cols), cache[key]))
+    K, d = system.K, system.d
+    basis = np.zeros((K * d * d, sum(part.shape[1] for _, part in placed)), dtype=complex)
     at = 0
-    for block, part in zip(system.blocks, parts):
-        basis[block.index, at : at + part.shape[1]] = part
+    for index, part in placed:
+        basis[index, at : at + part.shape[1]] = part
         at += part.shape[1]
-    return KernelFamily(basis=basis, K=system.K, d=system.d)
+    return KernelFamily(basis=basis, K=K, d=d)
 
 
 def intertwiner(target, moved, tol_kernel: float = DEFAULT_TOL_KERNEL, cache: dict | None = None) -> np.ndarray:

@@ -16,10 +16,13 @@ conjugation and group automorphisms map an instance to an equivalent one.
 Only the least instance of each class in sweep order, its representative,
 is solved.  Every other member takes the representative's ``n_params``,
 status, error and moduli constraints, and the representative's samples
-moved to it by intertwiners; each moved sample is re-checked for
-covariance against the member's own representations and for trace
-preservation, and its rank test is run again.  Lie-group sweeps solve
-every instance.
+moved to it by intertwiners.  The sweep files each member under its
+representative and moves each class in one go once every instance is
+visited: each member's samples move as one (S, K, d, d) stack, all
+members of a class share (K, d) and so one rank test, and each member's
+covariance residual is read against its own representations.  A member
+that fails any re-check is an ``error`` on its own.  Lie-group sweeps
+solve every instance.
 
 Checks run on stacks of same-shape Kraus sets: a record's samples get one
 batched rank test and one batched covariance residual, and
@@ -30,17 +33,18 @@ manifests do not depend on the batching.
 
 Every JSON text the package writes (manifests, reports, the CLI printers)
 comes from one writer, :func:`json_text`: its bytes are those of
-``json.dumps(obj, indent=2, sort_keys=True)``, and its keys and scalars go
-through the standard library's C encoder in a few batched calls instead of
-that call's pure-Python indenting encoder.
+``json.dumps(obj, indent=2, sort_keys=True)``.  Instead of that call's
+pure-Python indenting encoder, it fills one ``%``-template per dict key
+set and per float-array shape (and indent level), with each scalar
+encoded by the function the standard library's encoder uses for it.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -185,7 +189,8 @@ def run_enumeration(
             block_cache=block_cache,
         )
 
-    records: list[ChannelRecord] = []
+    records: list = []
+    members: dict = {}  # representative -> (position, (rep1, rep2, omega, move)) of each transported member
     for omega in omegas:
         for lab1 in labels:
             for lab2 in labels:
@@ -196,10 +201,14 @@ def run_enumeration(
                 if move is None:
                     records.append(solved[head])
                     continue
-                rep1, rep2 = rep_cache[lab1.parts], rep_cache[lab2.parts]
-                records.append(
-                    _transported(solved[head], rep1, rep2, omega, classes, head, move, tol_rank=tol_rank, tol_tp=tol_tp)
-                )
+                member = (rep_cache[lab1.parts], rep_cache[lab2.parts], omega, move)
+                members.setdefault(head, []).append((len(records), member))
+                records.append(None)
+    for head, filed in members.items():  # each class's members move as one stack
+        positions, of_class = zip(*filed)
+        moved = _transported(solved[head], head, of_class, classes, tol_rank=tol_rank, tol_tp=tol_tp)
+        for at, record in zip(positions, moved):
+            records[at] = record
 
     return RunManifest(
         group=group,
@@ -267,8 +276,8 @@ def _solve_instance(
         if report.status == "solver_failed":
             record.status = "solver_failed"
             return record
-        samples = [KrausSet(family.kraus_at(c)) for c in report.solutions]
-        _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp)
+        stack = np.stack([family.kraus_at(c) for c in report.solutions])
+        _found(record, stack, _sample_test(stack, tol_rank, tol_tp), 0, rep1, rep2, omega, kind)
     except (GcecError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         record.status = "solver_failed"
@@ -280,19 +289,25 @@ def _solve_instance(
     return record
 
 
-def _found(record, samples, rep1, rep2, omega, kind, tol_rank, tol_tp) -> None:
-    """Fill a ``channel_found`` record from its samples with one batched rank
-    test and one batched covariance residual; its TP residual is the largest
-    of the samples'."""
-    stack = np.stack([s.matrices for s in samples])
-    test = test_extreme(stack, tol_rank, tol_tp=max(tol_tp, 1e-8))
-    verdicts = [test.verdict(i) for i in range(len(samples))]  # raises at the first non-TP sample
+def _sample_test(stack, tol_rank, tol_tp):
+    """The rank test of a stack of samples; a sample counts as trace
+    preserving up to ``tol_tp``, but never below 1e-8."""
+    return test_extreme(stack, tol_rank, tol_tp=max(tol_tp, 1e-8))
+
+
+def _found(record, stack, test, first, rep1, rep2, omega, kind) -> None:
+    """Fill a ``channel_found`` record from its (S, K, d, d) sample stack,
+    sets ``first`` to ``first + S - 1`` of the stack that the rank test
+    ``test`` checked, with one batched covariance residual; its TP residual
+    is the largest of the samples'."""
+    S = len(stack)
+    verdicts = [test.verdict(first + i) for i in range(S)]  # raises at the first non-TP sample
     record.status = "channel_found"
-    record.kraus_samples = samples
+    record.kraus_samples = [KrausSet(matrices) for matrices in stack]
     record.classification = _classification(stack.shape[1], verdicts)
     record.residuals = {
         "covariance": float(covariance_residual(stack, rep1, rep2, omega, kind).max()),
-        "tp": float(test.tp_residual.max()),
+        "tp": float(test.tp_residual[first : first + S].max()),
         "rank_sigma_min": min(v.min_singular_value for v in verdicts),
     }
 
@@ -304,38 +319,64 @@ def _classification(K: int, verdicts) -> str:
     return "extreme" if all(v.is_extreme for v in verdicts) else "quasi_extreme"
 
 
-def _transported(source, rep1, rep2, omega, classes, head, move, *, tol_rank, tol_tp) -> ChannelRecord:
-    """The record of the instance ``move`` maps the representative ``head``
-    to, from the representative's record ``source``: the same ``n_params``,
-    status, error and moduli constraints (in the representative's
-    coordinates), and the representative's samples transported, each
-    re-checked against the member's own representations.  A sample that
-    misses covariance or trace preservation makes the record an ``error``:
-    it is never re-solved."""
-    record = ChannelRecord(
-        group=source.group,
-        d=source.d,
-        d1_label=rep1.label,
-        d2_label=rep2.label,
-        omega_index=omega.index,
-        omega_label=omega.label,
-        n_params=source.n_params,
-        status=source.status,
-        moduli_constraints=list(source.moduli_constraints),
-        error=source.error,
-    )
+def _transported(source, head, members, classes, *, tol_rank, tol_tp) -> list[ChannelRecord]:
+    """The records of the ``members`` (rep1, rep2, omega, move) of the
+    class of ``head``, from its representative's record ``source``: each
+    takes the same ``n_params``, status, error and moduli constraints (in
+    the representative's coordinates), and the representative's sample
+    stack moved to it.  All members share (K, d), so their moved samples
+    get one rank test; each member's covariance residual is read against
+    its own representations.  A member whose transport fails, or whose
+    samples miss covariance or trace preservation, becomes an ``error`` on
+    its own: it is never re-solved."""
+    records = [
+        ChannelRecord(
+            group=source.group,
+            d=source.d,
+            d1_label=rep1.label,
+            d2_label=rep2.label,
+            omega_index=omega.index,
+            omega_label=omega.label,
+            n_params=source.n_params,
+            status=source.status,
+            moduli_constraints=list(source.moduli_constraints),
+            error=source.error,
+        )
+        for rep1, rep2, omega, _ in members
+    ]
     if source.status != "channel_found":
-        return record
-    try:
-        samples = [classes.transport(s, head, move) for s in source.kraus_samples]
-        _found(record, samples, rep1, rep2, omega, "discrete", tol_rank, tol_tp)
-        if record.residuals["covariance"] > TRANSPORT_TOL_COV:
-            raise GcecError(f"covariance residual {record.residuals['covariance']:.3e} exceeds {TRANSPORT_TOL_COV:.0e}")
-    except Exception as exc:  # never solver_failed: the representative decided existence
-        record.status = "error"
-        record.error = f"transport failed: {type(exc).__name__}: {exc}"
-        record.kraus_samples, record.classification, record.residuals = [], "not_applicable", {}
-    return record
+        return records
+    samples = np.stack([s.matrices for s in source.kraus_samples])
+    moved = {}  # member index -> its moved samples
+    for i, (_, _, _, move) in enumerate(members):
+        try:
+            stack = classes.transport(samples, head, move)
+            # one non-finite set would stop the shared SVD for every member
+            if not np.isfinite(stack).all():
+                raise GcecError("a transported sample is not finite")
+            moved[i] = stack
+        except Exception as exc:  # never solver_failed: the representative decided existence
+            _transport_failed(records[i], exc)
+    if not moved:
+        return records
+    test = _sample_test(np.concatenate(list(moved.values())), tol_rank, tol_tp)
+    for at, (i, stack) in enumerate(moved.items()):
+        rep1, rep2, omega, _ = members[i]
+        try:
+            _found(records[i], stack, test, at * len(stack), rep1, rep2, omega, "discrete")
+            if records[i].residuals["covariance"] > TRANSPORT_TOL_COV:
+                raise GcecError(
+                    f"covariance residual {records[i].residuals['covariance']:.3e} exceeds {TRANSPORT_TOL_COV:.0e}"
+                )
+        except Exception as exc:
+            _transport_failed(records[i], exc)
+    return records
+
+
+def _transport_failed(record, exc) -> None:
+    record.status = "error"
+    record.error = f"transport failed: {type(exc).__name__}: {exc}"
+    record.kraus_samples, record.classification, record.residuals = [], "not_applicable", {}
 
 
 # ---------------------------------------------------------------------------
@@ -378,69 +419,74 @@ def _manifest_fields(manifest: RunManifest) -> dict:
     }
 
 
-# The C encoder (``indent`` is None) with a newline between list items: no
-# encoded scalar contains a raw newline, since strings escape every control
-# character, so the items of one encoded list split apart exactly.
-_LEAF_ENCODER = json.JSONEncoder(separators=("\n", ": "))
+_ENCODER = json.JSONEncoder()  # the C encoder, for scalars no fast path below takes
 
 
 def json_text(obj) -> str:
     """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
 
     ``obj`` holds dicts with string keys, lists, tuples, numpy arrays (laid
-    out as nested lists) and JSON scalars.  A walk in Python lays out the
-    containers by the standard library's indent rules; the C encoder
-    encodes every key, every array's entries (one call per array) and the
-    remaining scalars (one call in all), so escaping, NaN/Infinity and float
-    repr are the standard library's.
+    out as nested lists) and JSON scalars.  One recursive emitter writes
+    each container from a template made once per call: a dict's for its
+    (sorted keys, indent level), with one ``%s`` per value, and a float
+    array's for its (shape, level), with one ``%r`` per entry.  Scalars go
+    through the functions the standard library's encoder uses: strings
+    through ``encode_basestring_ascii``, ints through ``int.__repr__`` and
+    floats through ``float.__repr__``, anything else through the C encoder.
     """
-    seps, leaves = [""], []
-    _layout(obj, 0, seps, leaves, {})
-    return _interleave(seps, leaves)
+    dicts: dict = {}  # (sorted keys, level) -> template
+    arrays: dict = {}  # (shape, level) -> template
 
-
-def _interleave(seps: list, leaves: list) -> str:
-    """``seps[0]``, encoded ``leaves[0]``, ``seps[1]``, ..., ``seps[-1]``,
-    with every leaf encoded by one C-encoder call."""
-    tokens = _LEAF_ENCODER.encode(leaves)[1:-1].split("\n") if leaves else []
-    return "".join(chain.from_iterable(zip(seps, tokens))) + seps[-1]
-
-
-def _layout(obj, level: int, seps: list, leaves: list, memo: dict) -> None:
-    """Append ``obj`` at indent ``level``: ``leaves`` gains its scalars, and
-    ``seps[i]`` holds the literal text before ``leaves[i]`` (``seps[-1]``
-    the text after the last).  Keys and arrays are encoded on the spot and
-    join the literal text.  ``memo`` lives for one :func:`json_text` call;
-    it maps an array's (shape, level) to the literal pieces around its
-    entries, and a (separator, key) pair to its text up to the value."""
-    if isinstance(obj, np.ndarray):
-        if (obj.shape, level) not in memo:
-            pieces = memo[obj.shape, level] = [""]
-            _layout(np.zeros(obj.shape).tolist(), level, pieces, [], memo)
-        seps[-1] += _interleave(memo[obj.shape, level], obj.ravel().tolist())
-    elif isinstance(obj, (dict, list, tuple)):
-        keyed = isinstance(obj, dict)
-        brackets = "{}" if keyed else "[]"
-        if not obj:
-            seps[-1] += brackets
-            return
-        items = sorted(obj.items()) if keyed else [(None, item) for item in obj]
+    def layout(items: list, level: int, brackets: str = "[]") -> str:
         inner = "\n" + "  " * (level + 1)
-        sep, comma = brackets[0] + inner, "," + inner
-        for key, value in items:
-            if keyed:
-                if (sep, key) not in memo:
-                    if not isinstance(key, str):
-                        raise TypeError(f"json_text needs string keys, got {key!r}")
-                    memo[sep, key] = sep + _LEAF_ENCODER.encode(key) + ": "
-                sep = memo[sep, key]
-            seps[-1] += sep
-            _layout(value, level + 1, seps, leaves, memo)
-            sep = comma
-        seps[-1] += "\n" + "  " * level + brackets[1]
-    else:
-        leaves.append(obj)
-        seps.append("")
+        # wrap the joined items in one copy: at the top they hold a whole manifest
+        return ("," + inner).join(items).join((brackets[0] + inner, "\n" + "  " * level + brackets[1]))
+
+    def dict_template(keys: tuple, level: int) -> str:
+        if not all(isinstance(key, str) for key in keys):
+            raise TypeError(f"json_text needs string keys, got {keys!r:.80}")
+        return layout([encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys], level, "{}")
+
+    def array_template(shape: tuple, level: int) -> str:
+        if not shape:
+            return "%r"
+        return layout([array_template(shape[1:], level + 1)] * shape[0], level) if shape[0] else "[]"
+
+    def emit(obj, level: int) -> str:
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            text = float.__repr__(obj)
+            return text if "n" not in text else _ENCODER.encode(obj)  # nan, inf: NaN, Infinity
+        if isinstance(obj, np.ndarray):
+            if obj.dtype.kind == "f":
+                key = (obj.shape, level)
+                if key not in arrays:
+                    arrays[key] = array_template(obj.shape, level)
+                text = arrays[key] % tuple(obj.ravel().tolist())
+                if "n" not in text:  # a finite float's repr has no n
+                    return text
+            return emit(obj.tolist(), level)
+        if isinstance(obj, (list, tuple)):
+            return layout([emit(v, level + 1) for v in obj], level) if obj else "[]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            keys, values = zip(*sorted(obj.items()))
+            if (keys, level) not in dicts:
+                dicts[keys, level] = dict_template(keys, level)
+            return dicts[keys, level] % tuple([emit(v, level + 1) for v in values])
+        return _ENCODER.encode(obj)
+
+    return emit(obj, 0)
 
 
 def manifest_to_json(manifest: RunManifest) -> str:

@@ -8,6 +8,7 @@ sum_k A_k^dag A_k - I, and the rank test as an SVD of the d^2 x K^2 matrix
 of the vectorized products A_k^dag A_l.
 """
 
+import collections
 import dataclasses
 import json
 
@@ -16,7 +17,7 @@ import pytest
 
 from gcec import classes as classes_module
 from gcec import pipeline
-from gcec.channels import KrausSet, kraus_from_dict, tp_residuals
+from gcec.channels import kraus_from_dict, tp_residuals
 from gcec.classes import LabelClasses
 from gcec.cli import main
 from gcec.errors import NotTracePreserving, SchemaError
@@ -261,13 +262,11 @@ def test_one_non_tp_sample_fails_a_solved_record(monkeypatch, s3_sweep):
 
 def test_one_non_tp_sample_makes_a_transported_record_an_error(monkeypatch, s3_sweep):
     transport = classes_module.LabelClasses.transport
-    calls = []
 
-    def second_sample_doubled(self, kraus, rep, move):
-        moved = transport(self, kraus, rep, move)
-        first = not calls or calls[-1] != (rep, move)  # a record's samples move consecutively
-        calls.append((rep, move))
-        return moved if first else KrausSet(matrices=2.0 * moved.matrices)
+    def second_sample_doubled(self, stack, rep, move):
+        moved = transport(self, stack, rep, move).copy()
+        moved[1:2] *= 2.0
+        return moved
 
     monkeypatch.setattr(classes_module.LabelClasses, "transport", second_sample_doubled)
     manifest = run_enumeration("S3", None, 3, nonunitary_only=True)
@@ -281,6 +280,67 @@ def test_one_non_tp_sample_makes_a_transported_record_an_error(monkeypatch, s3_s
         else:
             assert record_dict(r) == record_dict(ref)
     assert broken > 0
+
+
+@pytest.mark.parametrize("failure", ["raises", "not trace preserving"])
+def test_a_failing_member_leaves_its_classmates_alone(monkeypatch, failure):
+    # D5 d=4*: the members of one class share one rank test; break one
+    # member's transport and every other record must stay as it was.
+    reference = run_enumeration("D5", None, 4, nonunitary_only=True)
+    classes = LabelClasses(props("D5", "discrete", 4).group, 1e-10, {})
+    found = collections.defaultdict(list)  # representative -> its transported channel_found records
+    for r in reference.records:
+        head, move = classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts))
+        if move is not None and r.status == "channel_found":
+            found[head].append((r, move))
+    head, members = max(found.items(), key=lambda item: len(item[1]))
+    assert len(members) >= 3
+    victim, victim_move = members[len(members) // 2]
+    transport = classes_module.LabelClasses.transport
+
+    def broken(self, stack, rep, move):
+        moved = transport(self, stack, rep, move)
+        if (rep, move) != (head, victim_move):
+            return moved
+        if failure == "raises":
+            raise RuntimeError("no intertwiner")
+        return 2.0 * moved
+
+    monkeypatch.setattr(classes_module.LabelClasses, "transport", broken)
+    manifest = run_enumeration("D5", None, 4, nonunitary_only=True)
+    for r, ref in zip(manifest.records, reference.records):
+        if ref is victim:
+            reason = "RuntimeError: no intertwiner" if failure == "raises" else "NotTracePreserving"
+            assert r.status == "error" and r.error.startswith(f"transport failed: {reason}")
+            assert not r.kraus_samples and r.classification == "not_applicable" and not r.residuals
+        else:
+            assert record_dict(r) == record_dict(ref)
+
+
+@pytest.mark.parametrize("name,d,nonunitary_only", [("D5", 4, True), ("Z4", 3, False), ("A4", 4, True)])
+def test_stacked_transport_equals_moving_each_sample_alone(name, d, nonunitary_only):
+    manifest = run_enumeration(name, None, d, nonunitary_only=nonunitary_only)
+    classes = LabelClasses(props(name, "discrete", d).group, 1e-10, {})
+    by_instance = {(r.omega_index, r.d1_label.parts, r.d2_label.parts): r for r in manifest.records}
+    checked = 0
+    for inst, r in by_instance.items():
+        head, move = classes.representative(inst)
+        if move is None or r.status != "channel_found":
+            continue
+        stack = np.stack([s.matrices for s in by_instance[head].kraus_samples])
+        moved = classes.transport(stack, head, move)
+        # the per-set reference: A'_j = sum_k conj(Q_kj) R^dag B_k P
+        omega, parts1, parts2 = head
+        P = classes.placement(parts1, move.s, move.conj, move.aut)
+        R = classes.placement(parts2, move.t, move.conj, move.aut)
+        Q = classes.placement((omega,), move.u, move.conj, move.aut)
+        for sample, stacked, stored in zip(stack, moved, r.kraus_samples):
+            B = sample.conj() if move.conj else sample
+            alone = np.einsum("kj,kab->jab", Q.conj(), R.conj().T @ B @ P)
+            assert stacked.tobytes() == alone.tobytes() == classes.transport(sample[None], head, move)[0].tobytes()
+            assert stacked.tobytes() == stored.matrices.tobytes()
+        checked += 1
+    assert checked > 0
 
 
 def test_record_residuals_equal_the_per_sample_loop(s3_sweep):

@@ -340,6 +340,29 @@ def _distinct_blocks(name, d):
     return list(blocks.values())
 
 
+def test_sweep_builds_a_block_only_on_a_cache_miss(monkeypatch):
+    # A system holds only its parts: a sweep builds one CovarianceBlock per
+    # distinct cache key, and factors each of those once.
+    distinct = {b.key(kernels.DEFAULT_TOL_KERNEL) for b in _distinct_blocks("SO3", 7)}
+    built, factored = [], []
+    block_type, block_nullspace = kernels.CovarianceBlock, kernels._block_nullspace
+
+    def counted_block(**fields):
+        block = block_type(**fields)
+        built.append(block.key(kernels.DEFAULT_TOL_KERNEL))
+        return block
+
+    def counted_nullspace(block, tol_kernel):
+        factored.append(block.key(tol_kernel))
+        return block_nullspace(block, tol_kernel)
+
+    monkeypatch.setattr(kernels, "CovarianceBlock", counted_block)
+    monkeypatch.setattr(kernels, "_block_nullspace", counted_nullspace)
+    run_enumeration("SO3", None, 7)
+    assert factored == built
+    assert len(built) == len(set(built)) and set(built) == distinct
+
+
 def _dense_kernel(block, tol):
     stacked = np.vstack(block.matrices)
     if not np.any(stacked):

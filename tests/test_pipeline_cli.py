@@ -36,7 +36,15 @@ from gcec.pipeline import (
 from gcec.reps import enumerate_reps, materialize, omega_candidates
 from gcec.tp import solve_tp
 
-from fixtures import a4_qutrit_triple_alt_gauge, identity_kraus, kraus_dict, manifest_dict, record_dict, s3_qutrit_family
+from fixtures import (
+    a4_qutrit_triple_alt_gauge,
+    identity_kraus,
+    kraus_dict,
+    manifest_dict,
+    plain,
+    record_dict,
+    s3_qutrit_family,
+)
 
 
 @pytest.fixture(scope="module")
@@ -478,19 +486,85 @@ def test_cli_json_outputs_match_stdlib(tmp_path, capsys, s3_manifest):
     assert verdict_path.read_text() == stdout
 
 
+class _SubDict(dict):
+    pass
+
+
+_TEXT_CHARS = np.array(list("ab%_ \"\\\t\né∞😀"))
+_SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 1.5e300, 0.1)
+
+
+def _random_text(rng) -> str:
+    return "".join(rng.choice(_TEXT_CHARS, size=rng.integers(0, 6)))
+
+
+def _random_array(rng) -> np.ndarray:
+    shape = tuple(int(n) for n in rng.integers(0, 4, size=rng.integers(0, 4)))
+    kind = rng.integers(-2, 4)
+    if kind <= 0:  # float64, with NaN, +-inf and -0.0 at random entries
+        out = np.array(rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape))
+        special = np.array(rng.random(size=shape) < 0.3)
+        out[special] = rng.choice(_SPECIAL_FLOATS[:4], size=int(special.sum()))
+        return out
+    if kind == 1:
+        return np.array(rng.normal(size=shape), dtype=np.float32)
+    if kind == 2:
+        return np.array(rng.integers(-(2**40), 2**40, size=shape))
+    return np.array(rng.random(size=shape) < 0.5)
+
+
+def _random_tree(rng, depth: int = 0):
+    kind = int(rng.integers(0, 9 if depth < 4 else 6))
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return int(rng.integers(-(2**62), 2**62)) * int(rng.choice([1, 10**30]))
+    if kind == 2:
+        return float(rng.choice(_SPECIAL_FLOATS + (float(rng.normal()),)))
+    if kind == 3:
+        return np.float64(rng.normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 4:
+        return [None, True, False][rng.integers(0, 3)]
+    if kind == 5:
+        return _random_array(rng)
+    if kind in (6, 7):
+        items = [_random_tree(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+        return items if kind == 6 else tuple(items)
+    mapping = {_random_text(rng): _random_tree(rng, depth + 1) for _ in range(rng.integers(0, 4))}
+    return _SubDict(mapping) if rng.random() < 0.5 else mapping
+
+
 def test_json_text_layouts():
     obj = {
         "empty": [{}, [], ()],
         "nested": [np.arange(12.0).reshape(3, 2, 2), np.zeros((2, 0)), np.zeros((0, 3)), np.array(-0.0)],
         "scalars": (None, True, False, 0, -7, 1.5, "tab\tquote\"", float("nan")),
+        "arrays": [
+            np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
+            np.arange(4).reshape(2, 2),
+            np.array([True, False]),
+            np.array([0.1, 1.5], dtype=np.float32),
+            np.array(2.5),
+            np.array(3),
+            np.zeros((0,)),
+        ],
+        "numpy scalars": [np.float64(0.1), np.float64("nan"), np.float64(-0.0)],
+        "sub": _SubDict({"b": 1, "a": _SubDict()}),
+        "100% é \u2603": ["50% off", "\u00e9\u2603\U0001f600", "%s %r %%"],
     }
-    as_lists = {**obj, "nested": [a.tolist() for a in obj["nested"]]}
-    assert json_text(obj) == _stdlib_json(as_lists)
+    assert json_text(obj) == _stdlib_json(plain(obj))
     for scalar in (None, 3, "x", float("inf")):
         assert json_text(scalar) == _stdlib_json(scalar)
     for key in (1, None):
         with pytest.raises(TypeError):
             json_text({key: "not a string key"})
+    # a non-string key is refused after a same-length float array too
+    with pytest.raises(TypeError):
+        json_text([np.zeros(1), {1: "x"}])
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        tree = _random_tree(rng)
+        assert json_text(tree) == _stdlib_json(plain(tree))
 
 
 def test_cli_run_text_report(capsys):
