@@ -109,7 +109,7 @@ def kraus_from_dict(obj) -> KrausSet:
         if key not in obj:
             raise SchemaError(f"Kraus-set object missing key {key!r}")
     d, K = obj["d"], obj["K"]
-    if not (isinstance(d, int) and isinstance(K, int) and d >= 1 and K >= 1):
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (d, K)):
         raise SchemaError("Kraus-set 'd' and 'K' must be positive integers")
     if not isinstance(obj["kraus"], list) or len(obj["kraus"]) != K:
         raise SchemaError(f"expected {K} Kraus matrices")

@@ -32,12 +32,6 @@ from .tp import DEFAULT_TOL_TP
 
 def _add_group_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--group", required=True, help="catalog name, e.g. S3, A4, Z2, D5, SO3, SU2")
-    sub.add_argument(
-        "--kind",
-        choices=("discrete", "lie"),
-        default=None,
-        help="group kind; inferred from the name when omitted",
-    )
     sub.add_argument("--dim", required=True, type=int, help="Hilbert-space dimension d")
 
 
@@ -92,8 +86,7 @@ def _write(path, text: str) -> None:
 
 
 def _cmd_catalog(args) -> int:
-    kind = args.kind or infer_kind(args.group)
-    payload = props(args.group, kind, args.dim)
+    payload = props(args.group, infer_kind(args.group), args.dim)
     if args.format == "json":
         obj = {
             "group": payload.group.name,
@@ -124,8 +117,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    kind = args.kind or infer_kind(args.group)
-    payload = props(args.group, kind, args.dim)
+    payload = props(args.group, infer_kind(args.group), args.dim)
     labels = enumerate_reps(payload.group, args.dim)
     omegas = omega_candidates(payload.group, args.dim)
     if args.nonunitary_only:
@@ -152,7 +144,7 @@ def _cmd_run(args) -> int:
     reps = None if args.reps is None else [t for t in args.reps.split(",") if t]
     manifest = run_enumeration(
         args.group,
-        args.kind,
+        None,
         args.dim,
         tol_kernel=args.tol_kernel,
         tol_tp=args.tol_tp,

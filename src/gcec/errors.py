@@ -33,9 +33,5 @@ class NotTracePreserving(GcecError):
     """A Kraus set expected to be trace preserving is not, within tolerance."""
 
 
-class EmptyManifold(GcecError):
-    """A sweep was requested over a family with no trace-preserving points."""
-
-
 class SchemaError(GcecError):
     """A JSON payload does not match the expected schema."""

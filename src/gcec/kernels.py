@@ -58,10 +58,10 @@ Cache.  A sweep meets the same (row irrep, column irrep, Omega) block in
 many instances.  :func:`joint_nullspace` accepts a plain dict, keyed by the
 block's content (kind, tolerance and generator bytes), and factors each
 distinct block once.  A :class:`CovarianceSystem` holds only its parts and
-Omega: the key is read off the parts' ``content`` and Omega's bytes, a
-:class:`CovarianceBlock` is built only on a cache miss, and the basis is
-assembled from each pair's entry positions.  Cached and fresh results are
-identical, so the cache never changes output.
+Omega: :meth:`CovarianceSystem.key` reads the key off the parts' ``content``
+and Omega's bytes, a :class:`CovarianceBlock` is built only on a cache miss,
+and the basis is assembled from each pair's entry positions.  Cached and
+fresh results are identical, so the cache never changes output.
 """
 
 from __future__ import annotations
@@ -93,9 +93,8 @@ class CovarianceBlock:
     ``shape`` is (K, len(rows), len(cols)); ``index`` gives the positions of
     the block's K*r*c entries in the stacked K*d^2 vector, in the block's
     own row-major (k, row, column) order.  ``row_gens`` and ``col_gens`` are
-    the generator sub-blocks acting on the rows and the columns,
-    ``omega_gens`` the channel label's generators, and ``content`` the bytes
-    of those three tuples.
+    the generator sub-blocks acting on the rows and the columns, and
+    ``omega_gens`` the channel label's generators.
     """
 
     kind: str
@@ -104,7 +103,6 @@ class CovarianceBlock:
     row_gens: tuple[np.ndarray, ...]
     col_gens: tuple[np.ndarray, ...]
     omega_gens: tuple[np.ndarray, ...]
-    content: tuple[tuple[bytes, ...], ...]
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -136,10 +134,6 @@ class CovarianceBlock:
                 if all(np.array_equal(g, np.diag(np.diag(g))) for g in (a, b, om)):
                     free &= _defect(self.kind, a, b, om, ones) == 0
         return np.flatnonzero(free)
-
-    def key(self, tol_kernel: float) -> tuple:
-        """Cache key: equal keys mean equal systems, hence equal kernels."""
-        return (self.kind, tol_kernel, *self.content)
 
 
 @dataclass(frozen=True)
@@ -177,8 +171,12 @@ class CovarianceSystem:
             row_gens=rows.generators,
             col_gens=cols.generators,
             omega_gens=self.omega_gens,
-            content=(rows.content, cols.content, self.omega_content),
         )
+
+    def key(self, rows: InvariantBlock, cols: InvariantBlock, tol_kernel: float) -> tuple:
+        """Cache key of the (rows, cols) block: equal keys mean equal
+        systems, hence equal kernels."""
+        return (self.kind, tol_kernel, rows.content, cols.content, self.omega_content)
 
     @property
     def blocks(self) -> tuple[CovarianceBlock, ...]:
@@ -304,7 +302,7 @@ def joint_nullspace(
     placed = []  # (entry positions, block basis) of each block with a kernel
     for rows in system.row_parts:
         for cols in system.col_parts:
-            key = (system.kind, tol_kernel, rows.content, cols.content, system.omega_content)  # CovarianceBlock.key
+            key = system.key(rows, cols, tol_kernel)
             if key not in cache:
                 cache[key] = _block_nullspace(system.block(rows, cols), tol_kernel)
             if cache[key].shape[1]:

@@ -30,13 +30,6 @@ Xi_pq(c) = c^dag M^(pq) c, which drives a three-stage strategy:
    each landed on the trace-preserving set by alternating projection
    (:func:`_project`); failure to converge is reported as such, not as
    proof of infeasibility.
-
-The solution sampler reuses both halves: :func:`_mix` draws points of the
-moduli polytope from all of its vertices, with free phases, and
-:func:`_project` re-lands perturbed solutions of the nonlinear families.
-:func:`_project` is the one landing map; the multi-start and the sampler
-differ on purpose in where they start, and in snapping, de-duplication,
-deadline and count.
 """
 
 from __future__ import annotations
@@ -48,7 +41,6 @@ from itertools import combinations
 import numpy as np
 
 from .channels import DEFAULT_TOL_RANK, product_rank, tp_residuals
-from .errors import EmptyManifold
 from .kernels import KernelFamily, leading_entry
 
 DEFAULT_TOL_TP = 1e-10
@@ -423,31 +415,3 @@ def _nonlinear_path(family, tol_tp, n_starts, rng, deadline):
         + "; existence undecided",
     )
 
-
-def solution_sampler(family: KernelFamily, report: TpSolveReport, tol_tp: float = DEFAULT_TOL_TP):
-    """Build ``sampler(rng, count) -> list of coefficient vectors`` over the
-    trace-preserving set described by a solved report."""
-    if report.status != "solved" or not report.solutions:
-        raise EmptyManifold("family has no known trace-preserving points")
-    n = family.n_params
-
-    if report.moduli_rows is not None:
-        vertices, W = _vertices(report.moduli_rows), report.decoupling
-        return lambda rng, count: [_mix(vertices, W, rng) for _ in range(count)]
-
-    base = [np.asarray(c, dtype=complex) for c in report.solutions]
-
-    def sampler(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        attempts = 0
-        while len(out) < count and attempts < 10 * count:
-            attempts += 1
-            re, im = 0.2 * rng.standard_normal((2, n))
-            c, r = _project(base[attempts % len(base)] + (re + 1j * im), family)
-            if r <= tol_tp:
-                out.append(_gauge_phase(c))
-        if not out:
-            raise EmptyManifold("could not re-converge onto the solution set")
-        return out
-
-    return sampler

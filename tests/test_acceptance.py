@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from gcec.channels import KrausSet, choi, tp_residuals
-from gcec.extremality import sweep_family
 from gcec.groups import Irrep, props
 from gcec.kernels import (
     build_discrete_system,
@@ -185,16 +184,21 @@ def test_triangle_group_qutrit_family_constraints_and_rank_drop_locus():
     q, _ = np.linalg.qr(np.column_stack(cols))
     assert np.linalg.norm(_projector(q) - _projector(family.basis)) <= 1e-9
 
-    # generic points are extreme; the sweep pins the quasi-extreme locus
-    sweep = sweep_family(family, report, grid_size=32)
-    assert all(v.is_extreme for v in sweep.verdicts)
-    assert sweep.rank_drop_points
-    for c in sweep.rank_drop_points:
-        a1 = family.kraus_at(c)[0]
-        assert abs(abs(a1[0, 1]) ** 2 - 0.5) <= 1e-3
-        assert abs(abs(a1[1, 1]) ** 2 - 0.25) <= 1e-3
-        verdict = check_extreme(kraus_set(family.kraus_at(c)))
-        assert not verdict.is_extreme and verdict.rank == 3
+    # the smallest product singular value is 2 | |alpha|^2 - 1/2 | at every
+    # phase: rank 3 on the locus |alpha|^2 = 1/2, |gamma|^2 = 1/4, else rank 4
+    for a2 in (0.5, 0.2, 0.9, 0.501):
+        for _ in range(3):
+            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+            trio = s3_qutrit_family(
+                np.sqrt(a2) * phases[0],
+                np.sqrt(0.5) * phases[1],
+                np.sqrt((1 - a2) / 2) * phases[2],
+            )
+            verdict = check_extreme(kraus_set(trio))
+            assert abs(verdict.min_singular_value - 2 * abs(a2 - 0.5)) <= 1e-9
+            on_locus = a2 == 0.5
+            assert verdict.rank == (3 if on_locus else 4)
+            assert verdict.is_extreme is not on_locus
     assert time.perf_counter() - started < 10.0
 
 

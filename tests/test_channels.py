@@ -113,6 +113,11 @@ def test_schema_errors():
         kraus_from_dict({**good, "K": 3})
     with pytest.raises(SchemaError):
         kraus_from_dict({**good, "d": 3})
+    # JSON true is no integer, though Python's bool subclasses int
+    with pytest.raises(SchemaError):
+        kraus_from_dict({"d": True, "K": True, "kraus": [[[[1.0, 0.0]]]]})
+    with pytest.raises(SchemaError):
+        kraus_from_dict({**good, "K": True})
 
     def with_entry(value):
         kraus = kraus_dict(identity_kraus(2))["kraus"]

@@ -1,15 +1,10 @@
-"""Extremality rank test and quasi-extreme locus sweeps."""
+"""Extremality rank test."""
 
 import numpy as np
 import pytest
 
-from gcec.channels import KrausSet
-from gcec.errors import EmptyManifold, NotTracePreserving
-from gcec.extremality import product_stack, sweep_family
-from gcec.groups import props
-from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace
-from gcec.reps import make_rep_label, materialize
-from gcec.tp import TpSolveReport, solve_tp
+from gcec.channels import KrausSet, product_stack
+from gcec.errors import NotTracePreserving
 
 from fixtures import (
     a4_qutrit_triple,
@@ -39,13 +34,6 @@ EXTREME_FIXTURES = [
     ("su2-d3", su2_flip_family(3)),
     ("su2-d4", su2_flip_family(4)),
 ]
-
-
-def _family(name, kind, d, omega_index, parts):
-    spec = props(name, kind, d).group
-    D = materialize(spec, make_rep_label(spec, parts))
-    build = build_discrete_system if kind == "discrete" else build_lie_system
-    return joint_nullspace(build(D, D, spec.irrep_by_index(omega_index)), 1e-10)
 
 
 def test_product_stack_shape():
@@ -131,40 +119,3 @@ def test_non_tp_input_rejected():
     with pytest.raises(NotTracePreserving):
         check_extreme(kraus_set([0.5 * np.eye(2)]))
 
-
-def test_sweep_localizes_s3_rank_drop():
-    family = _family("S3", "discrete", 3, 2, (0, 2))
-    report = solve_tp(family, seed=0)
-    result = sweep_family(family, report, grid_size=32, seed=0)
-    assert len(result.grid) == 32 and len(result.verdicts) == 32
-    # random trace-preserving points are extreme almost surely
-    assert all(v.is_extreme for v in result.verdicts)
-    assert result.rank_drop_points
-    for c in result.rank_drop_points:
-        a1 = family.kraus_at(c)[0]
-        alpha, beta, gamma = a1[0, 1], a1[1, 0], a1[1, 1]
-        assert abs(abs(alpha) ** 2 - 0.5) <= 1e-8
-        assert abs(abs(beta) ** 2 - 0.5) <= 1e-8
-        assert abs(abs(gamma) ** 2 - 0.25) <= 1e-8
-        verdict = check_extreme(kraus_set(family.kraus_at(c)))
-        assert not verdict.is_extreme and verdict.rank == 3
-
-
-def test_sweep_clean_families_report_no_drops():
-    family = _family("SO3", "lie", 3, 1, (1,))
-    report = solve_tp(family)
-    result = sweep_family(family, report, grid_size=8, seed=1)
-    assert all(v.is_extreme for v in result.verdicts)
-    assert result.rank_drop_points == []
-
-    span = KernelFamily(basis=np.eye(2).reshape(-1, 1) / np.sqrt(2), K=1, d=2)
-    report = solve_tp(span)
-    result = sweep_family(span, report, grid_size=6, seed=2)
-    assert all(v.is_extreme and v.rank == 1 for v in result.verdicts)
-    assert result.rank_drop_points == []
-
-
-def test_sweep_requires_known_solutions():
-    family = _family("S3", "discrete", 3, 2, (0, 2))
-    with pytest.raises(EmptyManifold):
-        sweep_family(family, TpSolveReport(status="no_solution"))

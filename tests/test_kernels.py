@@ -327,6 +327,7 @@ def test_each_representation_is_split_once_per_sweep(monkeypatch):
 
 
 def _distinct_blocks(name, d):
+    """Cache key -> block, one block per distinct key over the whole sweep."""
     kind = infer_kind(name)
     spec = props(name, kind, d).group
     build = build_discrete_system if kind == "discrete" else build_lie_system
@@ -335,32 +336,35 @@ def _distinct_blocks(name, d):
     for omega in omega_candidates(spec, d):
         for D1 in reps_:
             for D2 in reps_:
-                for b in build(D1, D2, omega).blocks:
-                    blocks.setdefault(b.key(1e-10), b)
-    return list(blocks.values())
+                system = build(D1, D2, omega)
+                parts = [(rows, cols) for rows in system.row_parts for cols in system.col_parts]
+                for (rows, cols), b in zip(parts, system.blocks):
+                    blocks.setdefault(system.key(rows, cols, kernels.DEFAULT_TOL_KERNEL), b)
+    return blocks
 
 
 def test_sweep_builds_a_block_only_on_a_cache_miss(monkeypatch):
     # A system holds only its parts: a sweep builds one CovarianceBlock per
     # distinct cache key, and factors each of those once.
-    distinct = {b.key(kernels.DEFAULT_TOL_KERNEL) for b in _distinct_blocks("SO3", 7)}
+    distinct = set(_distinct_blocks("SO3", 7))
     built, factored = [], []
-    block_type, block_nullspace = kernels.CovarianceBlock, kernels._block_nullspace
+    build_block, block_nullspace = kernels.CovarianceSystem.block, kernels._block_nullspace
 
-    def counted_block(**fields):
-        block = block_type(**fields)
-        built.append(block.key(kernels.DEFAULT_TOL_KERNEL))
+    def counted_block(system, rows, cols):
+        block = build_block(system, rows, cols)
+        built.append((system.key(rows, cols, kernels.DEFAULT_TOL_KERNEL), block))
         return block
 
     def counted_nullspace(block, tol_kernel):
-        factored.append(block.key(tol_kernel))
+        factored.append(block)
         return block_nullspace(block, tol_kernel)
 
-    monkeypatch.setattr(kernels, "CovarianceBlock", counted_block)
+    monkeypatch.setattr(kernels.CovarianceSystem, "block", counted_block)
     monkeypatch.setattr(kernels, "_block_nullspace", counted_nullspace)
     run_enumeration("SO3", None, 7)
-    assert factored == built
-    assert len(built) == len(set(built)) and set(built) == distinct
+    keys = [key for key, _ in built]
+    assert len(factored) == len(built) and all(f is b for f, (_, b) in zip(factored, built))
+    assert len(keys) == len(set(keys)) and set(keys) == distinct
 
 
 def _dense_kernel(block, tol):
@@ -383,8 +387,8 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
     rep = materialize(su2, make_rep_label(su2, (0, 1)))
     D1, D2 = (_rotated(rep, random_unitary(rng, 3)) for _ in range(2))
     (rotated,) = build_lie_system(D1, D2, su2.irrep_by_index(1)).blocks
-    discrete = _distinct_blocks("Z4", 3)  # diagonal generators, but no cut
-    blocks = _distinct_blocks("SO3", 7) + _distinct_blocks("SU2", 5) + [rotated] + discrete
+    discrete = [*_distinct_blocks("Z4", 3).values()]  # diagonal generators, but no cut
+    blocks = [*_distinct_blocks("SO3", 7).values(), *_distinct_blocks("SU2", 5).values(), rotated, *discrete]
     svd_inputs = []
     original = np.linalg.svd
 
@@ -416,7 +420,7 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
 
 def test_block_columns_are_the_matrices_columns():
     # the restricted build and the full view share one assembly routine
-    for block in _distinct_blocks("SU2", 3) + _distinct_blocks("Z4", 2):
+    for block in [*_distinct_blocks("SU2", 3).values(), *_distinct_blocks("Z4", 2).values()]:
         picked = block.free_entries[::2]
         for part, full in zip(block.columns(picked), block.matrices):
             assert np.array_equal(part, full[:, picked])

@@ -1,4 +1,4 @@
-"""Trace-preservation solving: certificates, linear path, fallback, sampler."""
+"""Trace-preservation solving: certificates, linear path, fallback."""
 
 import time
 
@@ -7,14 +7,13 @@ import pytest
 from scipy.optimize import linprog
 
 from gcec import extremality
-from gcec.errors import EmptyManifold
 from gcec.groups import props
 from gcec.channels import tp_residuals
 from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace
 from gcec.pipeline import run_enumeration
 from gcec.reps import make_rep_label, materialize
 import gcec.tp as tp
-from gcec.tp import TpSolveReport, _offdiag_vanishes, _vertices, solution_sampler, solve_tp, xi_forms
+from gcec.tp import _offdiag_vanishes, _vertices, solve_tp, xi_forms
 
 from fixtures import s3_qutrit_family
 
@@ -362,37 +361,6 @@ def test_expired_deadline_is_reported():
     report = solve_tp(family, seed=5, deadline=time.perf_counter() - 1.0)
     assert report.status == "solver_failed"
     assert "time budget" in report.detail
-
-
-def test_sampler_covers_free_phase_manifold():
-    family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
-    report = solve_tp(family, seed=0)
-    sampler = solution_sampler(family, report)
-    points = sampler(np.random.default_rng(33), 10)
-    assert len(points) == 10
-    for c in points:
-        assert _tp_residual(c, family) <= 1e-10
-
-
-def test_sampler_reconverges_near_isolated_solutions():
-    w = np.exp(2j * np.pi / 3)
-    family = _synthetic(
-        [np.eye(3, dtype=complex).reshape(-1) / np.sqrt(3),
-         np.diag([1.0, w, w * w]).reshape(-1) / np.sqrt(3)],
-        1, 3,
-    )
-    report = solve_tp(family, seed=2)
-    sampler = solution_sampler(family, report)
-    points = sampler(np.random.default_rng(34), 4)
-    assert len(points) == 4
-    for c in points:
-        assert _tp_residual(c, family) <= 1e-10
-
-
-def test_sampler_requires_solved_report():
-    family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
-    with pytest.raises(EmptyManifold):
-        solution_sampler(family, TpSolveReport(status="no_solution"))
 
 
 @pytest.mark.parametrize("omega", [2, 3])
