@@ -79,3 +79,16 @@ def clebsch_gordan_n_params(dims1, dims2, omega_dim):
         for a in dims1
         for b in dims2
     )
+
+
+def tp_exists(input_parts, n_alone):
+    """Whether a covariant family holds a trace-preserving point, by
+    counting.  ``input_parts`` lists the irreps of the representation on
+    the columns of each Kraus operator (D1 for finite groups, D2 for
+    SO3/SU2), with repeats; ``n_alone(rho)`` is the covariant-operator
+    count with ``rho`` alone as that representation.  By Schur's lemma
+    Xi(c) = sum_k A_k^dag A_k is (C^dag C / dim rho) (x) 1 on the copies of
+    rho, where C has one row per covariant operator out of rho and one
+    column per copy, so Xi(c) = 1 is solvable exactly when every irrep of
+    multiplicity m has n_alone(rho) >= m."""
+    return all(n_alone(rho) >= list(input_parts).count(rho) for rho in set(input_parts))

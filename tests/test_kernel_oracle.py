@@ -1,9 +1,11 @@
-"""Kernel dimensions over full sweeps against representation theory.
+"""Kernel dimensions and statuses over full sweeps against representation theory.
 
 Every instance of each sweep is checked: ``n_params`` equals the character
 (finite groups) or Clebsch-Gordan (SO3/SU2) count, the basis is
 orthonormal and each column satisfies the covariance relations.  Together
-these say the basis spans exactly the covariant operators.
+these say the basis spans exactly the covariant operators.  Every record
+of the same sweeps, and of SO3 d=9, has the status that the TP existence
+count (:func:`oracles.tp_exists`) gives.
 """
 
 import numpy as np
@@ -11,9 +13,10 @@ import pytest
 
 from gcec.groups import character_table, infer_kind, props
 from gcec.kernels import build_discrete_system, build_lie_system, covariance_residual, joint_nullspace
+from gcec.pipeline import run_enumeration
 from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize, omega_candidates
 
-from oracles import character_n_params, clebsch_gordan_n_params, random_unitary
+from oracles import character_n_params, clebsch_gordan_n_params, random_unitary, tp_exists
 
 SWEEPS = [
     ("Z2", 2),
@@ -41,6 +44,24 @@ def _oracle(spec, kind):
     return lambda p1, p2, om: clebsch_gordan_n_params(
         [dim[p] for p in p1], [dim[p] for p in p2], dim[om]
     )
+
+
+def _status_oracle(spec, kind):
+    """The status of the record (D1 parts, D2 parts, Omega index) from the
+    n_params count and the TP existence count; the input representation
+    is D1 for finite groups and D2 for SO3/SU2."""
+    count = _oracle(spec, kind)
+
+    def status(p1, p2, om):
+        if count(p1, p2, om) == 0:
+            return "no_cp_map"
+        if kind == "discrete":
+            found = tp_exists(p1, lambda rho: count((rho,), p2, om))
+        else:
+            found = tp_exists(p2, lambda rho: count(p1, (rho,), om))
+        return "channel_found" if found else "no_tp_solution"
+
+    return status
 
 
 def _check_family(family, D1, D2, omega, kind):
@@ -71,6 +92,21 @@ def test_every_instance_matches_oracle(name, d):
                 _check_family(family, D1, D2, omega, kind)
                 # the block cache never changes the result
                 assert np.array_equal(joint_nullspace(system, 1e-10).basis, family.basis)
+
+
+STATUS_SWEEPS = SWEEPS + [("SO3", 9)]
+
+
+@pytest.mark.parametrize("name,d", STATUS_SWEEPS, ids=[f"{g}-d{d}" for g, d in STATUS_SWEEPS])
+def test_every_status_matches_tp_existence_count(name, d):
+    kind = infer_kind(name)
+    expected = _status_oracle(props(name, kind, d).group, kind)
+    manifest = run_enumeration(name, None, d)
+    assert manifest.count_found == sum(r.status == "channel_found" for r in manifest.records) > 0
+    for rec in manifest.records:
+        assert rec.status == expected(rec.d1_label.parts, rec.d2_label.parts, rec.omega_index), (
+            rec.d1_label.text, rec.d2_label.text, rec.omega_label, rec.error
+        )
 
 
 @pytest.mark.parametrize("name,parts,omega_index", [("S3", (0, 2), 2), ("SU2", (0, 1), 1)])
