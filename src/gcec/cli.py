@@ -18,7 +18,6 @@ from .extremality import DEFAULT_TOL_RANK
 from .groups import infer_kind, props
 from .kernels import DEFAULT_TOL_KERNEL
 from .pipeline import (
-    DEFAULT_TIME_BUDGET,
     classify_file,
     json_text,
     load_manifest,
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tol-kernel", type=float, default=DEFAULT_TOL_KERNEL)
     p_run.add_argument("--tol-tp", type=float, default=DEFAULT_TOL_TP)
     p_run.add_argument("--tol-rank", type=float, default=DEFAULT_TOL_RANK)
-    p_run.add_argument("--starts", type=int, default=64, help="random starts for the nonlinear solver")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--nonunitary-only", action="store_true", help="skip 1-dimensional channel labels")
     p_run.add_argument(
@@ -64,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated representation labels restricting the sweep, e.g. '1+2,1'+2'",
     )
-    p_run.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET, help="seconds per solved instance")
     p_run.add_argument("--out", default=None, help="write the JSON manifest here")
     p_run.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -149,11 +146,9 @@ def _cmd_run(args) -> int:
         tol_kernel=args.tol_kernel,
         tol_tp=args.tol_tp,
         tol_rank=args.tol_rank,
-        n_starts=args.starts,
         seed=args.seed,
         nonunitary_only=args.nonunitary_only,
         reps=reps,
-        time_budget=args.time_budget,
     )
     text = manifest_to_json(manifest) if args.out or args.format == "json" else ""
     if args.out:

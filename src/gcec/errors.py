@@ -35,3 +35,8 @@ class NotTracePreserving(GcecError):
 
 class SchemaError(GcecError):
     """A JSON payload does not match the expected schema."""
+
+
+class ReducibleInput(GcecError):
+    """An input part of a covariant family is reducible, or equivalent to a
+    part of different content, so trace preservation has no closed form."""

@@ -62,16 +62,25 @@ Omega: :meth:`CovarianceSystem.key` reads the key off the parts' ``content``
 and Omega's bytes, a :class:`CovarianceBlock` is built only on a cache miss,
 and the basis is assembled from each pair's entry positions.  Cached and
 fresh results are identical, so the cache never changes output.
+
+Layout.  The family records where each basis column came from: its row
+part, its column part and its index in that block's kernel.  The column
+part is the input part, the representation that Xi(c) = sum_k A_k^dag A_k
+acts on, which :mod:`gcec.tp` splits by Schur's lemma.  That split needs
+every input part irreducible and parts of different content inequivalent,
+which :func:`_input_defect` checks on the trivial-label blocks between the
+parts, through the same cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimMismatch, LengthMismatch
-from .groups import Irrep
+from .groups import Irrep, lie_irrep
 from .reps import InvariantBlock, Rep
 
 DEFAULT_TOL_KERNEL = 1e-10
@@ -189,11 +198,21 @@ class KernelFamily:
     """Orthonormal basis of the joint nullspace: a CP-map family.
 
     ``basis`` has shape (K*d^2, n_params); column j is the j-th basis vector.
+    ``layout`` has one row per column: the column's row part and input part
+    (positions in the system's ``row_parts`` and ``col_parts``) and its
+    index in that Schur block's kernel.  The input part is the column part,
+    the representation Xi(c) = sum_k A_k^dag A_k acts on; ``inputs`` lists
+    the input parts.  ``input_defect`` is None when every input part is
+    irreducible and parts of different content are inequivalent, and
+    otherwise names the part that is not (see :func:`_input_defect`).
     """
 
     basis: np.ndarray
     K: int
     d: int
+    layout: np.ndarray
+    inputs: tuple[InvariantBlock, ...]
+    input_defect: str | None
 
     @property
     def n_params(self) -> int:
@@ -243,25 +262,23 @@ def build_lie_system(D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
     return _build_system("lie", D1, D2, omega)
 
 
-def leading_entry(v: np.ndarray) -> tuple[int, complex]:
-    """(index, unit phase) of the first entry of ``v`` whose magnitude exceeds
-    1e-8 of the largest; a zero vector gives (len(v), 1), after every index."""
-    mags = np.abs(v)
-    top = mags.max()
-    if top == 0.0:
-        return v.size, 1.0 + 0j
-    lead = int(np.argmax(mags > 1e-8 * top))
-    return lead, v[lead] / abs(v[lead])
+def leading_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of ``m``: the index of its first entry whose magnitude
+    exceeds 1e-8 of the column's largest, and that entry's unit phase; a
+    zero column gives (number of rows, 1), after every index."""
+    mags = np.abs(m)
+    top = mags.max(axis=0)
+    lead = np.argmax(mags > 1e-8 * top, axis=0)
+    zero = top == 0.0
+    # entry by entry: a scalar division rounds differently from the array one,
+    # and the kernel bases keep the scalar one's bytes
+    phase = np.array([1.0 + 0j if z else m[i, j] / abs(m[i, j]) for j, (i, z) in enumerate(zip(lead, zero))])
+    return np.where(zero, m.shape[0], lead), phase
 
 
 def _gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
     """Rotate each column's phase so its first significant entry is real > 0."""
-    fixed = basis.copy()
-    for j in range(fixed.shape[1]):
-        lead, phase = leading_entry(fixed[:, j])
-        if lead < fixed.shape[0]:
-            fixed[:, j] = fixed[:, j] * np.conj(phase)
-    return fixed
+    return basis * np.conj(leading_entries(basis)[1])
 
 
 def _block_nullspace(block: CovarianceBlock, tol_kernel: float) -> np.ndarray:
@@ -283,6 +300,49 @@ def _block_nullspace(block: CovarianceBlock, tol_kernel: float) -> np.ndarray:
     return basis
 
 
+def _kernel(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, tol_kernel: float, cache):
+    """The kernel basis of the (rows, cols) Schur block, factored on a
+    cache miss only."""
+    key = system.key(rows, cols, tol_kernel)
+    if key not in cache:
+        cache[key] = _block_nullspace(system.block(rows, cols), tol_kernel)
+    return cache[key]
+
+
+@lru_cache(maxsize=None)
+def _trivial_system(kind: str, num_generators: int, d: int) -> CovarianceSystem:
+    """A system with no parts under the catalog's trivial channel label."""
+    label = lie_irrep("su2", 1).generator_matrices if kind == "lie" else [np.ones((1, 1))] * num_generators
+    return _system(kind, (), (), label, d)
+
+
+def _input_defect(system: CovarianceSystem, tol_kernel: float, cache: dict) -> str | None:
+    """None when every column part of ``system`` is irreducible and parts of
+    different content are inequivalent, else a text naming the first part
+    that breaks this.
+
+    Read off the trivial-label kernels between the parts: by Schur's lemma
+    the intertwiners from part b to part a form a space of dimension 1 when
+    a = b is irreducible and 0 when a and b are inequivalent irreducibles
+    (and the dimension is the same from a to b).  Those blocks are the
+    catalog's trivial-label blocks and go through ``cache`` like any other,
+    so a sweep factors each once.
+    """
+    firsts: dict = {}  # content -> first part with it
+    for part in system.col_parts:
+        firsts.setdefault(part.content, part)
+    parts = list(firsts.values())
+    trivial = _trivial_system(system.kind, len(system.omega_gens), system.d)
+    for i, a in enumerate(parts):
+        for b in parts[i:]:
+            if _kernel(trivial, a, b, tol_kernel, cache).shape[1] != (a is b):
+                at = a.index.tolist()
+                if a is b:
+                    return f"input part at indices {at} is reducible"
+                return f"input parts at indices {at} and {b.index.tolist()} are equivalent"
+    return None
+
+
 def joint_nullspace(
     system: CovarianceSystem,
     tol_kernel: float = DEFAULT_TOL_KERNEL,
@@ -291,29 +351,31 @@ def joint_nullspace(
     """Orthonormal basis of the intersection of all generators' kernels.
 
     The direct sum of the block kernels, each block's basis placed at the
-    block's entries.  ``cache`` (a dict owned by the caller, typically one
-    per sweep) holds block bases by content, so a block repeated across
-    instances is factored once; without one, repeats within this instance
-    still are.  An empty basis is a valid result and means
-    no covariant CP map exists for these labels.
+    block's entries, in (row part, column part) order; the family's
+    ``layout`` records that placement.  ``cache`` (a dict owned by the
+    caller, typically one per sweep) holds block bases by content, so a
+    block repeated across instances is factored once; without one, repeats
+    within this instance still are.  An empty basis is a valid result and
+    means no covariant CP map exists for these labels.
     """
     if cache is None:
         cache = {}
-    placed = []  # (entry positions, block basis) of each block with a kernel
-    for rows in system.row_parts:
-        for cols in system.col_parts:
-            key = system.key(rows, cols, tol_kernel)
-            if key not in cache:
-                cache[key] = _block_nullspace(system.block(rows, cols), tol_kernel)
-            if cache[key].shape[1]:
-                placed.append((system.entries(rows, cols), cache[key]))
+    placed = []  # (entry positions, block basis, row part, column part) of each block with a kernel
+    for i, rows in enumerate(system.row_parts):
+        for j, cols in enumerate(system.col_parts):
+            kernel = _kernel(system, rows, cols, tol_kernel, cache)
+            if kernel.shape[1]:
+                placed.append((system.entries(rows, cols), kernel, i, j))
     K, d = system.K, system.d
-    basis = np.zeros((K * d * d, sum(part.shape[1] for _, part in placed)), dtype=complex)
+    basis = np.zeros((K * d * d, sum(part.shape[1] for _, part, _, _ in placed)), dtype=complex)
+    layout = np.zeros((basis.shape[1], 3), dtype=int)
     at = 0
-    for index, part in placed:
+    for index, part, i, j in placed:
         basis[index, at : at + part.shape[1]] = part
+        layout[at : at + part.shape[1]] = [(i, j, s) for s in range(part.shape[1])]
         at += part.shape[1]
-    return KernelFamily(basis=basis, K=K, d=d)
+    defect = _input_defect(system, tol_kernel, cache) if at else None
+    return KernelFamily(basis, K, d, layout, system.col_parts, defect)
 
 
 def intertwiner(target, moved, tol_kernel: float = DEFAULT_TOL_KERNEL, cache: dict | None = None) -> np.ndarray:

@@ -8,7 +8,10 @@ preservation, classifies the outcome, and collects everything into a
 manifest whose JSON form is byte-identical across runs with equal inputs
 and an equal BLAS thread count (a multithreaded BLAS rounds its reductions
 differently, which reaches the stored digits of some Lie-group sweeps, such
-as SO3 d=9).
+as SO3 d=9).  Trace preservation is solved in closed form
+(:mod:`gcec.tp`): a record is ``no_tp_solution`` when an input irrep has
+fewer covariant operators than copies, and ``solver_failed`` only when the
+package raised an error on the instance (recorded in ``error``).
 
 For finite groups the instances fall into label classes
 (:mod:`gcec.classes`): twisting by 1-dimensional characters, complex
@@ -42,7 +45,6 @@ encoded by the function the standard library's encoder uses for it.
 from __future__ import annotations
 
 import json
-import time
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 
@@ -70,7 +72,6 @@ from .reps import Rep, RepLabel, enumerate_reps, make_rep_label, materialize, om
 from .tp import DEFAULT_TOL_TP, solve_tp
 
 MANIFEST_SCHEMA_VERSION = 1
-DEFAULT_TIME_BUDGET = 10.0
 TRANSPORT_TOL_COV = 1e-8  # largest covariance residual of a transported sample
 
 
@@ -118,21 +119,17 @@ def run_enumeration(
     tol_kernel: float = DEFAULT_TOL_KERNEL,
     tol_tp: float = DEFAULT_TOL_TP,
     tol_rank: float = DEFAULT_TOL_RANK,
-    n_starts: int = 64,
     seed: int = 0,
     nonunitary_only: bool = False,
     reps: list[str] | None = None,
-    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> RunManifest:
     """Construct and classify every covariant channel family for the group.
 
     ``reps`` optionally restricts the sweep to representations with the
     given display texts (a sub-sweep; totals then count the restriction).
     ``nonunitary_only`` drops 1-dimensional channel labels, whose channels
-    are plain unitaries.  ``time_budget`` bounds the nonlinear TP fallback
-    of each solved instance: once that many seconds have passed since the
-    instance began, no new random start is issued.  The status is then
-    ``solver_failed`` only if no earlier start converged.
+    are plain unitaries.  ``seed`` seeds each solved instance's TP samples,
+    together with the instance's labels.
 
     For a finite group only one representative per label class is solved
     (see the module docstring), with the seed of its own labels and even
@@ -180,12 +177,10 @@ def run_enumeration(
             tol_kernel=tol_kernel,
             tol_tp=tol_tp,
             tol_rank=tol_rank,
-            n_starts=n_starts,
             # Seed keyed by the instance labels (not the loop position): a
             # filtered sub-sweep then reproduces the full sweep's records
             # for the instances it shares.
             seed=[seed, om, *parts1, 0xFFFFFFFF, *parts2],
-            time_budget=time_budget,
             block_cache=block_cache,
         )
 
@@ -217,10 +212,8 @@ def run_enumeration(
         tolerances={"kernel": tol_kernel, "tp": tol_tp, "rank": tol_rank},
         seed=seed,
         options={
-            "n_starts": n_starts,
             "nonunitary_only": nonunitary_only,
             "reps": None if reps is None else [lab.text for lab in labels],
-            "time_budget": time_budget,
         },
         total_instances=len(records),
         count_found=sum(1 for r in records if r.status == "channel_found"),
@@ -239,12 +232,9 @@ def _solve_instance(
     tol_kernel,
     tol_tp,
     tol_rank,
-    n_starts,
     seed,
-    time_budget,
     block_cache,
 ):
-    started = time.perf_counter()
     record = ChannelRecord(
         group=group,
         d=d,
@@ -261,20 +251,10 @@ def _solve_instance(
         record.n_params = family.n_params
         if family.n_params == 0:
             return record
-        report = solve_tp(
-            family,
-            tol_tp=tol_tp,
-            n_starts=n_starts,
-            seed=seed,
-            deadline=started + time_budget,
-            tol_rank=tol_rank,
-        )
+        report = solve_tp(family, seed=seed, tol_rank=tol_rank)
         record.moduli_constraints = list(report.moduli_constraints)
         if report.status == "no_solution":
             record.status = "no_tp_solution"
-            return record
-        if report.status == "solver_failed":
-            record.status = "solver_failed"
             return record
         stack = np.stack([family.kraus_at(c) for c in report.solutions])
         _found(record, stack, _sample_test(stack, tol_rank, tol_tp), 0, rep1, rep2, omega, kind)
@@ -531,7 +511,8 @@ _JSON_TYPES = {
     "array of strings or null": lambda v: v is None or (isinstance(v, list) and all(isinstance(x, str) for x in v)),
 }
 
-# run_enumeration option -> the JSON type of the value it writes
+# run_enumeration option -> the JSON type of the value it writes; n_starts and
+# time_budget are no longer written, but v1 manifests that carry them load
 _OPTION_TYPES = {
     "n_starts": "integer",
     "nonunitary_only": "boolean",

@@ -1,10 +1,12 @@
 """End-to-end gate: one test per headline guarantee of the pipeline.
 
 Each test pins a catalog -> covariance kernel -> trace preservation ->
-extremality chain on a named instance, with frozen constants and a
-wall-clock budget.  The strict-xfail twins record reference tallies that the
-construction disproves; if a code change ever makes one pass, the xfail
-turns into a hard failure and forces a second look.
+extremality chain on a named instance, with frozen constants and a time
+budget.  Budgets read the process's CPU time (``time.process_time``), so
+other processes on shared cores do not stretch them.  The strict-xfail
+twins record reference tallies that the construction disproves; if a code
+change ever makes one pass, the xfail turns into a hard failure and forces
+a second look.
 """
 
 import time
@@ -100,7 +102,7 @@ def d5_sweep():
 
 
 def test_binary_group_qubit_sweep_statuses_and_unitary_forms():
-    started = time.perf_counter()
+    started = time.process_time()
     man = run_enumeration("Z2", "discrete", 2, reps=["q0+q0", "q0+q1"])
     assert man.total_instances == 8
     by = {(r.d1_label.text, r.d2_label.text, r.omega_label): r for r in man.records}
@@ -139,7 +141,7 @@ def test_binary_group_qubit_sweep_statuses_and_unitary_forms():
     free = by[("q0+q0", "q0+q0", "q0")]
     assert free.status == "channel_found" and free.classification == "unitary"
     assert man.count_found == 3
-    assert time.perf_counter() - started < 1.0
+    assert time.process_time() - started < 1.0
 
 
 @pytest.mark.xfail(
@@ -153,7 +155,7 @@ def test_binary_group_qubit_sweep_reference_found_tally():
 
 
 def test_triangle_group_qutrit_family_constraints_and_rank_drop_locus():
-    started = time.perf_counter()
+    started = time.process_time()
     family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))[0]
     assert family.n_params == 3
 
@@ -199,11 +201,11 @@ def test_triangle_group_qutrit_family_constraints_and_rank_drop_locus():
             on_locus = a2 == 0.5
             assert verdict.rank == (3 if on_locus else 4)
             assert verdict.is_extreme is not on_locus
-    assert time.perf_counter() - started < 10.0
+    assert time.process_time() - started < 10.0
 
 
 def test_tetrahedral_group_qutrit_instance_kernel_and_channel():
-    started = time.perf_counter()
+    started = time.process_time()
     family, _, D1, D2, omega = _family("A4", "discrete", 3, 3, (3,), (3,))
     # character count: the 3-dim label appears twice in 3 (x) 3*, so the
     # solution set is a continuum, not a single ray
@@ -226,7 +228,7 @@ def test_tetrahedral_group_qutrit_instance_kernel_and_channel():
     man = run_enumeration("A4", "discrete", 3, reps=["3"])
     rec = next(r for r in man.records if r.omega_label == "3")
     assert rec.status == "channel_found" and rec.classification == "extreme"
-    assert time.perf_counter() - started < 10.0
+    assert time.process_time() - started < 10.0
 
 
 @pytest.mark.xfail(
@@ -242,7 +244,7 @@ def test_tetrahedral_group_single_ray_reference_claim():
 
 
 def test_pentagon_group_qutrit_instances_reduce_to_triangle_point():
-    started = time.perf_counter()
+    started = time.process_time()
     fix = d5_qutrit_pair()
     for omega_index, parts in ((2, (0, 2)), (3, (0, 3))):
         family, _, D1, D2, omega = _family("D5", "discrete", 3, omega_index, parts, parts)
@@ -254,11 +256,11 @@ def test_pentagon_group_qutrit_instances_reduce_to_triangle_point():
         assert check_extreme(kraus_set(canonical)).is_extreme
     # the shared channel is the triangle-symmetry family at (1, 1/sqrt2, 0)
     assert _choi_gap(fix, s3_qutrit_family(1.0, 2**-0.5, 0.0)) <= 1e-9
-    assert time.perf_counter() - started < 10.0
+    assert time.process_time() - started < 10.0
 
 
 def test_rotation_group_spherical_families_have_forced_moduli():
-    started = time.perf_counter()
+    started = time.process_time()
     fam3 = _family("SO3", "lie", 3, 1, (1,), (1,))[0]
     rep3 = solve_tp(fam3)
     assert rep3.status == "solved"
@@ -277,11 +279,11 @@ def test_rotation_group_spherical_families_have_forced_moduli():
         assert abs(abs(kraus[2][0, 0]) ** 2 - 2.0 / 7.0) <= 1e-9
         assert check_extreme(kraus_set(kraus)).is_extreme
         assert _choi_gap(kraus, fix5) <= 1e-8
-    assert time.perf_counter() - started < 30.0
+    assert time.process_time() - started < 30.0
 
 
 def test_spin_group_flip_families_across_dimensions():
-    started = time.perf_counter()
+    started = time.process_time()
 
     # d=3: canonical moduli point is forced, closed form reproduced exactly
     fam3 = _family("SU2", "lie", 3, 1, (0, 1), (0, 1))[0]
@@ -322,7 +324,7 @@ def test_spin_group_flip_families_across_dimensions():
     famE = _family("SU2", "lie", 2, 1, (1,), (1,))[0]
     assert famE.n_params == 0
     assert solve_tp(famE).status == "no_solution"
-    assert time.perf_counter() - started < 30.0
+    assert time.process_time() - started < 30.0
 
 
 @pytest.mark.xfail(
@@ -345,14 +347,14 @@ def test_spin_group_d6_kernels_match_clebsch_gordan_within_budget():
     spec = props("SU2", "lie", 6).group
     dims = {ir.index: ir.dim for ir in spec.irreps}
     reps = [materialize(spec, lab) for lab in enumerate_reps(spec, 6)]
-    started = time.perf_counter()
+    started = time.process_time()
     cache, counts = {}, []
     for omega in omega_candidates(spec, 6):
         for D1 in reps:
             for D2 in reps:
                 family = joint_nullspace(build_lie_system(D1, D2, omega), 1e-10, cache=cache)
                 counts.append((family.n_params, D1.label.parts, D2.label.parts, omega.index))
-    elapsed = time.perf_counter() - started
+    elapsed = time.process_time() - started
     assert len(counts) == 726 and len(cache) == 216
     for n, p1, p2, om in counts:
         assert n == clebsch_gordan_n_params([dims[p] for p in p1], [dims[p] for p in p2], dims[om])
@@ -363,9 +365,9 @@ def test_rotation_group_d9_sweep_matches_clebsch_gordan_within_budget():
     # weight space leaves at most K*min(r, c) unknowns per Schur block
     spec = props("SO3", "lie", 9).group
     dims = {ir.index: ir.dim for ir in spec.irreps}
-    started = time.perf_counter()
+    started = time.process_time()
     manifest = run_enumeration("SO3", None, 9)
-    elapsed = time.perf_counter() - started
+    elapsed = time.process_time() - started
     assert manifest.total_instances == len(manifest.records) == 320
     for rec in manifest.records:
         expected = clebsch_gordan_n_params(

@@ -1,21 +1,21 @@
-"""Trace-preservation solving: certificates, linear path, fallback."""
-
-import time
+"""Trace-preservation solving in closed form: existence, vertices, samples."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from gcec import extremality
-from gcec.groups import props
+from gcec.errors import GcecError, ReducibleInput
+from gcec.groups import infer_kind, props
 from gcec.channels import tp_residuals
-from gcec.kernels import KernelFamily, build_discrete_system, build_lie_system, joint_nullspace
+from gcec.kernels import build_discrete_system, build_lie_system, joint_nullspace, leading_entries
 from gcec.pipeline import run_enumeration
-from gcec.reps import make_rep_label, materialize
+from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize, omega_candidates
 import gcec.tp as tp
-from gcec.tp import _offdiag_vanishes, _vertices, solve_tp, xi_forms
+from gcec.tp import solve_tp
 
 from fixtures import s3_qutrit_family
+from oracles import random_unitary
 
 
 def _family(name, kind, d, omega_index, parts1, parts2):
@@ -27,49 +27,13 @@ def _family(name, kind, d, omega_index, parts1, parts2):
     return joint_nullspace(system, 1e-10)
 
 
-def _synthetic(columns, K, d):
-    return KernelFamily(basis=np.column_stack(columns), K=K, d=d)
-
-
 def _tp_residual(c, family):
     return tp_residuals(family.kraus_at(c)[None])[0]
 
 
-def _max_residual(report, family):
-    return max(_tp_residual(c, family) for c in report.solutions)
-
-
-def test_xi_is_quadratic_and_hermitian():
-    family = _family("SO3", "lie", 3, 1, (1,), (1,))
-    forms = xi_forms(family)
-
-    def xi(c):  # Xi_pq(c) = c^dag F[p, q] c
-        return np.einsum("i,pqij,j->pq", c.conj(), forms, c)
-
-    rng = np.random.default_rng(31)
-    c = rng.normal(size=1) + 1j * rng.normal(size=1)
-    xi1, xic = xi(np.ones(1, dtype=complex)), xi(c)
-    assert np.linalg.norm(xic - abs(c[0]) ** 2 * xi1) <= 1e-12
-    assert np.linalg.norm(xic - xic.conj().T) <= 1e-13
-
-
-def test_diagonal_structure_detection():
-    assert _offdiag_vanishes(xi_forms(_family("S3", "discrete", 3, 2, (0, 2), (0, 2))))
-    # identity + shear span: Xi picks up an off-diagonal cross term
-    shear = _synthetic(
-        [np.eye(2, dtype=complex).reshape(-1) / np.sqrt(2),
-         np.array([0, 1, 0, 0], dtype=complex)],
-        1, 2,
-    )
-    assert not _offdiag_vanishes(xi_forms(shear))
-
-
-def test_empty_family_reports_no_solution():
-    family = _family("SU2", "lie", 2, 1, (1,), (1,))
-    assert family.n_params == 0
-    report = solve_tp(family)
-    assert report.status == "no_solution"
-    assert "empty family" in report.detail
+def _xi(family, c):
+    kraus = family.kraus_at(c)
+    return sum(a.conj().T @ a for a in kraus)
 
 
 def _count_calls(monkeypatch, name):
@@ -84,93 +48,117 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_xi_forms_match_pairwise_products():
-    family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
-    ops = family.basis.T.reshape(family.n_params, family.K, 3, 3)
-    forms = xi_forms(family)
-    for i in range(family.n_params):
-        for j in range(family.n_params):
-            ref = sum(a.conj().T @ b for a, b in zip(ops[i], ops[j]))
-            assert np.array_equal(forms[:, :, i, j], ref)
+def _cost(family, vertices):
+    """t_1 + 2 t_2 + ... + n t_n of each vertex, t_j = |c_j|^2 with the
+    coordinates ordered by their basis column's leading entry.  A vertex's
+    moduli are the integers dim rho, so the costs are rounded to them, and
+    equal costs tie exactly (a tie goes to the first vertex)."""
+    leads = leading_entries(family.basis)[0]
+    order = sorted(range(family.n_params), key=lambda j: (leads[j], j))
+    return np.rint(np.abs(vertices[:, order]) ** 2) @ np.arange(1.0, family.n_params + 1.0)
 
 
-def test_rank_deficient_certificate(monkeypatch):
-    # Both families have structurally zero rows or columns in the stacked
-    # Kraus operator, so no random SVD is needed to settle them.
-    def unexpected(family, tries=3):
-        raise AssertionError("structural certificate should have decided")
+@pytest.mark.parametrize("name,d", [("SO3", 7), ("SU2", 5), ("S3", 5), ("D5", 4)])
+def test_xi_splits_into_one_gram_matrix_per_input_irrep(name, d):
+    # Xi(c) = (+)_rho (C_rho^dag C_rho / dim rho) (x) 1, where C_rho holds
+    # the coefficients of rho's copies (columns) over the (row part, kernel
+    # vector) rows that the layout records.
+    kind = infer_kind(name)
+    spec = props(name, kind, d).group
+    build = build_discrete_system if kind == "discrete" else build_lie_system
+    reps_ = [materialize(spec, lab) for lab in enumerate_reps(spec, d)]
+    rng = np.random.default_rng(41)
+    cache, checked = {}, 0
+    for omega in omega_candidates(spec, d):
+        for D1 in reps_:
+            for D2 in reps_:
+                family = joint_nullspace(build(D1, D2, omega), 1e-10, cache)
+                if family.n_params == 0:
+                    continue
+                assert family.input_defect is None
+                c = rng.standard_normal(family.n_params) + 1j * rng.standard_normal(family.n_params)
+                expected = np.zeros((d, d), dtype=complex)
+                for a, part_a in enumerate(family.inputs):
+                    for b, part_b in enumerate(family.inputs):
+                        if part_a.content != part_b.content:
+                            continue
+                        rows_a, rows_b = (family.layout[family.layout[:, 1] == j][:, [0, 2]] for j in (a, b))
+                        assert np.array_equal(rows_a, rows_b)  # the copies share their rows
+                        gram = np.vdot(c[family.layout[:, 1] == a], c[family.layout[:, 1] == b])
+                        size = part_a.index.size
+                        expected[np.ix_(part_a.index, part_b.index)] = gram / size * np.eye(size)
+                assert np.abs(_xi(family, c) - expected).max() <= 1e-12 * max(1.0, np.abs(c).max() ** 2)
+                checked += 1
+    assert checked > 50
 
-    monkeypatch.setattr(tp, "_generic_stack_rank", unexpected)
-    # mixed Z2 rep pair: every covariant map factors through a proper subspace
+
+def test_densely_rotated_input_has_no_closed_form():
+    # S3 1+2 rotated by a dense unitary is one invariant part holding two
+    # irreps: the kernel is still right, but TP has no closed form there.
+    spec = props("S3", "discrete", 3).group
+    rep = materialize(spec, make_rep_label(spec, (0, 2)))
+    rng = np.random.default_rng(21)
+    D1, D2 = (
+        Rep(label=rep.label, generator_matrices=tuple(u @ g @ u.conj().T for g in rep.generator_matrices))
+        for u in (random_unitary(rng, 3), random_unitary(rng, 3))
+    )
+    family = joint_nullspace(build_discrete_system(D1, D2, spec.irrep_by_index(2)), 1e-10)
+    assert family.n_params == 3
+    assert family.input_defect == "input part at indices [0, 1, 2] is reducible"
+    with pytest.raises(ReducibleInput, match="reducible") as raised:
+        solve_tp(family)
+    assert isinstance(raised.value, GcecError)
+    # the catalog form of the same instance has two irreducible input parts
+    plain = joint_nullspace(build_discrete_system(rep, rep, spec.irrep_by_index(2)), 1e-10)
+    assert plain.input_defect is None and len(plain.inputs) == 2
+
+
+def test_empty_family_reports_no_solution():
+    family = _family("SU2", "lie", 2, 1, (1,), (1,))
+    assert family.n_params == 0
+    report = solve_tp(family)
+    assert report.status == "no_solution"
+    assert "empty family" in report.detail
+
+
+def test_rank_deficient_certificate():
+    # mixed Z2 rep pair: every covariant map factors through a proper
+    # subspace, so the count of rows for the twice-repeated input irrep q0
+    # falls short of its multiplicity
     family = _family("Z2", "discrete", 2, 0, (0, 0), (0, 1))
     assert family.n_params == 2
+    ((dim, C),) = tp._irreps(family)
+    assert dim == 1 and C.shape == (1, 2)
     report = solve_tp(family)
     assert report.status == "no_solution"
     assert "rank deficient" in report.detail
-
-    nilpotent = _synthetic([np.array([0, 1, 0, 0], dtype=complex)], 1, 2)
-    report = solve_tp(nilpotent)
-    assert report.status == "no_solution"
-    assert "rank deficient" in report.detail
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    assert np.linalg.matrix_rank(family.kraus_at(c).reshape(-1, 2)) == 1
 
 
-def test_zero_column_is_rank_deficient_before_any_lp(monkeypatch):
-    # Column 1 of every A_k is zero, so Xi_11 vanishes identically: the rank
-    # certificate decides before the free-phase linear path is reached.
-    family = _synthetic(
-        [np.array([1, 0, 0, 0], dtype=complex), np.array([0, 0, 1, 0], dtype=complex)], 1, 2
-    )
-    forms = xi_forms(family)
-    assert _offdiag_vanishes(forms) and not np.any(forms[1, 1])
-    calls = _count_calls(monkeypatch, "_vertices")
-    report = solve_tp(family)
-    assert report.status == "no_solution"
-    assert "rank deficient" in report.detail
-    assert calls == []
-
-
-def test_generic_rank_certificate_without_zero_pattern():
-    # a rank-1 family whose stack has no zero row or column
-    ones = _synthetic([np.ones(4, dtype=complex) / 2], 1, 2)
-    assert tp._structural_rank_bound(ones) == 2
-    assert tp._generic_stack_rank(ones) == 1
-    report = solve_tp(ones)
-    assert report.status == "no_solution"
-    assert "rank deficient" in report.detail
-
-
-def _canonical(R):
-    vertices = _vertices(R)
-    return vertices[np.argmin(vertices @ np.arange(1.0, R.shape[1] + 1.0))]
+def test_coupled_family_takes_haar_samples_only():
+    # Z2 q0+q0 under q0: the input irrep q0 appears twice and has two rows,
+    # so C is a 2 x 2 unitary; no moduli polytope and no canonical vertex
+    family = _family("Z2", "discrete", 2, 0, (0, 0), (0, 0))
+    ((dim, C),) = tp._irreps(family)
+    assert (dim, C.shape) == (1, (2, 2))
+    report = solve_tp(family, seed=3)
+    assert report.status == "solved" and report.vertices is None and report.moduli_constraints == []
+    assert len(report.solutions) == tp.MAX_SOLUTIONS
+    for c in report.solutions:
+        assert _tp_residual(c, family) <= 1e-14
+        assert np.allclose(c[C].conj().T @ c[C], np.eye(2), atol=1e-14)
 
 
 def test_one_point_polytope_needs_one_lp(monkeypatch):
-    # rank(R) = n: the polytope is one vertex, and one enumeration finds it
+    # one input irrep with one row: the polytope is one vertex, found by one
+    # call of the vertex enumeration
     family = _family("SO3", "lie", 3, 1, (1,), (1,))
-    R = solve_tp(family).moduli_rows
-    assert np.linalg.matrix_rank(R) == R.shape[1]
-    assert len(_vertices(R)) == 1
-    calls = _count_calls(monkeypatch, "_vertices")
-    assert solve_tp(family).status == "solved"
-    assert len(calls) == 1
-
-
-def _mixed_solutions(family, report, seed):
-    """The canonical point followed by the 64-attempt mixing loop over
-    every vertex, as ``_linear_path`` runs it."""
-    R, W = report.moduli_rows, report.decoupling
-    rng = np.random.default_rng(seed)
-    vertices = _vertices(R)
-    solutions = [tp._coeff_from_moduli(W, _canonical(R))]
-    keys = {tp._solution_key(solutions[0])}
-    for _ in range(8 * tp.MAX_SOLUTIONS):
-        if len(solutions) == tp.MAX_SOLUTIONS:
-            break
-        c = tp._mix(vertices, W, rng)
-        if tp._tp_residual(c, family) <= 1e-10 and tp._solution_key(c) not in keys:
-            keys.add(tp._solution_key(c))
-            solutions.append(c)
-    return solutions
+    calls = _count_calls(monkeypatch, "_moduli")
+    report = solve_tp(family)
+    assert report.status == "solved"
+    assert len(calls) == 1 and len(report.vertices) == 1
 
 
 BENCH_SWEEPS = [("SO3", 7, False), ("SU2", 5, False), ("Z2", 2, False), ("Z3", 1, False),
@@ -178,44 +166,46 @@ BENCH_SWEEPS = [("SO3", 7, False), ("SU2", 5, False), ("Z2", 2, False), ("Z3", 1
 
 
 def test_vertices_match_highs_on_every_bench_polytope(monkeypatch):
-    # HiGHS is the reference: the least cost over the enumerated vertices is
-    # the LP optimum, for every moduli polytope the bench sweeps reach.
-    polytopes = {}
-    calls = _count_calls(monkeypatch, "_vertices")
+    # HiGHS is the reference: over {t >= 0 : R t = 1}, with R read off Xi at
+    # each basis vector (R[p, j] = Xi(e_j)[p, p]), the least cost over the
+    # vertices is the LP optimum, for every moduli polytope the bench
+    # sweeps reach.
+    calls = _count_calls(monkeypatch, "_moduli")
+    families = []
+    original = tp.solve_tp
+
+    def kept(family, *args, **kwargs):
+        report = original(family, *args, **kwargs)
+        if report.vertices is not None:
+            families.append((family, report.vertices))
+        return report
+
+    monkeypatch.setattr("gcec.pipeline.solve_tp", kept)
     for group, d, nonunitary_only in BENCH_SWEEPS:
         run_enumeration(group, None, d, nonunitary_only=nonunitary_only)
-    for (R,) in calls:
-        polytopes.setdefault(R.tobytes(), R)
-    assert len(polytopes) > 50
+    assert len(families) == len(calls) > 50
     rng = np.random.default_rng(37)
-    for R in polytopes.values():
-        vertices = _vertices(R)
+    for family, vertices in families:
+        n = family.n_params
+        R = np.real(np.array([np.diag(_xi(family, e)) for e in np.eye(n)])).T
+        t = np.abs(vertices) ** 2
+        assert np.abs(t @ R.T - 1.0).max() <= 1e-12
         for _ in range(6):
-            cost = rng.uniform(0.1, 1.0, R.shape[1])
+            cost = rng.uniform(0.1, 1.0, n)
             lp = linprog(cost, A_eq=R, b_eq=np.ones(len(R)), bounds=(0.0, None), method="highs")
             assert lp.status == 0
-            assert abs((vertices @ cost).min() - lp.fun) <= 1e-9
-
-
-def test_inconsistent_diagonal_rows_are_lp_infeasible():
-    # A = c diag(1, sqrt 2) / sqrt 3: the stack has rank 2, but Xi = |c|^2
-    # diag(1, 2) / 3 = 1 asks |c|^2 = 3 and |c|^2 = 3 / 2 at once.
-    family = _synthetic([np.diag([1.0, np.sqrt(2.0)]).astype(complex).reshape(-1) / np.sqrt(3.0)], 1, 2)
-    report = solve_tp(family)
-    assert report.status == "no_solution"
-    assert report.detail == "diagonal moduli constraints are infeasible"
-    assert report.moduli_constraints == ["0.333333|u1|^2 = 1", "0.666667|u1|^2 = 1"]
-    assert _vertices(report.moduli_rows).shape == (0, 1)
+            assert abs((t @ cost).min() - lp.fun) <= 1e-9
 
 
 def test_rows_equal_up_to_roundoff_span_a_segment():
-    # SO3 d=9, 1+3+5 -> 9 under the 7-dimensional irrep: every entry of R is
-    # 1/9 up to roundoff, so |u1|^2 + |u2|^2 = 9 is a segment with two
-    # vertices, not a point, and the record stores a full set of samples.
+    # SO3 d=9, 1+3+5 -> 9 under the 7-dimensional irrep: the 9-dimensional
+    # input irrep has two rows, so |u1|^2 + |u2|^2 = 9 (every R entry 1/9)
+    # is a segment with two vertices, and the record stores a full set of
+    # samples.
     family = _family("SO3", "lie", 9, 3, (0, 1, 2), (4,))
-    R = solve_tp(family).moduli_rows
-    assert R.shape == (9, 2) and np.allclose(R, 1.0 / 9.0, atol=1e-14)
-    assert np.allclose(_vertices(R), [[9.0, 0.0], [0.0, 9.0]], atol=1e-9)
+    report = solve_tp(family)
+    assert report.moduli_constraints == ["0.111111|u1|^2 + 0.111111|u2|^2 = 1"]
+    assert np.allclose(np.abs(report.vertices) ** 2, [[9.0, 0.0], [0.0, 9.0]], atol=1e-12)
     manifest = run_enumeration("SO3", "lie", 9, reps=["1+3+5", "9"], seed=7)
     (record,) = [
         r for r in manifest.records if (r.d1_label.text, r.d2_label.text, r.omega_index) == ("1+3+5", "9", 3)
@@ -224,41 +214,40 @@ def test_rows_equal_up_to_roundoff_span_a_segment():
     assert len(record.kraus_samples) == tp.MAX_SOLUTIONS
 
 
-def test_one_point_one_modulus_family_is_not_mixed(monkeypatch):
+def test_one_point_one_modulus_family_is_not_mixed():
+    # the only freedom is one phase: every Haar sample gauges back to the
+    # canonical vertex, so that vertex is the one solution
     family = _family("SO3", "lie", 3, 1, (1,), (1,))
     assert family.n_params == 1
-    reference = _mixed_solutions(family, solve_tp(family), seed=4)
-    assert len(reference) == 1  # every mix gauges back to the canonical point
-    calls = _count_calls(monkeypatch, "_mix")
     report = solve_tp(family, seed=4)
-    assert report.detail == "moduli linear program"
-    assert calls == []
+    assert report.detail == "closed form"
     assert len(report.solutions) == 1
-    assert report.solutions[0].tobytes() == reference[0].tobytes()
+    assert report.solutions[0].tobytes() == report.vertices[0].tobytes()
 
 
-def test_one_point_two_moduli_family_is_still_mixed(monkeypatch):
-    # A = diag(a, b): Xi = diag(|a|^2, |b|^2), so the polytope is the point
-    # |a| = |b| = 1 and the relative phase of a and b stays free.
-    family = _synthetic([np.array([1, 0, 0, 0], dtype=complex), np.array([0, 0, 0, 1], dtype=complex)], 1, 2)
-    first = solve_tp(family, seed=4)
-    assert np.linalg.matrix_rank(first.moduli_rows) == 2
-    assert np.count_nonzero(_canonical(first.moduli_rows)) == 2
-    reference = _mixed_solutions(family, first, seed=4)
-    calls = _count_calls(monkeypatch, "_mix")
+def test_one_point_two_moduli_family_is_still_mixed():
+    # Z2 q0+q1 under q0: A = diag(a, b), Xi = diag(|a|^2, |b|^2), so the
+    # polytope is the point |a| = |b| = 1 and the relative phase of a and b
+    # stays free.
+    family = _family("Z2", "discrete", 2, 0, (0, 1), (0, 1))
+    assert family.n_params == 2
     report = solve_tp(family, seed=4)
-    assert len(calls) >= tp.MAX_SOLUTIONS - 1
-    assert len(report.solutions) == len(reference) == tp.MAX_SOLUTIONS
-    for a, b in zip(report.solutions, reference):
-        assert a.tobytes() == b.tobytes()
+    assert len(report.vertices) == 1 and np.count_nonzero(report.vertices[0]) == 2
+    assert report.moduli_constraints == ["1|u1|^2 = 1", "1|u2|^2 = 1"]
+    assert len(report.solutions) == tp.MAX_SOLUTIONS
+    phases = [np.angle(c[1] / c[0]) for c in report.solutions]
+    assert len(set(np.round(phases, 6))) == tp.MAX_SOLUTIONS
+    for c in report.solutions:
+        assert _tp_residual(c, family) <= 1e-14
 
 
 def test_s3_family_solves_on_linear_path():
+    # multiplicity-free input: linear moduli constraints and a vertex sample
     family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
     report = solve_tp(family, seed=0)
     assert report.status == "solved"
-    assert report.moduli_rows is not None
-    assert "linear program" in report.detail
+    assert report.vertices is not None and len(report.moduli_constraints) == 2
+    assert report.detail == "closed form"
     assert len(report.solutions) == 8
     for c in report.solutions:
         assert _tp_residual(c, family) <= 1e-10
@@ -303,66 +292,6 @@ def test_solve_is_deterministic_for_fixed_seed():
         assert np.array_equal(a, b)
 
 
-def test_nonlinear_fallback_on_noncommuting_diagonal_forms():
-    w = np.exp(2j * np.pi / 3)
-    family = _synthetic(
-        [np.eye(3, dtype=complex).reshape(-1) / np.sqrt(3),
-         np.diag([1.0, w, w * w]).reshape(-1) / np.sqrt(3)],
-        1, 3,
-    )
-    report = solve_tp(family, seed=2)
-    assert report.status == "solved"
-    assert report.detail == "multi-start projection"
-    assert _max_residual(report, family) <= 1e-10
-    # the only TP points are the two unitary axes of the span
-    for c in report.solutions:
-        assert min(abs(c[0]), abs(c[1])) <= 1e-6
-        assert abs(max(abs(c[0]), abs(c[1])) - np.sqrt(3)) <= 1e-6
-
-
-def test_offdiagonal_family_goes_straight_to_multistart(monkeypatch):
-    # span{1, sigma_x}: Xi has the off-diagonal entry 2 Re(a conj(b)), so the
-    # phases are not free and no diagonaliser or LP is consulted
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    family = _synthetic(
-        [np.eye(2, dtype=complex).reshape(-1) / np.sqrt(2), sx.reshape(-1) / np.sqrt(2)],
-        1, 2,
-    )
-    vertex_calls = _count_calls(monkeypatch, "_vertices")
-    diag_calls = _count_calls(monkeypatch, "_joint_diagonalizer")
-    report = solve_tp(family, seed=7)
-    assert report.status == "solved"
-    assert report.detail == "multi-start projection"
-    assert report.moduli_rows is None
-    assert _max_residual(report, family) <= 1e-12
-    assert len(vertex_calls) == 0
-    assert len(diag_calls) == 0
-
-
-def test_undecided_family_reports_solver_failure():
-    # rank certificate passes but no TP point exists: honest "undecided"
-    family = _synthetic(
-        [np.array([1, 0, 0, 0], dtype=complex),
-         np.array([0, 0, 1, 1], dtype=complex) / np.sqrt(2)],
-        1, 2,
-    )
-    report = solve_tp(family, seed=5)
-    assert report.status == "solver_failed"
-    assert "existence undecided" in report.detail
-    assert report.solutions == []
-
-
-def test_expired_deadline_is_reported():
-    family = _synthetic(
-        [np.array([1, 0, 0, 0], dtype=complex),
-         np.array([0, 0, 1, 1], dtype=complex) / np.sqrt(2)],
-        1, 2,
-    )
-    report = solve_tp(family, seed=5, deadline=time.perf_counter() - 1.0)
-    assert report.status == "solver_failed"
-    assert "time budget" in report.detail
-
-
 @pytest.mark.parametrize("omega", [2, 3])
 def test_canonical_solution_sits_at_a_vertex_that_fails_the_rank_test(omega):
     # D5 d=4, 2_1+2_2 -> 2_1+2_2 under 2_1 and under 2_2: the automorphism
@@ -372,13 +301,13 @@ def test_canonical_solution_sits_at_a_vertex_that_fails_the_rank_test(omega):
     # solutions sit at the failing vertex.
     family = _family("D5", "discrete", 4, omega, (2, 3), (2, 3))
     report = solve_tp(family)
-    W, vertices = report.decoupling, _vertices(report.moduli_rows)
-    points = np.stack([family.kraus_at(tp._coeff_from_moduli(W, v)) for v in vertices])
+    vertices = report.vertices
+    points = np.stack([family.kraus_at(v) for v in vertices])
     fails = extremality.test_extreme(points).rank != family.K**2
-    least = np.argmin(vertices @ np.arange(1.0, family.n_params + 1.0))
+    least = np.argmin(_cost(family, vertices))
     assert len(vertices) == 2 and fails.sum() == 1 and fails[least] == (omega == 2)
     assert not extremality.test_extreme(family.kraus_at(report.solutions[0])[None]).is_extreme
-    assert np.allclose(report.solutions[0], tp._coeff_from_moduli(W, vertices[fails][0]))
+    assert np.allclose(report.solutions[0], vertices[fails][0])
 
 
 def test_canonical_vertex_follows_tol_rank():
@@ -387,14 +316,14 @@ def test_canonical_vertex_follows_tol_rank():
     # tolerance only the ~1e-16 ones fail; at 0.75 the 0.71 ones fail too,
     # and a cheaper one of them becomes the canonical vertex.
     family = _family("D5", "discrete", 4, 2, (0, 1, 3), (2, 2))
-    report = solve_tp(family)
-    W, vertices = report.decoupling, _vertices(report.moduli_rows)
-    points = np.stack([family.kraus_at(tp._coeff_from_moduli(W, v)) for v in vertices])
-    cost = vertices @ np.arange(1.0, family.n_params + 1.0)
+    vertices = solve_tp(family).vertices
+    assert len(vertices) == 8
+    points = np.stack([family.kraus_at(v) for v in vertices])
+    cost = _cost(family, vertices)
     chosen = []
     for tol_rank in (extremality.DEFAULT_TOL_RANK, 0.75):
         fails = extremality.test_extreme(points, tol_rank=tol_rank).rank != family.K**2
         canonical = vertices[np.argmin(np.where(fails, cost, np.inf))]
-        assert np.allclose(solve_tp(family, tol_rank=tol_rank).solutions[0], tp._coeff_from_moduli(W, canonical))
+        assert np.allclose(solve_tp(family, tol_rank=tol_rank).solutions[0], canonical)
         chosen.append(canonical)
     assert not np.array_equal(*chosen)
