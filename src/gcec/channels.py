@@ -8,8 +8,8 @@ Stacks.  The checks take a stack of Kraus sets of one shape, an array of
 shape (S, K, d, d), and evaluate every set in a few batched numpy calls
 (batched matmul, one LAPACK call per stack); a single :class:`KrausSet` is
 the S = 1 case.  Each set's values are those of a loop over the sets.
-:func:`tp_residuals` is the package's one TP residual: the TP solver, the
-rank test, sweep records and ``classify`` all read it.  :func:`product_rank`
+:func:`tp_residuals` is the package's one TP residual: the rank test,
+sweep records and ``classify`` all read it.  :func:`product_rank`
 is the one rank count of the Kraus products: the rank test
 (:func:`gcec.extremality.test_extreme`) and the TP solver's choice of
 canonical vertex read it.

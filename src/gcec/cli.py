@@ -18,6 +18,7 @@ from .extremality import DEFAULT_TOL_RANK
 from .groups import infer_kind, props
 from .kernels import DEFAULT_TOL_KERNEL
 from .pipeline import (
+    DEFAULT_TOL_TP,
     classify_file,
     json_text,
     load_manifest,
@@ -26,7 +27,6 @@ from .pipeline import (
     run_enumeration,
 )
 from .reps import enumerate_reps, omega_candidates
-from .tp import DEFAULT_TOL_TP
 
 
 def _add_group_args(sub: argparse.ArgumentParser) -> None:

@@ -69,9 +69,10 @@ from .kernels import (
     joint_nullspace,
 )
 from .reps import Rep, RepLabel, enumerate_reps, make_rep_label, materialize, omega_candidates
-from .tp import DEFAULT_TOL_TP, solve_tp
+from .tp import solve_tp
 
 MANIFEST_SCHEMA_VERSION = 1
+DEFAULT_TOL_TP = 1e-10  # TP tolerance of a sweep's stored samples (see _sample_test)
 TRANSPORT_TOL_COV = 1e-8  # largest covariance residual of a transported sample
 
 

@@ -50,7 +50,6 @@ from .channels import DEFAULT_TOL_RANK, product_rank
 from .errors import ReducibleInput
 from .kernels import KernelFamily, leading_entries
 
-DEFAULT_TOL_TP = 1e-10  # TP tolerance of the samples a sweep stores
 MAX_SOLUTIONS = 8
 
 
@@ -58,16 +57,13 @@ MAX_SOLUTIONS = 8
 class TpSolveReport:
     """Outcome of a trace-preservation solve.
 
-    ``solutions`` are coefficient vectors over the family's kernel basis.
-    ``vertices`` is set for a multiplicity-free family only: the
-    coefficient vector of each moduli vertex (phases 0), one per row, in
-    the order that breaks ties of the canonical choice.
+    ``solutions`` are coefficient vectors over the family's kernel basis;
+    ``moduli_constraints`` is set for a multiplicity-free family only.
     """
 
     status: str  # "solved" | "no_solution"
     solutions: list = field(default_factory=list)
     moduli_constraints: list = field(default_factory=list)
-    vertices: np.ndarray | None = None
     detail: str = ""
 
 
@@ -115,7 +111,8 @@ def _moduli(family: KernelFamily, irreps, tol_rank: float):
     """(vertices, canonical vertex, constraint texts) of a multiplicity-free
     family.
 
-    A vertex puts sqrt(dim rho) on one coordinate of each rho.  Vertices
+    A vertex puts sqrt(dim rho) on one coordinate of each rho; ``vertices``
+    holds their coefficient vectors (phases 0), one per row.  Vertices
     come in column-subset order of their ordered coordinates, and the
     canonical one has the least cost among those whose point fails the rank
     test at ``tol_rank`` (among all when none does; a tie goes to the first).
@@ -161,7 +158,7 @@ def solve_tp(family: KernelFamily, seed=0, tol_rank: float = DEFAULT_TOL_RANK) -
     report = TpSolveReport(status="solved", detail="closed form")
     first = []
     if all(C.shape[1] == 1 for _, C in irreps):
-        report.vertices, canonical, report.moduli_constraints = _moduli(family, irreps, tol_rank)
+        _, canonical, report.moduli_constraints = _moduli(family, irreps, tol_rank)
         first = [canonical]
     rng = np.random.default_rng(seed)
     samples = _gauge_phase(np.vstack([*first, _haar(irreps, family.n_params, MAX_SOLUTIONS - len(first), rng)]))

@@ -48,6 +48,11 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _vertices(family, tol_rank=extremality.DEFAULT_TOL_RANK):
+    """The moduli vertices of a multiplicity-free family, one per row."""
+    return tp._moduli(family, tp._irreps(family), tol_rank)[0]
+
+
 def _cost(family, vertices):
     """t_1 + 2 t_2 + ... + n t_n of each vertex, t_j = |c_j|^2 with the
     coordinates ordered by their basis column's leading entry.  A vertex's
@@ -137,14 +142,15 @@ def test_rank_deficient_certificate():
     assert np.linalg.matrix_rank(family.kraus_at(c).reshape(-1, 2)) == 1
 
 
-def test_coupled_family_takes_haar_samples_only():
+def test_coupled_family_takes_haar_samples_only(monkeypatch):
     # Z2 q0+q0 under q0: the input irrep q0 appears twice and has two rows,
     # so C is a 2 x 2 unitary; no moduli polytope and no canonical vertex
     family = _family("Z2", "discrete", 2, 0, (0, 0), (0, 0))
     ((dim, C),) = tp._irreps(family)
     assert (dim, C.shape) == (1, (2, 2))
+    calls = _count_calls(monkeypatch, "_moduli")
     report = solve_tp(family, seed=3)
-    assert report.status == "solved" and report.vertices is None and report.moduli_constraints == []
+    assert report.status == "solved" and not calls and report.moduli_constraints == []
     assert len(report.solutions) == tp.MAX_SOLUTIONS
     for c in report.solutions:
         assert _tp_residual(c, family) <= 1e-14
@@ -158,7 +164,7 @@ def test_one_point_polytope_needs_one_lp(monkeypatch):
     calls = _count_calls(monkeypatch, "_moduli")
     report = solve_tp(family)
     assert report.status == "solved"
-    assert len(calls) == 1 and len(report.vertices) == 1
+    assert len(calls) == 1 and len(_vertices(family)) == 1
 
 
 BENCH_SWEEPS = [("SO3", 7, False), ("SU2", 5, False), ("Z2", 2, False), ("Z3", 1, False),
@@ -171,21 +177,13 @@ def test_vertices_match_highs_on_every_bench_polytope(monkeypatch):
     # vertices is the LP optimum, for every moduli polytope the bench
     # sweeps reach.
     calls = _count_calls(monkeypatch, "_moduli")
-    families = []
-    original = tp.solve_tp
-
-    def kept(family, *args, **kwargs):
-        report = original(family, *args, **kwargs)
-        if report.vertices is not None:
-            families.append((family, report.vertices))
-        return report
-
-    monkeypatch.setattr("gcec.pipeline.solve_tp", kept)
     for group, d, nonunitary_only in BENCH_SWEEPS:
         run_enumeration(group, None, d, nonunitary_only=nonunitary_only)
-    assert len(families) == len(calls) > 50
+    families = [family for family, _, _ in calls]
+    assert len(families) > 50
     rng = np.random.default_rng(37)
-    for family, vertices in families:
+    for family in families:
+        vertices = _vertices(family)
         n = family.n_params
         R = np.real(np.array([np.diag(_xi(family, e)) for e in np.eye(n)])).T
         t = np.abs(vertices) ** 2
@@ -205,7 +203,7 @@ def test_rows_equal_up_to_roundoff_span_a_segment():
     family = _family("SO3", "lie", 9, 3, (0, 1, 2), (4,))
     report = solve_tp(family)
     assert report.moduli_constraints == ["0.111111|u1|^2 + 0.111111|u2|^2 = 1"]
-    assert np.allclose(np.abs(report.vertices) ** 2, [[9.0, 0.0], [0.0, 9.0]], atol=1e-12)
+    assert np.allclose(np.abs(_vertices(family)) ** 2, [[9.0, 0.0], [0.0, 9.0]], atol=1e-12)
     manifest = run_enumeration("SO3", "lie", 9, reps=["1+3+5", "9"], seed=7)
     (record,) = [
         r for r in manifest.records if (r.d1_label.text, r.d2_label.text, r.omega_index) == ("1+3+5", "9", 3)
@@ -222,7 +220,7 @@ def test_one_point_one_modulus_family_is_not_mixed():
     report = solve_tp(family, seed=4)
     assert report.detail == "closed form"
     assert len(report.solutions) == 1
-    assert report.solutions[0].tobytes() == report.vertices[0].tobytes()
+    assert report.solutions[0].tobytes() == _vertices(family)[0].tobytes()
 
 
 def test_one_point_two_moduli_family_is_still_mixed():
@@ -232,7 +230,8 @@ def test_one_point_two_moduli_family_is_still_mixed():
     family = _family("Z2", "discrete", 2, 0, (0, 1), (0, 1))
     assert family.n_params == 2
     report = solve_tp(family, seed=4)
-    assert len(report.vertices) == 1 and np.count_nonzero(report.vertices[0]) == 2
+    (vertex,) = _vertices(family)
+    assert np.count_nonzero(vertex) == 2
     assert report.moduli_constraints == ["1|u1|^2 = 1", "1|u2|^2 = 1"]
     assert len(report.solutions) == tp.MAX_SOLUTIONS
     phases = [np.angle(c[1] / c[0]) for c in report.solutions]
@@ -246,7 +245,7 @@ def test_s3_family_solves_on_linear_path():
     family = _family("S3", "discrete", 3, 2, (0, 2), (0, 2))
     report = solve_tp(family, seed=0)
     assert report.status == "solved"
-    assert report.vertices is not None and len(report.moduli_constraints) == 2
+    assert len(report.moduli_constraints) == 2
     assert report.detail == "closed form"
     assert len(report.solutions) == 8
     for c in report.solutions:
@@ -301,7 +300,7 @@ def test_canonical_solution_sits_at_a_vertex_that_fails_the_rank_test(omega):
     # solutions sit at the failing vertex.
     family = _family("D5", "discrete", 4, omega, (2, 3), (2, 3))
     report = solve_tp(family)
-    vertices = report.vertices
+    vertices = _vertices(family)
     points = np.stack([family.kraus_at(v) for v in vertices])
     fails = extremality.test_extreme(points).rank != family.K**2
     least = np.argmin(_cost(family, vertices))
@@ -316,7 +315,7 @@ def test_canonical_vertex_follows_tol_rank():
     # tolerance only the ~1e-16 ones fail; at 0.75 the 0.71 ones fail too,
     # and a cheaper one of them becomes the canonical vertex.
     family = _family("D5", "discrete", 4, 2, (0, 1, 3), (2, 2))
-    vertices = solve_tp(family).vertices
+    vertices = _vertices(family)
     assert len(vertices) == 8
     points = np.stack([family.kraus_at(v) for v in vertices])
     cost = _cost(family, vertices)
