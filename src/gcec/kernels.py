@@ -368,14 +368,12 @@ def joint_nullspace(
                 placed.append((system.entries(rows, cols), kernel, i, j))
     K, d = system.K, system.d
     basis = np.zeros((K * d * d, sum(part.shape[1] for _, part, _, _ in placed)), dtype=complex)
-    layout = np.zeros((basis.shape[1], 3), dtype=int)
-    at = 0
+    layout = []
     for index, part, i, j in placed:
-        basis[index, at : at + part.shape[1]] = part
-        layout[at : at + part.shape[1]] = [(i, j, s) for s in range(part.shape[1])]
-        at += part.shape[1]
-    defect = _input_defect(system, tol_kernel, cache) if at else None
-    return KernelFamily(basis, K, d, layout, system.col_parts, defect)
+        basis[index, len(layout) : len(layout) + part.shape[1]] = part
+        layout += [(i, j, s) for s in range(part.shape[1])]
+    defect = _input_defect(system, tol_kernel, cache) if layout else None
+    return KernelFamily(basis, K, d, np.array(layout, dtype=int).reshape(-1, 3), system.col_parts, defect)
 
 
 def intertwiner(target, moved, tol_kernel: float = DEFAULT_TOL_KERNEL, cache: dict | None = None) -> np.ndarray:

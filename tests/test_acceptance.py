@@ -3,7 +3,9 @@
 Each test pins a catalog -> covariance kernel -> trace preservation ->
 extremality chain on a named instance, with frozen constants and a time
 budget.  Budgets read the process's CPU time (``time.process_time``), so
-other processes on shared cores do not stretch them.  The strict-xfail
+other processes on shared cores do not stretch them; the time of every
+thread counts, so a multithreaded BLAS can read up to its thread count
+times the wall time.  The strict-xfail
 twins record reference tallies that the construction disproves; if a code
 change ever makes one pass, the xfail turns into a hard failure and forces
 a second look.
