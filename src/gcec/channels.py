@@ -10,9 +10,9 @@ shape (S, K, d, d), and evaluate every set in a few batched numpy calls
 the S = 1 case.  Each set's values are those of a loop over the sets.
 :func:`tp_residuals` is the package's one TP residual: the rank test,
 sweep records and ``classify`` all read it.  :func:`product_rank`
-is the one rank count of the Kraus products: the rank test
-(:func:`gcec.extremality.test_extreme`) and the TP solver's choice of
-canonical vertex read it.
+is the one rank count of the Kraus products, read by the rank test
+(:func:`gcec.extremality.test_extreme`), which the TP solver's choice of
+canonical vertex runs too.
 
 JSON.  Complex numbers are [re, im] pairs, written by one encoder,
 :func:`matrix_to_json` (manifests and ``gcec catalog``).

@@ -147,12 +147,12 @@ def _automorphisms(spec: GroupSpec) -> tuple[list[Word], list[tuple[tuple[Word, 
 class LabelClasses:
     """The classes of one sweep's instances and the transport between them.
 
-    ``tol_kernel`` and ``cache`` go to the intertwiner solves; every
-    intertwiner, placement and label table is computed once per object.
+    ``cache`` goes to the intertwiner solves; every intertwiner, placement
+    and label table is computed once per object.
     """
 
-    def __init__(self, spec: GroupSpec, tol_kernel: float, cache: dict):
-        self.tol_kernel, self.cache = tol_kernel, cache
+    def __init__(self, spec: GroupSpec, cache: dict):
+        self.cache = cache
         self.irreps = {ir.index: ir for ir in spec.irreps}
         words, automorphisms = _automorphisms(spec)
         table = np.asarray(character_table(spec, words))
@@ -262,7 +262,7 @@ class LabelClasses:
             if ir.dim == 1 or all(np.array_equal(a, b) for a, b in zip(moved, image.generator_matrices)):
                 self._unitaries[key] = np.eye(ir.dim, dtype=complex)
             else:
-                self._unitaries[key] = intertwiner(image.generator_matrices, moved, self.tol_kernel, self.cache)
+                self._unitaries[key] = intertwiner(image.generator_matrices, moved, self.cache)
         return self._unitaries[key]
 
     def placement(self, parts: tuple, twist: int, conj: bool, aut: int = 0) -> np.ndarray:

@@ -16,9 +16,7 @@ from .channels import matrix_to_json
 from .errors import GcecError
 from .extremality import DEFAULT_TOL_RANK
 from .groups import infer_kind, props
-from .kernels import DEFAULT_TOL_KERNEL
 from .pipeline import (
-    DEFAULT_TOL_TP,
     classify_file,
     json_text,
     load_manifest,
@@ -52,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="full enumeration sweep")
     _add_group_args(p_run)
-    p_run.add_argument("--tol-kernel", type=float, default=DEFAULT_TOL_KERNEL)
-    p_run.add_argument("--tol-tp", type=float, default=DEFAULT_TOL_TP)
     p_run.add_argument("--tol-rank", type=float, default=DEFAULT_TOL_RANK)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--nonunitary-only", action="store_true", help="skip 1-dimensional channel labels")
@@ -143,8 +139,6 @@ def _cmd_run(args) -> int:
         args.group,
         None,
         args.dim,
-        tol_kernel=args.tol_kernel,
-        tol_tp=args.tol_tp,
         tol_rank=args.tol_rank,
         seed=args.seed,
         nonunitary_only=args.nonunitary_only,

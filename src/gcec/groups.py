@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionZero, ParityError, UnknownGroup
+from .errors import DimensionZero, ParityError, UnknownGroup, UnknownIrrepIndex
 
 # A word is a sequence of generator indices; a relation equates two words.
 Word = tuple[int, ...]
@@ -63,8 +63,6 @@ class GroupSpec:
         for ir in self.irreps:
             if ir.index == index:
                 return ir
-        from .errors import UnknownIrrepIndex
-
         raise UnknownIrrepIndex(f"{self.name} has no irrep with index {index}")
 
 
@@ -345,12 +343,15 @@ def word_matrix(irrep: Irrep, word: Word) -> np.ndarray:
     return out
 
 
+MAX_ELEMENTS = 100_000  # largest G/N the element closure enumerates
+
+
 def _element_key(mat: np.ndarray) -> bytes:
     """Fingerprint of a group element from its direct-sum matrix."""
     return (np.round(mat, 9) + 0.0).tobytes()  # +0.0 folds -0.0 into +0.0
 
 
-def _closure(spec: GroupSpec, max_elements: int = 100_000) -> tuple[list[Word], np.ndarray]:
+def _closure(spec: GroupSpec) -> tuple[list[Word], np.ndarray]:
     """(one word per element of G/N, right) with right[i, g] the index of
     the element words[i] times generator g.
 
@@ -372,8 +373,8 @@ def _closure(spec: GroupSpec, max_elements: int = 100_000) -> tuple[list[Word], 
             nxt = mat @ gen
             k = _element_key(nxt)
             if k not in index:
-                if len(words) >= max_elements:
-                    raise UnknownGroup(f"{spec.name}: element closure exceeded {max_elements}")
+                if len(words) >= MAX_ELEMENTS:
+                    raise UnknownGroup(f"{spec.name}: element closure exceeded {MAX_ELEMENTS}")
                 index[k] = len(words)
                 words.append(words[len(right)] + (g,))
                 queue.append(nxt)
@@ -382,7 +383,7 @@ def _closure(spec: GroupSpec, max_elements: int = 100_000) -> tuple[list[Word], 
     return words, np.array(right, dtype=int).reshape(len(words), len(gens))
 
 
-def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
+def element_words(spec: GroupSpec) -> list[Word]:
     """One representative word per element of G/N, by closure of the
     generators, sorted by (length, word).
 
@@ -394,7 +395,7 @@ def element_words(spec: GroupSpec, max_elements: int = 100_000) -> list[Word]:
     only some irreps, and the words then enumerate the quotient G/N: S3 at
     d=1 gives 2 words, A4 at d=1 gives 3 and D5 at d=1 gives 2.
     """
-    return _closure(spec, max_elements)[0]
+    return _closure(spec)[0]
 
 
 def cayley_table(spec: GroupSpec) -> tuple[list[Word], np.ndarray, np.ndarray]:

@@ -49,14 +49,14 @@ rotated Lie representation has no diagonal generator and keeps every
 column too.
 
 Rank threshold.  A singular value counts as zero when it is at most
-``tol_kernel * max(1, sigma_max)`` of its block; a block whose matrices are
+``TOL_KERNEL * max(1, sigma_max)`` of its block; a block whose matrices are
 identically zero is unconstrained (identity basis).  The absolute floor
 matters for blocks made only of roundoff, such as a Z2 character stored as
 -1 + 1.2e-16j, whose whole kernel a purely relative rule would drop.
 
 Cache.  A sweep meets the same (row irrep, column irrep, Omega) block in
 many instances.  :func:`joint_nullspace` accepts a plain dict, keyed by the
-block's content (kind, tolerance and generator bytes), and factors each
+block's content (kind and generator bytes), and factors each
 distinct block once.  A :class:`CovarianceSystem` holds only its parts and
 Omega: :meth:`CovarianceSystem.key` reads the key off the parts' ``content``
 and Omega's bytes, a :class:`CovarianceBlock` is built only on a cache miss,
@@ -83,7 +83,7 @@ from .errors import DimMismatch, LengthMismatch
 from .groups import Irrep, lie_irrep
 from .reps import InvariantBlock, Rep
 
-DEFAULT_TOL_KERNEL = 1e-10
+TOL_KERNEL = 1e-10  # relative, with an absolute floor (see "Rank threshold")
 
 
 def _defect(kind: str, row_g, col_g, om, X: np.ndarray) -> np.ndarray:
@@ -182,10 +182,10 @@ class CovarianceSystem:
             omega_gens=self.omega_gens,
         )
 
-    def key(self, rows: InvariantBlock, cols: InvariantBlock, tol_kernel: float) -> tuple:
+    def key(self, rows: InvariantBlock, cols: InvariantBlock) -> tuple:
         """Cache key of the (rows, cols) block: equal keys mean equal
         systems, hence equal kernels."""
-        return (self.kind, tol_kernel, rows.content, cols.content, self.omega_content)
+        return (self.kind, rows.content, cols.content, self.omega_content)
 
     @property
     def blocks(self) -> tuple[CovarianceBlock, ...]:
@@ -276,12 +276,12 @@ def leading_entries(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(zero, m.shape[0], lead), phase
 
 
-def _gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
+def gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
     """Rotate each column's phase so its first significant entry is real > 0."""
     return basis * np.conj(leading_entries(basis)[1])
 
 
-def _block_nullspace(block: CovarianceBlock, tol_kernel: float) -> np.ndarray:
+def _block_nullspace(block: CovarianceBlock) -> np.ndarray:
     """Gauge-fixed orthonormal kernel basis of one block's stacked system,
     factored on the block's free entries only."""
     free = block.free_entries
@@ -291,8 +291,8 @@ def _block_nullspace(block: CovarianceBlock, tol_kernel: float) -> np.ndarray:
         kernel = np.eye(free.size, dtype=complex)
     else:
         _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-        rank = int(np.sum(svals > tol_kernel * max(1.0, svals[0])))
-        kernel = _gauge_fix_columns(vh[rank:].conj().T)
+        rank = int(np.sum(svals > TOL_KERNEL * max(1.0, svals[0])))
+        kernel = gauge_fix_columns(vh[rank:].conj().T)
     # The forced zeros sit between free entries and never lead a column, so
     # gauge-fixing before embedding is the same as after.
     basis = np.zeros((block.index.size, kernel.shape[1]), dtype=complex)
@@ -300,12 +300,12 @@ def _block_nullspace(block: CovarianceBlock, tol_kernel: float) -> np.ndarray:
     return basis
 
 
-def _kernel(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, tol_kernel: float, cache):
+def _kernel(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, cache):
     """The kernel basis of the (rows, cols) Schur block, factored on a
     cache miss only."""
-    key = system.key(rows, cols, tol_kernel)
+    key = system.key(rows, cols)
     if key not in cache:
-        cache[key] = _block_nullspace(system.block(rows, cols), tol_kernel)
+        cache[key] = _block_nullspace(system.block(rows, cols))
     return cache[key]
 
 
@@ -316,7 +316,7 @@ def _trivial_system(kind: str, num_generators: int, d: int) -> CovarianceSystem:
     return _system(kind, (), (), label, d)
 
 
-def _input_defect(system: CovarianceSystem, tol_kernel: float, cache: dict) -> str | None:
+def _input_defect(system: CovarianceSystem, cache: dict) -> str | None:
     """None when every column part of ``system`` is irreducible and parts of
     different content are inequivalent, else a text naming the first part
     that breaks this.
@@ -335,7 +335,7 @@ def _input_defect(system: CovarianceSystem, tol_kernel: float, cache: dict) -> s
     trivial = _trivial_system(system.kind, len(system.omega_gens), system.d)
     for i, a in enumerate(parts):
         for b in parts[i:]:
-            if _kernel(trivial, a, b, tol_kernel, cache).shape[1] != (a is b):
+            if _kernel(trivial, a, b, cache).shape[1] != (a is b):
                 at = a.index.tolist()
                 if a is b:
                     return f"input part at indices {at} is reducible"
@@ -343,11 +343,7 @@ def _input_defect(system: CovarianceSystem, tol_kernel: float, cache: dict) -> s
     return None
 
 
-def joint_nullspace(
-    system: CovarianceSystem,
-    tol_kernel: float = DEFAULT_TOL_KERNEL,
-    cache: dict | None = None,
-) -> KernelFamily:
+def joint_nullspace(system: CovarianceSystem, cache: dict | None = None) -> KernelFamily:
     """Orthonormal basis of the intersection of all generators' kernels.
 
     The direct sum of the block kernels, each block's basis placed at the
@@ -363,7 +359,7 @@ def joint_nullspace(
     placed = []  # (entry positions, block basis, row part, column part) of each block with a kernel
     for i, rows in enumerate(system.row_parts):
         for j, cols in enumerate(system.col_parts):
-            kernel = _kernel(system, rows, cols, tol_kernel, cache)
+            kernel = _kernel(system, rows, cols, cache)
             if kernel.shape[1]:
                 placed.append((system.entries(rows, cols), kernel, i, j))
     K, d = system.K, system.d
@@ -372,29 +368,28 @@ def joint_nullspace(
     for index, part, i, j in placed:
         basis[index, len(layout) : len(layout) + part.shape[1]] = part
         layout += [(i, j, s) for s in range(part.shape[1])]
-    defect = _input_defect(system, tol_kernel, cache) if layout else None
+    defect = _input_defect(system, cache) if layout else None
     return KernelFamily(basis, K, d, np.array(layout, dtype=int).reshape(-1, 3), system.col_parts, defect)
 
 
-def intertwiner(target, moved, tol_kernel: float = DEFAULT_TOL_KERNEL, cache: dict | None = None) -> np.ndarray:
+def intertwiner(target, moved, cache: dict | None = None) -> np.ndarray:
     """Unitary T with T^dag moved(g) T = target(g) for every generator g.
 
     ``target`` and ``moved`` are the generator matrices of two equivalent
     irreducible representations of a finite group.  T spans the kernel of
-    the discrete covariance system moved(g)^dag T target(g) = T: the system
-    :func:`build_discrete_system` gives for D1 = target, D2 = moved and the
-    trivial channel label, built here as one block without splitting
-    either side.  By Schur's lemma that kernel is one dimensional and
-    T^dag T is a multiple of the identity, so the unit kernel vector scaled
-    by sqrt(dim) is unitary.  ``cache`` is as for :func:`joint_nullspace`.
+    the discrete covariance system moved(g)^dag T target(g) = T: the
+    trivial-label Schur block with rows on ``moved`` and columns on
+    ``target``, neither side split, read through ``cache`` as for
+    :func:`joint_nullspace`.  By Schur's lemma that kernel is one
+    dimensional and T^dag T is a multiple of the identity, so the unit
+    kernel vector scaled by sqrt(dim) is unitary.
     """
     r = target[0].shape[0]
-    parts = [InvariantBlock.on(np.arange(r), gens) for gens in (moved, target)]
-    trivial = [np.ones((1, 1))] * len(target)
-    family = joint_nullspace(_system("discrete", parts[:1], parts[1:], trivial, r), tol_kernel, cache)
-    if family.n_params != 1:
-        raise DimMismatch(f"expected one intertwiner between equivalent irreps, found {family.n_params}")
-    return np.sqrt(r) * family.basis[:, 0].reshape(r, r)
+    rows, cols = (InvariantBlock.on(np.arange(r), gens) for gens in (moved, target))
+    kernel = _kernel(_trivial_system("discrete", len(target), r), rows, cols, {} if cache is None else cache)
+    if kernel.shape[1] != 1:
+        raise DimMismatch(f"expected one intertwiner between equivalent irreps, found {kernel.shape[1]}")
+    return np.sqrt(r) * kernel[:, 0].reshape(r, r)
 
 
 def covariance_residual(kraus, D1: Rep, D2: Rep, omega: Irrep, kind: str) -> np.ndarray:

@@ -32,7 +32,10 @@ batched rank test and one batched covariance residual, and
 :func:`classify_file` parses every entry of a file first and then checks
 the sets of each (K, d) shape as one stack (Choi eigenvalues, TP residual,
 rank test).  Each set's values are those of a loop over the sets, so the
-manifests do not depend on the batching.
+manifests do not depend on the batching.  A set is trace preserving when
+its TP residual is at most ``extremality.TOL_TP``.  A manifest's
+``tolerances`` records the thresholds applied: that bound, the kernel
+threshold ``kernels.TOL_KERNEL`` and the run's ``tol_rank``.
 
 Every JSON text the package writes (manifests, reports, the CLI printers)
 comes from one writer, :func:`json_text`: its bytes are those of
@@ -59,10 +62,10 @@ from .channels import (
 )
 from .classes import LabelClasses
 from .errors import GcecError, SchemaError, NotTracePreserving, UnknownGroup
-from .extremality import DEFAULT_TOL_RANK, test_extreme
+from .extremality import DEFAULT_TOL_RANK, TOL_TP, test_extreme
 from .groups import infer_kind, props
 from .kernels import (
-    DEFAULT_TOL_KERNEL,
+    TOL_KERNEL,
     build_discrete_system,
     build_lie_system,
     covariance_residual,
@@ -72,7 +75,6 @@ from .reps import Rep, RepLabel, enumerate_reps, make_rep_label, materialize, om
 from .tp import solve_tp
 
 MANIFEST_SCHEMA_VERSION = 1
-DEFAULT_TOL_TP = 1e-10  # TP tolerance of a sweep's stored samples (see _sample_test)
 TRANSPORT_TOL_COV = 1e-8  # largest covariance residual of a transported sample
 
 
@@ -117,8 +119,6 @@ def run_enumeration(
     kind: str | None,
     d: int,
     *,
-    tol_kernel: float = DEFAULT_TOL_KERNEL,
-    tol_tp: float = DEFAULT_TOL_TP,
     tol_rank: float = DEFAULT_TOL_RANK,
     seed: int = 0,
     nonunitary_only: bool = False,
@@ -130,7 +130,9 @@ def run_enumeration(
     given display texts (a sub-sweep; totals then count the restriction).
     ``nonunitary_only`` drops 1-dimensional channel labels, whose channels
     are plain unitaries.  ``seed`` seeds each solved instance's TP samples,
-    together with the instance's labels.
+    together with the instance's labels.  ``tol_rank`` is the rank test's
+    tolerance; the kernel and TP tolerances are constants (module
+    docstring).
 
     For a finite group only one representative per label class is solved
     (see the module docstring), with the seed of its own labels and even
@@ -158,7 +160,7 @@ def run_enumeration(
 
     rep_cache = {lab.parts: materialize(spec, lab) for lab in labels}
     block_cache: dict = {}  # Schur-block kernels shared by this sweep's instances
-    classes = LabelClasses(spec, tol_kernel, block_cache) if kind == "discrete" else None
+    classes = LabelClasses(spec, block_cache) if kind == "discrete" else None
     solved: dict = {}  # representative instance -> its record
 
     def rep_of(parts) -> Rep:
@@ -175,8 +177,6 @@ def run_enumeration(
             rep_of(parts1),
             rep_of(parts2),
             spec.irrep_by_index(om),
-            tol_kernel=tol_kernel,
-            tol_tp=tol_tp,
             tol_rank=tol_rank,
             # Seed keyed by the instance labels (not the loop position): a
             # filtered sub-sweep then reproduces the full sweep's records
@@ -202,7 +202,7 @@ def run_enumeration(
                 records.append(None)
     for head, filed in members.items():  # each class's members move as one stack
         positions, of_class = zip(*filed)
-        moved = _transported(solved[head], head, of_class, classes, tol_rank=tol_rank, tol_tp=tol_tp)
+        moved = _transported(solved[head], head, of_class, classes, tol_rank=tol_rank)
         for at, record in zip(positions, moved):
             records[at] = record
 
@@ -210,7 +210,7 @@ def run_enumeration(
         group=group,
         kind=kind,
         d=d,
-        tolerances={"kernel": tol_kernel, "tp": tol_tp, "rank": tol_rank},
+        tolerances={"kernel": TOL_KERNEL, "tp": TOL_TP, "rank": tol_rank},
         seed=seed,
         options={
             "nonunitary_only": nonunitary_only,
@@ -230,8 +230,6 @@ def _solve_instance(
     rep2,
     omega,
     *,
-    tol_kernel,
-    tol_tp,
     tol_rank,
     seed,
     block_cache,
@@ -248,7 +246,7 @@ def _solve_instance(
     )
     try:
         system = build_discrete_system(rep1, rep2, omega) if kind == "discrete" else build_lie_system(rep1, rep2, omega)
-        family = joint_nullspace(system, tol_kernel, cache=block_cache)
+        family = joint_nullspace(system, cache=block_cache)
         record.n_params = family.n_params
         if family.n_params == 0:
             return record
@@ -258,7 +256,7 @@ def _solve_instance(
             record.status = "no_tp_solution"
             return record
         stack = np.stack([family.kraus_at(c) for c in report.solutions])
-        _found(record, stack, _sample_test(stack, tol_rank, tol_tp), 0, rep1, rep2, omega, kind)
+        _found(record, stack, test_extreme(stack, tol_rank), 0, rep1, rep2, omega, kind)
     except (GcecError, np.linalg.LinAlgError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         record.status = "solver_failed"
@@ -268,12 +266,6 @@ def _solve_instance(
         record.status = "error"
         record.classification = "not_applicable"
     return record
-
-
-def _sample_test(stack, tol_rank, tol_tp):
-    """The rank test of a stack of samples; a sample counts as trace
-    preserving up to ``tol_tp``, but never below 1e-8."""
-    return test_extreme(stack, tol_rank, tol_tp=max(tol_tp, 1e-8))
 
 
 def _found(record, stack, test, first, rep1, rep2, omega, kind) -> None:
@@ -300,7 +292,7 @@ def _classification(K: int, verdicts) -> str:
     return "extreme" if all(v.is_extreme for v in verdicts) else "quasi_extreme"
 
 
-def _transported(source, head, members, classes, *, tol_rank, tol_tp) -> list[ChannelRecord]:
+def _transported(source, head, members, classes, *, tol_rank) -> list[ChannelRecord]:
     """The records of the ``members`` (rep1, rep2, omega, move) of the
     class of ``head``, from its representative's record ``source``: each
     takes the same ``n_params``, status, error and moduli constraints (in
@@ -340,7 +332,7 @@ def _transported(source, head, members, classes, *, tol_rank, tol_tp) -> list[Ch
             _transport_failed(records[i], exc)
     if not moved:
         return records
-    test = _sample_test(np.concatenate(list(moved.values())), tol_rank, tol_tp)
+    test = test_extreme(np.concatenate(list(moved.values())), tol_rank)
     for at, (i, stack) in enumerate(moved.items()):
         rep1, rep2, omega, _ = members[i]
         try:
@@ -619,7 +611,7 @@ def _kraus_sets_in(obj) -> list[tuple[str, dict]]:
     )
 
 
-def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK, tol_tp: float = 1e-8) -> list[dict]:
+def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK) -> list[dict]:
     """Validate (CP, TP) and classify every Kraus set stored in a JSON file.
 
     Every entry is parsed first; a schema error stays on its own entry.
@@ -647,7 +639,7 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK, tol_tp: float = 1e-8
         # Finite entries can still overflow; their NaN values fail the checks below.
         with np.errstate(over="ignore", invalid="ignore"):
             cp_floors = np.linalg.eigvalsh(choi(stack))[:, 0]
-            test = test_extreme(stack, tol_rank, tol_tp=tol_tp)
+            test = test_extreme(stack, tol_rank)
         for i, (entry, _) in enumerate(members):
             try:
                 entry["choi_min_eigenvalue"] = cp_floor = float(cp_floors[i])

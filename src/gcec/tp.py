@@ -22,8 +22,9 @@ manifolds {C_rho : C_rho^dag C_rho = dim rho * 1}.  Hence:
 - Samples are exact: C_rho = sqrt(dim rho) Q, with Q the QR factor of a
   complex Gaussian drawn from the instance's generator, its column phases
   fixed so that Q is Haar distributed.  Each sample's global phase is fixed
-  (:func:`_gauge_phase`) and repeats are dropped (:func:`_solution_keys`),
-  so a family whose only freedom is one phase keeps a single sample.
+  as a kernel basis column's is (:func:`gcec.kernels.gauge_fix_columns`)
+  and repeats are dropped (:func:`_solution_keys`), so a family whose only
+  freedom is one phase keeps a single sample.
 - A multiplicity-free family (every m_rho = 1) has free phases.  With
   t_j = |c_j|^2 its constraints are linear, sum_{j in rho} t_j = dim rho
   (its ``moduli_constraints``, one per rho), so the moduli polytope is a
@@ -46,9 +47,10 @@ from itertools import product
 
 import numpy as np
 
-from .channels import DEFAULT_TOL_RANK, product_rank
+from .channels import DEFAULT_TOL_RANK
 from .errors import ReducibleInput
-from .kernels import KernelFamily, leading_entries
+from .extremality import test_extreme
+from .kernels import KernelFamily, gauge_fix_columns, leading_entries
 
 MAX_SOLUTIONS = 8
 
@@ -81,12 +83,6 @@ def _irreps(family: KernelFamily) -> list[tuple[int, np.ndarray]]:
         (family.inputs[js[0]].index.size, np.array([columns.get(j, []) for j in js], dtype=int).T)
         for js in copies.values()
     ]
-
-
-def _gauge_phase(samples: np.ndarray) -> np.ndarray:
-    """Rotate each row's global phase so its first significant entry is
-    real > 0."""
-    return samples * np.conj(leading_entries(samples.T)[1])[:, None]
 
 
 def _solution_keys(samples: np.ndarray) -> list[bytes]:
@@ -130,8 +126,8 @@ def _moduli(family: KernelFamily, irreps, tol_rank: float):
     vertices = np.zeros((len(choices), n), dtype=complex)
     np.put_along_axis(vertices, choices, np.sqrt(dims), axis=1)
     cost = (pos[choices] + 1.0) @ dims
-    if len(vertices) > 1 and K <= d:  # K > d: every vertex fails
-        fails = product_rank((vertices @ family.basis.T).reshape(-1, K, d, d), tol_rank)[1] != K**2
+    if len(vertices) > 1:
+        fails = ~test_extreme((vertices @ family.basis.T).reshape(-1, K, d, d), tol_rank).extreme
         if fails.any():
             cost = np.where(fails, cost, np.inf)
     texts = [" + ".join(f"{1.0 / dim:.6g}|u{p + 1}|^2" for p in sorted(pos[C[:, 0]])) + " = 1" for dim, C in irreps]
@@ -161,7 +157,8 @@ def solve_tp(family: KernelFamily, seed=0, tol_rank: float = DEFAULT_TOL_RANK) -
         _, canonical, report.moduli_constraints = _moduli(family, irreps, tol_rank)
         first = [canonical]
     rng = np.random.default_rng(seed)
-    samples = _gauge_phase(np.vstack([*first, _haar(irreps, family.n_params, MAX_SOLUTIONS - len(first), rng)]))
+    samples = np.vstack([*first, _haar(irreps, family.n_params, MAX_SOLUTIONS - len(first), rng)])
+    samples = gauge_fix_columns(samples.T).T  # each row's global phase
     found: dict = {}  # key -> sample, the first of equal ones kept
     for c, key in zip(samples, _solution_keys(samples)):
         found.setdefault(key, c)

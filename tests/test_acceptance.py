@@ -54,7 +54,7 @@ def _family(name, kind, d, omega_index, parts1, parts2):
     D2 = materialize(spec, make_rep_label(spec, parts2))
     build = build_discrete_system if kind == "discrete" else build_lie_system
     omega = spec.irrep_by_index(omega_index)
-    return joint_nullspace(build(D1, D2, omega), 1e-10), spec, D1, D2, omega
+    return joint_nullspace(build(D1, D2, omega)), spec, D1, D2, omega
 
 
 def choi_of(ks):
@@ -354,7 +354,7 @@ def test_spin_group_d6_kernels_match_clebsch_gordan_within_budget():
     for omega in omega_candidates(spec, 6):
         for D1 in reps:
             for D2 in reps:
-                family = joint_nullspace(build_lie_system(D1, D2, omega), 1e-10, cache=cache)
+                family = joint_nullspace(build_lie_system(D1, D2, omega), cache=cache)
                 counts.append((family.n_params, D1.label.parts, D2.label.parts, omega.index))
     elapsed = time.process_time() - started
     assert len(counts) == 726 and len(cache) == 216
@@ -459,7 +459,7 @@ def test_property_suite_residuals_invariances_determinism(
                     u @ g @ u.conj().T for g in omega.generator_matrices
                 ),
             )
-            basis2 = joint_nullspace(build(D1, D2, moved_omega), 1e-10).basis
+            basis2 = joint_nullspace(build(D1, D2, moved_omega)).basis
             assert (
                 np.linalg.norm(
                     _projector(basis2) - _projector(block(u) @ family.basis)

@@ -136,7 +136,7 @@ def _mixed_items(rng):
 def _classify(tmp_path, items, name="sets.json"):
     path = tmp_path / name
     path.write_text(json.dumps(items))
-    return classify_file(path, tol_rank=TOL_RANK, tol_tp=TOL_TP)
+    return classify_file(path, tol_rank=TOL_RANK)
 
 
 def _assert_same_entry(got, want):
@@ -226,10 +226,28 @@ def s3_sweep():
     return run_enumeration("S3", None, 3, nonunitary_only=True)
 
 
+@pytest.mark.parametrize("factor, fails", [(2.0, True), (0.5, False)])
+def test_the_recorded_tp_tolerance_is_the_one_applied(tmp_path, s3_sweep, factor, fails):
+    # A unitary scaled by s has TP residual sqrt(d) (s^2 - 1): set it to
+    # ``factor`` times the TP tolerance the sweep's manifest records.
+    tol, d = s3_sweep.tolerances["tp"], 3
+    stack = np.sqrt(1 + factor * tol / np.sqrt(d)) * random_unitary(np.random.default_rng(5), d)[None, None]
+    assert tp_residuals(stack)[0] == pytest.approx(factor * tol, rel=1e-6)
+    test = rank_test(stack)
+    (entry,) = _classify(tmp_path, [kraus_dict(stack[0])])
+    if fails:
+        with pytest.raises(NotTracePreserving):
+            test.verdict(0)
+        assert entry["error"].startswith("NotTracePreserving: ") and entry["classification"] is None
+    else:
+        assert test.verdict(0).rank == 1
+        assert entry["error"] is None and entry["classification"] == "unitary"
+
+
 def _transported(manifest):
     """Whether each record of a finite sweep is transported from its class
     representative rather than solved."""
-    classes = LabelClasses(props(manifest.group, manifest.kind, manifest.d).group, 1e-10, {})
+    classes = LabelClasses(props(manifest.group, manifest.kind, manifest.d).group, {})
     return [
         classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts))[1] is not None
         for r in manifest.records
@@ -287,7 +305,7 @@ def test_a_failing_member_leaves_its_classmates_alone(monkeypatch, failure):
     # D5 d=4*: the members of one class share one rank test; break one
     # member's transport and every other record must stay as it was.
     reference = run_enumeration("D5", None, 4, nonunitary_only=True)
-    classes = LabelClasses(props("D5", "discrete", 4).group, 1e-10, {})
+    classes = LabelClasses(props("D5", "discrete", 4).group, {})
     found = collections.defaultdict(list)  # representative -> its transported channel_found records
     for r in reference.records:
         head, move = classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts))
@@ -320,7 +338,7 @@ def test_a_failing_member_leaves_its_classmates_alone(monkeypatch, failure):
 @pytest.mark.parametrize("name,d,nonunitary_only", [("D5", 4, True), ("Z4", 3, False), ("A4", 4, True)])
 def test_stacked_transport_equals_moving_each_sample_alone(name, d, nonunitary_only):
     manifest = run_enumeration(name, None, d, nonunitary_only=nonunitary_only)
-    classes = LabelClasses(props(name, "discrete", d).group, 1e-10, {})
+    classes = LabelClasses(props(name, "discrete", d).group, {})
     by_instance = {(r.omega_index, r.d1_label.parts, r.d2_label.parts): r for r in manifest.records}
     checked = 0
     for inst, r in by_instance.items():

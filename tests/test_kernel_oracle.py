@@ -85,13 +85,13 @@ def test_every_instance_matches_oracle(name, d):
         for D1 in reps:
             for D2 in reps:
                 system = build(D1, D2, omega)
-                family = joint_nullspace(system, 1e-10, cache=cache)
+                family = joint_nullspace(system, cache=cache)
                 assert family.n_params == expected(D1.label.parts, D2.label.parts, omega.index), (
                     D1.label.text, D2.label.text, omega.label
                 )
                 _check_family(family, D1, D2, omega, kind)
                 # the block cache never changes the result
-                assert np.array_equal(joint_nullspace(system, 1e-10).basis, family.basis)
+                assert np.array_equal(joint_nullspace(system).basis, family.basis)
 
 
 STATUS_SWEEPS = SWEEPS + [("SO3", 9)]
@@ -123,6 +123,6 @@ def test_densely_rotated_reps_are_one_block(name, parts, omega_index):
     )
     system = build(D1, D2, omega)
     assert len(system.blocks) == 1
-    family = joint_nullspace(system, 1e-10)
+    family = joint_nullspace(system)
     assert family.n_params == _oracle(spec, kind)(parts, parts, omega_index)
     _check_family(family, D1, D2, omega, kind)

@@ -65,7 +65,7 @@ def _system_defect(system, v):
 def test_vec_round_trip():
     """``kraus_at`` is the stacked vector read as one row-major (K, d, d) array."""
     system, *_ = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
-    family = joint_nullspace(system, 1e-10)
+    family = joint_nullspace(system)
     rng = np.random.default_rng(7)
     c = rng.normal(size=family.n_params) + 1j * rng.normal(size=family.n_params)
     kraus = family.kraus_at(c)
@@ -78,7 +78,7 @@ def test_vec_round_trip():
 
 def test_vec_length_mismatch():
     system, *_ = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
-    family = joint_nullspace(system, 1e-10)
+    family = joint_nullspace(system)
     for wrong in (np.zeros(family.n_params + 1), np.zeros((1, family.n_params))):
         with pytest.raises(LengthMismatch):
             family.kraus_at(wrong)
@@ -100,7 +100,7 @@ def test_system_shape_matches_kraus_count():
 def test_unconstrained_instance_yields_identity_basis():
     system, *_ = _instance("Z2", "discrete", 2, 0, (0, 0), (0, 0))
     assert all(np.linalg.norm(m) == 0.0 for b in system.blocks for m in b.matrices)
-    family = joint_nullspace(system, 1e-10)
+    family = joint_nullspace(system)
     assert family.n_params == 4
     assert np.array_equal(family.basis, np.eye(4))
 
@@ -110,7 +110,7 @@ def test_fully_constrained_instance_has_empty_kernel():
     assert sum(b.index.size for b in system.blocks) == 4
     for b in system.blocks:
         assert np.allclose(b.matrices[0], 2.0 * np.eye(b.index.size))
-    assert joint_nullspace(system, 1e-10).n_params == 0
+    assert joint_nullspace(system).n_params == 0
 
 
 @pytest.mark.parametrize(
@@ -118,7 +118,7 @@ def test_fully_constrained_instance_has_empty_kernel():
 )
 def test_kernel_dims_orthonormality_and_fixtures(name, kind, d, om, p1, p2, n, fixture):
     system, D1, D2, omega = _instance(name, kind, d, om, p1, p2)
-    family = joint_nullspace(system, 1e-10)
+    family = joint_nullspace(system)
     assert family.n_params == n
     gram = family.basis.conj().T @ family.basis
     assert np.linalg.norm(gram - np.eye(n)) <= 1e-10
@@ -132,7 +132,7 @@ def test_kernel_dims_orthonormality_and_fixtures(name, kind, d, om, p1, p2, n, f
 
 def test_s3_kernel_equals_closed_form_span():
     system, *_ = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
-    family = joint_nullspace(system, 1e-10)
+    family = joint_nullspace(system)
     cols = [
         np.asarray(s3_qutrit_family(*coeffs)).reshape(-1)
         for coeffs in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -218,7 +218,7 @@ def _projector(basis):
 def test_discrete_omega_gauge_transports_kernel():
     # Conjugating the K-dim block rotates kernel vectors by U on the Kraus index.
     system, D1, D2, omega = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
-    base = joint_nullspace(system, 1e-10).basis
+    base = joint_nullspace(system).basis
     rng = np.random.default_rng(11)
     for _ in range(3):
         u = random_unitary(rng, omega.dim)
@@ -230,14 +230,14 @@ def test_discrete_omega_gauge_transports_kernel():
                 u @ g @ u.conj().T for g in omega.generator_matrices
             ),
         )
-        basis2 = joint_nullspace(build_discrete_system(D1, D2, moved), 1e-10).basis
+        basis2 = joint_nullspace(build_discrete_system(D1, D2, moved)).basis
         transport = np.kron(u, np.eye(9))
         assert np.linalg.norm(_projector(basis2) - _projector(transport @ base)) <= 1e-9
 
 
 def test_lie_omega_gauge_transports_kernel():
     system, D1, D2, omega = _instance("SU2", "lie", 3, 1, (0, 1), (0, 1))
-    base = joint_nullspace(system, 1e-10).basis
+    base = joint_nullspace(system).basis
     rng = np.random.default_rng(12)
     for _ in range(3):
         u = random_unitary(rng, omega.dim)
@@ -249,7 +249,7 @@ def test_lie_omega_gauge_transports_kernel():
                 u @ g @ u.conj().T for g in omega.generator_matrices
             ),
         )
-        basis2 = joint_nullspace(build_lie_system(D1, D2, moved), 1e-10).basis
+        basis2 = joint_nullspace(build_lie_system(D1, D2, moved)).basis
         transport = np.kron(u.conj(), np.eye(9))
         assert np.linalg.norm(_projector(basis2) - _projector(transport @ base)) <= 1e-9
 
@@ -263,24 +263,24 @@ def _rotated(rep, u):
 
 def test_discrete_rep_gauge_transports_kernel():
     system, D1, D2, omega = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
-    base = joint_nullspace(system, 1e-10).basis
+    base = joint_nullspace(system).basis
     rng = np.random.default_rng(13)
     for _ in range(3):
         u1, u2 = random_unitary(rng, 3), random_unitary(rng, 3)
         system2 = build_discrete_system(_rotated(D1, u1), _rotated(D2, u2), omega)
-        basis2 = joint_nullspace(system2, 1e-10).basis
+        basis2 = joint_nullspace(system2).basis
         transport = np.kron(np.eye(omega.dim), np.kron(u2, u1.conj()))
         assert np.linalg.norm(_projector(basis2) - _projector(transport @ base)) <= 1e-9
 
 
 def test_lie_rep_gauge_transports_kernel():
     system, D1, D2, omega = _instance("SU2", "lie", 3, 1, (0, 1), (0, 1))
-    base = joint_nullspace(system, 1e-10).basis
+    base = joint_nullspace(system).basis
     rng = np.random.default_rng(14)
     for _ in range(3):
         u1, u2 = random_unitary(rng, 3), random_unitary(rng, 3)
         system2 = build_lie_system(_rotated(D1, u1), _rotated(D2, u2), omega)
-        basis2 = joint_nullspace(system2, 1e-10).basis
+        basis2 = joint_nullspace(system2).basis
         transport = np.kron(np.eye(omega.dim), np.kron(u1, u2.conj()))
         assert np.linalg.norm(_projector(basis2) - _projector(transport @ base)) <= 1e-9
 
@@ -292,7 +292,7 @@ def test_covariance_residual_on_family_points():
         ("SU2", "lie", 3, 1, (0, 1), (0, 1)),
     ]:
         system, D1, D2, omega = _instance(name, kind, d, om, p1, p2)
-        family = joint_nullspace(system, 1e-10)
+        family = joint_nullspace(system)
         c = rng.normal(size=family.n_params) + 1j * rng.normal(size=family.n_params)
         kraus = family.kraus_at(c)
         assert covariance_residual(kraus, D1, D2, omega, kind) <= 1e-9
@@ -339,7 +339,7 @@ def _distinct_blocks(name, d):
                 system = build(D1, D2, omega)
                 parts = [(rows, cols) for rows in system.row_parts for cols in system.col_parts]
                 for (rows, cols), b in zip(parts, system.blocks):
-                    blocks.setdefault(system.key(rows, cols, kernels.DEFAULT_TOL_KERNEL), b)
+                    blocks.setdefault(system.key(rows, cols), b)
     return blocks
 
 
@@ -352,12 +352,12 @@ def test_sweep_builds_a_block_only_on_a_cache_miss(monkeypatch):
 
     def counted_block(system, rows, cols):
         block = build_block(system, rows, cols)
-        built.append((system.key(rows, cols, kernels.DEFAULT_TOL_KERNEL), block))
+        built.append((system.key(rows, cols), block))
         return block
 
-    def counted_nullspace(block, tol_kernel):
+    def counted_nullspace(block):
         factored.append(block)
-        return block_nullspace(block, tol_kernel)
+        return block_nullspace(block)
 
     monkeypatch.setattr(kernels.CovarianceSystem, "block", counted_block)
     monkeypatch.setattr(kernels, "_block_nullspace", counted_nullspace)
@@ -400,7 +400,7 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
     cut = 0
     for block in blocks:
         svd_inputs.clear()
-        basis = kernels._block_nullspace(block, 1e-10)
+        basis = kernels._block_nullspace(block)
         factored = list(svd_inputs)
         ref = _dense_kernel(block, 1e-10)
         assert basis.shape == ref.shape

@@ -678,7 +678,7 @@ def test_sub_sweep_without_representative_reproduces_full_records(z4_manifest):
     kept = ["q0+q1+q3", "q1+q2+q3"]
     sub = run_enumeration("Z4", None, 3, reps=kept)
     spec = props("Z4", "discrete", 3).group
-    classes = LabelClasses(spec, 1e-10, {})
+    classes = LabelClasses(spec, {})
     swept = {r.d1_label.parts for r in sub.records}
     reps_ = [classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts))[0] for r in sub.records]
     assert any(
@@ -697,7 +697,7 @@ def test_sub_sweep_reproduces_records_moved_by_an_automorphism():
     kept = ["1+1'+2_1", "2_1+2_2"]
     sub = run_enumeration("D5", None, 4, nonunitary_only=True, reps=kept)
     full = run_enumeration("D5", None, 4, nonunitary_only=True)
-    classes = LabelClasses(props("D5", "discrete", 4).group, 1e-10, {})
+    classes = LabelClasses(props("D5", "discrete", 4).group, {})
     swept = {r.d1_label.parts for r in sub.records}
     heads = [classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts)) for r in sub.records]
     assert any(

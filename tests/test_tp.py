@@ -24,7 +24,7 @@ def _family(name, kind, d, omega_index, parts1, parts2):
     D2 = materialize(spec, make_rep_label(spec, parts2))
     build = build_discrete_system if kind == "discrete" else build_lie_system
     system = build(D1, D2, spec.irrep_by_index(omega_index))
-    return joint_nullspace(system, 1e-10)
+    return joint_nullspace(system)
 
 
 def _tp_residual(c, family):
@@ -77,7 +77,7 @@ def test_xi_splits_into_one_gram_matrix_per_input_irrep(name, d):
     for omega in omega_candidates(spec, d):
         for D1 in reps_:
             for D2 in reps_:
-                family = joint_nullspace(build(D1, D2, omega), 1e-10, cache)
+                family = joint_nullspace(build(D1, D2, omega), cache)
                 if family.n_params == 0:
                     continue
                 assert family.input_defect is None
@@ -107,14 +107,14 @@ def test_densely_rotated_input_has_no_closed_form():
         Rep(label=rep.label, generator_matrices=tuple(u @ g @ u.conj().T for g in rep.generator_matrices))
         for u in (random_unitary(rng, 3), random_unitary(rng, 3))
     )
-    family = joint_nullspace(build_discrete_system(D1, D2, spec.irrep_by_index(2)), 1e-10)
+    family = joint_nullspace(build_discrete_system(D1, D2, spec.irrep_by_index(2)))
     assert family.n_params == 3
     assert family.input_defect == "input part at indices [0, 1, 2] is reducible"
     with pytest.raises(ReducibleInput, match="reducible") as raised:
         solve_tp(family)
     assert isinstance(raised.value, GcecError)
     # the catalog form of the same instance has two irreducible input parts
-    plain = joint_nullspace(build_discrete_system(rep, rep, spec.irrep_by_index(2)), 1e-10)
+    plain = joint_nullspace(build_discrete_system(rep, rep, spec.irrep_by_index(2)))
     assert plain.input_defect is None and len(plain.inputs) == 2
 
 
