@@ -9,10 +9,8 @@ shape (S, K, d, d), and evaluate every set in a few batched numpy calls
 (batched matmul, one LAPACK call per stack); a single :class:`KrausSet` is
 the S = 1 case.  Each set's values are those of a loop over the sets.
 :func:`tp_residuals` is the package's one TP residual: the rank test,
-sweep records and ``classify`` all read it.  :func:`product_rank`
-is the one rank count of the Kraus products, read by the rank test
-(:func:`gcec.extremality.test_extreme`), which the TP solver's choice of
-canonical vertex runs too.
+sweep records and ``classify`` all read it.  The rank count of the Kraus
+products lives with the rank test, in :mod:`gcec.extremality`.
 
 JSON.  Complex numbers are [re, im] pairs, written by one encoder,
 :func:`matrix_to_json` (manifests and ``gcec catalog``).
@@ -27,7 +25,6 @@ import numpy as np
 from .errors import SchemaError
 
 KRAUS_SCHEMA_VERSION = 1
-DEFAULT_TOL_RANK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,23 +53,6 @@ def tp_residuals(stack: np.ndarray) -> np.ndarray:
     defect = (xi - np.eye(d)).reshape(S, 1, d * d)
     re, im = defect.real, defect.imag
     return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)).reshape(S)
-
-
-def product_stack(stack: np.ndarray) -> np.ndarray:
-    """Per set of an (S, K, d, d) stack, the d^2 x K^2 matrix whose columns
-    are vec(A_k^dag A_l), k-major: shape (S, d^2, K^2)."""
-    S, K, d, _ = stack.shape
-    products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
-    return products.reshape(S, K * K, d * d).swapaxes(-1, -2)
-
-
-def product_rank(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> tuple[np.ndarray, np.ndarray]:
-    """Per set of an (S, K, d, d) stack, the singular values of its
-    :func:`product_stack` (descending, one batched SVD) and its rank, the
-    count of those above ``tol_rank`` times the largest."""
-    svals = np.linalg.svd(product_stack(stack), compute_uv=False)
-    top = svals[:, :1]
-    return svals, np.where(top[:, 0] > 0, np.sum(svals > tol_rank * top, axis=1), 0)
 
 
 def choi(stack: np.ndarray) -> np.ndarray:

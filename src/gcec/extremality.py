@@ -13,7 +13,11 @@ sets alike, and a sweep manifest records that value as ``tolerances["tp"]``.
 :func:`test_extreme` tests an (S, K, d, d) stack of Kraus sets at once,
 with batched products and one batched SVD; each set's singular values are
 those of its own SVD bit for bit, and :meth:`RankTest.verdict` gives one
-set's verdict.
+set's verdict.  :func:`product_rank` is the package's one rank count of the
+Kraus products: the sweep's records, ``classify`` and the TP solver's
+choice of canonical vertex all reach it through :func:`test_extreme`.  A
+sweep runs one test per label class, over the representative's samples
+and every member's moved samples together.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DEFAULT_TOL_RANK, product_rank, tp_residuals
+from .channels import tp_residuals
 from .errors import NotTracePreserving
 
 TOL_TP = 1e-8  # largest TP residual of a channel
+DEFAULT_TOL_RANK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,7 +39,6 @@ class ExtremalityVerdict:
     rank: int
     expected_rank: int  # K^2
     min_singular_value: float
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -60,14 +64,29 @@ class RankTest:
         """Set ``i``'s verdict; ``NotTracePreserving`` when it is no channel."""
         if not self.tp_residual[i] <= TOL_TP:  # a NaN residual fails too
             raise NotTracePreserving(f"trace-preservation residual {self.tp_residual[i]:.3e} exceeds {TOL_TP:.1e}")
-        K, d = self.K, self.d
         return ExtremalityVerdict(
             is_extreme=bool(self.extreme[i]),
             rank=int(self.rank[i]),
-            expected_rank=K * K,
+            expected_rank=self.K * self.K,
             min_singular_value=float(self.singular_values[i, -1]),
-            reason="" if K <= d else f"{K} Kraus operators on a dimension-{d} system; not generalized extreme",
         )
+
+
+def product_stack(stack: np.ndarray) -> np.ndarray:
+    """Per set of an (S, K, d, d) stack, the d^2 x K^2 matrix whose columns
+    are vec(A_k^dag A_l), k-major: shape (S, d^2, K^2)."""
+    S, K, d, _ = stack.shape
+    products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
+    return products.reshape(S, K * K, d * d).swapaxes(-1, -2)
+
+
+def product_rank(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> tuple[np.ndarray, np.ndarray]:
+    """Per set of an (S, K, d, d) stack, the singular values of its
+    :func:`product_stack` (descending, one batched SVD) and its rank, the
+    count of those above ``tol_rank`` times the largest."""
+    svals = np.linalg.svd(product_stack(stack), compute_uv=False)
+    top = svals[:, :1]
+    return svals, np.where(top[:, 0] > 0, np.sum(svals > tol_rank * top, axis=1), 0)
 
 
 def test_extreme(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> RankTest:

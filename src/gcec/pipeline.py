@@ -17,25 +17,29 @@ For finite groups the instances fall into label classes
 (:mod:`gcec.classes`): twisting by 1-dimensional characters, complex
 conjugation and group automorphisms map an instance to an equivalent one.
 Only the least instance of each class in sweep order, its representative,
-is solved.  Every other member takes the representative's ``n_params``,
-status, error and moduli constraints, and the representative's samples
-moved to it by intertwiners.  The sweep files each member under its
-representative and moves each class in one go once every instance is
-visited: each member's samples move as one (S, K, d, d) stack, all
-members of a class share (K, d) and so one rank test, and each member's
-covariance residual is read against its own representations.  A member
-that fails any re-check is an ``error`` on its own.  Lie-group sweeps
-solve every instance.
+is solved; a Lie-group instance is a class of its own.  The sweep files
+each instance under its representative, then builds the records class by
+class, in the order it first meets them, through one routine: solve the
+representative once, move its (S, K, d, d) sample stack to every other
+member by intertwiners, run one rank test over the representative's stack
+and every moved stack, and fill each record through :func:`_found`, which
+checks every emitted sample the same way (trace preservation, and a
+covariance residual against the record's own representations of at most
+``TOL_COV``).  Every member takes the representative's ``n_params``,
+status, error and moduli constraints.  A failed solve, or a failed check
+of the representative's own samples, fails the whole class; a member whose
+transport or re-check fails is an ``error`` on its own.
 
 Checks run on stacks of same-shape Kraus sets: a record's samples get one
-batched rank test and one batched covariance residual, and
-:func:`classify_file` parses every entry of a file first and then checks
-the sets of each (K, d) shape as one stack (Choi eigenvalues, TP residual,
-rank test).  Each set's values are those of a loop over the sets, so the
-manifests do not depend on the batching.  A set is trace preserving when
-its TP residual is at most ``extremality.TOL_TP``.  A manifest's
-``tolerances`` records the thresholds applied: that bound, the kernel
-threshold ``kernels.TOL_KERNEL`` and the run's ``tol_rank``.
+batched covariance residual and share a batched rank test with their
+class, and :func:`classify_file` parses every entry of a file first and
+then checks the sets of each (K, d) shape as one stack (Choi eigenvalues,
+TP residual, rank test).  Each set's values are those of a loop over the
+sets, so the manifests do not depend on the batching.  A set is trace
+preserving when its TP residual is at most ``extremality.TOL_TP``.  A
+manifest's ``tolerances`` records the thresholds applied: that bound, the
+kernel threshold ``kernels.TOL_KERNEL`` and the run's ``tol_rank``
+(``TOL_COV`` is applied too, but schema v1 has no key for it).
 
 Every JSON text the package writes (manifests, reports, the CLI printers)
 comes from one writer, :func:`json_text`: its bytes are those of
@@ -50,6 +54,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -75,7 +80,7 @@ from .reps import Rep, RepLabel, enumerate_reps, make_rep_label, materialize, om
 from .tp import solve_tp
 
 MANIFEST_SCHEMA_VERSION = 1
-TRANSPORT_TOL_COV = 1e-8  # largest covariance residual of a transported sample
+TOL_COV = 1e-8  # largest covariance residual of an emitted sample
 
 
 @dataclass
@@ -137,8 +142,8 @@ def run_enumeration(
     For a finite group only one representative per label class is solved
     (see the module docstring), with the seed of its own labels and even
     when ``reps`` leaves it out, so a sub-sweep reproduces the full sweep's
-    records for the instances it shares.  A member whose transported sample
-    fails its re-check gets status ``error``.
+    records for the instances it shares.  A member whose moved samples fail
+    their re-check gets status ``error`` (:func:`_class_records`).
     """
     if kind is None:
         kind = infer_kind(group)
@@ -161,49 +166,28 @@ def run_enumeration(
     rep_cache = {lab.parts: materialize(spec, lab) for lab in labels}
     block_cache: dict = {}  # Schur-block kernels shared by this sweep's instances
     classes = LabelClasses(spec, block_cache) if kind == "discrete" else None
-    solved: dict = {}  # representative instance -> its record
 
     def rep_of(parts) -> Rep:
         if parts not in rep_cache:  # a representative outside a --reps sub-sweep
             rep_cache[parts] = materialize(spec, make_rep_label(spec, parts))
         return rep_cache[parts]
 
-    def solve(inst) -> ChannelRecord:
-        om, parts1, parts2 = inst
-        return _solve_instance(
-            group,
-            kind,
-            d,
-            rep_of(parts1),
-            rep_of(parts2),
-            spec.irrep_by_index(om),
-            tol_rank=tol_rank,
-            # Seed keyed by the instance labels (not the loop position): a
-            # filtered sub-sweep then reproduces the full sweep's records
-            # for the instances it shares.
-            seed=[seed, om, *parts1, 0xFFFFFFFF, *parts2],
-            block_cache=block_cache,
-        )
-
-    records: list = []
-    members: dict = {}  # representative -> (position, (rep1, rep2, omega, move)) of each transported member
-    for omega in omegas:
-        for lab1 in labels:
-            for lab2 in labels:
-                inst = (omega.index, lab1.parts, lab2.parts)
-                head, move = (inst, None) if classes is None else classes.representative(inst)
-                if head not in solved:  # even when the sweep leaves it out
-                    solved[head] = solve(head)
-                if move is None:
-                    records.append(solved[head])
-                    continue
-                member = (rep_cache[lab1.parts], rep_cache[lab2.parts], omega, move)
-                members.setdefault(head, []).append((len(records), member))
-                records.append(None)
-    for head, filed in members.items():  # each class's members move as one stack
-        positions, of_class = zip(*filed)
-        moved = _transported(solved[head], head, of_class, classes, tol_rank=tol_rank)
-        for at, record in zip(positions, moved):
+    filed: dict = {}  # representative -> (position, (rep1, rep2, omega, move)) of each member
+    for at, (omega, lab1, lab2) in enumerate(product(omegas, labels, labels)):
+        inst = (omega.index, lab1.parts, lab2.parts)
+        head, move = (inst, None) if classes is None else classes.representative(inst)
+        filed.setdefault(head, []).append((at, (rep_cache[lab1.parts], rep_cache[lab2.parts], omega, move)))
+    records: list = [None] * len(omegas) * len(labels) ** 2
+    for head, of_class in filed.items():  # in the order the sweep first meets each class
+        om, parts1, parts2 = head
+        positions, members = zip(*of_class)
+        head_reps = (rep_of(parts1), rep_of(parts2), spec.irrep_by_index(om))
+        # Seed keyed by the instance labels (not the loop position): a filtered
+        # sub-sweep then reproduces the full sweep's records for the instances
+        # it shares.
+        head_seed = [seed, om, *parts1, 0xFFFFFFFF, *parts2]
+        solved = _class_records(group, kind, d, head, head_reps, members, classes, tol_rank, head_seed, block_cache)
+        for at, record in zip(positions, solved):
             records[at] = record
 
     return RunManifest(
@@ -222,19 +206,9 @@ def run_enumeration(
     )
 
 
-def _solve_instance(
-    group,
-    kind,
-    d,
-    rep1,
-    rep2,
-    omega,
-    *,
-    tol_rank,
-    seed,
-    block_cache,
-):
-    record = ChannelRecord(
+def _record(group, d, rep1, rep2, omega) -> ChannelRecord:
+    """A ``no_cp_map`` record of the instance (rep1, rep2, omega)."""
+    return ChannelRecord(
         group=group,
         d=d,
         d1_label=rep1.label,
@@ -244,42 +218,90 @@ def _solve_instance(
         n_params=0,
         status="no_cp_map",
     )
+
+
+def _class_records(group, kind, d, head, reps, members, classes, tol_rank, seed, block_cache) -> list[ChannelRecord]:
+    """The records of the ``members`` (rep1, rep2, omega, move) of the class
+    of ``head``, whose representations are ``reps``, from one solve of it.
+
+    The move is None for the representative itself.  Its sample stack moves
+    to every other member, and one rank test checks its own samples and
+    every moved stack.  When the solve or the representative's own samples
+    fail, the whole class fails: ``solver_failed`` for a package or LAPACK
+    error, ``error`` for anything else.  Every member takes the
+    representative's ``n_params``, status, error and moduli constraints (in
+    the representative's coordinates); a member whose transport fails, or
+    whose moved samples fail :func:`_found`, becomes an ``error`` on its
+    own: it is never re-solved."""
+    rep1, rep2, omega = reps
+    source = _record(group, d, rep1, rep2, omega)
+    records = [source if move is None else _record(group, d, *member) for *member, move in members]
+    stack = None  # the representative's samples
+    moved = {}  # member index -> its moved samples, or the exception its transport raised
     try:
         system = build_discrete_system(rep1, rep2, omega) if kind == "discrete" else build_lie_system(rep1, rep2, omega)
         family = joint_nullspace(system, cache=block_cache)
-        record.n_params = family.n_params
-        if family.n_params == 0:
-            return record
-        report = solve_tp(family, seed=seed, tol_rank=tol_rank)
-        record.moduli_constraints = list(report.moduli_constraints)
-        if report.status == "no_solution":
-            record.status = "no_tp_solution"
-            return record
-        stack = np.stack([family.kraus_at(c) for c in report.solutions])
-        _found(record, stack, test_extreme(stack, tol_rank), 0, rep1, rep2, omega, kind)
+        source.n_params = family.n_params
+        if family.n_params:
+            report = solve_tp(family, seed=seed, tol_rank=tol_rank)
+            source.moduli_constraints = list(report.moduli_constraints)
+            if report.status == "no_solution":
+                source.status = "no_tp_solution"
+            else:
+                stack = np.stack([family.kraus_at(c) for c in report.solutions])
+        if stack is not None:
+            for i, (*_, move) in enumerate(members):
+                if move is None:
+                    continue
+                try:
+                    moved[i] = classes.transport(stack, head, move)
+                    # one non-finite set would stop the shared SVD for the whole class
+                    if not np.isfinite(moved[i]).all():
+                        raise GcecError("a transported sample is not finite")
+                except Exception as exc:  # never solver_failed: the representative decided existence
+                    moved[i] = exc
+            fine = [m for m in moved.values() if not isinstance(m, Exception)]
+            test = test_extreme(np.concatenate([stack, *fine]), tol_rank)
+            _found(source, stack, test, 0, rep1, rep2, omega, kind)
     except (GcecError, np.linalg.LinAlgError) as exc:
-        record.error = f"{type(exc).__name__}: {exc}"
-        record.status = "solver_failed"
-        record.classification = "not_applicable"
+        source.status, source.error = "solver_failed", f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # a crash: record it as such, never abort the sweep
-        record.error = f"{type(exc).__name__}: {exc}"
-        record.status = "error"
-        record.classification = "not_applicable"
-    return record
+        source.status, source.error = "error", f"{type(exc).__name__}: {exc}"
+    first = 0 if stack is None else len(stack)  # the moved stacks follow the representative's in the test
+    for i, (record, (rep1, rep2, omega, _)) in enumerate(zip(records, members)):
+        if record is source:
+            continue
+        record.n_params, record.status, record.error = source.n_params, source.status, source.error
+        record.moduli_constraints = list(source.moduli_constraints)
+        if source.status != "channel_found":
+            continue
+        try:
+            if isinstance(moved[i], Exception):
+                raise moved[i]
+            at, first = first, first + len(moved[i])
+            _found(record, moved[i], test, at, rep1, rep2, omega, kind)
+        except Exception as exc:
+            record.status, record.error = "error", f"transport failed: {type(exc).__name__}: {exc}"
+    return records
 
 
 def _found(record, stack, test, first, rep1, rep2, omega, kind) -> None:
     """Fill a ``channel_found`` record from its (S, K, d, d) sample stack,
     sets ``first`` to ``first + S - 1`` of the stack that the rank test
     ``test`` checked, with one batched covariance residual; its TP residual
-    is the largest of the samples'."""
+    is the largest of the samples'.  A sample that is not trace preserving,
+    or whose covariance residual exceeds ``TOL_COV``, raises and leaves the
+    record as it was."""
     S = len(stack)
     verdicts = [test.verdict(first + i) for i in range(S)]  # raises at the first non-TP sample
+    covariance = float(covariance_residual(stack, rep1, rep2, omega, kind).max())
+    if not covariance <= TOL_COV:
+        raise GcecError(f"covariance residual {covariance:.3e} exceeds {TOL_COV:.0e}")
     record.status = "channel_found"
     record.kraus_samples = [KrausSet(matrices) for matrices in stack]
     record.classification = _classification(stack.shape[1], verdicts)
     record.residuals = {
-        "covariance": float(covariance_residual(stack, rep1, rep2, omega, kind).max()),
+        "covariance": covariance,
         "tp": float(test.tp_residual[first : first + S].max()),
         "rank_sigma_min": min(v.min_singular_value for v in verdicts),
     }
@@ -290,66 +312,6 @@ def _classification(K: int, verdicts) -> str:
     if K == 1:
         return "unitary"
     return "extreme" if all(v.is_extreme for v in verdicts) else "quasi_extreme"
-
-
-def _transported(source, head, members, classes, *, tol_rank) -> list[ChannelRecord]:
-    """The records of the ``members`` (rep1, rep2, omega, move) of the
-    class of ``head``, from its representative's record ``source``: each
-    takes the same ``n_params``, status, error and moduli constraints (in
-    the representative's coordinates), and the representative's sample
-    stack moved to it.  All members share (K, d), so their moved samples
-    get one rank test; each member's covariance residual is read against
-    its own representations.  A member whose transport fails, or whose
-    samples miss covariance or trace preservation, becomes an ``error`` on
-    its own: it is never re-solved."""
-    records = [
-        ChannelRecord(
-            group=source.group,
-            d=source.d,
-            d1_label=rep1.label,
-            d2_label=rep2.label,
-            omega_index=omega.index,
-            omega_label=omega.label,
-            n_params=source.n_params,
-            status=source.status,
-            moduli_constraints=list(source.moduli_constraints),
-            error=source.error,
-        )
-        for rep1, rep2, omega, _ in members
-    ]
-    if source.status != "channel_found":
-        return records
-    samples = np.stack([s.matrices for s in source.kraus_samples])
-    moved = {}  # member index -> its moved samples
-    for i, (_, _, _, move) in enumerate(members):
-        try:
-            stack = classes.transport(samples, head, move)
-            # one non-finite set would stop the shared SVD for every member
-            if not np.isfinite(stack).all():
-                raise GcecError("a transported sample is not finite")
-            moved[i] = stack
-        except Exception as exc:  # never solver_failed: the representative decided existence
-            _transport_failed(records[i], exc)
-    if not moved:
-        return records
-    test = test_extreme(np.concatenate(list(moved.values())), tol_rank)
-    for at, (i, stack) in enumerate(moved.items()):
-        rep1, rep2, omega, _ = members[i]
-        try:
-            _found(records[i], stack, test, at * len(stack), rep1, rep2, omega, "discrete")
-            if records[i].residuals["covariance"] > TRANSPORT_TOL_COV:
-                raise GcecError(
-                    f"covariance residual {records[i].residuals['covariance']:.3e} exceeds {TRANSPORT_TOL_COV:.0e}"
-                )
-        except Exception as exc:
-            _transport_failed(records[i], exc)
-    return records
-
-
-def _transport_failed(record, exc) -> None:
-    record.status = "error"
-    record.error = f"transport failed: {type(exc).__name__}: {exc}"
-    record.kraus_samples, record.classification, record.residuals = [], "not_applicable", {}
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,8 @@ from itertools import product
 
 import numpy as np
 
-from .channels import DEFAULT_TOL_RANK
 from .errors import ReducibleInput
-from .extremality import test_extreme
+from .extremality import DEFAULT_TOL_RANK, test_extreme
 from .kernels import KernelFamily, gauge_fix_columns, leading_entries
 
 MAX_SOLUTIONS = 8

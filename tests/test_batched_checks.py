@@ -23,7 +23,7 @@ from gcec.cli import main
 from gcec.errors import NotTracePreserving, SchemaError
 from gcec.extremality import test_extreme as rank_test
 from gcec.groups import props
-from gcec.kernels import covariance_residual
+from gcec.kernels import KernelFamily, covariance_residual
 from gcec.pipeline import classify_file, run_enumeration
 from gcec.reps import make_rep_label, materialize
 from gcec.tp import solve_tp
@@ -333,6 +333,63 @@ def test_a_failing_member_leaves_its_classmates_alone(monkeypatch, failure):
             assert not r.kraus_samples and r.classification == "not_applicable" and not r.residuals
         else:
             assert record_dict(r) == record_dict(ref)
+
+
+def _class_of(classes, r):
+    """The representative instance of a record's class: the record's own
+    instance on a Lie sweep (``classes`` None)."""
+    inst = (r.omega_index, r.d1_label.parts, r.d2_label.parts)
+    return inst if classes is None else classes.representative(inst)[0]
+
+
+@pytest.mark.parametrize("name,d,nonunitary_only,failed", [("SO3", 3, False, 2), ("S3", 3, True, 4)])
+def test_non_covariant_solved_samples_fail_their_class(monkeypatch, name, d, nonunitary_only, failed):
+    # U A_k keeps trace preservation and every product A_k^dag A_l, but
+    # breaks covariance unless U commutes with the representation on the rows.
+    reference = run_enumeration(name, None, d, nonunitary_only=nonunitary_only)
+    spec = props(name, reference.kind, d).group
+    classes = LabelClasses(spec, {}) if reference.kind == "discrete" else None
+    by_instance = {_class_of(None, r): r for r in reference.records}
+    U = random_unitary(np.random.default_rng(17), d)
+    kraus_at = KernelFamily.kraus_at
+    monkeypatch.setattr(KernelFamily, "kraus_at", lambda self, coeffs: U @ kraus_at(self, coeffs))
+    manifest = run_enumeration(name, None, d, nonunitary_only=nonunitary_only)
+    broken = 0
+    for r, ref in zip(manifest.records, reference.records):
+        if ref.status != "channel_found":
+            assert record_dict(r) == record_dict(ref)
+            continue
+        head = by_instance[_class_of(classes, ref)]
+        reps = [materialize(spec, lab) for lab in (head.d1_label, head.d2_label)]
+        samples = U @ np.stack([s.matrices for s in head.kraus_samples])
+        covariance = covariance_residual(samples, *reps, spec.irrep_by_index(head.omega_index), reference.kind).max()
+        if covariance <= 1e-8:  # U commutes with the representation on the rows
+            assert r.status == "channel_found" and r.classification == ref.classification
+            continue
+        # the representative fails, and every member copies its outcome
+        assert r.status == "solver_failed" and r.n_params == ref.n_params, r.error
+        assert r.error.startswith("GcecError: covariance residual ") and r.error.endswith(" exceeds 1e-08")
+        assert float(r.error.split()[3]) == pytest.approx(covariance, rel=1e-3)
+        assert not r.kraus_samples and r.classification == "not_applicable" and not r.residuals
+        broken += 1
+    assert broken == failed
+
+
+@pytest.mark.parametrize("name,d,nonunitary_only,calls", [("D5", 4, True, 26), ("SO3", 7, False, 19)])
+def test_one_rank_test_per_found_class(monkeypatch, name, d, nonunitary_only, calls):
+    # a class's representative and its moved members share one rank test
+    counted = []
+
+    def counting(stack, tol_rank):
+        counted.append(len(stack))
+        return rank_test(stack, tol_rank)
+
+    monkeypatch.setattr(pipeline, "test_extreme", counting)
+    manifest = run_enumeration(name, None, d, seed=7, nonunitary_only=nonunitary_only)
+    classes = LabelClasses(props(name, manifest.kind, d).group, {}) if manifest.kind == "discrete" else None
+    found = [r for r in manifest.records if r.status == "channel_found"]
+    assert len(counted) == len({_class_of(classes, r) for r in found}) == calls
+    assert sum(counted) == sum(len(r.kraus_samples) for r in found)
 
 
 @pytest.mark.parametrize("name,d,nonunitary_only", [("D5", 4, True), ("Z4", 3, False), ("A4", 4, True)])

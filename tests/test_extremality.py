@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from gcec.channels import KrausSet, product_stack
+from gcec.channels import KrausSet
 from gcec.errors import NotTracePreserving
+from gcec.extremality import product_stack
 
 from fixtures import (
     a4_qutrit_triple,
@@ -54,7 +55,6 @@ def test_s3_locus_is_quasi_extreme():
     verdict = check_extreme(kraus_set(S3_LOCUS))
     assert not verdict.is_extreme
     assert verdict.rank == 3 and verdict.expected_rank == 4
-    assert verdict.reason == ""  # generalized extreme, just not extreme
 
 
 def test_rank_bounded_by_dimensions():
@@ -111,7 +111,6 @@ def test_verdict_stable_under_tiny_perturbation():
 def test_too_many_kraus_reported_not_raised():
     verdict = check_extreme(kraus_set(depolarizing_kraus(2)))
     assert not verdict.is_extreme
-    assert "not generalized extreme" in verdict.reason
     assert verdict.rank <= 4 and verdict.expected_rank == 16
 
 
