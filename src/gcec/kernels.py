@@ -39,7 +39,7 @@ descending-m basis the relation reads (m_i - m'_j - mu_k) A_k[i, j] = 0, so
 every entry of nonzero weight is forced to zero.  The weight is the
 generator's defect of the all-ones stack, so the convention stays written
 once in :func:`_defect`.  A block is factored only on its entries of weight
-zero (:attr:`CovarianceBlock.free_entries`): its matrices are built on those
+zero (:func:`_free_entries`): :func:`_columns` builds its matrices on those
 columns alone, as the defects of those unit vectors, and the kernel is
 embedded back at them.  By the Wigner-Eckart theorem that leaves at most
 K*min(r, c) of the K*r*c unknowns, and the forced zeros are exact.  The
@@ -58,10 +58,11 @@ Cache.  A sweep meets the same (row irrep, column irrep, Omega) block in
 many instances.  :func:`joint_nullspace` accepts a plain dict, keyed by the
 block's content (kind and generator bytes), and factors each
 distinct block once.  A :class:`CovarianceSystem` holds only its parts and
-Omega: :meth:`CovarianceSystem.key` reads the key off the parts' ``content``
-and Omega's bytes, a :class:`CovarianceBlock` is built only on a cache miss,
-and the basis is assembled from each pair's entry positions.  Cached and
-fresh results are identical, so the cache never changes output.
+Omega, so a block is named by the system and its (row part, column part)
+pair: :meth:`CovarianceSystem.key` reads the key off the parts' ``content``
+and Omega's bytes, the block's matrices are built only on a cache miss, and
+the basis is assembled from each pair's entry positions.  Cached and fresh
+results are identical, so the cache never changes output.
 
 Layout.  The family records where each basis column came from: its row
 part, its column part and its index in that block's kernel.  The column
@@ -96,62 +97,13 @@ def _defect(kind: str, row_g, col_g, om, X: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CovarianceBlock:
-    """The covariance relations restricted to the entries A_k[rows, cols].
-
-    ``shape`` is (K, len(rows), len(cols)); ``index`` gives the positions of
-    the block's K*r*c entries in the stacked K*d^2 vector, in the block's
-    own row-major (k, row, column) order.  ``row_gens`` and ``col_gens`` are
-    the generator sub-blocks acting on the rows and the columns, and
-    ``omega_gens`` the channel label's generators.
-    """
-
-    kind: str
-    shape: tuple[int, int, int]
-    index: np.ndarray
-    row_gens: tuple[np.ndarray, ...]
-    col_gens: tuple[np.ndarray, ...]
-    omega_gens: tuple[np.ndarray, ...]
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        """One (K r c) x (K r c) matrix per generator; column i is the
-        defect of the i-th unit vector."""
-        return self.columns(np.arange(self.index.size))
-
-    def columns(self, entries: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The columns of :attr:`matrices` at ``entries`` (positions in the
-        block's own order), built from those unit vectors alone."""
-        n, m = self.index.size, entries.size
-        units = np.zeros((m, n), dtype=complex)
-        units[np.arange(m), entries] = 1.0
-        units = units.reshape(m, *self.shape)
-        return tuple(
-            _defect(self.kind, a, b, om, units).reshape(m, n).T
-            for a, b, om in zip(self.row_gens, self.col_gens, self.omega_gens)
-        )
-
-    @property
-    def free_entries(self) -> np.ndarray:
-        """Positions, in the block's own order, of the unknowns that no
-        diagonal Lie generator forces to zero (see "Weight space" above);
-        discrete blocks keep every entry."""
-        free = np.ones(self.shape, dtype=bool)
-        if self.kind == "lie":
-            ones = np.ones(self.shape, dtype=complex)
-            for a, b, om in zip(self.row_gens, self.col_gens, self.omega_gens):
-                if all(np.array_equal(g, np.diag(np.diag(g))) for g in (a, b, om)):
-                    free &= _defect(self.kind, a, b, om, ones) == 0
-        return np.flatnonzero(free)
-
-
-@dataclass(frozen=True)
 class CovarianceSystem:
     """The covariance relations of one instance: the invariant parts of the
     representations acting on the rows and on the columns of each A_k, and
     Omega's generators (complex) with their bytes.  Each (row part, column
-    part) pair is one Schur block, built by :meth:`block` only when asked
-    for; :attr:`blocks` lists them all in that order."""
+    part) pair is one Schur block: :meth:`entries` places its unknowns in
+    the stacked vector, :meth:`key` names its content, and
+    :func:`_columns` builds its matrices."""
 
     kind: str
     row_parts: tuple[InvariantBlock, ...]
@@ -171,26 +123,10 @@ class CovarianceSystem:
         offsets = np.arange(self.K)[:, None, None] * d * d
         return (offsets + rows.index[:, None] * d + cols.index).reshape(-1)
 
-    def block(self, rows: InvariantBlock, cols: InvariantBlock) -> CovarianceBlock:
-        """The Schur block of one (row part, column part) pair."""
-        return CovarianceBlock(
-            kind=self.kind,
-            shape=(self.K, rows.index.size, cols.index.size),
-            index=self.entries(rows, cols),
-            row_gens=rows.generators,
-            col_gens=cols.generators,
-            omega_gens=self.omega_gens,
-        )
-
     def key(self, rows: InvariantBlock, cols: InvariantBlock) -> tuple:
         """Cache key of the (rows, cols) block: equal keys mean equal
         systems, hence equal kernels."""
         return (self.kind, rows.content, cols.content, self.omega_content)
-
-    @property
-    def blocks(self) -> tuple[CovarianceBlock, ...]:
-        """Every Schur block, in (row part, column part) order."""
-        return tuple(self.block(rows, cols) for rows in self.row_parts for cols in self.col_parts)
 
 
 @dataclass(frozen=True)
@@ -281,11 +217,41 @@ def gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
     return basis * np.conj(leading_entries(basis)[1])
 
 
-def _block_nullspace(block: CovarianceBlock) -> np.ndarray:
-    """Gauge-fixed orthonormal kernel basis of one block's stacked system,
-    factored on the block's free entries only."""
-    free = block.free_entries
-    stacked = np.vstack(block.columns(free))
+def _columns(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, entries: np.ndarray):
+    """One matrix per generator: the columns at ``entries`` of the (rows,
+    cols) block's system, whose column i is the defect of the i-th unit
+    vector.  ``entries`` are positions in the block's own (k, row, column)
+    order, and only their unit vectors are built."""
+    shape = (system.K, rows.index.size, cols.index.size)
+    n, m = int(np.prod(shape)), entries.size
+    units = np.zeros((m, n), dtype=complex)
+    units[np.arange(m), entries] = 1.0
+    units = units.reshape(m, *shape)
+    return tuple(
+        _defect(system.kind, a, b, om, units).reshape(m, n).T
+        for a, b, om in zip(rows.generators, cols.generators, system.omega_gens)
+    )
+
+
+def _free_entries(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock) -> np.ndarray:
+    """Positions, in the (rows, cols) block's own order, of the unknowns that
+    no diagonal Lie generator forces to zero (see "Weight space" above);
+    discrete blocks keep every entry."""
+    shape = (system.K, rows.index.size, cols.index.size)
+    free = np.ones(shape, dtype=bool)
+    if system.kind == "lie":
+        ones = np.ones(shape, dtype=complex)
+        for a, b, om in zip(rows.generators, cols.generators, system.omega_gens):
+            if all(np.array_equal(g, np.diag(np.diag(g))) for g in (a, b, om)):
+                free &= _defect(system.kind, a, b, om, ones) == 0
+    return np.flatnonzero(free)
+
+
+def _block_nullspace(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock) -> np.ndarray:
+    """Gauge-fixed orthonormal kernel basis of the (rows, cols) block's
+    stacked system, factored on the block's free entries only."""
+    free = _free_entries(system, rows, cols)
+    stacked = np.vstack(_columns(system, rows, cols, free))
     if not np.any(stacked):
         # Unconstrained entries: every choice of them is covariant.
         kernel = np.eye(free.size, dtype=complex)
@@ -295,7 +261,7 @@ def _block_nullspace(block: CovarianceBlock) -> np.ndarray:
         kernel = gauge_fix_columns(vh[rank:].conj().T)
     # The forced zeros sit between free entries and never lead a column, so
     # gauge-fixing before embedding is the same as after.
-    basis = np.zeros((block.index.size, kernel.shape[1]), dtype=complex)
+    basis = np.zeros((system.K * rows.index.size * cols.index.size, kernel.shape[1]), dtype=complex)
     basis[free] = kernel
     return basis
 
@@ -305,7 +271,7 @@ def _kernel(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock
     cache miss only."""
     key = system.key(rows, cols)
     if key not in cache:
-        cache[key] = _block_nullspace(system.block(rows, cols))
+        cache[key] = _block_nullspace(system, rows, cols)
     return cache[key]
 
 

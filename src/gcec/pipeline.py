@@ -526,6 +526,13 @@ def manifest_from_dict(obj) -> RunManifest:
         for key, json_type in _OPTION_TYPES.items():
             if key in options:
                 _typed(options, key, json_type)
+        total, found = _typed(obj, "total_instances", "integer"), _typed(obj, "count_found", "integer")
+        n_found = sum(r.status == "channel_found" for r in records)
+        if (total, found) != (len(records), n_found):
+            raise SchemaError(
+                f"manifest counts instances {total}, channels found {found}, but its records"
+                f" hold {len(records)} instances, {n_found} found"
+            )
         return RunManifest(
             group=group,
             kind=kind,
@@ -533,8 +540,8 @@ def manifest_from_dict(obj) -> RunManifest:
             tolerances={key: _typed(tolerances, key, "number") for key in tolerances},
             seed=_typed(obj, "seed", "integer"),
             options=dict(options),
-            total_instances=_typed(obj, "total_instances", "integer"),
-            count_found=_typed(obj, "count_found", "integer"),
+            total_instances=total,
+            count_found=found,
             records=records,
         )
     except (KeyError, TypeError) as exc:

@@ -53,12 +53,28 @@ INSTANCES = [
 ]
 
 
+def _matrices(system, rows, cols):
+    """The (rows, cols) block's full matrices, one per generator."""
+    return kernels._columns(system, rows, cols, np.arange(system.entries(rows, cols).size))
+
+
+def _blocks(system):
+    """(entry positions in the stacked vector, full matrices) of each Schur
+    block, in (row part, column part) order."""
+    return [
+        (system.entries(rows, cols), _matrices(system, rows, cols))
+        for rows in system.row_parts
+        for cols in system.col_parts
+    ]
+
+
 def _system_defect(system, v):
     """Largest norm of one generator's system applied to the stacked vector
     ``v``, each block acting on its own entries."""
+    blocks = _blocks(system)
     return max(
-        np.linalg.norm(np.concatenate([b.matrices[g] @ v[b.index] for b in system.blocks]))
-        for g in range(len(system.blocks[0].matrices))
+        np.linalg.norm(np.concatenate([mats[g] @ v[index] for index, mats in blocks]))
+        for g in range(len(blocks[0][1]))
     )
 
 
@@ -90,16 +106,17 @@ def test_system_shape_matches_kraus_count():
     system, *_ = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
     assert system.K == 2 and system.d == 3
     # D1 = D2 = 1+2: four (row block, column block) pairs of 2, 4, 4, 8 unknowns
-    assert [b.index.size for b in system.blocks] == [2, 4, 4, 8]
-    assert np.array_equal(np.sort(np.concatenate([b.index for b in system.blocks])), np.arange(18))
-    for b in system.blocks:
-        assert len(b.matrices) == 2
-        assert all(m.shape == (b.index.size, b.index.size) for m in b.matrices)
+    blocks = _blocks(system)
+    assert [index.size for index, _ in blocks] == [2, 4, 4, 8]
+    assert np.array_equal(np.sort(np.concatenate([index for index, _ in blocks])), np.arange(18))
+    for index, mats in blocks:
+        assert len(mats) == 2
+        assert all(m.shape == (index.size, index.size) for m in mats)
 
 
 def test_unconstrained_instance_yields_identity_basis():
     system, *_ = _instance("Z2", "discrete", 2, 0, (0, 0), (0, 0))
-    assert all(np.linalg.norm(m) == 0.0 for b in system.blocks for m in b.matrices)
+    assert all(np.linalg.norm(m) == 0.0 for _, mats in _blocks(system) for m in mats)
     family = joint_nullspace(system)
     assert family.n_params == 4
     assert np.array_equal(family.basis, np.eye(4))
@@ -107,9 +124,10 @@ def test_unconstrained_instance_yields_identity_basis():
 
 def test_fully_constrained_instance_has_empty_kernel():
     system, *_ = _instance("Z2", "discrete", 2, 1, (0, 0), (0, 0))
-    assert sum(b.index.size for b in system.blocks) == 4
-    for b in system.blocks:
-        assert np.allclose(b.matrices[0], 2.0 * np.eye(b.index.size))
+    blocks = _blocks(system)
+    assert sum(index.size for index, _ in blocks) == 4
+    for index, mats in blocks:
+        assert np.allclose(mats[0], 2.0 * np.eye(index.size))
     assert joint_nullspace(system).n_params == 0
 
 
@@ -148,9 +166,10 @@ def test_joint_nullity_bounded_by_single_generator_nullity():
     for name, kind, d, om, p1, p2, n, _ in INSTANCES:
         system, *_ = _instance(name, kind, d, om, p1, p2)
         # a generator's nullity is the sum of its blocks' nullities
-        per_gen = [0] * len(system.blocks[0].matrices)
-        for b in system.blocks:
-            for g, m in enumerate(b.matrices):
+        blocks = _blocks(system)
+        per_gen = [0] * len(blocks[0][1])
+        for _, mats in blocks:
+            for g, m in enumerate(mats):
                 svals = np.linalg.svd(m, compute_uv=False)
                 per_gen[g] += int(np.sum(svals <= 1e-10 * max(1.0, svals[0])))
         assert n <= min(per_gen)
@@ -198,17 +217,18 @@ def test_blocks_and_residual_match_dense_reference():
         system = build(D1, D2, omega)
         dense = _dense_reference(kind, D1, D2, omega)
         covered = np.zeros(dense[0].shape, dtype=bool)
-        for b in system.blocks:
-            covered[np.ix_(b.index, b.index)] = True
-            for m, full in zip(b.matrices, dense):
-                assert np.abs(m - full[np.ix_(b.index, b.index)]).max() <= 1e-12
+        blocks = _blocks(system)
+        for index, mats in blocks:
+            covered[np.ix_(index, index)] = True
+            for m, full in zip(mats, dense):
+                assert np.abs(m - full[np.ix_(index, index)]).max() <= 1e-12
         # nothing couples two blocks
         assert all(not np.any(full[~covered]) for full in dense)
         d = D1.dim
         kraus = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(omega.dim)]
         ref = _loop_residual(kraus, D1, D2, omega, kind)
         assert abs(covariance_residual(kraus, D1, D2, omega, kind) - ref) <= 1e-12 * max(1.0, ref)
-    assert len(system.blocks) == 1
+    assert len(blocks) == 1
 
 
 def _projector(basis):
@@ -327,7 +347,8 @@ def test_each_representation_is_split_once_per_sweep(monkeypatch):
 
 
 def _distinct_blocks(name, d):
-    """Cache key -> block, one block per distinct key over the whole sweep."""
+    """Cache key -> (system, row part, column part), one block per distinct
+    key over the whole sweep."""
     kind = infer_kind(name)
     spec = props(name, kind, d).group
     build = build_discrete_system if kind == "discrete" else build_lie_system
@@ -337,40 +358,32 @@ def _distinct_blocks(name, d):
         for D1 in reps_:
             for D2 in reps_:
                 system = build(D1, D2, omega)
-                parts = [(rows, cols) for rows in system.row_parts for cols in system.col_parts]
-                for (rows, cols), b in zip(parts, system.blocks):
-                    blocks.setdefault(system.key(rows, cols), b)
+                for rows in system.row_parts:
+                    for cols in system.col_parts:
+                        blocks.setdefault(system.key(rows, cols), (system, rows, cols))
     return blocks
 
 
 def test_sweep_builds_a_block_only_on_a_cache_miss(monkeypatch):
-    # A system holds only its parts: a sweep builds one CovarianceBlock per
-    # distinct cache key, and factors each of those once.
+    # A system holds only its parts: a sweep builds and factors a block's
+    # matrices once per distinct cache key.
     distinct = set(_distinct_blocks("SO3", 7))
-    built, factored = [], []
-    build_block, block_nullspace = kernels.CovarianceSystem.block, kernels._block_nullspace
+    keys = []
+    block_nullspace = kernels._block_nullspace
 
-    def counted_block(system, rows, cols):
-        block = build_block(system, rows, cols)
-        built.append((system.key(rows, cols), block))
-        return block
+    def counted(system, rows, cols):
+        keys.append(system.key(rows, cols))
+        return block_nullspace(system, rows, cols)
 
-    def counted_nullspace(block):
-        factored.append(block)
-        return block_nullspace(block)
-
-    monkeypatch.setattr(kernels.CovarianceSystem, "block", counted_block)
-    monkeypatch.setattr(kernels, "_block_nullspace", counted_nullspace)
+    monkeypatch.setattr(kernels, "_block_nullspace", counted)
     run_enumeration("SO3", None, 7)
-    keys = [key for key, _ in built]
-    assert len(factored) == len(built) and all(f is b for f, (_, b) in zip(factored, built))
     assert len(keys) == len(set(keys)) and set(keys) == distinct
 
 
-def _dense_kernel(block, tol):
-    stacked = np.vstack(block.matrices)
+def _dense_kernel(system, rows, cols, tol):
+    stacked = np.vstack(_matrices(system, rows, cols))
     if not np.any(stacked):
-        return np.eye(block.index.size)
+        return np.eye(system.entries(rows, cols).size)
     _, svals, vh = np.linalg.svd(stacked)
     return vh[int(np.sum(svals > tol * max(1.0, svals[0]))) :].conj().T
 
@@ -386,7 +399,8 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
     su2 = props("SU2", "lie", 3).group
     rep = materialize(su2, make_rep_label(su2, (0, 1)))
     D1, D2 = (_rotated(rep, random_unitary(rng, 3)) for _ in range(2))
-    (rotated,) = build_lie_system(D1, D2, su2.irrep_by_index(1)).blocks
+    system = build_lie_system(D1, D2, su2.irrep_by_index(1))
+    (rotated,) = [(system, rows, cols) for rows in system.row_parts for cols in system.col_parts]
     discrete = [*_distinct_blocks("Z4", 3).values()]  # diagonal generators, but no cut
     blocks = [*_distinct_blocks("SO3", 7).values(), *_distinct_blocks("SU2", 5).values(), rotated, *discrete]
     svd_inputs = []
@@ -398,31 +412,32 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     cut = 0
-    for block in blocks:
+    for system, rows, cols in blocks:
         svd_inputs.clear()
-        basis = kernels._block_nullspace(block)
+        basis = kernels._block_nullspace(system, rows, cols)
         factored = list(svd_inputs)
-        ref = _dense_kernel(block, 1e-10)
+        ref = _dense_kernel(system, rows, cols, 1e-10)
         assert basis.shape == ref.shape
         assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-9
-        K, r, c = block.shape
-        lz_diagonal = block.kind == "lie" and all(
-            _is_diagonal(g) for g in (block.row_gens[2], block.col_gens[2], block.omega_gens[2])
+        K, r, c = system.K, rows.index.size, cols.index.size
+        lz_diagonal = system.kind == "lie" and all(
+            _is_diagonal(g) for g in (rows.generators[2], cols.generators[2], system.omega_gens[2])
         )
+        free = kernels._free_entries(system, rows, cols)
         if lz_diagonal:
-            assert block.free_entries.size <= K * min(r, c)
+            assert free.size <= K * min(r, c)
             cut += 1
         else:
-            assert np.array_equal(block.free_entries, np.arange(K * r * c))
-        assert all(shape[1] == block.free_entries.size for shape in factored)
+            assert np.array_equal(free, np.arange(K * r * c))
+        assert all(shape[1] == free.size for shape in factored)
     assert cut == len(blocks) - 1 - len(discrete)
 
 
 def test_block_columns_are_the_matrices_columns():
     # the restricted build and the full view share one assembly routine
-    for block in [*_distinct_blocks("SU2", 3).values(), *_distinct_blocks("Z4", 2).values()]:
-        picked = block.free_entries[::2]
-        for part, full in zip(block.columns(picked), block.matrices):
+    for system, rows, cols in [*_distinct_blocks("SU2", 3).values(), *_distinct_blocks("Z4", 2).values()]:
+        picked = kernels._free_entries(system, rows, cols)[::2]
+        for part, full in zip(kernels._columns(system, rows, cols, picked), _matrices(system, rows, cols)):
             assert np.array_equal(part, full[:, picked])
 
 

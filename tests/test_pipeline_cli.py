@@ -322,6 +322,22 @@ def test_malformed_manifest_fields_are_schema_errors(tmp_path, capsys, z2_manife
     assert capsys.readouterr().err.startswith(f"error: {key!r} must be a JSON ")
 
 
+@pytest.mark.parametrize(
+    "counts", [{"total_instances": 5}, {"count_found": 99}, {"total_instances": 5, "count_found": 99}]
+)
+def test_manifest_counts_must_match_its_records(tmp_path, capsys, z2_manifest, counts):
+    path = tmp_path / "z2.json"
+    save_manifest(z2_manifest, path)
+    obj = json.loads(path.read_text())
+    assert (obj["total_instances"], obj["count_found"]) == (len(obj["records"]), 6) == (18, 6)
+    obj.update(counts)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match="but its records hold 18 instances, 6 found"):
+        load_manifest(path)
+    assert main(["report", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: manifest counts instances ")
+
+
 def test_non_numeric_tolerance_is_a_schema_error(tmp_path, capsys, z2_manifest):
     path = tmp_path / "z2.json"
     obj = json.loads(manifest_to_json(z2_manifest))
