@@ -21,19 +21,24 @@ manifolds {C_rho : C_rho^dag C_rho = dim rho * 1}.  Hence:
   stacked Kraus operator is rank deficient on the whole family.
 - Samples are exact: C_rho = sqrt(dim rho) Q, with Q the QR factor of a
   complex Gaussian drawn from the instance's generator, its column phases
-  fixed so that Q is Haar distributed.  Each sample's global phase is fixed
-  as a kernel basis column's is (:func:`gcec.kernels.gauge_fix_columns`)
-  and repeats are dropped (:func:`_solution_keys`), so a family whose only
-  freedom is one phase keeps a single sample.
+  fixed so that Q is Haar distributed.  A Haar sample has the family's
+  generic rank with probability one.  Each sample's global phase is fixed
+  as a kernel basis column's is (:func:`gcec.kernels.gauge_fix_columns`).
 - A multiplicity-free family (every m_rho = 1) has free phases.  With
   t_j = |c_j|^2 its constraints are linear, sum_{j in rho} t_j = dim rho
   (its ``moduli_constraints``, one per rho), so the moduli polytope is a
-  product of simplices whose vertices choose one coordinate per rho.  The
+  product of simplices whose vertices choose one coordinate per rho.  Its
   first sample sits at the vertex of least t_1 + 2 t_2 + ... + n t_n
   (coordinates ordered by their basis column's leading entry) among those
   whose point fails the rank test, or among all vertices when none does,
   so a polytope with a vertex that is not an extreme channel always shows
-  one.  The other samples are Haar samples.
+  one.
+
+So a solved family stores the samples that decide its classification: a
+multiplicity-free family its canonical vertex, then one Haar sample; any
+other family one Haar sample.  The last sample is always the Haar one.  A
+family whose only freedom is one phase keeps the vertex alone, since its
+Haar sample gauges back onto it.
 
 The closed form needs every input part irreducible and parts of different
 content inequivalent; :attr:`KernelFamily.input_defect` says when they are
@@ -50,8 +55,6 @@ import numpy as np
 from .errors import ReducibleInput
 from .extremality import DEFAULT_TOL_RANK, test_extreme
 from .kernels import KernelFamily, gauge_fix_columns, leading_entries
-
-MAX_SOLUTIONS = 8
 
 
 @dataclass
@@ -84,21 +87,16 @@ def _irreps(family: KernelFamily) -> list[tuple[int, np.ndarray]]:
     ]
 
 
-def _solution_keys(samples: np.ndarray) -> list[bytes]:
-    """One key per row: rows equal to 9 decimals share it."""
-    return [row.tobytes() for row in np.round(samples, 9) + 0.0]
-
-
-def _haar(irreps, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` random TP points, one per row: each C_rho = sqrt(dim rho) Q,
-    Q the QR factor of a complex Gaussian with R's diagonal phases moved
-    onto its columns (which makes Q Haar distributed)."""
-    c = np.zeros((count, n), dtype=complex)
+def _haar(irreps, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random TP point: each C_rho = sqrt(dim rho) Q, Q the QR factor of a
+    complex Gaussian with R's diagonal phases moved onto its columns (which
+    makes Q Haar distributed)."""
+    c = np.zeros(n, dtype=complex)
     for dim, C in irreps:
-        re, im = rng.standard_normal((2, count, *C.shape))
+        re, im = rng.standard_normal((2, *C.shape))
         q, r = np.linalg.qr(re + 1j * im)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        c[:, C] = np.sqrt(dim) * q * (diag / np.abs(diag))[:, None, :]
+        diag = np.diagonal(r)
+        c[C] = np.sqrt(dim) * q * (diag / np.abs(diag))
     return c
 
 
@@ -155,11 +153,9 @@ def solve_tp(family: KernelFamily, seed=0, tol_rank: float = DEFAULT_TOL_RANK) -
     if all(C.shape[1] == 1 for _, C in irreps):
         _, canonical, report.moduli_constraints = _moduli(family, irreps, tol_rank)
         first = [canonical]
-    rng = np.random.default_rng(seed)
-    samples = np.vstack([*first, _haar(irreps, family.n_params, MAX_SOLUTIONS - len(first), rng)])
-    samples = gauge_fix_columns(samples.T).T  # each row's global phase
-    found: dict = {}  # key -> sample, the first of equal ones kept
-    for c, key in zip(samples, _solution_keys(samples)):
-        found.setdefault(key, c)
-    report.solutions = list(found.values())
+    haar = _haar(irreps, family.n_params, np.random.default_rng(seed))
+    samples = gauge_fix_columns(np.stack([*first, haar]).T).T  # each row's global phase
+    if len(samples) == 2 and np.array_equal(*np.round(samples, 9)):
+        samples = samples[:1]  # one phase is the only freedom: the Haar sample gauged back onto the vertex
+    report.solutions = list(samples)
     return report

@@ -379,6 +379,13 @@ def test_rotation_group_d9_sweep_matches_clebsch_gordan_within_budget():
     assert elapsed < 5.0
 
 
+def test_found_records_store_only_their_deciding_samples():
+    # a canonical vertex and one Haar sample, or one Haar sample, per found
+    # record: 0.52 MB of text, where eight samples per record made 2.24 MB
+    text = manifest_to_json(run_enumeration("D5", None, 4, nonunitary_only=True, seed=7))
+    assert len(text.encode()) <= 750_000
+
+
 def test_instance_and_representation_counts(s3_sweep, a4_sweep, d5_sweep):
     assert s3_sweep.total_instances == 36
     assert a4_sweep.total_instances == 121

@@ -1,5 +1,8 @@
 """Trace-preservation solving in closed form: existence, vertices, samples."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -9,6 +12,7 @@ from gcec.errors import GcecError, ReducibleInput
 from gcec.groups import infer_kind, props
 from gcec.channels import tp_residuals
 from gcec.kernels import build_discrete_system, build_lie_system, joint_nullspace, leading_entries
+from gcec import pipeline
 from gcec.pipeline import run_enumeration
 from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize, omega_candidates
 import gcec.tp as tp
@@ -151,7 +155,7 @@ def test_coupled_family_takes_haar_samples_only(monkeypatch):
     calls = _count_calls(monkeypatch, "_moduli")
     report = solve_tp(family, seed=3)
     assert report.status == "solved" and not calls and report.moduli_constraints == []
-    assert len(report.solutions) == tp.MAX_SOLUTIONS
+    assert len(report.solutions) == 1
     for c in report.solutions:
         assert _tp_residual(c, family) <= 1e-14
         assert np.allclose(c[C].conj().T @ c[C], np.eye(2), atol=1e-14)
@@ -195,11 +199,84 @@ def test_vertices_match_highs_on_every_bench_polytope(monkeypatch):
             assert abs((t @ cost).min() - lp.fun) <= 1e-9
 
 
+@pytest.fixture(scope="module")
+def bench_seed7():
+    """The bench sweeps at seed 7, and the (family, report) of every
+    ``solve_tp`` call they made."""
+    solved = []
+
+    def recorded(family, *args, **kwargs):
+        report = solve_tp(family, *args, **kwargs)
+        solved.append((family, report))
+        return report
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "solve_tp", recorded)
+        manifests = [run_enumeration(g, None, d, nonunitary_only=nu, seed=7) for g, d, nu in BENCH_SWEEPS]
+    return manifests, solved
+
+
+def test_a_found_record_stores_the_samples_that_decide_it(bench_seed7):
+    # a free-phase family stores its canonical vertex (phases 0, sqrt(dim rho)
+    # on one coordinate of each input irrep rho) and then one Haar sample; a
+    # coupled family stores one Haar sample
+    manifests, solved = bench_seed7
+    solved = [(family, report) for family, report in solved if report.status == "solved"]
+    for family, report in solved:
+        if not report.moduli_constraints:
+            assert len(report.solutions) == 1
+            continue
+        first = report.solutions[0]
+        assert len(report.solutions) <= 2 and np.count_nonzero(first) == len(tp._irreps(family))
+        for dim, C in tp._irreps(family):
+            (at,) = np.flatnonzero(first[C[:, 0]])
+            assert abs(first[C[at, 0]] - np.sqrt(dim)) <= 1e-12
+    assert {bool(report.moduli_constraints) for _, report in solved} == {True, False}
+    found = [r for m in manifests for r in m.records if r.status == "channel_found"]
+    assert all(len(r.kraus_samples) <= 2 for r in found if r.moduli_constraints)
+    assert all(len(r.kraus_samples) == 1 for r in found if not r.moduli_constraints)
+    # the classification rule: extreme iff every stored sample passes
+    seen = set()
+    for r in found:
+        if r.classification == "unitary":
+            continue
+        passes = extremality.test_extreme(np.stack([s.matrices for s in r.kraus_samples])).extreme
+        assert r.classification == ("extreme" if passes.all() else "quasi_extreme")
+        seen.add(r.classification)
+    assert seen == {"extreme", "quasi_extreme"}
+
+
+# sha256 of json.dumps of each sweep's [d1_label, d2_label, omega_index,
+# n_params, status, classification] rows, in record order, at seed 7
+BENCH_ANSWERS = {
+    "SO3-7": "488a0ce4463847a393f58e6e9f46df8663c945b0a7ce5f84c9c3c709786c4a38",
+    "SU2-5": "081a02b33260a2fa8b5682fe19c4c9ae4d83e47c98069b8bee7b28ef4a4a4e25",
+    "Z2-2": "52c62a0e79085371b2fd9266d5698a664e89b5ad678a410c47c5e656d89b1d0f",
+    "Z3-1": "19ef1320b103d187d42c22ef8112d213b2091898da314e8c768ec32a59435a91",
+    "S3-5": "6ac1b153b3b55e30a82523c10ff3209fd2235a88c609e59724ecc6f2d47b8d06",
+    "A4-4": "893edd394b1456d748b6dbc864660b5c2ae7d06eb7af5b841354585bcd4da7be",
+    "D5-4": "dfcd6db8e008aeff2368b51029572031e5a4c20b8ad0c7d5bc29f10e4f4154d0",
+    "Z4-3": "c3b7ae0fe652cbb77a7df1f9f08aebaca4190e99a64bfcbb34d129f474e082a4",
+}
+
+
+def test_bench_sweep_answers_are_pinned(bench_seed7):
+    # a change to TP solving or to the stored samples may move bytes, never an answer
+    answers = {}
+    for (group, d, _), manifest in zip(BENCH_SWEEPS, bench_seed7[0]):
+        rows = [
+            [r.d1_label.text, r.d2_label.text, r.omega_index, r.n_params, r.status, r.classification]
+            for r in manifest.records
+        ]
+        answers[f"{group}-{d}"] = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert answers == BENCH_ANSWERS
+
+
 def test_rows_equal_up_to_roundoff_span_a_segment():
     # SO3 d=9, 1+3+5 -> 9 under the 7-dimensional irrep: the 9-dimensional
     # input irrep has two rows, so |u1|^2 + |u2|^2 = 9 (every R entry 1/9)
-    # is a segment with two vertices, and the record stores a full set of
-    # samples.
+    # is a segment with two vertices, and the record stores its canonical
+    # vertex and one Haar sample.
     family = _family("SO3", "lie", 9, 3, (0, 1, 2), (4,))
     report = solve_tp(family)
     assert report.moduli_constraints == ["0.111111|u1|^2 + 0.111111|u2|^2 = 1"]
@@ -209,7 +286,7 @@ def test_rows_equal_up_to_roundoff_span_a_segment():
         r for r in manifest.records if (r.d1_label.text, r.d2_label.text, r.omega_index) == ("1+3+5", "9", 3)
     ]
     assert record.status == "channel_found" and record.classification == "extreme"
-    assert len(record.kraus_samples) == tp.MAX_SOLUTIONS
+    assert len(record.kraus_samples) == 2
 
 
 def test_one_point_one_modulus_family_is_not_mixed():
@@ -233,9 +310,9 @@ def test_one_point_two_moduli_family_is_still_mixed():
     (vertex,) = _vertices(family)
     assert np.count_nonzero(vertex) == 2
     assert report.moduli_constraints == ["1|u1|^2 = 1", "1|u2|^2 = 1"]
-    assert len(report.solutions) == tp.MAX_SOLUTIONS
+    assert len(report.solutions) == 2
     phases = [np.angle(c[1] / c[0]) for c in report.solutions]
-    assert len(set(np.round(phases, 6))) == tp.MAX_SOLUTIONS
+    assert len(set(np.round(phases, 6))) == 2
     for c in report.solutions:
         assert _tp_residual(c, family) <= 1e-14
 
@@ -247,7 +324,7 @@ def test_s3_family_solves_on_linear_path():
     assert report.status == "solved"
     assert len(report.moduli_constraints) == 2
     assert report.detail == "closed form"
-    assert len(report.solutions) == 8
+    assert len(report.solutions) == 2
     for c in report.solutions:
         assert _tp_residual(c, family) <= 1e-10
 
