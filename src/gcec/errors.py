@@ -33,6 +33,10 @@ class NotTracePreserving(GcecError):
     """A Kraus set expected to be trace preserving is not, within tolerance."""
 
 
+class BadTolerance(GcecError):
+    """A tolerance is NaN or outside the range where it means anything."""
+
+
 class SchemaError(GcecError):
     """A JSON payload does not match the expected schema."""
 

@@ -27,10 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import tp_residuals
-from .errors import NotTracePreserving
+from .errors import BadTolerance, NotTracePreserving
 
 TOL_TP = 1e-8  # largest TP residual of a channel
 DEFAULT_TOL_RANK = 1e-8
+
+
+def check_tol_rank(tol_rank: float) -> None:
+    """Raise :class:`gcec.errors.BadTolerance` unless ``tol_rank`` lies in
+    (0, 1).  The rank counts singular values above ``tol_rank`` times the
+    largest, so a value of 0 or less counts roundoff as rank, 1 or more
+    counts nothing, and NaN fails every comparison."""
+    if not 0.0 < tol_rank < 1.0:  # NaN fails too
+        raise BadTolerance(f"tol_rank must lie in (0, 1), got {tol_rank!r}")
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,15 @@ once in :func:`_defect`.  A block is factored only on its entries of weight
 zero (:func:`_free_entries`): :func:`_columns` builds its matrices on those
 columns alone, as the defects of those unit vectors, and the kernel is
 embedded back at them.  By the Wigner-Eckart theorem that leaves at most
-K*min(r, c) of the K*r*c unknowns, and the forced zeros are exact.  The
-cut applies to Lie blocks only, so discrete blocks, diagonal Zn characters
-included, factor every column and keep the bytes of a plain SVD; a densely
-rotated Lie representation has no diagonal generator and keeps every
-column too.
+K*min(r, c) of the K*r*c unknowns, and the forced zeros are exact; a block
+with no free entry returns its empty basis without building anything.  On
+the free entries the rows of a Lie block vanish except where a generator
+moves weight 0 to nonzero weight: Lz's rows are all zero, and L+ and L-
+reach only the entries of weight +1 and -1.  Only those rows, the nonzero
+ones, are factored.  Both cuts apply to Lie blocks only, so discrete
+blocks, diagonal Zn characters included, factor every row and column and
+keep the bytes of a plain SVD; a densely rotated Lie representation has
+no diagonal generator and keeps every column too.
 
 Rank threshold.  A singular value counts as zero when it is at most
 ``TOL_KERNEL * max(1, sigma_max)`` of its block; a block whose matrices are
@@ -63,6 +67,9 @@ pair: :meth:`CovarianceSystem.key` reads the key off the parts' ``content``
 and Omega's bytes, the block's matrices are built only on a cache miss, and
 the basis is assembled from each pair's entry positions.  Cached and fresh
 results are identical, so the cache never changes output.
+:func:`kernel_dims` reads the kernel dimensions of every pair of a list of
+parts through the same cache, which is how a sweep counts each instance's
+parameters without building its system.
 
 Layout.  The family records where each basis column came from: its row
 part, its column part and its index in that block's kernel.  The column
@@ -249,9 +256,14 @@ def _free_entries(system: CovarianceSystem, rows: InvariantBlock, cols: Invarian
 
 def _block_nullspace(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock) -> np.ndarray:
     """Gauge-fixed orthonormal kernel basis of the (rows, cols) block's
-    stacked system, factored on the block's free entries only."""
+    stacked system, factored on the block's free entries only, and for a
+    Lie block on its nonzero rows only."""
     free = _free_entries(system, rows, cols)
+    if not free.size:
+        return np.zeros((system.K * rows.index.size * cols.index.size, 0), dtype=complex)
     stacked = np.vstack(_columns(system, rows, cols, free))
+    if system.kind == "lie":  # its zero rows (see "Weight space"); discrete blocks keep their bytes
+        stacked = stacked[stacked.any(axis=1)]
     if not np.any(stacked):
         # Unconstrained entries: every choice of them is covariant.
         kernel = np.eye(free.size, dtype=complex)
@@ -273,6 +285,17 @@ def _kernel(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock
     if key not in cache:
         cache[key] = _block_nullspace(system, rows, cols)
     return cache[key]
+
+
+def kernel_dims(kind: str, parts: tuple[InvariantBlock, ...], omega: Irrep, cache: dict) -> np.ndarray:
+    """N[i, j]: the kernel dimension of the Schur block with row part
+    ``parts[i]`` and column part ``parts[j]`` under the channel label
+    ``omega``, each block read through ``cache`` with the keys and bases of
+    :func:`joint_nullspace`.  An instance whose row and column parts are
+    copies of these has n_params = a^T N b, for a and b the copies of each
+    part among its row and its column parts."""
+    system = _system(kind, parts, parts, omega.generator_matrices, 0)  # only its blocks are read
+    return np.array([[_kernel(system, rows, cols, cache).shape[1] for cols in parts] for rows in parts], dtype=int)
 
 
 @lru_cache(maxsize=None)

@@ -3,32 +3,49 @@
 One *instance* is a triple (D1, D2, Omega): input/output representations of
 equal dimension plus a channel-labeling irrep.  The sweep walks instances
 in deterministic order (Omega outermost in catalog order, then D1, then D2
-in enumeration order), builds the covariance kernel, imposes trace
-preservation, classifies the outcome, and collects everything into a
+in enumeration order), decides whether each has a covariant channel,
+solves and classifies those that do, and collects everything into a
 manifest whose JSON form is byte-identical across runs with equal inputs
 and an equal BLAS thread count (a multithreaded BLAS rounds its reductions
 differently, which reaches the stored digits of some Lie-group sweeps, such
-as SO3 d=9).  Trace preservation is solved in closed form
-(:mod:`gcec.tp`): a record is ``no_tp_solution`` when an input irrep has
-fewer covariant operators than copies, and ``solver_failed`` only when the
-package raised an error on the instance (recorded in ``error``).
+as SO3 d=9).
 
-For finite groups the instances fall into label classes
+Statuses are decided by counting.  A catalog representation's parts are
+irreps, so every Schur block of the sweep is an irrep triple (row irrep p,
+column irrep q, Omega).  Per Omega the sweep fills one table N_Omega[p, q]
+of block kernel dimensions (:func:`gcec.kernels.kernel_dims`, through the
+sweep's block cache), and with a and b the irrep multiplicities of the
+representations on the rows and on the columns of each A_k:
+
+- n_params = a^T N_Omega b, and an instance with none is ``no_cp_map``;
+- trace preservation is solved in closed form (:mod:`gcec.tp`), and a TP
+  point exists exactly when every input irrep rho has b_rho <=
+  (a^T N_Omega)_rho (:func:`gcec.tp.has_tp_point`); an instance without
+  one is ``no_tp_solution``.
+
+Those records are written from the counts alone.  Only an instance with a
+TP point builds its covariance system, its kernel and its TP solve, and
+the table's counts are checked there: a family of another size, or a solve
+that finds no TP point, is an ``error``.  A record is ``solver_failed``
+only when the package raised an error on the instance (recorded in
+``error``).
+
+For finite groups the instances with a TP point fall into label classes
 (:mod:`gcec.classes`): twisting by 1-dimensional characters, complex
-conjugation and group automorphisms map an instance to an equivalent one.
-Only the least instance of each class in sweep order, its representative,
-is solved; a Lie-group instance is a class of its own.  The sweep files
-each instance under its representative, then builds the records class by
-class, in the order it first meets them, through one routine: solve the
-representative once, move its (S, K, d, d) sample stack to every other
-member by intertwiners, run one rank test over the representative's stack
-and every moved stack, and fill each record through :func:`_found`, which
-checks every emitted sample the same way (trace preservation, and a
-covariance residual against the record's own representations of at most
-``TOL_COV``).  Every member takes the representative's ``n_params``,
-status, error and moduli constraints.  A failed solve, or a failed check
-of the representative's own samples, fails the whole class; a member whose
-transport or re-check fails is an ``error`` on its own.
+conjugation and group automorphisms map an instance to an equivalent one,
+with equal counts.  Only the least instance of each class in sweep order,
+its representative, is solved; a Lie-group instance is a class of its own.
+The sweep files each such instance under its representative, then builds
+the records class by class, in the order it first meets them, through one
+routine: solve the representative once, move its (S, K, d, d) sample
+stack to every other member by intertwiners, run one rank test over the
+representative's stack and every moved stack, and fill each record through
+:func:`_found`, which checks every emitted sample the same way (trace
+preservation, and a covariance residual against the record's own
+representations of at most ``TOL_COV``).  Every member takes the
+representative's status, error and moduli constraints.  A failed solve, or
+a failed check of the representative's own samples, fails the whole class;
+a member whose transport or re-check fails is an ``error`` on its own.
 
 Checks run on stacks of same-shape Kraus sets: a record's samples get one
 batched covariance residual and share a batched rank test with their
@@ -67,7 +84,7 @@ from .channels import (
 )
 from .classes import LabelClasses
 from .errors import GcecError, SchemaError, NotTracePreserving, UnknownGroup
-from .extremality import DEFAULT_TOL_RANK, TOL_TP, test_extreme
+from .extremality import DEFAULT_TOL_RANK, TOL_TP, check_tol_rank, test_extreme
 from .groups import infer_kind, props
 from .kernels import (
     TOL_KERNEL,
@@ -75,9 +92,10 @@ from .kernels import (
     build_lie_system,
     covariance_residual,
     joint_nullspace,
+    kernel_dims,
 )
 from .reps import Rep, RepLabel, enumerate_reps, make_rep_label, materialize, omega_candidates
-from .tp import solve_tp
+from .tp import has_tp_point, solve_tp
 
 MANIFEST_SCHEMA_VERSION = 1
 TOL_COV = 1e-8  # largest covariance residual of an emitted sample
@@ -136,8 +154,8 @@ def run_enumeration(
     ``nonunitary_only`` drops 1-dimensional channel labels, whose channels
     are plain unitaries.  ``seed`` seeds each solved instance's TP samples,
     together with the instance's labels.  ``tol_rank`` is the rank test's
-    tolerance; the kernel and TP tolerances are constants (module
-    docstring).
+    tolerance, checked to lie in (0, 1) before any instance is visited; the
+    kernel and TP tolerances are constants (module docstring).
 
     For a finite group only one representative per label class is solved
     (see the module docstring), with the seed of its own labels and even
@@ -145,6 +163,7 @@ def run_enumeration(
     records for the instances it shares.  A member whose moved samples fail
     their re-check gets status ``error`` (:func:`_class_records`).
     """
+    check_tol_rank(tol_rank)
     if kind is None:
         kind = infer_kind(group)
     payload = props(group, kind, d)
@@ -166,19 +185,27 @@ def run_enumeration(
     rep_cache = {lab.parts: materialize(spec, lab) for lab in labels}
     block_cache: dict = {}  # Schur-block kernels shared by this sweep's instances
     classes = LabelClasses(spec, block_cache) if kind == "discrete" else None
+    counts = _counts(kind, [rep_cache[lab.parts] for lab in labels], omegas, block_cache)
 
     def rep_of(parts) -> Rep:
         if parts not in rep_cache:  # a representative outside a --reps sub-sweep
             rep_cache[parts] = materialize(spec, make_rep_label(spec, parts))
         return rep_cache[parts]
 
-    filed: dict = {}  # representative -> (position, (rep1, rep2, omega, move)) of each member
-    for at, (omega, lab1, lab2) in enumerate(product(omegas, labels, labels)):
+    records: list = [None] * len(omegas) * len(labels) ** 2
+    filed: dict = {}  # representative -> (n_params, [(position, (rep1, rep2, omega, move)) of each member])
+    instances = product(omegas, enumerate(labels), enumerate(labels))
+    for at, (omega, (i, lab1), (j, lab2)) in enumerate(instances):
+        table_n, table_found = counts[omega.index]
+        n_params = int(table_n[i, j])
+        member = (rep_cache[lab1.parts], rep_cache[lab2.parts], omega)
+        if not table_found[i, j]:
+            records[at] = _record(group, d, *member, n_params, "no_tp_solution" if n_params else "no_cp_map")
+            continue
         inst = (omega.index, lab1.parts, lab2.parts)
         head, move = (inst, None) if classes is None else classes.representative(inst)
-        filed.setdefault(head, []).append((at, (rep_cache[lab1.parts], rep_cache[lab2.parts], omega, move)))
-    records: list = [None] * len(omegas) * len(labels) ** 2
-    for head, of_class in filed.items():  # in the order the sweep first meets each class
+        filed.setdefault(head, (n_params, []))[1].append((at, (*member, move)))
+    for head, (n_params, of_class) in filed.items():  # in the order the sweep first meets each class
         om, parts1, parts2 = head
         positions, members = zip(*of_class)
         head_reps = (rep_of(parts1), rep_of(parts2), spec.irrep_by_index(om))
@@ -186,7 +213,9 @@ def run_enumeration(
         # sub-sweep then reproduces the full sweep's records for the instances
         # it shares.
         head_seed = [seed, om, *parts1, 0xFFFFFFFF, *parts2]
-        solved = _class_records(group, kind, d, head, head_reps, members, classes, tol_rank, head_seed, block_cache)
+        solved = _class_records(
+            group, kind, d, head, head_reps, members, classes, tol_rank, head_seed, block_cache, n_params
+        )
         for at, record in zip(positions, solved):
             records[at] = record
 
@@ -206,8 +235,30 @@ def run_enumeration(
     )
 
 
-def _record(group, d, rep1, rep2, omega) -> ChannelRecord:
-    """A ``no_cp_map`` record of the instance (rep1, rep2, omega)."""
+def _counts(kind, reps, omegas, cache) -> dict:
+    """Omega index -> (n_params, whether a TP point exists) of every
+    instance, each an array indexed [position of D1, position of D2] in
+    ``reps``, read off one table of Schur-block kernel dimensions per Omega
+    through ``cache`` (see the module docstring)."""
+    parts: dict = {}  # irrep index -> its part, as the representations split it
+    for rep in reps:
+        parts.update(zip(rep.label.parts, rep.split, strict=True))
+    column = {p: i for i, p in enumerate(parts)}
+    mult = np.zeros((len(reps), len(parts)), dtype=int)  # irrep multiplicities of each representation
+    for i, rep in enumerate(reps):
+        for p in rep.label.parts:
+            mult[i, column[p]] += 1
+    out = {}
+    for omega in omegas:
+        over_rows = mult @ kernel_dims(kind, tuple(parts.values()), omega, cache)  # a^T N of each row representation
+        n_params, found = over_rows @ mult.T, has_tp_point(over_rows[:, None], mult[None])
+        # [row representation, column representation]: rows follow D2 for finite groups
+        out[omega.index] = (n_params.T, found.T) if kind == "discrete" else (n_params, found)
+    return out
+
+
+def _record(group, d, rep1, rep2, omega, n_params, status) -> ChannelRecord:
+    """A record of the instance (rep1, rep2, omega) with no samples."""
     return ChannelRecord(
         group=group,
         d=d,
@@ -215,54 +266,56 @@ def _record(group, d, rep1, rep2, omega) -> ChannelRecord:
         d2_label=rep2.label,
         omega_index=omega.index,
         omega_label=omega.label,
-        n_params=0,
-        status="no_cp_map",
+        n_params=n_params,
+        status=status,
     )
 
 
-def _class_records(group, kind, d, head, reps, members, classes, tol_rank, seed, block_cache) -> list[ChannelRecord]:
+def _class_records(
+    group, kind, d, head, reps, members, classes, tol_rank, seed, block_cache, n_params
+) -> list[ChannelRecord]:
     """The records of the ``members`` (rep1, rep2, omega, move) of the class
     of ``head``, whose representations are ``reps``, from one solve of it.
 
-    The move is None for the representative itself.  Its sample stack moves
-    to every other member, and one rank test checks its own samples and
-    every moved stack.  When the solve or the representative's own samples
-    fail, the whole class fails: ``solver_failed`` for a package or LAPACK
-    error, ``error`` for anything else.  Every member takes the
-    representative's ``n_params``, status, error and moduli constraints (in
-    the representative's coordinates); a member whose transport fails, or
-    whose moved samples fail :func:`_found`, becomes an ``error`` on its
-    own: it is never re-solved."""
+    The sweep's table counts ``n_params`` parameters and a TP point for
+    every member; a family of another size, or a solve that finds no TP
+    point, makes the class ``error``.  The move is None for the
+    representative itself.  Its sample stack moves to every other member,
+    and one rank test checks its own samples and every moved stack.  When
+    the solve or the representative's own samples fail, the whole class
+    fails: ``solver_failed`` for a package or LAPACK error, ``error`` for
+    anything else.  Every member takes the representative's status, error
+    and moduli constraints (in the representative's coordinates); a member
+    whose transport fails, or whose moved samples fail :func:`_found`,
+    becomes an ``error`` on its own: it is never re-solved."""
     rep1, rep2, omega = reps
-    source = _record(group, d, rep1, rep2, omega)
-    records = [source if move is None else _record(group, d, *member) for *member, move in members]
+    source = _record(group, d, rep1, rep2, omega, n_params, "error")  # every path below sets the status
+    records = [source if move is None else _record(group, d, *member, n_params, "error") for *member, move in members]
     stack = None  # the representative's samples
     moved = {}  # member index -> its moved samples, or the exception its transport raised
     try:
         system = build_discrete_system(rep1, rep2, omega) if kind == "discrete" else build_lie_system(rep1, rep2, omega)
         family = joint_nullspace(system, cache=block_cache)
-        source.n_params = family.n_params
-        if family.n_params:
-            report = solve_tp(family, seed=seed, tol_rank=tol_rank)
-            source.moduli_constraints = list(report.moduli_constraints)
-            if report.status == "no_solution":
-                source.status = "no_tp_solution"
-            else:
-                stack = np.stack([family.kraus_at(c) for c in report.solutions])
-        if stack is not None:
-            for i, (*_, move) in enumerate(members):
-                if move is None:
-                    continue
-                try:
-                    moved[i] = classes.transport(stack, head, move)
-                    # one non-finite set would stop the shared SVD for the whole class
-                    if not np.isfinite(moved[i]).all():
-                        raise GcecError("a transported sample is not finite")
-                except Exception as exc:  # never solver_failed: the representative decided existence
-                    moved[i] = exc
-            fine = [m for m in moved.values() if not isinstance(m, Exception)]
-            test = test_extreme(np.concatenate([stack, *fine]), tol_rank)
-            _found(source, stack, test, 0, rep1, rep2, omega, kind)
+        if family.n_params != n_params:
+            raise RuntimeError(f"the family has {family.n_params} parameters, the block table counts {n_params}")
+        report = solve_tp(family, seed=seed, tol_rank=tol_rank)
+        if report.status == "no_solution":
+            raise RuntimeError(f"no TP point ({report.detail}), where the block table counts one")
+        source.moduli_constraints = list(report.moduli_constraints)
+        stack = np.stack([family.kraus_at(c) for c in report.solutions])
+        for i, (*_, move) in enumerate(members):
+            if move is None:
+                continue
+            try:
+                moved[i] = classes.transport(stack, head, move)
+                # one non-finite set would stop the shared SVD for the whole class
+                if not np.isfinite(moved[i]).all():
+                    raise GcecError("a transported sample is not finite")
+            except Exception as exc:  # never solver_failed: the representative decided existence
+                moved[i] = exc
+        fine = [m for m in moved.values() if not isinstance(m, Exception)]
+        test = test_extreme(np.concatenate([stack, *fine]), tol_rank)
+        _found(source, stack, test, 0, rep1, rep2, omega, kind)
     except (GcecError, np.linalg.LinAlgError) as exc:
         source.status, source.error = "solver_failed", f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # a crash: record it as such, never abort the sweep
@@ -271,7 +324,7 @@ def _class_records(group, kind, d, head, reps, members, classes, tol_rank, seed,
     for i, (record, (rep1, rep2, omega, _)) in enumerate(zip(records, members)):
         if record is source:
             continue
-        record.n_params, record.status, record.error = source.n_params, source.status, source.error
+        record.status, record.error = source.status, source.error
         record.moduli_constraints = list(source.moduli_constraints)
         if source.status != "channel_found":
             continue
@@ -589,8 +642,10 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK) -> list[dict]:
     each set's results filled back into its entry in file order.
     Complete-positivity and trace-preservation failures become per-entry
     diagnostics rather than exceptions, so a clean run over a mixed file
-    still exits 0.
+    still exits 0.  A ``tol_rank`` outside (0, 1) raises
+    :class:`gcec.errors.BadTolerance` before the file is read.
     """
+    check_tol_rank(tol_rank)
     entries, shapes = [], {}
     for tag, item in _kraus_sets_in(_read_json(path)):
         entry = {"source": tag, "classification": None, "error": None}

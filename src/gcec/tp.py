@@ -18,7 +18,11 @@ manifolds {C_rho : C_rho^dag C_rho = dim rho * 1}.  Hence:
 
 - A TP point exists exactly when every rho has n_rho >= m_rho rows, so that
   C_rho can be an isometry.  Otherwise Xi(c) is singular for every c: the
-  stacked Kraus operator is rank deficient on the whole family.
+  stacked Kraus operator is rank deficient on the whole family.  That rule
+  is :func:`has_tp_point`, which :func:`solve_tp` applies to a family and
+  :mod:`gcec.pipeline` to a sweep's counts, where n_rho is (a^T N)_rho for
+  a row representation with irrep multiplicities a and the table N of
+  Schur-block kernel dimensions (:func:`gcec.kernels.kernel_dims`).
 - Samples are exact: C_rho = sqrt(dim rho) Q, with Q the QR factor of a
   complex Gaussian drawn from the instance's generator, its column phases
   fixed so that Q is Haar distributed.  A Haar sample has the family's
@@ -87,6 +91,15 @@ def _irreps(family: KernelFamily) -> list[tuple[int, np.ndarray]]:
     ]
 
 
+def has_tp_point(rows, copies):
+    """Whether every input irrep rho has at least as many rows n_rho of
+    C_rho as copies m_rho, so that each C_rho can be an isometry.  Both
+    arguments hold one entry per rho on their last axis and broadcast over
+    the leading ones; an irrep with no copies passes, since rows are never
+    negative."""
+    return np.all(np.asarray(rows) >= np.asarray(copies), axis=-1)
+
+
 def _haar(irreps, n: int, rng: np.random.Generator) -> np.ndarray:
     """A random TP point: each C_rho = sqrt(dim rho) Q, Q the QR factor of a
     complex Gaussian with R's diagonal phases moved onto its columns (which
@@ -144,7 +157,8 @@ def solve_tp(family: KernelFamily, seed=0, tol_rank: float = DEFAULT_TOL_RANK) -
     if family.input_defect is not None:
         raise ReducibleInput(f"no closed-form TP solve: {family.input_defect}")
     irreps = _irreps(family)
-    if any(C.shape[0] < C.shape[1] for _, C in irreps):
+    rows, copies = zip(*(C.shape for _, C in irreps))
+    if not has_tp_point(rows, copies):
         return TpSolveReport(
             status="no_solution", detail="stacked Kraus operator is rank deficient on the whole family"
         )

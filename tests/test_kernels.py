@@ -433,6 +433,50 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
     assert cut == len(blocks) - 1 - len(discrete)
 
 
+def _all_rows_kernel(system, rows, cols):
+    """The block's kernel from the SVD of its matrices on the free entries
+    with every row kept, embedded at those entries."""
+    free = kernels._free_entries(system, rows, cols)
+    stacked = np.vstack(kernels._columns(system, rows, cols, free))
+    if not np.any(stacked):
+        kernel = np.eye(free.size)
+    else:
+        _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
+        kernel = vh[int(np.sum(svals > kernels.TOL_KERNEL * max(1.0, svals[0]))) :].conj().T
+    basis = np.zeros((system.entries(rows, cols).size, kernel.shape[1]), dtype=complex)
+    basis[free] = kernel
+    return basis
+
+
+def test_lie_blocks_factor_only_their_nonzero_rows(monkeypatch):
+    # Dropping the zero rows keeps each kernel; a block with no free entry
+    # (spin 1/2 against spin 0 under an integer spin) is never factored.
+    svd_inputs = []
+    original = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        svd_inputs.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    empty = 0
+    for system, rows, cols in [*_distinct_blocks("SO3", 9).values(), *_distinct_blocks("SU2", 6).values()]:
+        svd_inputs.clear()
+        basis = kernels._block_nullspace(system, rows, cols)
+        factored = list(svd_inputs)
+        free = kernels._free_entries(system, rows, cols)
+        if not free.size:
+            empty += 1
+            assert basis.shape == (system.K * rows.index.size * cols.index.size, 0) and not factored
+            continue
+        ref = _all_rows_kernel(system, rows, cols)
+        assert basis.shape == ref.shape
+        assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-12
+        nonzero = np.vstack(kernels._columns(system, rows, cols, free)).any(axis=1)
+        assert all(shape[0] == np.count_nonzero(nonzero) < nonzero.size for shape in factored)
+    assert empty > 0
+
+
 def test_block_columns_are_the_matrices_columns():
     # the restricted build and the full view share one assembly routine
     for system, rows, cols in [*_distinct_blocks("SU2", 3).values(), *_distinct_blocks("Z4", 2).values()]:

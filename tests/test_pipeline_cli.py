@@ -18,10 +18,10 @@ from gcec import classes as classes_module
 from gcec import cli
 from gcec.classes import LabelClasses
 from gcec.cli import main
-from gcec.errors import SchemaError, UnknownGroup
+from gcec.errors import BadTolerance, SchemaError, UnknownGroup
 from gcec import extremality
-from gcec.groups import props
-from gcec.kernels import build_discrete_system, joint_nullspace
+from gcec.groups import infer_kind, props
+from gcec.kernels import build_discrete_system, build_lie_system, joint_nullspace
 from gcec import pipeline
 from gcec.pipeline import (
     RunManifest,
@@ -34,7 +34,7 @@ from gcec.pipeline import (
     save_manifest,
 )
 from gcec.reps import enumerate_reps, materialize, omega_candidates
-from gcec.tp import solve_tp
+from gcec.tp import TpSolveReport, solve_tp
 
 from fixtures import (
     a4_qutrit_triple_alt_gauge,
@@ -203,6 +203,25 @@ def test_crash_status_is_honest(monkeypatch, exc, status):
     assert rec.status == status
     assert rec.error == f"{type(exc).__name__}: {exc}"
     assert rec.classification == "not_applicable"
+
+
+@pytest.mark.parametrize("disagree", ["kernel_dims", "solve_tp"])
+def test_table_disagreements_are_errors(monkeypatch, s3_manifest, disagree):
+    # A family of another size than the table counts, or a solve without a
+    # TP point where the table counts one, never becomes a status.
+    if disagree == "kernel_dims":
+        kernel_dims = pipeline.kernel_dims
+        monkeypatch.setattr(pipeline, "kernel_dims", lambda *args: 2 * kernel_dims(*args))
+    else:
+        monkeypatch.setattr(pipeline, "solve_tp", lambda *args, **kwargs: TpSolveReport(status="no_solution"))
+    manifest = run_enumeration("S3", None, 3, nonunitary_only=True)
+    errors = [r for r in manifest.records if r.status == "error"]
+    assert errors and manifest.count_found == 0
+    assert all("the block table counts" in r.error and not r.kraus_samples for r in errors)
+    decided = [(r.n_params, r.status) for r in manifest.records if r.status != "error"]
+    if disagree == "solve_tp":  # the table's records stay as they were
+        assert len(errors) == s3_manifest.count_found
+        assert decided == [(r.n_params, r.status) for r in s3_manifest.records if r.status != "channel_found"]
 
 
 def test_manifest_json_is_deterministic(s3_manifest):
@@ -618,9 +637,11 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 def _per_instance(group, d, nonunitary_only, seed=0):
-    """(n_params, status, classification) of every instance of a finite
-    sweep, in sweep order, each instance solved on its own."""
-    spec = props(group, "discrete", d).group
+    """(n_params, status, classification) of every instance of a sweep, in
+    sweep order, each instance solved on its own."""
+    kind = infer_kind(group)
+    build = build_discrete_system if kind == "discrete" else build_lie_system
+    spec = props(group, kind, d).group
     reps_ = [materialize(spec, lab) for lab in enumerate_reps(spec, d)]
     statuses = {"solved": "channel_found", "no_solution": "no_tp_solution", "solver_failed": "solver_failed"}
     out = []
@@ -629,7 +650,7 @@ def _per_instance(group, d, nonunitary_only, seed=0):
             continue
         for r1 in reps_:
             for r2 in reps_:
-                family = joint_nullspace(build_discrete_system(r1, r2, omega))
+                family = joint_nullspace(build(r1, r2, omega))
                 if family.n_params == 0:
                     out.append((0, "no_cp_map", "not_applicable"))
                     continue
@@ -653,24 +674,62 @@ def z4_manifest():
 
 
 @pytest.mark.parametrize(
-    "group,d,nonunitary_only", [("Z4", 3, False), ("S3", 5, True), ("A4", 4, True), ("D5", 4, True)]
+    "group,d,nonunitary_only",
+    [
+        ("Z4", 3, False),
+        ("S3", 5, True),
+        ("A4", 4, True),
+        ("D5", 4, True),
+        # the block table decides every Lie instance; SU2 d=4 has blocks
+        # with no free entry (spin 1/2 against integer spins)
+        ("SO3", 7, False),
+        ("SU2", 5, False),
+        ("SU2", 4, False),
+    ],
 )
 def test_label_classes_match_per_instance_solves(request, monkeypatch, group, d, nonunitary_only):
+    full = request.getfixturevalue("z4_manifest") if group == "Z4" else None  # swept before the spy
     solves = []
 
     def counted(*args, **kwargs):
-        solves.append(args)
-        return solve_tp(*args, **kwargs)
+        solves.append(solve_tp(*args, **kwargs))
+        return solves[-1]
 
     monkeypatch.setattr(pipeline, "solve_tp", counted)
     manifest = run_enumeration(group, None, d, nonunitary_only=nonunitary_only)
-    if group == "Z4":  # the module's full sweep gives the same records
-        assert manifest_to_json(manifest) == manifest_to_json(request.getfixturevalue("z4_manifest"))
+    if full is not None:  # the module's full sweep gives the same records
+        assert manifest_to_json(manifest) == manifest_to_json(full)
     got = [(r.n_params, r.status, r.classification) for r in manifest.records]
     assert got == _per_instance(group, d, nonunitary_only)
     assert all(r.error is None for r in manifest.records)
-    # one TP solve per class with a nonzero kernel, far fewer than instances
-    assert 0 < len(solves) < sum(r.n_params > 0 for r in manifest.records)
+    # one TP solve per class that ends channel_found, far fewer than
+    # instances with a nonzero kernel, and none for any other class
+    found = [
+        (r.omega_index, r.d1_label.parts, r.d2_label.parts) for r in manifest.records if r.status == "channel_found"
+    ]
+    if infer_kind(group) == "discrete":
+        classes = LabelClasses(props(group, "discrete", d).group, {})
+        found = {classes.representative(inst)[0] for inst in found}
+    assert 0 < len(solves) == len(found) < sum(r.n_params > 0 for r in manifest.records)
+    assert all(report.status == "solved" for report in solves)
+
+
+@pytest.mark.parametrize("tol_rank", [-1.0, 0.0, 1.0, 2.0, float("nan"), float("inf")])
+def test_meaningless_tol_rank_is_rejected_up_front(tmp_path, capsys, monkeypatch, tol_rank):
+    # -1.0 used to make every non-unitary family extreme and NaN every one
+    # quasi_extreme; now nothing is swept or read.
+    def visited(*args):
+        raise AssertionError("an instance was visited")
+
+    monkeypatch.setattr(pipeline, "materialize", visited)
+    with pytest.raises(BadTolerance, match=r"tol_rank must lie in \(0, 1\)"):
+        run_enumeration("S3", None, 3, tol_rank=tol_rank)
+    missing = tmp_path / "missing.json"  # never opened
+    with pytest.raises(BadTolerance):
+        classify_file(missing, tol_rank=tol_rank)
+    for command in (["run", "--group", "S3", "--dim", "3"], ["classify", "--in", str(missing)]):
+        assert main([*command, f"--tol-rank={tol_rank}"]) == 1
+        assert capsys.readouterr().err.startswith("error: tol_rank must lie in (0, 1)")
 
 
 def test_sweep_passes_its_tol_rank_to_the_tp_solver(monkeypatch):
