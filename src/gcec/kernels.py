@@ -45,9 +45,10 @@ embedded back at them.  By the Wigner-Eckart theorem that leaves at most
 K*min(r, c) of the K*r*c unknowns, and the forced zeros are exact; a block
 with no free entry returns its empty basis without building anything.  On
 the free entries the rows of a Lie block vanish except where a generator
-moves weight 0 to nonzero weight: Lz's rows are all zero, and L+ and L-
-reach only the entries of weight +1 and -1.  Only those rows, the nonzero
-ones, are factored.  Both cuts apply to Lie blocks only, so discrete
+moves weight 0 to nonzero weight: the rows of a diagonal generator (Lz,
+a *weight* generator) are all zero and are not built, and L+ and L- reach
+only the entries of weight +1 and -1.  Only those rows, the nonzero ones,
+are factored.  Both cuts apply to Lie blocks only, so discrete
 blocks, diagonal Zn characters included, factor every row and column and
 keep the bytes of a plain SVD; a densely rotated Lie representation has
 no diagonal generator and keeps every column too.
@@ -224,11 +225,15 @@ def gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
     return basis * np.conj(leading_entries(basis)[1])
 
 
-def _columns(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, entries: np.ndarray):
+def _columns(
+    system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, entries: np.ndarray, weights: bool = True
+):
     """One matrix per generator: the columns at ``entries`` of the (rows,
     cols) block's system, whose column i is the defect of the i-th unit
     vector.  ``entries`` are positions in the block's own (k, row, column)
-    order, and only their unit vectors are built."""
+    order, and only their unit vectors are built.  ``weights=False`` leaves
+    out the weight generators (:func:`_is_weight`), whose matrices vanish
+    on the free entries."""
     shape = (system.K, rows.index.size, cols.index.size)
     n, m = int(np.prod(shape)), entries.size
     units = np.zeros((m, n), dtype=complex)
@@ -237,20 +242,26 @@ def _columns(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBloc
     return tuple(
         _defect(system.kind, a, b, om, units).reshape(m, n).T
         for a, b, om in zip(rows.generators, cols.generators, system.omega_gens)
+        if weights or not _is_weight(system.kind, a, b, om)
     )
+
+
+def _is_weight(kind: str, a, b, om) -> bool:
+    """Whether a generator of a Lie block, with row, column and Omega
+    sub-blocks ``a``, ``b`` and ``om``, has all three diagonal, so that it
+    relates each unknown to itself alone (see "Weight space" above)."""
+    return kind == "lie" and all(np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in (a, b, om))
 
 
 def _free_entries(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock) -> np.ndarray:
     """Positions, in the (rows, cols) block's own order, of the unknowns that
-    no diagonal Lie generator forces to zero (see "Weight space" above);
-    discrete blocks keep every entry."""
+    no weight generator forces to zero (see "Weight space" above); discrete
+    blocks keep every entry."""
     shape = (system.K, rows.index.size, cols.index.size)
     free = np.ones(shape, dtype=bool)
-    if system.kind == "lie":
-        ones = np.ones(shape, dtype=complex)
-        for a, b, om in zip(rows.generators, cols.generators, system.omega_gens):
-            if all(np.array_equal(g, np.diag(np.diag(g))) for g in (a, b, om)):
-                free &= _defect(system.kind, a, b, om, ones) == 0
+    for a, b, om in zip(rows.generators, cols.generators, system.omega_gens):
+        if _is_weight(system.kind, a, b, om):
+            free &= _defect(system.kind, a, b, om, np.ones(shape, dtype=complex)) == 0
     return np.flatnonzero(free)
 
 
@@ -261,7 +272,8 @@ def _block_nullspace(system: CovarianceSystem, rows: InvariantBlock, cols: Invar
     free = _free_entries(system, rows, cols)
     if not free.size:
         return np.zeros((system.K * rows.index.size * cols.index.size, 0), dtype=complex)
-    stacked = np.vstack(_columns(system, rows, cols, free))
+    # the weight generators' rows vanish on the free entries (a spin-0 block has no other)
+    stacked = np.vstack([np.zeros((0, free.size)), *_columns(system, rows, cols, free, weights=False)])
     if system.kind == "lie":  # its zero rows (see "Weight space"); discrete blocks keep their bytes
         stacked = stacked[stacked.any(axis=1)]
     if not np.any(stacked):
