@@ -18,8 +18,9 @@ the catalog this is exactly what makes ladder covariance reproduce the
 standard spherical-tensor component relations.  Channels covariant for the
 full (infinite) group follow by linearity/exponentiation, so the generator
 systems are enough.  :func:`_defect` is the one place either relation is
-written down; the system matrices and :func:`covariance_residual` both
-evaluate it.
+written down, the Lie one as the sum of the three single-axis terms of
+:func:`_lie_terms`; the system matrices and :func:`covariance_residual`
+evaluate it, and the Lie assembly reads the same terms.
 
 Schur blocks.  The representation acting on the rows of A_k (D2 for
 discrete groups, D1 for Lie groups) and the one acting on its columns (D1,
@@ -29,29 +30,34 @@ pattern (never from the labels, so a densely rotated representation is
 simply one block); ``Rep.split`` computes this once per representation
 object, so a sweep splits each representation once.  The relations then
 decouple: the entries A_k[I, J] for a row block I and a column block J,
-over all k, form an independent system of K*|I|*|J| unknowns.  Each block is factored by a thin SVD, and
-the instance's kernel is the direct sum of the block kernels, embedded into
-K*d^2 space in (row block, column block) order.
+over all k, form an independent system of K*|I|*|J| unknowns.  Each
+block is factored by a thin SVD, and the instance's kernel is the direct
+sum of the block kernels, embedded into K*d^2 space in (row block, column
+block) order.
 
 Weight space.  A Lie generator whose row, column and Omega sub-blocks are
-all diagonal relates each unknown to itself alone: for Lz in the catalog's
-descending-m basis the relation reads (m_i - m'_j - mu_k) A_k[i, j] = 0, so
-every entry of nonzero weight is forced to zero.  The weight is the
-generator's defect of the all-ones stack, so the convention stays written
-once in :func:`_defect`.  A block is factored only on its entries of weight
-zero (:func:`_free_entries`): :func:`_columns` builds its matrices on those
-columns alone, as the defects of those unit vectors, and the kernel is
-embedded back at them.  By the Wigner-Eckart theorem that leaves at most
-K*min(r, c) of the K*r*c unknowns, and the forced zeros are exact; a block
-with no free entry returns its empty basis without building anything.  On
-the free entries the rows of a Lie block vanish except where a generator
-moves weight 0 to nonzero weight: the rows of a diagonal generator (Lz,
-a *weight* generator) are all zero and are not built, and L+ and L- reach
-only the entries of weight +1 and -1.  Only those rows, the nonzero ones,
-are factored.  Both cuts apply to Lie blocks only, so discrete
-blocks, diagonal Zn characters included, factor every row and column and
-keep the bytes of a plain SVD; a densely rotated Lie representation has
-no diagonal generator and keeps every column too.
+all diagonal (a *weight* generator, Lz in the catalog's descending-m basis)
+relates each unknown to itself alone: (m_i - m'_j - mu_k) A_k[i, j] = 0, so
+every entry of nonzero weight is forced to zero.  :func:`_lie_matrices`
+assembles Lie blocks in weight space, with no unit vectors: it reads the
+free entries (weight zero) off the weight generators' diagonals, and each
+other generator's columns at them off that generator's nonzeros, D1(T) on
+the rows, -D2(T) on the columns and -Omega(T)^T on the Kraus index, the
+three single-axis terms of :func:`_lie_terms` that :func:`_defect` sums.
+Each generator keeps only the rows that its nonzeros reach: L+ and L- reach
+the entries of weight +1 and -1, and a weight generator reaches none.  By
+the Wigner-Eckart theorem at most K*min(r, c) of the K*r*c unknowns are
+free, the forced zeros are exact, and the kernel is embedded back at the
+free entries; a block with no free entry has an empty basis and builds
+nothing, and a spin-0 block, whose generators are all weight generators,
+has no rows and the identity basis.  The parts of all the blocks requested
+under one Omega are laid out block-diagonally, so one assembly serves them
+all.  The assembled matrices equal :func:`_columns`' unit-vector build (the
+defects of unit vectors, which discrete blocks keep) at the free entries
+with the zero rows left out, entry for entry.  Discrete blocks, diagonal Zn
+characters included, factor every row and column and keep the bytes of a
+plain SVD; a densely rotated Lie representation has no weight generator
+and keeps every column too.
 
 Rank threshold.  A singular value counts as zero when it is at most
 ``TOL_KERNEL * max(1, sigma_max)`` of its block; a block whose matrices are
@@ -60,17 +66,20 @@ matters for blocks made only of roundoff, such as a Z2 character stored as
 -1 + 1.2e-16j, whose whole kernel a purely relative rule would drop.
 
 Cache.  A sweep meets the same (row irrep, column irrep, Omega) block in
-many instances.  :func:`joint_nullspace` accepts a plain dict, keyed by the
-block's content (kind and generator bytes), and factors each
-distinct block once.  A :class:`CovarianceSystem` holds only its parts and
-Omega, so a block is named by the system and its (row part, column part)
-pair: :meth:`CovarianceSystem.key` reads the key off the parts' ``content``
-and Omega's bytes, the block's matrices are built only on a cache miss, and
-the basis is assembled from each pair's entry positions.  Cached and fresh
-results are identical, so the cache never changes output.
-:func:`kernel_dims` reads the kernel dimensions of every pair of a list of
-parts through the same cache, which is how a sweep counts each instance's
-parameters without building its system.
+many instances.  Every kernel is read through a plain dict owned by the
+caller (one per sweep), keyed by the block's content (kind and generator
+bytes): a :class:`CovarianceSystem` holds only its parts and Omega, so a
+block is named by the system and its (row part, column part) pair, and
+:meth:`CovarianceSystem.key` reads the key off the parts' ``content`` and
+Omega's bytes.  :func:`_kernels` serves a whole request at once: it builds
+the missing blocks only, each distinct one once, and factors them with one
+batched SVD per matrix shape (a batched SVD gives each matrix the bytes of
+its own SVD).  Cached and fresh results are identical, so the cache never
+changes output.  :func:`kernel_dims` requests every pair of a list of
+parts under every channel label in one call, which is how a sweep counts
+each instance's parameters without building its system: a Lie sweep's
+table is one assembly per Omega and one SVD call per distinct block shape.
+:func:`joint_nullspace` requests its system's pairs in one call.
 
 Layout.  The family records where each basis column came from: its row
 part, its column part and its index in that block's kernel.  The column
@@ -101,7 +110,16 @@ def _defect(kind: str, row_g, col_g, om, X: np.ndarray) -> np.ndarray:
     columns and ``om`` on the Kraus index."""
     if kind == "discrete":
         return row_g.conj().T @ X @ col_g - np.einsum("kl,...lrc->...krc", om, X)
-    return row_g @ X - X @ col_g - np.einsum("lk,...lrc->...krc", om, X)
+    on_rows, on_cols, on_kraus = _lie_terms(row_g, col_g, om)
+    return on_rows @ X + X @ on_cols + np.einsum("lk,...lrc->...krc", on_kraus, X)
+
+
+def _lie_terms(row_g, col_g, om) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Lie defect as three single-axis terms (R, C, W): the defect of a
+    stack X is R @ X + X @ C + sum_l W_lk X_l, so the unit vector at A_k[i, j]
+    has the defect R[a, i] at A_k[a, j], C[j, b] at A_k[i, b] and W[k, l] at
+    A_l[i, j], summed in that order where they meet."""
+    return row_g, -col_g, -om
 
 
 @dataclass(frozen=True)
@@ -111,7 +129,7 @@ class CovarianceSystem:
     Omega's generators (complex) with their bytes.  Each (row part, column
     part) pair is one Schur block: :meth:`entries` places its unknowns in
     the stacked vector, :meth:`key` names its content, and
-    :func:`_columns` builds its matrices."""
+    :func:`_kernels` builds and factors it."""
 
     kind: str
     row_parts: tuple[InvariantBlock, ...]
@@ -225,15 +243,11 @@ def gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
     return basis * np.conj(leading_entries(basis)[1])
 
 
-def _columns(
-    system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, entries: np.ndarray, weights: bool = True
-):
+def _columns(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, entries: np.ndarray):
     """One matrix per generator: the columns at ``entries`` of the (rows,
     cols) block's system, whose column i is the defect of the i-th unit
     vector.  ``entries`` are positions in the block's own (k, row, column)
-    order, and only their unit vectors are built.  ``weights=False`` leaves
-    out the weight generators (:func:`_is_weight`), whose matrices vanish
-    on the free entries."""
+    order, and only their unit vectors are built."""
     shape = (system.K, rows.index.size, cols.index.size)
     n, m = int(np.prod(shape)), entries.size
     units = np.zeros((m, n), dtype=complex)
@@ -242,72 +256,156 @@ def _columns(
     return tuple(
         _defect(system.kind, a, b, om, units).reshape(m, n).T
         for a, b, om in zip(rows.generators, cols.generators, system.omega_gens)
-        if weights or not _is_weight(system.kind, a, b, om)
     )
 
 
-def _is_weight(kind: str, a, b, om) -> bool:
-    """Whether a generator of a Lie block, with row, column and Omega
-    sub-blocks ``a``, ``b`` and ``om``, has all three diagonal, so that it
-    relates each unknown to itself alone (see "Weight space" above)."""
-    return kind == "lie" and all(np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in (a, b, om))
+def _is_diagonal(g: np.ndarray) -> bool:
+    return np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
 
 
-def _free_entries(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock) -> np.ndarray:
-    """Positions, in the (rows, cols) block's own order, of the unknowns that
-    no weight generator forces to zero (see "Weight space" above); discrete
-    blocks keep every entry."""
-    shape = (system.K, rows.index.size, cols.index.size)
-    free = np.ones(shape, dtype=bool)
-    for a, b, om in zip(rows.generators, cols.generators, system.omega_gens):
-        if _is_weight(system.kind, a, b, om):
-            free &= _defect(system.kind, a, b, om, np.ones(shape, dtype=complex)) == 0
-    return np.flatnonzero(free)
+def _block_diagonal(parts, t: int) -> np.ndarray:
+    """Generator ``t`` of ``parts`` as one block-diagonal matrix, in order."""
+    out = np.zeros((sum(part.index.size for part in parts),) * 2, dtype=complex)
+    at = 0
+    for part in parts:
+        size = part.index.size
+        out[at : at + size, at : at + size] = part.generators[t]
+        at += size
+    return out
 
 
-def _block_nullspace(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock) -> np.ndarray:
-    """Gauge-fixed orthonormal kernel basis of the (rows, cols) block's
-    stacked system, factored on the block's free entries only, and for a
-    Lie block on its nonzero rows only."""
-    free = _free_entries(system, rows, cols)
-    if not free.size:
-        return np.zeros((system.K * rows.index.size * cols.index.size, 0), dtype=complex)
-    # the weight generators' rows vanish on the free entries (a spin-0 block has no other)
-    stacked = np.vstack([np.zeros((0, free.size)), *_columns(system, rows, cols, free, weights=False)])
-    if system.kind == "lie":  # its zero rows (see "Weight space"); discrete blocks keep their bytes
-        stacked = stacked[stacked.any(axis=1)]
-    if not np.any(stacked):
-        # Unconstrained entries: every choice of them is covariant.
-        kernel = np.eye(free.size, dtype=complex)
-    else:
-        _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-        rank = int(np.sum(svals > TOL_KERNEL * max(1.0, svals[0])))
-        kernel = gauge_fix_columns(vh[rank:].conj().T)
-    # The forced zeros sit between free entries and never lead a column, so
-    # gauge-fixing before embedding is the same as after.
-    basis = np.zeros((system.K * rows.index.size * cols.index.size, kernel.shape[1]), dtype=complex)
-    basis[free] = kernel
-    return basis
+def _row_nonzeros(m: np.ndarray, at: np.ndarray):
+    """(position in ``at``, column, value) of each nonzero on the rows ``at``
+    of ``m``."""
+    rows, cols = np.nonzero(m)
+    count = np.bincount(rows, minlength=m.shape[0])
+    first, count = (np.cumsum(count) - count)[at], count[at]
+    which = np.repeat(np.arange(at.size), count)
+    nz = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(which.size)
+    return which, cols[nz], m[rows[nz], cols[nz]]
 
 
-def _kernel(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, cache):
-    """The kernel basis of the (rows, cols) Schur block, factored on a
-    cache miss only."""
-    key = system.key(rows, cols)
-    if key not in cache:
-        cache[key] = _block_nullspace(system, rows, cols)
-    return cache[key]
+def _lie_matrices(system: CovarianceSystem, pairs) -> list:
+    """(free entries, matrix) of each Lie block (rows, cols) in ``pairs``,
+    assembled together in weight space (see "Weight space").  The parts of
+    the blocks are laid out block-diagonally, one generator matrix over all
+    of them per side, so every block's entries are handled at once: a
+    block's free entries, in its own (k, row, column) order, are those that
+    no weight generator forces to zero, and its matrix stacks the other
+    generators' columns at them, each on the rows that its nonzeros reach."""
+    sides = []  # per side: its distinct parts, and each block's part, offset and size there
+    for side in (0, 1):
+        parts = list({id(pair[side]): pair[side] for pair in pairs}.values())
+        at = {id(part): n for n, part in enumerate(parts)}
+        offset = np.cumsum([0, *(part.index.size for part in parts)])
+        which = np.array([at[id(pair[side])] for pair in pairs])
+        sides.append((parts, which, offset[which], np.diff(offset)[which]))
+    (row_parts, P, r0, r), (col_parts, Q, c0, c) = sides
+    size = system.K * r * c
+    # every entry of every block: its block, and its Kraus index and global row and column
+    block = np.repeat(np.arange(len(pairs)), size)
+    local = np.arange(block.size) - np.repeat(np.cumsum(size) - size, size)
+    k, i, j = local // (r * c)[block], r0[block] + local // c[block] % r[block], c0[block] + local % c[block]
+    gens = []  # per generator: its terms over all parts, and whether it is a weight generator of each block
+    free = np.ones(block.size, dtype=bool)
+    for t, om in enumerate(system.omega_gens):
+        terms = _lie_terms(_block_diagonal(row_parts, t), _block_diagonal(col_parts, t), om)
+        weight = _is_diagonal(om) & np.array([_is_diagonal(p.generators[t]) for p in row_parts])[P]
+        weight &= np.array([_is_diagonal(p.generators[t]) for p in col_parts])[Q]
+        on_rows, on_cols, on_kraus = (np.diagonal(term) for term in terms)
+        free &= ~weight[block] | ((on_rows[i] + on_cols[j]) + on_kraus[k] == 0)
+        gens.append((terms, weight))
+    entry = np.flatnonzero(free)
+    block, k, i, j = block[entry], k[entry], i[entry], j[entry]
+    n_free = np.bincount(block, minlength=len(pairs))
+    column = np.arange(entry.size) - np.repeat(np.cumsum(n_free) - n_free, n_free)
+    hits = []  # per nonzero: its free entry and generator, the Kraus index, row and column it reaches, its value
+    for t, ((on_rows, on_cols, on_kraus), weight) in enumerate(gens):
+        e = np.flatnonzero(~weight[block])  # the free entries that this generator constrains
+        n, a, value = _row_nonzeros(on_rows.T, i[e])  # R[a, i] at A_k[a, j]
+        hits.append((e[n], np.full(n.size, t), k[e][n], a, j[e][n], value))
+        n, b, value = _row_nonzeros(on_cols, j[e])  # C[j, b] at A_k[i, b]
+        hits.append((e[n], np.full(n.size, t), k[e][n], i[e][n], b, value))
+        n, l, value = _row_nonzeros(on_kraus, k[e])  # W[k, l] at A_l[i, j]
+        hits.append((e[n], np.full(n.size, t), l, i[e][n], j[e][n], value))
+    e, t, l, a, b, value = (np.concatenate(field) for field in zip(*hits))
+    of, stride = block[e], int(size.max(initial=1))
+    # rows ordered by block, then generator, then position in the block
+    key = (of * len(gens) + t) * stride + (l * r[of] + a - r0[of]) * c[of] + b - c0[of]
+    reached, row = np.unique(key, return_inverse=True)
+    n_rows = np.bincount(reached // (len(gens) * stride), minlength=len(pairs))
+    row -= (np.cumsum(n_rows) - n_rows)[of]
+    cells = n_rows * n_free
+    start = np.cumsum(cells) - cells
+    flat = np.zeros(cells.sum(), dtype=complex)
+    # unbuffered and in hit order, so where two terms meet they add as in _lie_terms
+    np.add.at(flat, start[of] + row * n_free[of] + column[e], value)
+    frees = np.split(local[entry], np.cumsum(n_free)[:-1])
+    return [(f, flat[s : s + m * n].reshape(m, n)) for f, s, m, n in zip(frees, start, n_rows, n_free)]
 
 
-def kernel_dims(kind: str, parts: tuple[InvariantBlock, ...], omega: Irrep, cache: dict) -> np.ndarray:
-    """N[i, j]: the kernel dimension of the Schur block with row part
+def _nullspaces(matrices: list) -> list:
+    """Gauge-fixed orthonormal kernel basis of each matrix, with one batched
+    SVD per matrix shape (see "Rank threshold")."""
+    out = [None] * len(matrices)
+    by_shape: dict = {}
+    for at, m in enumerate(matrices):
+        if np.any(m):
+            by_shape.setdefault(m.shape, []).append(at)
+        else:  # unconstrained entries: every choice of them is covariant
+            out[at] = np.eye(m.shape[1], dtype=complex)
+    for batch in by_shape.values():
+        _, svals, vh = np.linalg.svd(np.stack([matrices[at] for at in batch]), full_matrices=False)
+        for at, s, v in zip(batch, svals, vh):
+            rank = int(np.sum(s > TOL_KERNEL * max(1.0, s[0])))
+            out[at] = gauge_fix_columns(v[rank:].conj().T)
+    return out
+
+
+def _kernels(blocks, cache: dict) -> list:
+    """Kernel bases of the Schur blocks (system, rows, cols) in ``blocks``, in
+    order, read through ``cache``: the blocks missing from it are assembled
+    (discrete blocks by :func:`_columns`, the Lie blocks of each system
+    together by :func:`_lie_matrices`) and factored together (see
+    "Cache")."""
+    keys = [system.key(rows, cols) for system, rows, cols in blocks]
+    missing: dict = {}  # key -> its block, each distinct missing block once
+    for key, block in zip(keys, blocks):
+        if key not in cache:
+            missing.setdefault(key, block)
+    built = []  # (key, block size, free entries, matrix)
+    lie: dict = {}  # id(system) -> (system, [(key, rows, cols)])
+    for key, (system, rows, cols) in missing.items():
+        if system.kind == "lie":
+            lie.setdefault(id(system), (system, []))[1].append((key, rows, cols))
+        else:
+            free = np.arange(system.K * rows.index.size * cols.index.size)
+            built.append((key, free.size, free, np.vstack(_columns(system, rows, cols, free))))
+    for system, group in lie.values():
+        assembled = _lie_matrices(system, [(rows, cols) for _, rows, cols in group])
+        for (key, rows, cols), (free, m) in zip(group, assembled):
+            built.append((key, system.K * rows.index.size * cols.index.size, free, m))
+    for (key, size, free, _), kernel in zip(built, _nullspaces([m for *_, m in built])):
+        # The forced zeros sit between free entries and never lead a column, so
+        # gauge-fixing before embedding is the same as after.  A block with no
+        # free entry has an empty matrix, so an empty basis.
+        basis = np.zeros((size, kernel.shape[1]), dtype=complex)
+        basis[free] = kernel
+        cache[key] = basis
+    return [cache[key] for key in keys]
+
+
+def kernel_dims(kind: str, parts: tuple[InvariantBlock, ...], omegas, cache: dict) -> np.ndarray:
+    """N[o, i, j]: the kernel dimension of the Schur block with row part
     ``parts[i]`` and column part ``parts[j]`` under the channel label
-    ``omega``, each block read through ``cache`` with the keys and bases of
-    :func:`joint_nullspace`.  An instance whose row and column parts are
-    copies of these has n_params = a^T N b, for a and b the copies of each
-    part among its row and its column parts."""
-    system = _system(kind, parts, parts, omega.generator_matrices, 0)  # only its blocks are read
-    return np.array([[_kernel(system, rows, cols, cache).shape[1] for cols in parts] for rows in parts], dtype=int)
+    ``omegas[o]``, every block read through ``cache`` with the keys and bases
+    of :func:`joint_nullspace`, and the missing ones factored together.  An
+    instance whose row and column parts are copies of these has n_params =
+    a^T N[o] b, for a and b the copies of each part among its row and its
+    column parts."""
+    systems = [_system(kind, parts, parts, omega.generator_matrices, 0) for omega in omegas]  # only blocks are read
+    kernels = _kernels([(system, rows, cols) for system in systems for rows in parts for cols in parts], cache)
+    return np.array([kernel.shape[1] for kernel in kernels], dtype=int).reshape(len(omegas), len(parts), len(parts))
 
 
 @lru_cache(maxsize=None)
@@ -334,13 +432,13 @@ def _input_defect(system: CovarianceSystem, cache: dict) -> str | None:
         firsts.setdefault(part.content, part)
     parts = list(firsts.values())
     trivial = _trivial_system(system.kind, len(system.omega_gens), system.d)
-    for i, a in enumerate(parts):
-        for b in parts[i:]:
-            if _kernel(trivial, a, b, cache).shape[1] != (a is b):
-                at = a.index.tolist()
-                if a is b:
-                    return f"input part at indices {at} is reducible"
-                return f"input parts at indices {at} and {b.index.tolist()} are equivalent"
+    pairs = [(a, b) for i, a in enumerate(parts) for b in parts[i:]]
+    for (a, b), kernel in zip(pairs, _kernels([(trivial, a, b) for a, b in pairs], cache)):
+        if kernel.shape[1] != (a is b):
+            at = a.index.tolist()
+            if a is b:
+                return f"input part at indices {at} is reducible"
+            return f"input parts at indices {at} and {b.index.tolist()} are equivalent"
     return None
 
 
@@ -353,16 +451,18 @@ def joint_nullspace(system: CovarianceSystem, cache: dict | None = None) -> Kern
     caller, typically one per sweep) holds block bases by content, so a
     block repeated across instances is factored once; without one, repeats
     within this instance still are.  An empty basis is a valid result and
-    means no covariant CP map exists for these labels.
+    means no covariant CP map exists for these labels.  The system's blocks
+    are requested in one call, so the missing ones are factored together.
     """
     if cache is None:
         cache = {}
-    placed = []  # (entry positions, block basis, row part, column part) of each block with a kernel
-    for i, rows in enumerate(system.row_parts):
-        for j, cols in enumerate(system.col_parts):
-            kernel = _kernel(system, rows, cols, cache)
-            if kernel.shape[1]:
-                placed.append((system.entries(rows, cols), kernel, i, j))
+    pairs = [(i, j) for i in range(len(system.row_parts)) for j in range(len(system.col_parts))]
+    kernels = _kernels([(system, system.row_parts[i], system.col_parts[j]) for i, j in pairs], cache)
+    placed = [  # (entry positions, block basis, row part, column part) of each block with a kernel
+        (system.entries(system.row_parts[i], system.col_parts[j]), kernel, i, j)
+        for (i, j), kernel in zip(pairs, kernels)
+        if kernel.shape[1]
+    ]
     K, d = system.K, system.d
     basis = np.zeros((K * d * d, sum(part.shape[1] for _, part, _, _ in placed)), dtype=complex)
     layout = []
@@ -387,7 +487,7 @@ def intertwiner(target, moved, cache: dict | None = None) -> np.ndarray:
     """
     r = target[0].shape[0]
     rows, cols = (InvariantBlock.on(np.arange(r), gens) for gens in (moved, target))
-    kernel = _kernel(_trivial_system("discrete", len(target), r), rows, cols, {} if cache is None else cache)
+    (kernel,) = _kernels([(_trivial_system("discrete", len(target), r), rows, cols)], {} if cache is None else cache)
     if kernel.shape[1] != 1:
         raise DimMismatch(f"expected one intertwiner between equivalent irreps, found {kernel.shape[1]}")
     return np.sqrt(r) * kernel[:, 0].reshape(r, r)

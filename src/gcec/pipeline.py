@@ -150,7 +150,8 @@ def run_enumeration(
     """Construct and classify every covariant channel family for the group.
 
     ``reps`` optionally restricts the sweep to representations with the
-    given display texts (a sub-sweep; totals then count the restriction).
+    given display texts (a sub-sweep; totals then count the restriction);
+    an empty list, like an unknown text, raises ``UnknownGroup``.
     ``nonunitary_only`` drops 1-dimensional channel labels, whose channels
     are plain unitaries.  ``seed`` seeds each solved instance's TP samples,
     together with the instance's labels.  ``tol_rank`` is the rank test's
@@ -171,6 +172,8 @@ def run_enumeration(
     by_text = _labels_by_text(spec, d)
     labels = list(by_text.values())
     if reps is not None:
+        if not reps:
+            raise UnknownGroup(f"no {group} representation named at d={d}; available: {sorted(by_text)}")
         missing = [t for t in reps if t not in by_text]
         if missing:
             raise UnknownGroup(
@@ -249,8 +252,8 @@ def _counts(kind, reps, omegas, cache) -> dict:
         for p in rep.label.parts:
             mult[i, column[p]] += 1
     out = {}
-    for omega in omegas:
-        over_rows = mult @ kernel_dims(kind, tuple(parts.values()), omega, cache)  # a^T N of each row representation
+    for omega, table in zip(omegas, kernel_dims(kind, tuple(parts.values()), omegas, cache)):
+        over_rows = mult @ table  # a^T N of each row representation
         n_params, found = over_rows @ mult.T, has_tp_point(over_rows[:, None], mult[None])
         # [row representation, column representation]: rows follow D2 for finite groups
         out[omega.index] = (n_params.T, found.T) if kind == "discrete" else (n_params, found)

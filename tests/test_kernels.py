@@ -14,6 +14,7 @@ from gcec.kernels import (
     joint_nullspace,
 )
 import gcec.reps as reps
+import gcec.pipeline as pipeline
 from gcec.pipeline import run_enumeration
 from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize, omega_candidates
 
@@ -369,13 +370,16 @@ def test_sweep_builds_a_block_only_on_a_cache_miss(monkeypatch):
     # matrices once per distinct cache key.
     distinct = set(_distinct_blocks("SO3", 7))
     keys = []
-    block_nullspace = kernels._block_nullspace
+    factor = kernels._kernels
 
-    def counted(system, rows, cols):
-        keys.append(system.key(rows, cols))
-        return block_nullspace(system, rows, cols)
+    def counted(blocks, cache):
+        missing = {system.key(rows, cols) for system, rows, cols in blocks} - set(cache)
+        keys.extend(missing)
+        out = factor(blocks, cache)
+        assert missing <= set(cache)
+        return out
 
-    monkeypatch.setattr(kernels, "_block_nullspace", counted)
+    monkeypatch.setattr(kernels, "_kernels", counted)
     run_enumeration("SO3", None, 7)
     assert len(keys) == len(set(keys)) and set(keys) == distinct
 
@@ -390,6 +394,23 @@ def _dense_kernel(system, rows, cols, tol):
 
 def _is_diagonal(g):
     return np.array_equal(g, np.diag(np.diag(g)))
+
+
+def _free_entries(system, rows, cols):
+    """The entries, in the block's own order, that no generator with
+    diagonal row, column and Omega sub-blocks forces to zero: the zeros of
+    its defect of the all-ones stack.  Discrete blocks keep every entry."""
+    shape = (system.K, rows.index.size, cols.index.size)
+    free = np.ones(shape, dtype=bool)
+    for a, b, om in zip(rows.generators, cols.generators, system.omega_gens):
+        if system.kind == "lie" and all(_is_diagonal(g) for g in (a, b, om)):
+            free &= kernels._defect(system.kind, a, b, om, np.ones(shape, dtype=complex)) == 0
+    return np.flatnonzero(free)
+
+
+def _block_kernel(system, rows, cols):
+    """The block's basis, factored alone with a fresh cache."""
+    return kernels._kernels([(system, rows, cols)], {})[0]
 
 
 def test_weight_space_kernel_matches_dense_svd(monkeypatch):
@@ -414,7 +435,7 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
     cut = 0
     for system, rows, cols in blocks:
         svd_inputs.clear()
-        basis = kernels._block_nullspace(system, rows, cols)
+        basis = _block_kernel(system, rows, cols)
         factored = list(svd_inputs)
         ref = _dense_kernel(system, rows, cols, 1e-10)
         assert basis.shape == ref.shape
@@ -423,20 +444,20 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
         lz_diagonal = system.kind == "lie" and all(
             _is_diagonal(g) for g in (rows.generators[2], cols.generators[2], system.omega_gens[2])
         )
-        free = kernels._free_entries(system, rows, cols)
+        free = _free_entries(system, rows, cols)
         if lz_diagonal:
             assert free.size <= K * min(r, c)
             cut += 1
         else:
             assert np.array_equal(free, np.arange(K * r * c))
-        assert all(shape[1] == free.size for shape in factored)
+        assert all(shape[-1] == free.size for shape in factored)  # inputs are batched: (blocks, rows, columns)
     assert cut == len(blocks) - 1 - len(discrete)
 
 
 def _all_rows_kernel(system, rows, cols):
     """The block's kernel from the SVD of its matrices on the free entries
     with every row kept, embedded at those entries."""
-    free = kernels._free_entries(system, rows, cols)
+    free = _free_entries(system, rows, cols)
     stacked = np.vstack(kernels._columns(system, rows, cols, free))
     if not np.any(stacked):
         kernel = np.eye(free.size)
@@ -462,9 +483,9 @@ def test_lie_blocks_factor_only_their_nonzero_rows(monkeypatch):
     empty = 0
     for system, rows, cols in [*_distinct_blocks("SO3", 9).values(), *_distinct_blocks("SU2", 6).values()]:
         svd_inputs.clear()
-        basis = kernels._block_nullspace(system, rows, cols)
+        basis = _block_kernel(system, rows, cols)
         factored = list(svd_inputs)
-        free = kernels._free_entries(system, rows, cols)
+        free = _free_entries(system, rows, cols)
         if not free.size:
             empty += 1
             assert basis.shape == (system.K * rows.index.size * cols.index.size, 0) and not factored
@@ -473,14 +494,48 @@ def test_lie_blocks_factor_only_their_nonzero_rows(monkeypatch):
         assert basis.shape == ref.shape
         assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-12
         nonzero = np.vstack(kernels._columns(system, rows, cols, free)).any(axis=1)
-        assert all(shape[0] == np.count_nonzero(nonzero) < nonzero.size for shape in factored)
+        assert all(shape[-2] == np.count_nonzero(nonzero) < nonzero.size for shape in factored)
     assert empty > 0
+
+
+def test_lie_assembly_is_the_unit_vector_build_on_free_entries_and_nonzero_rows():
+    # The weight-space assembly of all of a system's blocks at once gives, for
+    # each block, the unit-vector build's columns at the free entries with its
+    # zero rows left out, entry for entry.
+    by_system = {}
+    for system, rows, cols in [*_distinct_blocks("SO3", 9).values(), *_distinct_blocks("SU2", 6).values()]:
+        by_system.setdefault(id(system), (system, []))[1].append((rows, cols))
+    checked = 0
+    for system, pairs in by_system.values():
+        for (rows, cols), (free, matrix) in zip(pairs, kernels._lie_matrices(system, pairs), strict=True):
+            assert np.array_equal(free, _free_entries(system, rows, cols))
+            ref = np.vstack([np.zeros((0, free.size)), *kernels._columns(system, rows, cols, free)])
+            ref = ref[ref.any(axis=1)]
+            assert matrix.shape == ref.shape and np.array_equal(matrix, ref)
+            checked += 1
+    assert checked == len(_distinct_blocks("SO3", 9)) + len(_distinct_blocks("SU2", 6))
+
+
+@pytest.mark.parametrize("name, d", [("SO3", 7), ("SU2", 5)])
+def test_block_table_makes_one_svd_call_per_block_shape(monkeypatch, name, d):
+    spec = props(name, "lie", d).group
+    reps_ = [materialize(spec, lab) for lab in enumerate_reps(spec, d)]
+    shapes = []
+    original = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape[-2:])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    pipeline._counts("lie", reps_, omega_candidates(spec, d), {})
+    assert shapes and len(shapes) == len(set(shapes))
 
 
 def test_block_columns_are_the_matrices_columns():
     # the restricted build and the full view share one assembly routine
     for system, rows, cols in [*_distinct_blocks("SU2", 3).values(), *_distinct_blocks("Z4", 2).values()]:
-        picked = kernels._free_entries(system, rows, cols)[::2]
+        picked = _free_entries(system, rows, cols)[::2]
         for part, full in zip(kernels._columns(system, rows, cols, picked), _matrices(system, rows, cols)):
             assert np.array_equal(part, full[:, picked])
 

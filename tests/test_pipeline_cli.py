@@ -440,6 +440,12 @@ def test_run_rejects_unknown_rep_label():
     assert "available" in str(err.value)
 
 
+def test_run_rejects_reps_that_name_nothing():
+    with pytest.raises(UnknownGroup) as err:
+        run_enumeration("S3", None, 3, reps=[])
+    assert "available" in str(err.value)
+
+
 def test_empty_manifest_report():
     manifest = RunManifest(
         group="S3",
@@ -634,6 +640,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["run", "--group", "S3", "--dim", "3", "--reps", "nope"]) == 1
     assert "error:" in capsys.readouterr().err
     assert not missing.exists()
+
+    for empty in ("", ","):  # a --reps that names nothing sweeps nothing
+        assert main(["run", "--group", "S3", "--dim", "3", "--reps", empty, "--out", str(missing)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not missing.exists()
 
 
 def _per_instance(group, d, nonunitary_only, seed=0):
