@@ -36,28 +36,21 @@ sum of the block kernels, embedded into K*d^2 space in (row block, column
 block) order.
 
 Weight space.  A Lie generator whose row, column and Omega sub-blocks are
-all diagonal (a *weight* generator, Lz in the catalog's descending-m basis)
-relates each unknown to itself alone: (m_i - m'_j - mu_k) A_k[i, j] = 0, so
-every entry of nonzero weight is forced to zero.  :func:`_lie_matrices`
-assembles Lie blocks in weight space, with no unit vectors: it reads the
-free entries (weight zero) off the weight generators' diagonals, and each
-other generator's columns at them off that generator's nonzeros, D1(T) on
-the rows, -D2(T) on the columns and -Omega(T)^T on the Kraus index, the
-three single-axis terms of :func:`_lie_terms` that :func:`_defect` sums.
-Each generator keeps only the rows that its nonzeros reach: L+ and L- reach
-the entries of weight +1 and -1, and a weight generator reaches none.  By
-the Wigner-Eckart theorem at most K*min(r, c) of the K*r*c unknowns are
-free, the forced zeros are exact, and the kernel is embedded back at the
-free entries; a block with no free entry has an empty basis and builds
-nothing, and a spin-0 block, whose generators are all weight generators,
-has no rows and the identity basis.  The parts of all the blocks requested
-under one Omega are laid out block-diagonally, so one assembly serves them
-all.  The assembled matrices equal :func:`_columns`' unit-vector build (the
-defects of unit vectors, which discrete blocks keep) at the free entries
-with the zero rows left out, entry for entry.  Discrete blocks, diagonal Zn
-characters included, factor every row and column and keep the bytes of a
-plain SVD; a densely rotated Lie representation has no weight generator
-and keeps every column too.
+all diagonal (a *weight* generator: Lz in the catalog's descending-m basis)
+relates each unknown to itself alone, (m_i - m'_j - mu_k) A_k[i, j] = 0,
+so every entry of nonzero weight is forced to zero; by the Wigner-Eckart
+theorem at most K*min(r, c) of a block's K*r*c entries stay free.
+:func:`_lie_matrices` assembles Lie blocks on their free entries without
+unit vectors: the free entries come from the weight generators' diagonals,
+and each other generator's columns at them from its nonzeros, through the
+three single-axis terms of :func:`_lie_terms`, on the rows they reach (L+
+and L- reach only weight +1 and -1).  This is :func:`_columns`' unit-vector
+build at the free entries without its zero rows, entry for entry.  The
+kernel is embedded back at the free entries; a block with none has an
+empty basis, and a spin-0 block, with weight generators only, the identity.
+Discrete blocks, diagonal Zn characters included, keep every row and
+column, and a densely rotated Lie representation, which has no weight
+generator, every column.
 
 Rank threshold.  A singular value counts as zero when it is at most
 ``TOL_KERNEL * max(1, sigma_max)`` of its block; a block whose matrices are
@@ -66,20 +59,18 @@ matters for blocks made only of roundoff, such as a Z2 character stored as
 -1 + 1.2e-16j, whose whole kernel a purely relative rule would drop.
 
 Cache.  A sweep meets the same (row irrep, column irrep, Omega) block in
-many instances.  Every kernel is read through a plain dict owned by the
-caller (one per sweep), keyed by the block's content (kind and generator
-bytes): a :class:`CovarianceSystem` holds only its parts and Omega, so a
-block is named by the system and its (row part, column part) pair, and
-:meth:`CovarianceSystem.key` reads the key off the parts' ``content`` and
-Omega's bytes.  :func:`_kernels` serves a whole request at once: it builds
-the missing blocks only, each distinct one once, and factors them with one
-batched SVD per matrix shape (a batched SVD gives each matrix the bytes of
-its own SVD).  Cached and fresh results are identical, so the cache never
-changes output.  :func:`kernel_dims` requests every pair of a list of
-parts under every channel label in one call, which is how a sweep counts
-each instance's parameters without building its system: a Lie sweep's
-table is one assembly per Omega and one SVD call per distinct block shape.
-:func:`joint_nullspace` requests its system's pairs in one call.
+many instances.  Blocks are read through a plain dict owned by the caller
+(one per sweep) and keyed by content: :meth:`CovarianceSystem.key` reads
+the key of a (row part, column part) pair off the parts' ``content`` and
+Omega's bytes.  :func:`_kernels` serves a list of blocks at once: it builds
+only the distinct blocks missing from the cache, the Lie blocks of one
+system in one assembly, and factors them with one batched SVD per matrix
+shape, which gives each matrix the bytes of its own SVD.  Cached and fresh
+results are identical, so the cache never changes output.
+:func:`kernel_dims` requests every pair of parts under every channel label
+in one call, which is how a sweep counts each instance's parameters
+without building its system, and :func:`joint_nullspace` requests its
+system's pairs in one call.
 
 Layout.  The family records where each basis column came from: its row
 part, its column part and its index in that block's kernel.  The column
@@ -287,61 +278,57 @@ def _row_nonzeros(m: np.ndarray, at: np.ndarray):
 
 def _lie_matrices(system: CovarianceSystem, pairs) -> list:
     """(free entries, matrix) of each Lie block (rows, cols) in ``pairs``,
-    assembled together in weight space (see "Weight space").  The parts of
-    the blocks are laid out block-diagonally, one generator matrix over all
-    of them per side, so every block's entries are handled at once: a
-    block's free entries, in its own (k, row, column) order, are those that
-    no weight generator forces to zero, and its matrix stacks the other
-    generators' columns at them, each on the rows that its nonzeros reach."""
-    sides = []  # per side: its distinct parts, and each block's part, offset and size there
+    assembled together in weight space (see "Weight space").  The blocks'
+    parts are laid out block-diagonally, one generator matrix per side, so
+    the blocks are disjoint pieces of one Kraus stack of shape (K, all rows,
+    all columns), whose (k, row, column) order is each block's own order."""
+    sides = []  # per side: its distinct parts, each block's part, and the part and local index of each row (column)
     for side in (0, 1):
         parts = list({id(pair[side]): pair[side] for pair in pairs}.values())
         at = {id(part): n for n, part in enumerate(parts)}
-        offset = np.cumsum([0, *(part.index.size for part in parts)])
-        which = np.array([at[id(pair[side])] for pair in pairs])
-        sides.append((parts, which, offset[which], np.diff(offset)[which]))
-    (row_parts, P, r0, r), (col_parts, Q, c0, c) = sides
-    size = system.K * r * c
-    # every entry of every block: its block, and its Kraus index and global row and column
-    block = np.repeat(np.arange(len(pairs)), size)
-    local = np.arange(block.size) - np.repeat(np.cumsum(size) - size, size)
-    k, i, j = local // (r * c)[block], r0[block] + local // c[block] % r[block], c0[block] + local % c[block]
-    gens = []  # per generator: its terms over all parts, and whether it is a weight generator of each block
-    free = np.ones(block.size, dtype=bool)
+        local = np.concatenate([np.arange(part.index.size) for part in parts])
+        sides.append((parts, [at[id(pair[side])] for pair in pairs], np.cumsum(local == 0) - 1, local))
+    (row_parts, P, row_part, row_local), (col_parts, Q, col_part, col_local) = sides
+    of_pair = np.full((len(row_parts), len(col_parts)), len(pairs))
+    of_pair[P, Q] = range(len(pairs))
+    block = of_pair[row_part[:, None], col_part]  # of each (row, column); len(pairs) outside the blocks
+    free = np.broadcast_to(block < len(pairs), (system.K, *block.shape))
+    gens = []  # per generator: its terms, and whether it is a weight generator of each block
     for t, om in enumerate(system.omega_gens):
         terms = _lie_terms(_block_diagonal(row_parts, t), _block_diagonal(col_parts, t), om)
-        weight = _is_diagonal(om) & np.array([_is_diagonal(p.generators[t]) for p in row_parts])[P]
-        weight &= np.array([_is_diagonal(p.generators[t]) for p in col_parts])[Q]
+        weight = _is_diagonal(om) & np.array([_is_diagonal(part.generators[t]) for part in row_parts])[P]
+        weight &= np.array([_is_diagonal(part.generators[t]) for part in col_parts])[Q]
         on_rows, on_cols, on_kraus = (np.diagonal(term) for term in terms)
-        free &= ~weight[block] | ((on_rows[i] + on_cols[j]) + on_kraus[k] == 0)
+        forced = np.append(weight, False)[block] & ((on_rows[:, None] + on_cols) + on_kraus[:, None, None] != 0)
+        free = free & ~forced
         gens.append((terms, weight))
-    entry = np.flatnonzero(free)
-    block, k, i, j = block[entry], k[entry], i[entry], j[entry]
-    n_free = np.bincount(block, minlength=len(pairs))
-    column = np.arange(entry.size) - np.repeat(np.cumsum(n_free) - n_free, n_free)
-    hits = []  # per nonzero: its free entry and generator, the Kraus index, row and column it reaches, its value
+    k, i, j = np.nonzero(free)
+    order = np.argsort(block[i, j], kind="stable")  # by block, each in its own order
+    k, i, j = k[order], i[order], j[order]
+    of = block[i, j]
+    n_free = np.bincount(of, minlength=len(pairs))
+    position = np.ravel_multi_index((k, i, j), free.shape)
+    hits = []  # per nonzero: its free entry, its row's key (block, generator, position) and its value
     for t, ((on_rows, on_cols, on_kraus), weight) in enumerate(gens):
-        e = np.flatnonzero(~weight[block])  # the free entries that this generator constrains
-        n, a, value = _row_nonzeros(on_rows.T, i[e])  # R[a, i] at A_k[a, j]
-        hits.append((e[n], np.full(n.size, t), k[e][n], a, j[e][n], value))
-        n, b, value = _row_nonzeros(on_cols, j[e])  # C[j, b] at A_k[i, b]
-        hits.append((e[n], np.full(n.size, t), k[e][n], i[e][n], b, value))
-        n, l, value = _row_nonzeros(on_kraus, k[e])  # W[k, l] at A_l[i, j]
-        hits.append((e[n], np.full(n.size, t), l, i[e][n], j[e][n], value))
-    e, t, l, a, b, value = (np.concatenate(field) for field in zip(*hits))
-    of, stride = block[e], int(size.max(initial=1))
-    # rows ordered by block, then generator, then position in the block
-    key = (of * len(gens) + t) * stride + (l * r[of] + a - r0[of]) * c[of] + b - c0[of]
+        e = np.flatnonzero(~weight[of])  # the free entries that this generator constrains
+        # R[a, i] at A_k[a, j], then C[j, b] at A_k[i, b], then W[k, l] at A_l[i, j]
+        for m, index, stride in zip((on_rows.T, on_cols, on_kraus), (i, j, k), (free.shape[2], 1, free[0].size)):
+            n, to, value = _row_nonzeros(m, index[e])
+            f = e[n]
+            hits.append((f, (of[f] * len(gens) + t) * free.size + position[f] + (to - index[f]) * stride, value))
+    f, key, value = (np.concatenate(field) for field in zip(*hits))
     reached, row = np.unique(key, return_inverse=True)
-    n_rows = np.bincount(reached // (len(gens) * stride), minlength=len(pairs))
-    row -= (np.cumsum(n_rows) - n_rows)[of]
+    n_rows = np.bincount(reached // (len(gens) * free.size), minlength=len(pairs))
     cells = n_rows * n_free
     start = np.cumsum(cells) - cells
+    row -= (np.cumsum(n_rows) - n_rows)[of[f]]
+    column = np.arange(of.size) - np.repeat(np.cumsum(n_free) - n_free, n_free)
     flat = np.zeros(cells.sum(), dtype=complex)
     # unbuffered and in hit order, so where two terms meet they add as in _lie_terms
-    np.add.at(flat, start[of] + row * n_free[of] + column[e], value)
-    frees = np.split(local[entry], np.cumsum(n_free)[:-1])
-    return [(f, flat[s : s + m * n].reshape(m, n)) for f, s, m, n in zip(frees, start, n_rows, n_free)]
+    np.add.at(flat, start[of[f]] + row * n_free[of[f]] + column[f], value)
+    r, c = np.bincount(row_part)[row_part[i]], np.bincount(col_part)[col_part[j]]
+    frees = np.split((k * r + row_local[i]) * c + col_local[j], np.cumsum(n_free)[:-1])
+    return [(e, flat[s : s + m * n].reshape(m, n)) for e, s, m, n in zip(frees, start, n_rows, n_free)]
 
 
 def _nullspaces(matrices: list) -> list:
