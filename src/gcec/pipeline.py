@@ -12,10 +12,11 @@ as SO3 d=9).
 
 Statuses are decided by counting.  A catalog representation's parts are
 irreps, so every Schur block of the sweep is an irrep triple (row irrep p,
-column irrep q, Omega).  Per Omega the sweep fills one table N_Omega[p, q]
-of block kernel dimensions (:func:`gcec.kernels.kernel_dims`, through the
-sweep's block cache), and with a and b the irrep multiplicities of the
-representations on the rows and on the columns of each A_k:
+column irrep q, Omega).  The sweep fills one table N_Omega[p, q] of block
+kernel dimensions per Omega, all in one request
+(:func:`gcec.kernels.kernel_dims`, through the sweep's block cache), and
+with a and b the irrep multiplicities of the representations on the rows
+and on the columns of each A_k:
 
 - n_params = a^T N_Omega b, and an instance with none is ``no_cp_map``;
 - trace preservation is solved in closed form (:mod:`gcec.tp`), and a TP
