@@ -351,25 +351,30 @@ def _nullspaces(matrices: list) -> list:
 
 def _kernels(blocks, cache: dict) -> list:
     """Kernel bases of the Schur blocks (system, rows, cols) in ``blocks``, in
-    order, read through ``cache``: the blocks missing from it are assembled
-    (discrete blocks by :func:`_columns`, the Lie blocks of each system
-    together by :func:`_lie_matrices`) and factored together (see
-    "Cache")."""
+    order, read through ``cache``: the distinct blocks missing from it are
+    factored together by :func:`_factor` (see "Cache")."""
     keys = [system.key(rows, cols) for system, rows, cols in blocks]
-    missing: dict = {}  # key -> its block, each distinct missing block once
-    for key, block in zip(keys, blocks):
-        if key not in cache:
-            missing.setdefault(key, block)
+    missing = {key: block for key, block in zip(keys, blocks) if key not in cache}
+    if missing:
+        _factor(missing, cache)
+    return [cache[key] for key in keys]
+
+
+def _factor(blocks: dict, cache: dict) -> None:
+    """Store in ``cache`` the kernel basis of each block (system, rows, cols)
+    of ``blocks``, under its key: discrete blocks are assembled by
+    :func:`_columns`, the Lie blocks of each system together by
+    :func:`_lie_matrices`, and the matrices factored by :func:`_nullspaces`."""
+    by_system: dict = {}  # id(system) -> (system, [(key, rows, cols)])
+    for key, (system, rows, cols) in blocks.items():
+        by_system.setdefault(id(system), (system, []))[1].append((key, rows, cols))
     built = []  # (key, block size, free entries, matrix)
-    lie: dict = {}  # id(system) -> (system, [(key, rows, cols)])
-    for key, (system, rows, cols) in missing.items():
+    for system, group in by_system.values():
         if system.kind == "lie":
-            lie.setdefault(id(system), (system, []))[1].append((key, rows, cols))
+            assembled = _lie_matrices(system, [(rows, cols) for _, rows, cols in group])
         else:
-            free = np.arange(system.K * rows.index.size * cols.index.size)
-            built.append((key, free.size, free, np.vstack(_columns(system, rows, cols, free))))
-    for system, group in lie.values():
-        assembled = _lie_matrices(system, [(rows, cols) for _, rows, cols in group])
+            entries = (np.arange(system.K * rows.index.size * cols.index.size) for _, rows, cols in group)
+            assembled = [(e, np.vstack(_columns(system, rows, cols, e))) for e, (_, rows, cols) in zip(entries, group)]
         for (key, rows, cols), (free, m) in zip(group, assembled):
             built.append((key, system.K * rows.index.size * cols.index.size, free, m))
     for (key, size, free, _), kernel in zip(built, _nullspaces([m for *_, m in built])):
@@ -379,7 +384,6 @@ def _kernels(blocks, cache: dict) -> list:
         basis = np.zeros((size, kernel.shape[1]), dtype=complex)
         basis[free] = kernel
         cache[key] = basis
-    return [cache[key] for key in keys]
 
 
 def kernel_dims(kind: str, parts: tuple[InvariantBlock, ...], omegas, cache: dict) -> np.ndarray:
