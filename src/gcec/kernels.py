@@ -423,8 +423,8 @@ def _input_defect(system: CovarianceSystem, cache: dict) -> str | None:
         firsts.setdefault(part.content, part)
     parts = list(firsts.values())
     trivial = _trivial_system(system.kind, len(system.omega_gens), system.d)
-    pairs = [(a, b) for i, a in enumerate(parts) for b in parts[i:]]
-    for (a, b), kernel in zip(pairs, _kernels([(trivial, a, b) for a, b in pairs], cache)):
+    blocks = [(trivial, a, b) for i, a in enumerate(parts) for b in parts[i:]]
+    for (_, a, b), kernel in zip(blocks, _kernels(blocks, cache)):
         if kernel.shape[1] != (a is b):
             at = a.index.tolist()
             if a is b:
@@ -447,11 +447,10 @@ def joint_nullspace(system: CovarianceSystem, cache: dict | None = None) -> Kern
     """
     if cache is None:
         cache = {}
-    pairs = [(i, j) for i in range(len(system.row_parts)) for j in range(len(system.col_parts))]
-    kernels = _kernels([(system, system.row_parts[i], system.col_parts[j]) for i, j in pairs], cache)
+    blocks = [(system, rows, cols) for rows in system.row_parts for cols in system.col_parts]
     placed = [  # (entry positions, block basis, row part, column part) of each block with a kernel
-        (system.entries(system.row_parts[i], system.col_parts[j]), kernel, i, j)
-        for (i, j), kernel in zip(pairs, kernels)
+        (system.entries(rows, cols), kernel, *divmod(n, len(system.col_parts)))
+        for n, ((_, rows, cols), kernel) in enumerate(zip(blocks, _kernels(blocks, cache)))
         if kernel.shape[1]
     ]
     K, d = system.K, system.d
