@@ -373,8 +373,10 @@ def _factor(blocks: dict, cache: dict) -> None:
         if system.kind == "lie":
             assembled = _lie_matrices(system, [(rows, cols) for _, rows, cols in group])
         else:
-            entries = (np.arange(system.K * rows.index.size * cols.index.size) for _, rows, cols in group)
-            assembled = [(e, np.vstack(_columns(system, rows, cols, e))) for e, (_, rows, cols) in zip(entries, group)]
+            assembled = []
+            for _, rows, cols in group:
+                free = np.arange(system.K * rows.index.size * cols.index.size)
+                assembled.append((free, np.vstack(_columns(system, rows, cols, free))))
         for (key, rows, cols), (free, m) in zip(group, assembled):
             built.append((key, system.K * rows.index.size * cols.index.size, free, m))
     for (key, size, free, _), kernel in zip(built, _nullspaces([m for *_, m in built])):

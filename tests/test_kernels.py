@@ -500,8 +500,9 @@ def test_lie_assembly_is_the_unit_vector_build_on_free_entries_and_nonzero_rows(
     # The weight-space assembly of all of a system's blocks at once gives, for
     # each block, the unit-vector build's columns at the free entries with its
     # zero rows left out, entry for entry.
+    blocks = [*_distinct_blocks("SO3", 9).values(), *_distinct_blocks("SU2", 6).values()]
     by_system = {}
-    for system, rows, cols in [*_distinct_blocks("SO3", 9).values(), *_distinct_blocks("SU2", 6).values()]:
+    for system, rows, cols in blocks:
         by_system.setdefault(id(system), (system, []))[1].append((rows, cols))
     checked = 0
     for system, pairs in by_system.values():
@@ -511,7 +512,7 @@ def test_lie_assembly_is_the_unit_vector_build_on_free_entries_and_nonzero_rows(
             ref = ref[ref.any(axis=1)]
             assert matrix.shape == ref.shape and np.array_equal(matrix, ref)
             checked += 1
-    assert checked == len(_distinct_blocks("SO3", 9)) + len(_distinct_blocks("SU2", 6))
+    assert checked == len(blocks)
 
 
 @pytest.mark.parametrize("name, d", [("SO3", 7), ("SU2", 5)])
