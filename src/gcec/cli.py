@@ -10,7 +10,10 @@ pairs.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+
+import numpy as np
 
 from .channels import matrix_to_json
 from .errors import GcecError
@@ -18,7 +21,6 @@ from .extremality import DEFAULT_TOL_RANK
 from .groups import infer_kind, props
 from .pipeline import (
     classify_file,
-    json_text,
     load_manifest,
     manifest_to_json,
     report,
@@ -73,6 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(obj) -> str:
+    """The small printers' JSON text, numpy arrays as nested lists."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+
+
 def _write(path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -99,7 +106,7 @@ def _cmd_catalog(args) -> int:
                 for ir in payload.group.irreps
             ],
         }
-        print(json_text(obj))
+        print(_json(obj))
     else:
         print(f"{payload.group.name} ({payload.group.kind}), "
               f"generators: {', '.join(payload.group.generator_names)}")
@@ -123,7 +130,7 @@ def _cmd_enumerate(args) -> int:
             "omega_candidates": [om.label for om in omegas],
             "total_instances": len(labels) ** 2 * len(omegas),
         }
-        print(json_text(obj))
+        print(_json(obj))
     else:
         print(f"{len(labels)} representations of {args.group} at d={args.dim}:")
         for lab in labels:
@@ -153,7 +160,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_classify(args) -> int:
     results = classify_file(args.path, tol_rank=args.tol_rank)
-    text = json_text(results) + "\n"
+    text = _json(results) + "\n"
     if args.out:
         _write(args.out, text)
     sys.stdout.write(text)

@@ -37,6 +37,10 @@ class BadTolerance(GcecError):
     """A tolerance is NaN or outside the range where it means anything."""
 
 
+class BadSeed(GcecError):
+    """A random seed is not a non-negative integer."""
+
+
 class SchemaError(GcecError):
     """A JSON payload does not match the expected schema."""
 

@@ -11,7 +11,7 @@ the complex exponential.  New groups can be registered by extending
 ``_DISCRETE_BUILDERS`` with a callable returning a :class:`GroupSpec` (see
 the existing builders for the expected shape: generator images per irrep,
 plus defining relations as pairs of generator words).  :func:`direct_sum`
-is the one block-diagonal direct sum of irreps, in the given order.
+is the one block-diagonal direct sum of matrices, in the given order.
 """
 
 from __future__ import annotations
@@ -326,12 +326,12 @@ def infer_kind(group_name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def direct_sum(irreps, g: int) -> np.ndarray:
-    """Generator ``g`` of the direct sum of ``irreps`` (complex, block diagonal)."""
-    dims = [ir.dim for ir in irreps]
+def direct_sum(blocks) -> np.ndarray:
+    """The square matrices ``blocks`` as one complex block-diagonal matrix, in order."""
+    dims = [len(block) for block in blocks]
     out = np.zeros((sum(dims), sum(dims)), dtype=complex)
-    for ir, at in zip(irreps, np.cumsum([0, *dims])):
-        out[at : at + ir.dim, at : at + ir.dim] = ir.generator_matrices[g]
+    for block, at, dim in zip(blocks, np.cumsum([0, *dims]), dims):
+        out[at : at + dim, at : at + dim] = block
     return out
 
 
@@ -361,7 +361,7 @@ def _closure(spec: GroupSpec) -> tuple[list[Word], np.ndarray]:
     """
     if spec.kind != "discrete":
         raise UnknownGroup(f"element enumeration needs a finite group, not {spec.name}")
-    gens = [direct_sum(spec.irreps, g) for g in range(spec.num_generators)]
+    gens = [direct_sum([ir.generator_matrices[g] for ir in spec.irreps]) for g in range(spec.num_generators)]
     eye = np.eye(sum(ir.dim for ir in spec.irreps), dtype=complex)
     index = {_element_key(eye): 0}
     words: list[Word] = [()]

@@ -89,7 +89,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimMismatch, LengthMismatch
-from .groups import Irrep, lie_irrep
+from .groups import Irrep, direct_sum, lie_irrep
 from .reps import InvariantBlock, Rep
 
 TOL_KERNEL = 1e-10  # relative, with an absolute floor (see "Rank threshold")
@@ -254,17 +254,6 @@ def _is_diagonal(g: np.ndarray) -> bool:
     return np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
 
 
-def _block_diagonal(parts, t: int) -> np.ndarray:
-    """Generator ``t`` of ``parts`` as one block-diagonal matrix, in order."""
-    out = np.zeros((sum(part.index.size for part in parts),) * 2, dtype=complex)
-    at = 0
-    for part in parts:
-        size = part.index.size
-        out[at : at + size, at : at + size] = part.generators[t]
-        at += size
-    return out
-
-
 def _row_nonzeros(m: np.ndarray, at: np.ndarray):
     """(position in ``at``, column, value) of each nonzero on the rows ``at``
     of ``m``."""
@@ -295,7 +284,8 @@ def _lie_matrices(system: CovarianceSystem, pairs) -> list:
     free = np.broadcast_to(block < len(pairs), (system.K, *block.shape))
     gens = []  # per generator: its terms, and whether it is a weight generator of each block
     for t, om in enumerate(system.omega_gens):
-        terms = _lie_terms(_block_diagonal(row_parts, t), _block_diagonal(col_parts, t), om)
+        rows, cols = (direct_sum([part.generators[t] for part in parts]) for parts in (row_parts, col_parts))
+        terms = _lie_terms(rows, cols, om)
         weight = _is_diagonal(om) & np.array([_is_diagonal(part.generators[t]) for part in row_parts])[P]
         weight &= np.array([_is_diagonal(part.generators[t]) for part in col_parts])[Q]
         on_rows, on_cols, on_kraus = (np.diagonal(term) for term in terms)

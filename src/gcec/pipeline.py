@@ -59,18 +59,19 @@ manifest's ``tolerances`` records the thresholds applied: that bound, the
 kernel threshold ``kernels.TOL_KERNEL`` and the run's ``tol_rank``
 (``TOL_COV`` is applied too, but schema v1 has no key for it).
 
-Every JSON text the package writes (manifests, reports, the CLI printers)
-comes from one writer, :func:`json_text`: its bytes are those of
-``json.dumps(obj, indent=2, sort_keys=True)``.  Instead of that call's
-pure-Python indenting encoder, it fills one ``%``-template per dict key
-set and per float-array shape (and indent level), with each scalar
-encoded by the function the standard library's encoder uses for it.
+A manifest's JSON text (:func:`manifest_to_json`, which ``save_manifest``
+and ``report(m, "json")`` write) is one ``json.dumps`` call with sorted
+keys and no whitespace, ``separators=(",", ":")``, plus a newline, so the
+standard library's C encoder writes all of it.  Each Kraus sample stays a
+(K, d, d, 2) float array in the fields, and the call's ``default`` hook
+turns one array at a time into nested lists.  The reader takes any JSON
+layout, so manifests in the ``indent=2`` layout of earlier releases load
+alike.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -84,7 +85,7 @@ from .channels import (
     kraus_from_dict,
 )
 from .classes import LabelClasses
-from .errors import GcecError, SchemaError, NotTracePreserving, UnknownGroup
+from .errors import BadSeed, GcecError, SchemaError, NotTracePreserving, UnknownGroup
 from .extremality import DEFAULT_TOL_RANK, TOL_TP, check_tol_rank, test_extreme
 from .groups import infer_kind, props
 from .kernels import (
@@ -156,8 +157,11 @@ def run_enumeration(
     ``nonunitary_only`` drops 1-dimensional channel labels, whose channels
     are plain unitaries.  ``seed`` seeds each solved instance's TP samples,
     together with the instance's labels.  ``tol_rank`` is the rank test's
-    tolerance, checked to lie in (0, 1) before any instance is visited; the
-    kernel and TP tolerances are constants (module docstring).
+    tolerance; the kernel and TP tolerances are constants (module
+    docstring).  Before any instance is visited, ``tol_rank`` is checked to
+    lie in (0, 1) and ``seed`` to be a non-negative integer (what
+    ``np.random.default_rng`` takes and a manifest stores), else
+    ``BadTolerance`` or ``BadSeed`` is raised.
 
     For a finite group only one representative per label class is solved
     (see the module docstring), with the seed of its own labels and even
@@ -166,6 +170,9 @@ def run_enumeration(
     their re-check gets status ``error`` (:func:`_class_records`).
     """
     check_tol_rank(tol_rank)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadSeed(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)  # a numpy integer too is written as a JSON integer
     if kind is None:
         kind = infer_kind(group)
     payload = props(group, kind, d)
@@ -411,78 +418,10 @@ def _manifest_fields(manifest: RunManifest) -> dict:
     }
 
 
-_ENCODER = json.JSONEncoder()  # the C encoder, for scalars no fast path below takes
-
-
-def json_text(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
-
-    ``obj`` holds dicts with string keys, lists, tuples, numpy arrays (laid
-    out as nested lists) and JSON scalars.  One recursive emitter writes
-    each container from a template made once per call: a dict's for its
-    (sorted keys, indent level), with one ``%s`` per value, and a float
-    array's for its (shape, level), with one ``%r`` per entry.  Scalars go
-    through the functions the standard library's encoder uses: strings
-    through ``encode_basestring_ascii``, ints through ``int.__repr__`` and
-    floats through ``float.__repr__``, anything else through the C encoder.
-    """
-    dicts: dict = {}  # (sorted keys, level) -> template
-    arrays: dict = {}  # (shape, level) -> template
-
-    def layout(items: list, level: int, brackets: str = "[]") -> str:
-        inner = "\n" + "  " * (level + 1)
-        # wrap the joined items in one copy: at the top they hold a whole manifest
-        return ("," + inner).join(items).join((brackets[0] + inner, "\n" + "  " * level + brackets[1]))
-
-    def dict_template(keys: tuple, level: int) -> str:
-        if not all(isinstance(key, str) for key in keys):
-            raise TypeError(f"json_text needs string keys, got {keys!r:.80}")
-        return layout([encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys], level, "{}")
-
-    def array_template(shape: tuple, level: int) -> str:
-        if not shape:
-            return "%r"
-        return layout([array_template(shape[1:], level + 1)] * shape[0], level) if shape[0] else "[]"
-
-    def emit(obj, level: int) -> str:
-        if isinstance(obj, str):
-            return encode_basestring_ascii(obj)
-        if obj is None:
-            return "null"
-        if obj is True:
-            return "true"
-        if obj is False:
-            return "false"
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        if isinstance(obj, float):
-            text = float.__repr__(obj)
-            return text if "n" not in text else _ENCODER.encode(obj)  # nan, inf: NaN, Infinity
-        if isinstance(obj, np.ndarray):
-            if obj.dtype.kind == "f":
-                key = (obj.shape, level)
-                if key not in arrays:
-                    arrays[key] = array_template(obj.shape, level)
-                text = arrays[key] % tuple(obj.ravel().tolist())
-                if "n" not in text:  # a finite float's repr has no n
-                    return text
-            return emit(obj.tolist(), level)
-        if isinstance(obj, (list, tuple)):
-            return layout([emit(v, level + 1) for v in obj], level) if obj else "[]"
-        if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            keys, values = zip(*sorted(obj.items()))
-            if (keys, level) not in dicts:
-                dicts[keys, level] = dict_template(keys, level)
-            return dicts[keys, level] % tuple([emit(v, level + 1) for v in values])
-        return _ENCODER.encode(obj)
-
-    return emit(obj, 0)
-
-
 def manifest_to_json(manifest: RunManifest) -> str:
-    return json_text(_manifest_fields(manifest)) + "\n"
+    """The manifest's JSON text (see the module docstring), one line."""
+    fields = _manifest_fields(manifest)
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist) + "\n"
 
 
 def save_manifest(manifest: RunManifest, path) -> None:

@@ -125,8 +125,8 @@ def enumerate_reps(spec: GroupSpec, d: int) -> list[RepLabel]:
 
 def materialize(spec: GroupSpec, label: RepLabel) -> Rep:
     """Assemble the block-diagonal generator matrices for ``label``."""
-    blocks = [spec.irrep_by_index(p) for p in label.parts]
-    mats = tuple(direct_sum(blocks, g) for g in range(spec.num_generators))
+    irreps = [spec.irrep_by_index(p) for p in label.parts]
+    mats = tuple(direct_sum([ir.generator_matrices[g] for ir in irreps]) for g in range(spec.num_generators))
     return Rep(label=label, generator_matrices=mats)
 
 

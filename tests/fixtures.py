@@ -147,5 +147,6 @@ def record_dict(record):
 
 
 def manifest_dict(manifest):
-    """``json.dumps(manifest_dict(m), indent=2, sort_keys=True)`` is ``manifest_to_json``'s reference."""
+    """``json.dumps(manifest_dict(m), sort_keys=True, separators=(",", ":")) + "\\n"`` is
+    ``manifest_to_json``'s reference."""
     return plain(_manifest_fields(manifest))

@@ -18,7 +18,7 @@ from gcec import classes as classes_module
 from gcec import cli
 from gcec.classes import LabelClasses
 from gcec.cli import main
-from gcec.errors import BadTolerance, SchemaError, UnknownGroup
+from gcec.errors import BadSeed, BadTolerance, SchemaError, UnknownGroup
 from gcec import extremality
 from gcec.groups import infer_kind, props
 from gcec.kernels import build_discrete_system, build_lie_system, joint_nullspace
@@ -26,7 +26,6 @@ from gcec import pipeline
 from gcec.pipeline import (
     RunManifest,
     classify_file,
-    json_text,
     load_manifest,
     manifest_to_json,
     report,
@@ -41,7 +40,6 @@ from fixtures import (
     identity_kraus,
     kraus_dict,
     manifest_dict,
-    plain,
     record_dict,
     s3_qutrit_family,
 )
@@ -230,7 +228,13 @@ def test_manifest_json_is_deterministic(s3_manifest):
 
 
 def _stdlib_json(obj) -> str:
+    """The CLI printers' reference."""
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _stdlib_manifest_json(manifest) -> str:
+    """``manifest_to_json``'s reference."""
+    return json.dumps(manifest_dict(manifest), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -243,7 +247,7 @@ def test_manifest_json_matches_stdlib(group, d, nonunitary_only):
     assert shapes and (d > 1 or shapes == {(1, 1)})
     if group == "SU2":  # several Kraus counts per manifest, up to K = d
         assert {K for K, _ in shapes} == {2, 3, 4}
-    assert manifest_to_json(manifest) == _stdlib_json(manifest_dict(manifest)) + "\n"
+    assert manifest_to_json(manifest) == _stdlib_manifest_json(manifest)
 
 
 def test_hand_built_manifest_json_matches_stdlib(z2_manifest):
@@ -257,7 +261,7 @@ def test_hand_built_manifest_json_matches_stdlib(z2_manifest):
         total_instances=0,
         count_found=0,
     )
-    assert manifest_to_json(empty) == _stdlib_json(manifest_dict(empty)) + "\n"
+    assert manifest_to_json(empty) == _stdlib_manifest_json(empty)
 
     found = [r for r in z2_manifest.records if r.residuals]
     odd = [
@@ -278,7 +282,7 @@ def test_hand_built_manifest_json_matches_stdlib(z2_manifest):
         records=odd,
     )
     text = manifest_to_json(manifest)
-    assert text == _stdlib_json(manifest_dict(manifest)) + "\n"
+    assert text == _stdlib_manifest_json(manifest)
     assert "NaN" in text and "-Infinity" in text and "5e-324" in text and "-0.0" in text
     assert "\\u00e9" in text and '\\"no\\"' in text
 
@@ -294,6 +298,18 @@ def test_save_load_round_trip(tmp_path, s3_manifest):
     path.write_text(json.dumps(obj))
     with pytest.raises(SchemaError, match="unknown representation label '1\\+1\\+5'"):
         load_manifest(path)
+
+
+def test_indented_manifests_still_load(tmp_path, s3_manifest):
+    # Manifests were written in the indent=2 layout before they became compact.
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    save_manifest(s3_manifest, compact)
+    indented.write_text(json.dumps(manifest_dict(s3_manifest), indent=2, sort_keys=True) + "\n")
+    assert compact.read_text() == manifest_to_json(s3_manifest)
+    assert manifest_to_json(load_manifest(indented)) == manifest_to_json(load_manifest(compact))
+    entries = classify_file(compact)
+    assert entries and all(e["error"] is None for e in entries)
+    assert classify_file(indented) == entries
 
 
 @pytest.mark.parametrize(
@@ -518,94 +534,11 @@ def test_cli_json_outputs_match_stdlib(tmp_path, capsys, s3_manifest):
 
     manifest_path = tmp_path / "s3.json"
     save_manifest(s3_manifest, manifest_path)
-    assert stdout_of(["report", "--in", str(manifest_path), "--format", "json"]) == (
-        _stdlib_json(manifest_dict(s3_manifest)) + "\n"
-    )
+    assert stdout_of(["report", "--in", str(manifest_path), "--format", "json"]) == _stdlib_manifest_json(s3_manifest)
     verdict_path = tmp_path / "verdicts.json"
     stdout = stdout_of(["classify", "--in", str(manifest_path), "--out", str(verdict_path)])
     assert stdout == _stdlib_json(classify_file(manifest_path)) + "\n"
     assert verdict_path.read_text() == stdout
-
-
-class _SubDict(dict):
-    pass
-
-
-_TEXT_CHARS = np.array(list("ab%_ \"\\\t\né∞😀"))
-_SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-300, 1.5e300, 0.1)
-
-
-def _random_text(rng) -> str:
-    return "".join(rng.choice(_TEXT_CHARS, size=rng.integers(0, 6)))
-
-
-def _random_array(rng) -> np.ndarray:
-    shape = tuple(int(n) for n in rng.integers(0, 4, size=rng.integers(0, 4)))
-    kind = rng.integers(-2, 4)
-    if kind <= 0:  # float64, with NaN, +-inf and -0.0 at random entries
-        out = np.array(rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape))
-        special = np.array(rng.random(size=shape) < 0.3)
-        out[special] = rng.choice(_SPECIAL_FLOATS[:4], size=int(special.sum()))
-        return out
-    if kind == 1:
-        return np.array(rng.normal(size=shape), dtype=np.float32)
-    if kind == 2:
-        return np.array(rng.integers(-(2**40), 2**40, size=shape))
-    return np.array(rng.random(size=shape) < 0.5)
-
-
-def _random_tree(rng, depth: int = 0):
-    kind = int(rng.integers(0, 9 if depth < 4 else 6))
-    if kind == 0:
-        return _random_text(rng)
-    if kind == 1:
-        return int(rng.integers(-(2**62), 2**62)) * int(rng.choice([1, 10**30]))
-    if kind == 2:
-        return float(rng.choice(_SPECIAL_FLOATS + (float(rng.normal()),)))
-    if kind == 3:
-        return np.float64(rng.normal() * 10.0 ** rng.integers(-300, 300))
-    if kind == 4:
-        return [None, True, False][rng.integers(0, 3)]
-    if kind == 5:
-        return _random_array(rng)
-    if kind in (6, 7):
-        items = [_random_tree(rng, depth + 1) for _ in range(rng.integers(0, 4))]
-        return items if kind == 6 else tuple(items)
-    mapping = {_random_text(rng): _random_tree(rng, depth + 1) for _ in range(rng.integers(0, 4))}
-    return _SubDict(mapping) if rng.random() < 0.5 else mapping
-
-
-def test_json_text_layouts():
-    obj = {
-        "empty": [{}, [], ()],
-        "nested": [np.arange(12.0).reshape(3, 2, 2), np.zeros((2, 0)), np.zeros((0, 3)), np.array(-0.0)],
-        "scalars": (None, True, False, 0, -7, 1.5, "tab\tquote\"", float("nan")),
-        "arrays": [
-            np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
-            np.arange(4).reshape(2, 2),
-            np.array([True, False]),
-            np.array([0.1, 1.5], dtype=np.float32),
-            np.array(2.5),
-            np.array(3),
-            np.zeros((0,)),
-        ],
-        "numpy scalars": [np.float64(0.1), np.float64("nan"), np.float64(-0.0)],
-        "sub": _SubDict({"b": 1, "a": _SubDict()}),
-        "100% é \u2603": ["50% off", "\u00e9\u2603\U0001f600", "%s %r %%"],
-    }
-    assert json_text(obj) == _stdlib_json(plain(obj))
-    for scalar in (None, 3, "x", float("inf")):
-        assert json_text(scalar) == _stdlib_json(scalar)
-    for key in (1, None):
-        with pytest.raises(TypeError):
-            json_text({key: "not a string key"})
-    # a non-string key is refused after a same-length float array too
-    with pytest.raises(TypeError):
-        json_text([np.zeros(1), {1: "x"}])
-    rng = np.random.default_rng(2024)
-    for _ in range(300):
-        tree = _random_tree(rng)
-        assert json_text(tree) == _stdlib_json(plain(tree))
 
 
 def test_cli_run_text_report(capsys):
@@ -741,6 +674,29 @@ def test_meaningless_tol_rank_is_rejected_up_front(tmp_path, capsys, monkeypatch
     for command in (["run", "--group", "S3", "--dim", "3"], ["classify", "--in", str(missing)]):
         assert main([*command, f"--tol-rank={tol_rank}"]) == 1
         assert capsys.readouterr().err.startswith("error: tol_rank must lie in (0, 1)")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", True, None])
+def test_bad_seed_is_rejected_up_front(monkeypatch, seed):
+    # -1 used to make every solvable instance an error ("expected non-negative
+    # integer") in a sweep that reported no channel; now nothing is swept.
+    def visited(*args):
+        raise AssertionError("an instance was visited")
+
+    monkeypatch.setattr(pipeline, "materialize", visited)
+    with pytest.raises(BadSeed, match="seed must be a non-negative integer"):
+        run_enumeration("S3", None, 3, seed=seed)
+
+
+def test_numpy_integer_seed_sweeps_as_its_int(s3_manifest):
+    swept = run_enumeration("S3", None, 3, nonunitary_only=True, seed=np.int64(0))
+    assert manifest_to_json(swept) == manifest_to_json(s3_manifest)
+
+
+def test_cli_negative_seed_exits_1(capsys):
+    assert main(["run", "--group", "S3", "--dim", "3", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n" and not captured.out
 
 
 def test_sweep_passes_its_tol_rank_to_the_tp_solver(monkeypatch):
