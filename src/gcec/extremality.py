@@ -6,15 +6,15 @@ independent.  We stack their vectorizations into a d^2 x K^2 matrix and
 read the numerical rank off its singular values.  A generalized-extreme
 channel (K <= d) that fails the test is quasi-extreme.
 
-The test is only meaningful for a channel: :meth:`RankTest.verdict` refuses
-a set whose TP residual exceeds ``TOL_TP``, for sweep samples and stored
-sets alike, and a sweep manifest records that value as ``tolerances["tp"]``.
-
 :func:`test_extreme` tests an (S, K, d, d) stack of Kraus sets at once,
 with batched products and one batched SVD; each set's singular values are
-those of its own SVD bit for bit, and :meth:`RankTest.verdict` gives one
-set's verdict.  :func:`product_rank` is the package's one rank count of the
-Kraus products: the sweep's records, ``classify`` and the TP solver's
+those of its own SVD bit for bit, and a set's results are read off the
+:class:`RankTest` arrays at its index.  The test is only meaningful for a
+channel: :meth:`RankTest.check_channels` refuses a slice of the stack that
+holds a set whose TP residual exceeds ``TOL_TP``, for sweep samples and
+stored sets alike, and a sweep manifest records that value as
+``tolerances["tp"]``.  :func:`product_rank` is the package's one rank count
+of the Kraus products: the sweep's records, ``classify`` and the TP solver's
 choice of canonical vertex all reach it through :func:`test_extreme`.  A
 sweep runs one test per label class, over the representative's samples
 and every member's moved samples together.
@@ -43,22 +43,12 @@ def check_tol_rank(tol_rank: float) -> None:
 
 
 @dataclass(frozen=True)
-class ExtremalityVerdict:
-    is_extreme: bool
-    rank: int
-    expected_rank: int  # K^2
-    min_singular_value: float
-
-
-@dataclass(frozen=True)
 class RankTest:
     """The rank test of a stack of S Kraus sets with K operators on a
     dimension-d system: per set, its TP residual, the singular values of
     its product stack (descending), its rank, the count of those above
     ``tol_rank`` times the largest, and whether it passes the test."""
 
-    K: int
-    d: int
     tp_residual: np.ndarray  # (S,)
     singular_values: np.ndarray  # (S, min(d^2, K^2))
     rank: np.ndarray  # (S,)
@@ -69,16 +59,11 @@ class RankTest:
         """Whether every set of the stack is extreme."""
         return bool(self.extreme.all())
 
-    def verdict(self, i: int) -> ExtremalityVerdict:
-        """Set ``i``'s verdict; ``NotTracePreserving`` when it is no channel."""
-        if not self.tp_residual[i] <= TOL_TP:  # a NaN residual fails too
-            raise NotTracePreserving(f"trace-preservation residual {self.tp_residual[i]:.3e} exceeds {TOL_TP:.1e}")
-        return ExtremalityVerdict(
-            is_extreme=bool(self.extreme[i]),
-            rank=int(self.rank[i]),
-            expected_rank=self.K * self.K,
-            min_singular_value=float(self.singular_values[i, -1]),
-        )
+    def check_channels(self, at) -> None:
+        """Raise ``NotTracePreserving`` at the first set of ``at`` (an index or slice) that is no channel."""
+        for residual in np.atleast_1d(self.tp_residual[at]):
+            if not residual <= TOL_TP:  # a NaN residual fails too
+                raise NotTracePreserving(f"trace-preservation residual {residual:.3e} exceeds {TOL_TP:.1e}")
 
 
 def product_stack(stack: np.ndarray) -> np.ndarray:
@@ -105,4 +90,4 @@ def test_extreme(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> RankT
     svals, rank = product_rank(stack, tol_rank)
     # K^2 operators cannot be independent in a d^2-dimensional space.
     extreme = (rank == K * K) & (K <= d)
-    return RankTest(K=K, d=d, tp_residual=tp_residuals(stack), singular_values=svals, rank=rank, extreme=extreme)
+    return RankTest(tp_residual=tp_residuals(stack), singular_values=svals, rank=rank, extreme=extreme)

@@ -117,21 +117,25 @@ def _lie_terms(row_g, col_g, om) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class CovarianceSystem:
     """The covariance relations of one instance: the invariant parts of the
     representations acting on the rows and on the columns of each A_k, and
-    Omega's generators (complex) with their bytes.  Each (row part, column
-    part) pair is one Schur block: :meth:`entries` places its unknowns in
-    the stacked vector, :meth:`key` names its content, and
-    :func:`_kernels` builds and factors it."""
+    Omega's generators (complex) with their bytes.  ``K`` and ``d`` are read
+    off them: Omega's dimension and the total size of the column parts.
+    Each (row part, column part) pair is one Schur block: :meth:`entries`
+    places its unknowns in the stacked vector, :meth:`key` names its
+    content, and :func:`_kernels` builds and factors it."""
 
     kind: str
     row_parts: tuple[InvariantBlock, ...]
     col_parts: tuple[InvariantBlock, ...]
     omega_gens: tuple[np.ndarray, ...]
     omega_content: tuple[bytes, ...]
-    d: int
 
     @property
     def K(self) -> int:
         return self.omega_gens[0].shape[0]
+
+    @property
+    def d(self) -> int:
+        return sum(part.index.size for part in self.col_parts)
 
     def entries(self, rows: InvariantBlock, cols: InvariantBlock) -> np.ndarray:
         """Positions of the entries A_k[rows, cols] in the stacked K*d^2
@@ -184,22 +188,24 @@ class KernelFamily:
         return self.vector_at(coeffs).reshape(self.K, self.d, self.d)
 
 
-def _rows_cols(kind: str, D1: Rep, D2: Rep) -> tuple[Rep, Rep]:
-    """(representation acting on the rows of A_k, the one on its columns)."""
+def rows_cols(kind: str, D1, D2) -> tuple:
+    """(representation acting on the rows of A_k, the one on its columns),
+    or the same order of anything given for D1 and D2, such as their
+    positions in a table."""
     return (D2, D1) if kind == "discrete" else (D1, D2)
 
 
 def _build_system(kind: str, D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
     if D1.dim != D2.dim:
         raise DimMismatch(f"input/output rep dims differ: {D1.dim} vs {D2.dim}")
-    row_rep, col_rep = _rows_cols(kind, D1, D2)
-    return _system(kind, row_rep.split, col_rep.split, omega.generator_matrices, D1.dim)
+    row_rep, col_rep = rows_cols(kind, D1, D2)
+    return _system(kind, row_rep.split, col_rep.split, omega.generator_matrices)
 
 
-def _system(kind: str, row_parts, col_parts, omega_gens, d: int) -> CovarianceSystem:
+def _system(kind: str, row_parts, col_parts, omega_gens) -> CovarianceSystem:
     omega_gens = tuple(np.asarray(g, dtype=complex) for g in omega_gens)
     return CovarianceSystem(
-        kind, tuple(row_parts), tuple(col_parts), omega_gens, tuple(g.tobytes() for g in omega_gens), d
+        kind, tuple(row_parts), tuple(col_parts), omega_gens, tuple(g.tobytes() for g in omega_gens)
     )
 
 
@@ -386,16 +392,16 @@ def kernel_dims(kind: str, parts: tuple[InvariantBlock, ...], omegas, cache: dic
     instance whose row and column parts are copies of these has n_params =
     a^T N[o] b, for a and b the copies of each part among its row and its
     column parts."""
-    systems = [_system(kind, parts, parts, omega.generator_matrices, 0) for omega in omegas]  # only blocks are read
+    systems = [_system(kind, parts, parts, omega.generator_matrices) for omega in omegas]
     kernels = _kernels([(system, rows, cols) for system in systems for rows in parts for cols in parts], cache)
     return np.array([kernel.shape[1] for kernel in kernels], dtype=int).reshape(len(omegas), len(parts), len(parts))
 
 
 @lru_cache(maxsize=None)
-def _trivial_system(kind: str, num_generators: int, d: int) -> CovarianceSystem:
+def _trivial_system(kind: str, num_generators: int) -> CovarianceSystem:
     """A system with no parts under the catalog's trivial channel label."""
     label = lie_irrep("su2", 1).generator_matrices if kind == "lie" else [np.ones((1, 1))] * num_generators
-    return _system(kind, (), (), label, d)
+    return _system(kind, (), (), label)
 
 
 def _input_defect(system: CovarianceSystem, cache: dict) -> str | None:
@@ -414,7 +420,7 @@ def _input_defect(system: CovarianceSystem, cache: dict) -> str | None:
     for part in system.col_parts:
         firsts.setdefault(part.content, part)
     parts = list(firsts.values())
-    trivial = _trivial_system(system.kind, len(system.omega_gens), system.d)
+    trivial = _trivial_system(system.kind, len(system.omega_gens))
     blocks = [(trivial, a, b) for i, a in enumerate(parts) for b in parts[i:]]
     for (_, a, b), kernel in zip(blocks, _kernels(blocks, cache)):
         if kernel.shape[1] != (a is b):
@@ -469,7 +475,7 @@ def intertwiner(target, moved, cache: dict | None = None) -> np.ndarray:
     """
     r = target[0].shape[0]
     rows, cols = (InvariantBlock.on(np.arange(r), gens) for gens in (moved, target))
-    (kernel,) = _kernels([(_trivial_system("discrete", len(target), r), rows, cols)], {} if cache is None else cache)
+    (kernel,) = _kernels([(_trivial_system("discrete", len(target)), rows, cols)], {} if cache is None else cache)
     if kernel.shape[1] != 1:
         raise DimMismatch(f"expected one intertwiner between equivalent irreps, found {kernel.shape[1]}")
     return np.sqrt(r) * kernel[:, 0].reshape(r, r)
@@ -480,7 +486,7 @@ def covariance_residual(kraus, D1: Rep, D2: Rep, omega: Irrep, kind: str) -> np.
     generators and Kraus slots, of each Kraus set in ``kraus`` (shape
     (..., K, d, d), e.g. an (S, K, d, d) stack): shape (...)."""
     X = np.asarray(kraus, dtype=complex)
-    row_rep, col_rep = _rows_cols(kind, D1, D2)
+    row_rep, col_rep = rows_cols(kind, D1, D2)
     worst = np.zeros(X.shape[:-3])
     for a, b, om in zip(row_rep.generator_matrices, col_rep.generator_matrices, omega.generator_matrices):
         worst = np.maximum(worst, np.linalg.norm(_defect(kind, a, b, om, X), axis=(-2, -1)).max(axis=-1))

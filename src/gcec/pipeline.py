@@ -95,42 +95,54 @@ from .kernels import (
     covariance_residual,
     joint_nullspace,
     kernel_dims,
+    rows_cols,
 )
 from .reps import Rep, RepLabel, enumerate_reps, make_rep_label, materialize, omega_candidates
 from .tp import has_tp_point, solve_tp
 
 MANIFEST_SCHEMA_VERSION = 1
 TOL_COV = 1e-8  # largest covariance residual of an emitted sample
+STATUSES = ("no_cp_map", "no_tp_solution", "solver_failed", "error", "channel_found")
+CLASSIFICATIONS = ("not_applicable", "unitary", "extreme", "quasi_extreme")
 
 
 @dataclass
 class ChannelRecord:
-    group: str
-    d: int
+    """An instance (D1, D2, Omega) and what the sweep found for it; its group
+    and d are its manifest's, which its JSON fields repeat."""
+
     d1_label: RepLabel
     d2_label: RepLabel
     omega_index: int
     omega_label: str
     n_params: int
-    status: str  # no_cp_map | no_tp_solution | solver_failed | error | channel_found
+    status: str  # one of STATUSES
     kraus_samples: list[KrausSet] = field(default_factory=list)
     moduli_constraints: list[str] = field(default_factory=list)
-    classification: str = "not_applicable"
+    classification: str = "not_applicable"  # one of CLASSIFICATIONS
     residuals: dict = field(default_factory=dict)
     error: str | None = None
 
 
 @dataclass
 class RunManifest:
+    """A sweep's settings and records; its counts are read off the records."""
+
     group: str
     kind: str
     d: int
     tolerances: dict
     seed: int
     options: dict
-    total_instances: int
-    count_found: int
     records: list[ChannelRecord] = field(default_factory=list)
+
+    @property
+    def total_instances(self) -> int:
+        return len(self.records)
+
+    @property
+    def count_found(self) -> int:
+        return sum(r.status == "channel_found" for r in self.records)
 
 
 def _labels_by_text(spec, d: int) -> dict[str, RepLabel]:
@@ -208,10 +220,11 @@ def run_enumeration(
     instances = product(omegas, enumerate(labels), enumerate(labels))
     for at, (omega, (i, lab1), (j, lab2)) in enumerate(instances):
         table_n, table_found = counts[omega.index]
-        n_params = int(table_n[i, j])
+        entry = rows_cols(kind, i, j)
+        n_params = int(table_n[entry])
         member = (rep_cache[lab1.parts], rep_cache[lab2.parts], omega)
-        if not table_found[i, j]:
-            records[at] = _record(group, d, *member, n_params, "no_tp_solution" if n_params else "no_cp_map")
+        if not table_found[entry]:
+            records[at] = _record(*member, n_params, "no_tp_solution" if n_params else "no_cp_map")
             continue
         inst = (omega.index, lab1.parts, lab2.parts)
         head, move = (inst, None) if classes is None else classes.representative(inst)
@@ -224,9 +237,7 @@ def run_enumeration(
         # sub-sweep then reproduces the full sweep's records for the instances
         # it shares.
         head_seed = [seed, om, *parts1, 0xFFFFFFFF, *parts2]
-        solved = _class_records(
-            group, kind, d, head, head_reps, members, classes, tol_rank, head_seed, block_cache, n_params
-        )
+        solved = _class_records(kind, head, head_reps, members, classes, tol_rank, head_seed, block_cache, n_params)
         for at, record in zip(positions, solved):
             records[at] = record
 
@@ -240,17 +251,15 @@ def run_enumeration(
             "nonunitary_only": nonunitary_only,
             "reps": None if reps is None else [lab.text for lab in labels],
         },
-        total_instances=len(records),
-        count_found=sum(1 for r in records if r.status == "channel_found"),
         records=records,
     )
 
 
 def _counts(kind, reps, omegas, cache) -> dict:
     """Omega index -> (n_params, whether a TP point exists) of every
-    instance, each an array indexed [position of D1, position of D2] in
-    ``reps``, read off one table of Schur-block kernel dimensions per Omega
-    through ``cache`` (see the module docstring)."""
+    instance, each an array indexed [row, column] by positions in ``reps``
+    (:func:`gcec.kernels.rows_cols`), read off one table of Schur-block
+    kernel dimensions per Omega through ``cache`` (module docstring)."""
     parts: dict = {}  # irrep index -> its part, as the representations split it
     for rep in reps:
         parts.update(zip(rep.label.parts, rep.split, strict=True))
@@ -262,17 +271,13 @@ def _counts(kind, reps, omegas, cache) -> dict:
     out = {}
     for omega, table in zip(omegas, kernel_dims(kind, tuple(parts.values()), omegas, cache)):
         over_rows = mult @ table  # a^T N of each row representation
-        n_params, found = over_rows @ mult.T, has_tp_point(over_rows[:, None], mult[None])
-        # [row representation, column representation]: rows follow D2 for finite groups
-        out[omega.index] = (n_params.T, found.T) if kind == "discrete" else (n_params, found)
+        out[omega.index] = (over_rows @ mult.T, has_tp_point(over_rows[:, None], mult[None]))
     return out
 
 
-def _record(group, d, rep1, rep2, omega, n_params, status) -> ChannelRecord:
+def _record(rep1, rep2, omega, n_params, status) -> ChannelRecord:
     """A record of the instance (rep1, rep2, omega) with no samples."""
     return ChannelRecord(
-        group=group,
-        d=d,
         d1_label=rep1.label,
         d2_label=rep2.label,
         omega_index=omega.index,
@@ -282,9 +287,7 @@ def _record(group, d, rep1, rep2, omega, n_params, status) -> ChannelRecord:
     )
 
 
-def _class_records(
-    group, kind, d, head, reps, members, classes, tol_rank, seed, block_cache, n_params
-) -> list[ChannelRecord]:
+def _class_records(kind, head, reps, members, classes, tol_rank, seed, block_cache, n_params) -> list[ChannelRecord]:
     """The records of the ``members`` (rep1, rep2, omega, move) of the class
     of ``head``, whose representations are ``reps``, from one solve of it.
 
@@ -300,8 +303,8 @@ def _class_records(
     whose transport fails, or whose moved samples fail :func:`_found`,
     becomes an ``error`` on its own: it is never re-solved."""
     rep1, rep2, omega = reps
-    source = _record(group, d, rep1, rep2, omega, n_params, "error")  # every path below sets the status
-    records = [source if move is None else _record(group, d, *member, n_params, "error") for *member, move in members]
+    source = _record(rep1, rep2, omega, n_params, "error")  # every path below sets the status
+    records = [source if move is None else _record(*member, n_params, "error") for *member, move in members]
     stack = None  # the representative's samples
     moved = {}  # member index -> its moved samples, or the exception its transport raised
     try:
@@ -356,26 +359,27 @@ def _found(record, stack, test, first, rep1, rep2, omega, kind) -> None:
     is the largest of the samples'.  A sample that is not trace preserving,
     or whose covariance residual exceeds ``TOL_COV``, raises and leaves the
     record as it was."""
-    S = len(stack)
-    verdicts = [test.verdict(first + i) for i in range(S)]  # raises at the first non-TP sample
+    at = slice(first, first + len(stack))
+    test.check_channels(at)
     covariance = float(covariance_residual(stack, rep1, rep2, omega, kind).max())
     if not covariance <= TOL_COV:
         raise GcecError(f"covariance residual {covariance:.3e} exceeds {TOL_COV:.0e}")
     record.status = "channel_found"
     record.kraus_samples = [KrausSet(matrices) for matrices in stack]
-    record.classification = _classification(stack.shape[1], verdicts)
+    record.classification = _classification(stack.shape[1], test.extreme[at])
     record.residuals = {
         "covariance": covariance,
-        "tp": float(test.tp_residual[first : first + S].max()),
-        "rank_sigma_min": min(v.min_singular_value for v in verdicts),
+        "tp": float(test.tp_residual[at].max()),
+        "rank_sigma_min": float(test.singular_values[at, -1].min()),
     }
 
 
-def _classification(K: int, verdicts) -> str:
-    """``unitary`` if K = 1, else ``extreme`` if every verdict passes the rank test, else ``quasi_extreme``."""
+def _classification(K: int, extreme: np.ndarray) -> str:
+    """``unitary`` if K = 1, else ``extreme`` if every set of the boolean
+    rank-test slice ``extreme`` passes, else ``quasi_extreme``."""
     if K == 1:
         return "unitary"
-    return "extreme" if all(v.is_extreme for v in verdicts) else "quasi_extreme"
+    return "extreme" if extreme.all() else "quasi_extreme"
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +387,11 @@ def _classification(K: int, verdicts) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _record_fields(record: ChannelRecord) -> dict:
-    """The JSON fields of a record."""
+def _record_fields(record: ChannelRecord, group: str, d: int) -> dict:
+    """The JSON fields of a record of a manifest of ``group`` at dimension ``d``."""
     return {
-        "group": record.group,
-        "d": record.d,
+        "group": group,
+        "d": d,
         "d1_label": record.d1_label.text,
         "d2_label": record.d2_label.text,
         "omega_index": record.omega_index,
@@ -414,7 +418,7 @@ def _manifest_fields(manifest: RunManifest) -> dict:
         "options": manifest.options,
         "total_instances": manifest.total_instances,
         "count_found": manifest.count_found,
-        "records": [_record_fields(r) for r in manifest.records],
+        "records": [_record_fields(r, manifest.group, manifest.d) for r in manifest.records],
     }
 
 
@@ -454,12 +458,15 @@ def _residuals_from(obj) -> dict:
 _JSON_TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
+    "array of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "string": lambda v: isinstance(v, str),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "boolean": lambda v: isinstance(v, bool),
     "string or null": lambda v: v is None or isinstance(v, str),
     "array of strings or null": lambda v: v is None or (isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "string naming a status": lambda v: v in STATUSES,
+    "string naming a classification": lambda v: v in CLASSIFICATIONS,
 }
 
 # run_enumeration option -> the JSON type of the value it writes; n_starts and
@@ -499,20 +506,21 @@ def manifest_from_dict(obj) -> RunManifest:
             return by_text[text]
 
         records = []
-        for rec in obj["records"]:
+        for i, rec in enumerate(obj["records"]):
+            of = (_typed(rec, "group", "string"), _typed(rec, "d", "integer"))
+            if of != (group, d):
+                raise SchemaError(f"record {i} is of {of[0]} d={of[1]}, its manifest of {group} d={d}")
             records.append(
                 ChannelRecord(
-                    group=_typed(rec, "group", "string"),
-                    d=_typed(rec, "d", "integer"),
                     d1_label=label(rec["d1_label"]),
                     d2_label=label(rec["d2_label"]),
                     omega_index=_typed(rec, "omega_index", "integer"),
                     omega_label=_typed(rec, "omega_label", "string"),
                     n_params=_typed(rec, "n_params", "integer"),
-                    status=_typed(rec, "status", "string"),
+                    status=_typed(rec, "status", "string naming a status"),
                     kraus_samples=[kraus_from_dict(s) for s in rec["kraus_samples"]],
-                    moduli_constraints=list(_typed(rec, "moduli_constraints", "array")),
-                    classification=_typed(rec, "classification", "string"),
+                    moduli_constraints=list(_typed(rec, "moduli_constraints", "array of strings")),
+                    classification=_typed(rec, "classification", "string naming a classification"),
                     residuals=_residuals_from(rec["residuals"]),
                     error=_typed(rec, "error", "string or null", None),
                 )
@@ -522,24 +530,22 @@ def manifest_from_dict(obj) -> RunManifest:
         for key, json_type in _OPTION_TYPES.items():
             if key in options:
                 _typed(options, key, json_type)
-        total, found = _typed(obj, "total_instances", "integer"), _typed(obj, "count_found", "integer")
-        n_found = sum(r.status == "channel_found" for r in records)
-        if (total, found) != (len(records), n_found):
-            raise SchemaError(
-                f"manifest counts instances {total}, channels found {found}, but its records"
-                f" hold {len(records)} instances, {n_found} found"
-            )
-        return RunManifest(
+        manifest = RunManifest(
             group=group,
             kind=kind,
             d=d,
             tolerances={key: _typed(tolerances, key, "number") for key in tolerances},
             seed=_typed(obj, "seed", "integer"),
             options=dict(options),
-            total_instances=total,
-            count_found=found,
             records=records,
         )
+        total, found = _typed(obj, "total_instances", "integer"), _typed(obj, "count_found", "integer")
+        if (total, found) != (manifest.total_instances, manifest.count_found):
+            raise SchemaError(
+                f"manifest counts instances {total}, channels found {found}, but its records"
+                f" hold {manifest.total_instances} instances, {manifest.count_found} found"
+            )
+        return manifest
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed manifest: {exc!r}") from None
 
@@ -613,13 +619,13 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK) -> list[dict]:
                 if not cp_floor >= -1e-10:
                     raise SchemaError(f"not completely positive: min Choi eigenvalue {cp_floor:.3e}")
                 entry["tp_residual"] = float(test.tp_residual[i])
-                verdict = test.verdict(i)
+                test.check_channels(i)
                 entry.update(
                     {
-                        "rank": verdict.rank,
-                        "expected_rank": verdict.expected_rank,
-                        "min_singular_value": verdict.min_singular_value,
-                        "classification": _classification(K, [verdict]),
+                        "rank": int(test.rank[i]),
+                        "expected_rank": K * K,
+                        "min_singular_value": float(test.singular_values[i, -1]),
+                        "classification": _classification(K, test.extreme[i : i + 1]),
                     }
                 )
             except (SchemaError, NotTracePreserving) as exc:

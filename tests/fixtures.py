@@ -134,16 +134,19 @@ def kraus_set(mats):
 
 
 def check_extreme(ks):
-    """The rank-test verdict of one Kraus set (a stack of one)."""
-    return test_extreme(ks.matrices[None]).verdict(0)
+    """The rank test of one Kraus set (a stack of one), which must be a channel."""
+    test = test_extreme(ks.matrices[None])
+    test.check_channels(0)
+    return test
 
 
 def kraus_dict(mats):
     return plain(kraus_fields(kraus_set(mats)))
 
 
-def record_dict(record):
-    return plain(_record_fields(record))
+def record_dict(record, manifest):
+    """The JSON fields of ``record``, a record of ``manifest``."""
+    return plain(_record_fields(record, manifest.group, manifest.d))
 
 
 def manifest_dict(manifest):

@@ -218,7 +218,7 @@ def test_nan_tp_residual_is_not_a_channel():
     test = rank_test(np.eye(2, dtype=complex)[None, None])
     test = dataclasses.replace(test, tp_residual=np.array([np.nan]))
     with pytest.raises(NotTracePreserving):
-        test.verdict(0)
+        test.check_channels(0)
 
 
 @pytest.fixture(scope="module")
@@ -237,10 +237,11 @@ def test_the_recorded_tp_tolerance_is_the_one_applied(tmp_path, s3_sweep, factor
     (entry,) = _classify(tmp_path, [kraus_dict(stack[0])])
     if fails:
         with pytest.raises(NotTracePreserving):
-            test.verdict(0)
+            test.check_channels(0)
         assert entry["error"].startswith("NotTracePreserving: ") and entry["classification"] is None
     else:
-        assert test.verdict(0).rank == 1
+        test.check_channels(0)
+        assert test.rank[0] == 1
         assert entry["error"] is None and entry["classification"] == "unitary"
 
 
@@ -274,7 +275,7 @@ def test_one_non_tp_sample_fails_a_solved_record(monkeypatch, s3_sweep):
             assert not r.kraus_samples and not r.residuals
             failed += not moved
         else:
-            assert record_dict(r) == record_dict(ref)
+            assert record_dict(r, manifest) == record_dict(ref, s3_sweep)
     assert failed > 0
 
 
@@ -296,7 +297,7 @@ def test_one_non_tp_sample_makes_a_transported_record_an_error(monkeypatch, s3_s
             assert not r.kraus_samples and r.classification == "not_applicable" and not r.residuals
             broken += 1
         else:
-            assert record_dict(r) == record_dict(ref)
+            assert record_dict(r, manifest) == record_dict(ref, s3_sweep)
     assert broken > 0
 
 
@@ -332,7 +333,7 @@ def test_a_failing_member_leaves_its_classmates_alone(monkeypatch, failure):
             assert r.status == "error" and r.error.startswith(f"transport failed: {reason}")
             assert not r.kraus_samples and r.classification == "not_applicable" and not r.residuals
         else:
-            assert record_dict(r) == record_dict(ref)
+            assert record_dict(r, manifest) == record_dict(ref, reference)
 
 
 def _class_of(classes, r):
@@ -357,7 +358,7 @@ def test_non_covariant_solved_samples_fail_their_class(monkeypatch, name, d, non
     broken = 0
     for r, ref in zip(manifest.records, reference.records):
         if ref.status != "channel_found":
-            assert record_dict(r) == record_dict(ref)
+            assert record_dict(r, manifest) == record_dict(ref, reference)
             continue
         head = by_instance[_class_of(classes, ref)]
         reps = [materialize(spec, lab) for lab in (head.d1_label, head.d2_label)]
@@ -429,8 +430,8 @@ def test_record_residuals_equal_the_per_sample_loop(s3_sweep):
             continue
         D1, D2 = materialize(spec, r.d1_label), materialize(spec, r.d2_label)
         omega = spec.irrep_by_index(r.omega_index)
-        verdicts = [rank_test(s.matrices[None]).verdict(0) for s in r.kraus_samples]
-        assert r.residuals["rank_sigma_min"] == min(v.min_singular_value for v in verdicts)
+        tests = [rank_test(s.matrices[None]) for s in r.kraus_samples]
+        assert r.residuals["rank_sigma_min"] == min(float(t.singular_values[0, -1]) for t in tests)
         assert r.residuals["covariance"] == max(
             float(covariance_residual(s.matrices, D1, D2, omega, "discrete")) for s in r.kraus_samples
         )

@@ -1,11 +1,14 @@
 """Extremality rank test."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gcec.channels import KrausSet
 from gcec.errors import NotTracePreserving
-from gcec.extremality import product_stack
+from gcec.extremality import TOL_TP, product_stack
+from gcec.extremality import test_extreme as rank_test
 
 from fixtures import (
     a4_qutrit_triple,
@@ -45,23 +48,23 @@ def test_product_stack_shape():
 @pytest.mark.parametrize("label,mats", EXTREME_FIXTURES, ids=lambda v: v if isinstance(v, str) else "")
 def test_fixture_channels_are_extreme(label, mats):
     ks = kraus_set(mats)
-    verdict = check_extreme(ks)
-    assert verdict.is_extreme
-    assert verdict.rank == verdict.expected_rank == ks.K**2
-    assert verdict.rank == product_gram_rank(mats)
+    test = check_extreme(ks)
+    assert test.extreme[0]
+    assert test.rank[0] == ks.K**2
+    assert test.rank[0] == product_gram_rank(mats)
 
 
 def test_s3_locus_is_quasi_extreme():
-    verdict = check_extreme(kraus_set(S3_LOCUS))
-    assert not verdict.is_extreme
-    assert verdict.rank == 3 and verdict.expected_rank == 4
+    ks = kraus_set(S3_LOCUS)
+    test = check_extreme(ks)
+    assert not test.extreme[0]
+    assert test.rank[0] == 3 and ks.K**2 == 4
 
 
 def test_rank_bounded_by_dimensions():
     for _, mats in EXTREME_FIXTURES:
         ks = kraus_set(mats)
-        verdict = check_extreme(ks)
-        assert verdict.rank <= min(ks.d**2, ks.K**2)
+        assert check_extreme(ks).rank[0] <= min(ks.d**2, ks.K**2)
 
 
 def test_verdict_invariant_under_unitary_conjugation():
@@ -69,29 +72,29 @@ def test_verdict_invariant_under_unitary_conjugation():
     for mats, expect in [(a4_qutrit_triple(), True), (S3_LOCUS, False)]:
         ks = kraus_set(mats)
         base = check_extreme(ks)
-        assert base.is_extreme == expect
+        assert base.extreme[0] == expect
         for _ in range(20):
             u, v = random_unitary(rng, 3), random_unitary(rng, 3)
             moved = KrausSet(u @ ks.matrices @ v.conj().T)
-            verdict = check_extreme(moved)
-            assert verdict.is_extreme == base.is_extreme
-            assert verdict.rank == base.rank
+            test = check_extreme(moved)
+            assert test.extreme[0] == base.extreme[0]
+            assert test.rank[0] == base.rank[0]
 
 
 def test_verdict_invariant_under_kraus_mixing():
     rng = np.random.default_rng(42)
     for mats, expect in [(S3_GENERIC, True), (S3_LOCUS, False)]:
         base = check_extreme(kraus_set(mats))
-        assert base.is_extreme == expect
+        assert base.extreme[0] == expect
         for _ in range(20):
             w = random_unitary(rng, len(mats))
             mixed = [
                 sum(w[j, k] * mats[k] for k in range(len(mats)))
                 for j in range(len(mats))
             ]
-            verdict = check_extreme(kraus_set(mixed))
-            assert verdict.is_extreme == base.is_extreme
-            assert verdict.rank == base.rank
+            test = check_extreme(kraus_set(mixed))
+            assert test.extreme[0] == base.extreme[0]
+            assert test.rank[0] == base.rank[0]
 
 
 def test_verdict_stable_under_tiny_perturbation():
@@ -103,18 +106,38 @@ def test_verdict_stable_under_tiny_perturbation():
             for _ in mats
         ]
         bumped = kraus_set([m + n for m, n in zip(mats, noise)])
-        verdict = check_extreme(bumped)
-        assert verdict.is_extreme == base.is_extreme
-        assert verdict.rank == base.rank
+        test = check_extreme(bumped)
+        assert test.extreme[0] == base.extreme[0]
+        assert test.rank[0] == base.rank[0]
 
 
 def test_too_many_kraus_reported_not_raised():
-    verdict = check_extreme(kraus_set(depolarizing_kraus(2)))
-    assert not verdict.is_extreme
-    assert verdict.rank <= 4 and verdict.expected_rank == 16
+    ks = kraus_set(depolarizing_kraus(2))
+    test = check_extreme(ks)
+    assert not test.extreme[0]
+    assert test.rank[0] <= 4 and ks.K**2 == 16
 
 
 def test_non_tp_input_rejected():
     with pytest.raises(NotTracePreserving):
         check_extreme(kraus_set([0.5 * np.eye(2)]))
 
+
+
+def test_check_channels_stops_at_the_first_non_channel_of_its_slice():
+    # Sets 1 and 2 scale a unitary to TP residuals sqrt(2) (s^2 - 1) of 3 and
+    # 5 times TOL_TP; set 3 gets a NaN residual.
+    scales = np.sqrt(1 + np.array([0.0, 3.0, 5.0, 0.0]) * TOL_TP / np.sqrt(2))
+    test = rank_test(scales[:, None, None, None] * np.eye(2, dtype=complex)[None, None])
+    test = dataclasses.replace(test, tp_residual=np.append(test.tp_residual[:3], np.nan))
+    named = {}
+    for at in (slice(1, 3), slice(2, 4), slice(3, 4), slice(0, 4)):
+        with pytest.raises(NotTracePreserving) as err:
+            test.check_channels(at)
+        named[at.start, at.stop] = str(err.value)
+    first, second = (f"trace-preservation residual {test.tp_residual[i]:.3e} exceeds {TOL_TP:.1e}" for i in (1, 2))
+    assert named == {(1, 3): first, (2, 4): second, (3, 4): f"trace-preservation residual nan exceeds {TOL_TP:.1e}",
+                     (0, 4): first}
+    assert first != second
+    test.check_channels(slice(0, 1))
+    test.check_channels(0)

@@ -148,8 +148,8 @@ def test_restricted_sweep_reproduces_full_records(z2_manifest, z2_restricted):
     ]
     assert len(expected) == len(z2_restricted.records)
     for full, sub in zip(expected, z2_restricted.records):
-        a = json.dumps(record_dict(full), sort_keys=True)
-        b = json.dumps(record_dict(sub), sort_keys=True)
+        a = json.dumps(record_dict(full, z2_manifest), sort_keys=True)
+        b = json.dumps(record_dict(sub, z2_restricted), sort_keys=True)
         assert a == b
 
 
@@ -258,8 +258,6 @@ def test_hand_built_manifest_json_matches_stdlib(z2_manifest):
         tolerances={"kernel": 1e-10, "tp": 1e-10, "rank": 1e-8},
         seed=0,
         options={"reps": None},
-        total_instances=0,
-        count_found=0,
     )
     assert manifest_to_json(empty) == _stdlib_manifest_json(empty)
 
@@ -342,7 +340,9 @@ def test_malformed_residuals_are_schema_errors(tmp_path, capsys, z2_manifest, re
      (0, "classification", 3, "report"), (0, "error", 5, "report"), (0, "group", 5, "report"),
      (None, "seed", [1], "report"), (None, "total_instances", None, "report"), (None, "count_found", "x", "report"),
      ("options", "n_starts", "x", "report"), ("options", "nonunitary_only", 1, "report"),
-     ("options", "reps", ["q0+q0", 1], "report"), ("options", "time_budget", "10", "report")],
+     ("options", "reps", ["q0+q0", 1], "report"), ("options", "time_budget", "10", "report"),
+     (0, "status", "bogus", "report"), (0, "classification", "maybe", "report"),
+     (0, "moduli_constraints", [1, None], "report")],
 )
 def test_malformed_manifest_fields_are_schema_errors(tmp_path, capsys, z2_manifest, record, key, value, command):
     # ``record`` picks where ``key`` is set: the manifest (None), its
@@ -371,6 +371,30 @@ def test_manifest_counts_must_match_its_records(tmp_path, capsys, z2_manifest, c
         load_manifest(path)
     assert main(["report", "--in", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: manifest counts instances ")
+
+
+@pytest.mark.parametrize("key,value,of", [("group", "Z3", "Z3 d=2"), ("d", 3, "Z2 d=3")])
+def test_a_record_of_another_group_or_dimension_is_a_schema_error(tmp_path, capsys, z2_manifest, key, value, of):
+    path = tmp_path / "z2.json"
+    save_manifest(z2_manifest, path)
+    obj = json.loads(path.read_text())
+    obj["records"][5][key] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match=f"record 5 is of {of}, its manifest of Z2 d=2"):
+        load_manifest(path)
+    assert main(["report", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: record 5 is of ")
+
+
+def test_a_manifest_with_fewer_records_saves_its_own_counts(tmp_path, z2_manifest):
+    found = [r for r in z2_manifest.records if r.status == "channel_found"][:2]
+    other = next(r for r in z2_manifest.records if r.status != "channel_found")
+    subset = dataclasses.replace(z2_manifest, records=[other, *found])
+    path = tmp_path / "z2.json"
+    save_manifest(subset, path)
+    obj = json.loads(path.read_text())
+    assert (obj["total_instances"], obj["count_found"]) == (3, 2)
+    assert manifest_to_json(load_manifest(path)) == manifest_to_json(subset)
 
 
 def test_non_numeric_tolerance_is_a_schema_error(tmp_path, capsys, z2_manifest):
@@ -470,8 +494,6 @@ def test_empty_manifest_report():
         tolerances={"kernel": 1e-10, "tp": 1e-10, "rank": 1e-8},
         seed=0,
         options={},
-        total_instances=0,
-        count_found=0,
     )
     text = report(manifest, "text")
     assert "instances 0, channels found 0" in text
@@ -730,7 +752,7 @@ def test_sub_sweep_without_representative_reproduces_full_records(z4_manifest):
     full = {(r.omega_index, r.d1_label.text, r.d2_label.text): r for r in z4_manifest.records}
     assert len(sub.records) == 4 * 4
     for r in sub.records:
-        assert record_dict(r) == record_dict(full[r.omega_index, r.d1_label.text, r.d2_label.text])
+        assert record_dict(r, sub) == record_dict(full[r.omega_index, r.d1_label.text, r.d2_label.text], z4_manifest)
 
 
 def test_sub_sweep_reproduces_records_moved_by_an_automorphism():
@@ -749,7 +771,7 @@ def test_sub_sweep_reproduces_records_moved_by_an_automorphism():
     by_key = {(r.omega_index, r.d1_label.text, r.d2_label.text): r for r in full.records}
     assert len(sub.records) == 2 * 2 * 2
     for r in sub.records:
-        assert record_dict(r) == record_dict(by_key[r.omega_index, r.d1_label.text, r.d2_label.text])
+        assert record_dict(r, sub) == record_dict(by_key[r.omega_index, r.d1_label.text, r.d2_label.text], full)
 
 
 @pytest.mark.parametrize("scale,reason", [(1.0, "covariance residual"), (2.0, "NotTracePreserving")])
@@ -767,4 +789,4 @@ def test_failed_transport_is_an_error_not_solver_failed(monkeypatch, s3_manifest
             assert r.error.startswith("transport failed") and reason in r.error
             assert not r.kraus_samples and r.classification == "not_applicable" and not r.residuals
         else:
-            assert record_dict(r) == record_dict(ref)
+            assert record_dict(r, manifest) == record_dict(ref, s3_manifest)
