@@ -74,11 +74,24 @@ def product_stack(stack: np.ndarray) -> np.ndarray:
     return products.reshape(S, K * K, d * d).swapaxes(-1, -2)
 
 
+def finite_batch(fn, batch: np.ndarray, **kwargs) -> np.ndarray:
+    """``fn(batch, **kwargs)`` of a batched call such as ``np.linalg.svd``,
+    which raises on NaN input, with NaN values for each non-finite matrix."""
+    finite = np.isfinite(batch).all(axis=(-2, -1))
+    if finite.all():
+        return fn(batch, **kwargs)
+    values = fn(batch[finite], **kwargs)
+    out = np.full((len(batch), *values.shape[1:]), np.nan)
+    out[finite] = values
+    return out
+
+
 def product_rank(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> tuple[np.ndarray, np.ndarray]:
     """Per set of an (S, K, d, d) stack, the singular values of its
     :func:`product_stack` (descending, one batched SVD) and its rank, the
-    count of those above ``tol_rank`` times the largest."""
-    svals = np.linalg.svd(product_stack(stack), compute_uv=False)
+    count of those above ``tol_rank`` times the largest.  A set whose
+    products are not finite gets NaN values and rank 0."""
+    svals = finite_batch(np.linalg.svd, product_stack(stack), compute_uv=False)
     top = svals[:, :1]
     return svals, np.where(top[:, 0] > 0, np.sum(svals > tol_rank * top, axis=1), 0)
 

@@ -24,16 +24,16 @@ evaluate it, and the Lie assembly reads the same terms.
 
 Schur blocks.  The representation acting on the rows of A_k (D2 for
 discrete groups, D1 for Lie groups) and the one acting on its columns (D1,
-resp. D2) are each split into the finest index partition that every one of
-their generators maps into itself, read off the generators' nonzero
-pattern (never from the labels, so a densely rotated representation is
-simply one block); ``Rep.split`` computes this once per representation
-object, so a sweep splits each representation once.  The relations then
-decouple: the entries A_k[I, J] for a row block I and a column block J,
-over all k, form an independent system of K*|I|*|J| unknowns.  Each
-block is factored by a thin SVD, and the instance's kernel is the direct
-sum of the block kernels, embedded into K*d^2 space in (row block, column
-block) order.
+resp. D2) are each given as invariant parts: ``Rep.split``, one part per
+catalog irrep of the representation's label at its offset in the direct
+sum, computed once per representation object, so a sweep splits each
+representation once.  The systems themselves take any invariant parts, so
+a densely rotated representation passed as one part works as well.  The
+relations then decouple: the entries A_k[I, J] for a row block I and a
+column block J, over all k, form an independent system of K*|I|*|J|
+unknowns.  Each block is factored by a thin SVD, and the instance's kernel
+is the direct sum of the block kernels, embedded into K*d^2 space in (row
+block, column block) order.
 
 Weight space.  A Lie generator whose row, column and Omega sub-blocks are
 all diagonal (a *weight* generator: Lz in the catalog's descending-m basis)
@@ -48,9 +48,11 @@ and L- reach only weight +1 and -1).  This is :func:`_columns`' unit-vector
 build at the free entries without its zero rows, entry for entry.  The
 kernel is embedded back at the free entries; a block with none has an
 empty basis, and a spin-0 block, with weight generators only, the identity.
-Discrete blocks, diagonal Zn characters included, keep every row and
-column, and a densely rotated Lie representation, which has no weight
-generator, every column.
+Weight generators are found block by block from the blocks' own matrices,
+since Omega is an ``Irrep`` that may come in any basis, and so may a part
+handed to :func:`_system` directly.  Discrete blocks, diagonal Zn
+characters included, keep every row and column, and a Lie block with no
+weight generator, such as a densely rotated one, every column.
 
 Rank threshold.  A singular value counts as zero when it is at most
 ``TOL_KERNEL * max(1, sigma_max)`` of its block; a block whose matrices are
@@ -77,19 +79,17 @@ part, its column part and its index in that block's kernel.  The column
 part is the input part, the representation that Xi(c) = sum_k A_k^dag A_k
 acts on, which :mod:`gcec.tp` splits by Schur's lemma.  That split needs
 every input part irreducible and parts of different content inequivalent,
-which :func:`_input_defect` checks on the trivial-label blocks between the
-parts, through the same cache.
+which a ``Rep``'s split is by construction (:mod:`gcec.reps`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimMismatch, LengthMismatch
-from .groups import Irrep, direct_sum, lie_irrep
+from .groups import Irrep, direct_sum
 from .reps import InvariantBlock, Rep
 
 TOL_KERNEL = 1e-10  # relative, with an absolute floor (see "Rank threshold")
@@ -159,9 +159,7 @@ class KernelFamily:
     (positions in the system's ``row_parts`` and ``col_parts``) and its
     index in that Schur block's kernel.  The input part is the column part,
     the representation Xi(c) = sum_k A_k^dag A_k acts on; ``inputs`` lists
-    the input parts.  ``input_defect`` is None when every input part is
-    irreducible and parts of different content are inequivalent, and
-    otherwise names the part that is not (see :func:`_input_defect`).
+    the input parts.
     """
 
     basis: np.ndarray
@@ -169,7 +167,6 @@ class KernelFamily:
     d: int
     layout: np.ndarray
     inputs: tuple[InvariantBlock, ...]
-    input_defect: str | None
 
     @property
     def n_params(self) -> int:
@@ -397,40 +394,6 @@ def kernel_dims(kind: str, parts: tuple[InvariantBlock, ...], omegas, cache: dic
     return np.array([kernel.shape[1] for kernel in kernels], dtype=int).reshape(len(omegas), len(parts), len(parts))
 
 
-@lru_cache(maxsize=None)
-def _trivial_system(kind: str, num_generators: int) -> CovarianceSystem:
-    """A system with no parts under the catalog's trivial channel label."""
-    label = lie_irrep("su2", 1).generator_matrices if kind == "lie" else [np.ones((1, 1))] * num_generators
-    return _system(kind, (), (), label)
-
-
-def _input_defect(system: CovarianceSystem, cache: dict) -> str | None:
-    """None when every column part of ``system`` is irreducible and parts of
-    different content are inequivalent, else a text naming the first part
-    that breaks this.
-
-    Read off the trivial-label kernels between the parts: by Schur's lemma
-    the intertwiners from part b to part a form a space of dimension 1 when
-    a = b is irreducible and 0 when a and b are inequivalent irreducibles
-    (and the dimension is the same from a to b).  Those blocks are the
-    catalog's trivial-label blocks and go through ``cache`` like any other,
-    so a sweep factors each once.
-    """
-    firsts: dict = {}  # content -> first part with it
-    for part in system.col_parts:
-        firsts.setdefault(part.content, part)
-    parts = list(firsts.values())
-    trivial = _trivial_system(system.kind, len(system.omega_gens))
-    blocks = [(trivial, a, b) for i, a in enumerate(parts) for b in parts[i:]]
-    for (_, a, b), kernel in zip(blocks, _kernels(blocks, cache)):
-        if kernel.shape[1] != (a is b):
-            at = a.index.tolist()
-            if a is b:
-                return f"input part at indices {at} is reducible"
-            return f"input parts at indices {at} and {b.index.tolist()} are equivalent"
-    return None
-
-
 def joint_nullspace(system: CovarianceSystem, cache: dict | None = None) -> KernelFamily:
     """Orthonormal basis of the intersection of all generators' kernels.
 
@@ -457,8 +420,7 @@ def joint_nullspace(system: CovarianceSystem, cache: dict | None = None) -> Kern
     for index, part, i, j in placed:
         basis[index, len(layout) : len(layout) + part.shape[1]] = part
         layout += [(i, j, s) for s in range(part.shape[1])]
-    defect = _input_defect(system, cache) if layout else None
-    return KernelFamily(basis, K, d, np.array(layout, dtype=int).reshape(-1, 3), system.col_parts, defect)
+    return KernelFamily(basis, K, d, np.array(layout, dtype=int).reshape(-1, 3), system.col_parts)
 
 
 def intertwiner(target, moved, cache: dict | None = None) -> np.ndarray:
@@ -475,7 +437,8 @@ def intertwiner(target, moved, cache: dict | None = None) -> np.ndarray:
     """
     r = target[0].shape[0]
     rows, cols = (InvariantBlock.on(np.arange(r), gens) for gens in (moved, target))
-    (kernel,) = _kernels([(_trivial_system("discrete", len(target)), rows, cols)], {} if cache is None else cache)
+    trivial = _system("discrete", (), (), [np.ones((1, 1))] * len(target))
+    (kernel,) = _kernels([(trivial, rows, cols)], {} if cache is None else cache)
     if kernel.shape[1] != 1:
         raise DimMismatch(f"expected one intertwiner between equivalent irreps, found {kernel.shape[1]}")
     return np.sqrt(r) * kernel[:, 0].reshape(r, r)

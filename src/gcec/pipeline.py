@@ -86,7 +86,7 @@ from .channels import (
 )
 from .classes import LabelClasses
 from .errors import BadSeed, GcecError, SchemaError, NotTracePreserving, UnknownGroup
-from .extremality import DEFAULT_TOL_RANK, TOL_TP, check_tol_rank, test_extreme
+from .extremality import DEFAULT_TOL_RANK, TOL_TP, check_tol_rank, finite_batch, test_extreme
 from .groups import infer_kind, props
 from .kernels import (
     TOL_KERNEL,
@@ -322,9 +322,6 @@ def _class_records(kind, head, reps, members, classes, tol_rank, seed, block_cac
                 continue
             try:
                 moved[i] = classes.transport(stack, head, move)
-                # one non-finite set would stop the shared SVD for the whole class
-                if not np.isfinite(moved[i]).all():
-                    raise GcecError("a transported sample is not finite")
             except Exception as exc:  # never solver_failed: the representative decided existence
                 moved[i] = exc
         fine = [m for m in moved.values() if not isinstance(m, Exception)]
@@ -434,11 +431,11 @@ def save_manifest(manifest: RunManifest, path) -> None:
 
 
 def _read_json(path):
-    """Parse a JSON file; a decode failure raises ``SchemaError``."""
+    """Parse a JSON file; a UTF-8 or JSON decode failure raises ``SchemaError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SchemaError(f"not valid JSON: {exc}") from None
 
 
@@ -611,7 +608,7 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK) -> list[dict]:
         stack = np.stack([mats for _, mats in members])
         # Finite entries can still overflow; their NaN values fail the checks below.
         with np.errstate(over="ignore", invalid="ignore"):
-            cp_floors = np.linalg.eigvalsh(choi(stack))[:, 0]
+            cp_floors = finite_batch(np.linalg.eigvalsh, choi(stack))[:, 0]
             test = test_extreme(stack, tol_rank)
         for i, (entry, _) in enumerate(members):
             try:

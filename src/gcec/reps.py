@@ -1,10 +1,10 @@
 """Enumeration and materialization of d-dimensional representations.
 
 A d-dimensional representation is a multiset of catalog irreps whose
-dimensions sum to d, realized concretely as block-diagonal generator
-matrices with the blocks in canonical (dimension, index) order.  A
-materialized representation also knows its finest invariant split, which
-the covariance kernels read once per representation.
+dimensions sum to d, in canonical (dimension, index) order.  Its split has
+one part per irrep, at the irrep's offset in the block-diagonal direct sum.
+The catalog irreps are irreducible and pairwise inequivalent (a test checks
+the catalog), so parts of different content are inequivalent.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ class RepLabel:
 
 @dataclass(frozen=True)
 class InvariantBlock:
-    """One part of a representation's finest invariant split.
+    """One part of a representation: an irrep of a :class:`Rep`'s split, or
+    any invariant set of basis indices, such as a whole rotated
+    representation.
 
     ``index`` holds the part's sorted basis indices, ``generators`` the
     generator sub-blocks on them (complex, so equal content always has
@@ -47,35 +49,31 @@ class InvariantBlock:
         return InvariantBlock(index, gens, tuple(g.tobytes() for g in gens))
 
 
-def _invariant_blocks(gens) -> list[np.ndarray]:
-    """Finest partition of the basis indices that every generator maps into
-    itself: connected components of the generators' joint nonzero pattern,
-    each sorted, ordered by smallest index."""
-    d = gens[0].shape[0]
-    reach = np.eye(d, dtype=int) + sum((g != 0) | (g.T != 0) for g in gens)
-    for _ in range(d.bit_length()):  # transitive closure by repeated squaring
-        reach = ((reach @ reach) > 0).astype(int)
-    return [np.flatnonzero(reach[i]) for i in range(d) if not reach[i, :i].any()]
-
-
 @dataclass(frozen=True)
 class Rep:
-    """A concrete block-diagonal representation."""
+    """The direct sum of the catalog irreps that ``label`` names, in its
+    canonical order; everything else is derived from ``spec`` and ``label``."""
 
+    spec: GroupSpec
     label: RepLabel
-    generator_matrices: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
         return self.label.total_dim
 
+    @property
+    def generator_matrices(self) -> tuple[np.ndarray, ...]:
+        """The block-diagonal direct sums of the parts' generator matrices."""
+        return tuple(direct_sum([part.generators[g] for part in self.split]) for g in range(self.spec.num_generators))
+
     @cached_property
     def split(self) -> tuple[InvariantBlock, ...]:
-        """The finest invariant split, read off the generators' nonzero
-        pattern (never from the label); computed once per object."""
+        """One part per irrep of the label, at its offset in the direct sum;
+        computed once per object."""
+        irreps = [self.spec.irrep_by_index(p) for p in self.label.parts]
+        offsets = np.cumsum([0, *(ir.dim for ir in irreps)])
         return tuple(
-            InvariantBlock.on(idx, (g[idx[:, None], idx] for g in self.generator_matrices))
-            for idx in _invariant_blocks(self.generator_matrices)
+            InvariantBlock.on(np.arange(at, at + ir.dim), ir.generator_matrices) for ir, at in zip(irreps, offsets)
         )
 
 
@@ -124,10 +122,8 @@ def enumerate_reps(spec: GroupSpec, d: int) -> list[RepLabel]:
 
 
 def materialize(spec: GroupSpec, label: RepLabel) -> Rep:
-    """Assemble the block-diagonal generator matrices for ``label``."""
-    irreps = [spec.irrep_by_index(p) for p in label.parts]
-    mats = tuple(direct_sum([ir.generator_matrices[g] for ir in irreps]) for g in range(spec.num_generators))
-    return Rep(label=label, generator_matrices=mats)
+    """The representation that ``label`` names."""
+    return Rep(spec, label)
 
 
 def omega_candidates(spec: GroupSpec, d: int) -> list[Irrep]:

@@ -45,8 +45,8 @@ family whose only freedom is one phase keeps the vertex alone, since its
 Haar sample gauges back onto it.
 
 The closed form needs every input part irreducible and parts of different
-content inequivalent; :attr:`KernelFamily.input_defect` says when they are
-not, and :func:`solve_tp` then raises.
+content inequivalent, which the parts of a representation built from
+catalog irreps are by construction (:mod:`gcec.reps`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ReducibleInput
 from .extremality import DEFAULT_TOL_RANK, test_extreme
 from .kernels import KernelFamily, gauge_fix_columns, leading_entries
 
@@ -149,13 +148,10 @@ def solve_tp(family: KernelFamily, seed=0, tol_rank: float = DEFAULT_TOL_RANK) -
 
     ``seed`` seeds the Haar samples; ``tol_rank`` is the rank test's
     tolerance, with which a multiplicity-free family picks its canonical
-    vertex.  Raises :class:`gcec.errors.ReducibleInput` when the family's
-    input parts do not allow the closed form.
+    vertex.
     """
     if family.n_params == 0:
         return TpSolveReport(status="no_solution", detail="empty family: only the zero map is covariant")
-    if family.input_defect is not None:
-        raise ReducibleInput(f"no closed-form TP solve: {family.input_defect}")
     irreps = _irreps(family)
     rows, copies = zip(*(C.shape for _, C in irreps))
     if not has_tp_point(rows, copies):

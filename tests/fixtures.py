@@ -1,16 +1,21 @@
 """Frozen closed-form Kraus families used as golden values, and helpers
-for one Kraus set's rank test and for plain JSON values of sets and records.
+for one Kraus set's rank test, for plain JSON values of sets and records,
+and for covariance systems of densely rotated representations.
 
 Each builder returns plain lists of ndarrays; all were validated against
 independent derivations (covariance residuals and trace preservation at
 machine precision) before being frozen here.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
+from gcec import kernels
 from gcec.channels import KrausSet, kraus_fields
 from gcec.extremality import test_extreme
 from gcec.pipeline import _manifest_fields, _record_fields
+from gcec.reps import InvariantBlock
 
 _SQ2 = np.sqrt(2.0)
 
@@ -153,3 +158,17 @@ def manifest_dict(manifest):
     """``json.dumps(manifest_dict(m), sort_keys=True, separators=(",", ":")) + "\\n"`` is
     ``manifest_to_json``'s reference."""
     return plain(_manifest_fields(manifest))
+
+
+def rotated(rep, u):
+    """``rep`` conjugated by the unitary ``u``, as its dimension and
+    generator matrices: all that the covariance residuals read."""
+    return SimpleNamespace(dim=rep.dim, generator_matrices=tuple(u @ g @ u.conj().T for g in rep.generator_matrices))
+
+
+def rotated_system(kind, D1, D2, omega):
+    """The covariance system of D1 and D2 (say, :func:`rotated` ones), each
+    handed to the kernel layer whole, as one invariant part."""
+    rows, cols = kernels.rows_cols(kind, D1, D2)
+    parts = ((InvariantBlock.on(np.arange(rep.dim), rep.generator_matrices),) for rep in (rows, cols))
+    return kernels._system(kind, *parts, omega.generator_matrices)

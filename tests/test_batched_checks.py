@@ -203,14 +203,17 @@ def test_non_finite_entries_are_per_entry_schema_errors(tmp_path, capsys):
 def test_overflowing_entry_is_an_error_and_its_neighbour_keeps_its_verdict(tmp_path):
     # Finite entries whose products overflow: the Choi eigenvalue, TP residual
     # and singular values come out NaN, and NaN must fail the checks quietly.
-    overflow = {"d": 2, "K": 1, "kraus": [[[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+    # A real entry overflows to inf; a complex one to inf - inf = NaN, on
+    # which the batched LAPACK calls raise.
     good = kraus_dict(np.eye(2)[None])
-    got = _classify(tmp_path, [overflow, good], "overflow.json")
-    assert got[0]["classification"] is None and "rank" not in got[0]
-    assert got[0]["error"].startswith("SchemaError: not completely positive: min Choi eigenvalue nan")
     alone = _classify(tmp_path, [good], "good.json")
-    assert got[1] == {**alone[0], "source": "[1]"}
-    assert got[1]["classification"] == "unitary" and got[1]["error"] is None
+    for big in ([1e200, 0], [1e200, 1e200]):
+        overflow = {"d": 2, "K": 1, "kraus": [[[big, [0, 0]], [[0, 0], [1, 0]]]]}
+        got = _classify(tmp_path, [overflow, good], "overflow.json")
+        assert got[0]["classification"] is None and "rank" not in got[0]
+        assert got[0]["error"].startswith("SchemaError: not completely positive: min Choi eigenvalue nan")
+        assert got[1] == {**alone[0], "source": "[1]"}
+        assert got[1]["classification"] == "unitary" and got[1]["error"] is None
 
 
 def test_nan_tp_residual_is_not_a_channel():

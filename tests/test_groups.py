@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcec import kernels
 from gcec.errors import DimensionZero, ParityError, UnknownGroup, UnknownIrrepIndex
 from gcec.groups import (
     character_table,
@@ -12,6 +13,7 @@ from gcec.groups import (
     props,
     word_matrix,
 )
+from gcec.reps import make_rep_label, materialize
 
 DISCRETE_CASES = [
     ("Z2", 2, 2),
@@ -212,3 +214,29 @@ def test_lie_props_generators_are_algebra_elements():
     for ir in payload.group.irreps:
         lp, lm, lz = ir.generator_matrices
         assert np.linalg.norm(lp @ lm - lm @ lp - 2 * lz) <= 1e-12
+
+
+# every finite group at a dimension that keeps all its irreps; SO3 and SU2
+# with their irreps up to dimensions 13 and 12
+CATALOG = [
+    ("Z2", 1), ("Z3", 1), ("Z4", 1), ("Z5", 1), ("S3", 2), ("A4", 3), ("D5", 2), ("D6", 2), ("D7", 2), ("SO3", 13), ("SU2", 12)
+]
+
+
+@pytest.mark.parametrize("name,d", CATALOG)
+def test_catalog_irreps_are_irreducible_and_pairwise_inequivalent(name, d):
+    # By Schur's lemma the trivial-label Schur block from irrep b to irrep a
+    # has a kernel of dimension 1 when a = b is irreducible and 0 when a and
+    # b are inequivalent irreducibles, so the table of those kernel
+    # dimensions over the catalog is the identity exactly when every irrep
+    # is irreducible and no two are equivalent.  This is what lets
+    # gcec.tp read trace preservation off a representation's split.
+    kind = infer_kind(name)
+    spec = props(name, kind, d).group
+    if kind == "discrete":
+        assert len(spec.irreps) == len(props(name, kind, d + 3).group.irreps)
+    parts = materialize(spec, make_rep_label(spec, [ir.index for ir in spec.irreps])).split
+    one = np.ones((1, 1)) if kind == "discrete" else np.zeros((1, 1))
+    (trivial,) = [ir for ir in spec.irreps if all(np.array_equal(g, one) for g in ir.generator_matrices)]
+    table = kernels.kernel_dims(kind, parts, [trivial], {})[0]
+    assert np.array_equal(table, np.eye(len(spec.irreps), dtype=int))

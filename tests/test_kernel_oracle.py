@@ -14,8 +14,9 @@ import pytest
 from gcec.groups import character_table, infer_kind, props
 from gcec.kernels import build_discrete_system, build_lie_system, covariance_residual, joint_nullspace
 from gcec.pipeline import run_enumeration
-from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize, omega_candidates
+from gcec.reps import enumerate_reps, make_rep_label, materialize, omega_candidates
 
+from fixtures import rotated, rotated_system
 from oracles import character_n_params, clebsch_gordan_n_params, random_unitary, tp_exists
 
 SWEEPS = [
@@ -123,12 +124,11 @@ def test_densely_rotated_reps_are_one_block(name, parts, omega_index):
     rep = materialize(spec, make_rep_label(spec, parts))
     omega = spec.irrep_by_index(omega_index)
     rng = np.random.default_rng(21)
-    D1, D2 = (
-        Rep(label=rep.label, generator_matrices=tuple(u @ g @ u.conj().T for g in rep.generator_matrices))
-        for u in (random_unitary(rng, 3), random_unitary(rng, 3))
-    )
-    system = build(D1, D2, omega)
+    D1, D2 = (rotated(rep, u) for u in (random_unitary(rng, 3), random_unitary(rng, 3)))
+    system = rotated_system(kind, D1, D2, omega)
     assert len(system.row_parts) == len(system.col_parts) == 1
     family = joint_nullspace(system)
     assert family.n_params == _oracle(spec, kind)(parts, parts, omega_index)
     _check_family(family, D1, D2, omega, kind)
+    # the catalog form of the same instance has one input part per irrep
+    assert len(joint_nullspace(build(rep, rep, omega)).inputs) == len(parts)

@@ -1,5 +1,7 @@
 """Covariance systems and their joint nullspaces."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,13 @@ from gcec.kernels import (
 import gcec.reps as reps
 import gcec.pipeline as pipeline
 from gcec.pipeline import run_enumeration
-from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize, omega_candidates
+from gcec.reps import enumerate_reps, make_rep_label, materialize, omega_candidates
 
 from fixtures import (
     a4_qutrit_triple,
     d5_qutrit_pair,
+    rotated,
+    rotated_system,
     s3_qutrit_family,
     so3_d5_family,
     so3_qutrit_family,
@@ -206,16 +210,13 @@ def _loop_residual(kraus, D1, D2, omega, kind):
 
 def test_blocks_and_residual_match_dense_reference():
     rng = np.random.default_rng(16)
-    cases = []
-    for name, kind, d, om, p1, p2, *_ in INSTANCES:
-        _, D1, D2, omega = _instance(name, kind, d, om, p1, p2)
-        cases.append((kind, D1, D2, omega))
-    # densely rotated reps: a single block
-    kind, D1, D2, omega = cases[0]
-    cases.append((kind, _rotated(D1, random_unitary(rng, 3)), _rotated(D2, random_unitary(rng, 3)), omega))
-    for kind, D1, D2, omega in cases:
-        build = build_discrete_system if kind == "discrete" else build_lie_system
-        system = build(D1, D2, omega)
+    cases = [_instance(name, kind, d, om, p1, p2) for name, kind, d, om, p1, p2, *_ in INSTANCES]
+    # densely rotated reps, each passed as a single part
+    system, D1, D2, omega = cases[0]
+    D1, D2 = rotated(D1, random_unitary(rng, 3)), rotated(D2, random_unitary(rng, 3))
+    cases.append((rotated_system(system.kind, D1, D2, omega), D1, D2, omega))
+    for system, D1, D2, omega in cases:
+        kind = system.kind
         dense = _dense_reference(kind, D1, D2, omega)
         covered = np.zeros(dense[0].shape, dtype=bool)
         blocks = _blocks(system)
@@ -275,20 +276,13 @@ def test_lie_omega_gauge_transports_kernel():
         assert np.linalg.norm(_projector(basis2) - _projector(transport @ base)) <= 1e-9
 
 
-def _rotated(rep, u):
-    return Rep(
-        label=rep.label,
-        generator_matrices=tuple(u @ g @ u.conj().T for g in rep.generator_matrices),
-    )
-
-
 def test_discrete_rep_gauge_transports_kernel():
     system, D1, D2, omega = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
     base = joint_nullspace(system).basis
     rng = np.random.default_rng(13)
     for _ in range(3):
         u1, u2 = random_unitary(rng, 3), random_unitary(rng, 3)
-        system2 = build_discrete_system(_rotated(D1, u1), _rotated(D2, u2), omega)
+        system2 = rotated_system("discrete", rotated(D1, u1), rotated(D2, u2), omega)
         basis2 = joint_nullspace(system2).basis
         transport = np.kron(np.eye(omega.dim), np.kron(u2, u1.conj()))
         assert np.linalg.norm(_projector(basis2) - _projector(transport @ base)) <= 1e-9
@@ -300,7 +294,7 @@ def test_lie_rep_gauge_transports_kernel():
     rng = np.random.default_rng(14)
     for _ in range(3):
         u1, u2 = random_unitary(rng, 3), random_unitary(rng, 3)
-        system2 = build_lie_system(_rotated(D1, u1), _rotated(D2, u2), omega)
+        system2 = rotated_system("lie", rotated(D1, u1), rotated(D2, u2), omega)
         basis2 = joint_nullspace(system2).basis
         transport = np.kron(np.eye(omega.dim), np.kron(u1, u2.conj()))
         assert np.linalg.norm(_projector(basis2) - _projector(transport @ base)) <= 1e-9
@@ -334,17 +328,50 @@ def test_mismatched_rep_dims_rejected():
 
 def test_each_representation_is_split_once_per_sweep(monkeypatch):
     calls = []
-    original = reps._invariant_blocks
+    original = reps.Rep.split.func
 
-    def counted(gens):
-        calls.append(gens)
-        return original(gens)
+    def counted(rep):
+        calls.append(rep.label)
+        return original(rep)
 
-    monkeypatch.setattr(reps, "_invariant_blocks", counted)
+    split = cached_property(counted)
+    split.__set_name__(reps.Rep, "split")
+    monkeypatch.setattr(reps.Rep, "split", split)
     manifest = run_enumeration("S3", None, 3)
     n_reps = len(enumerate_reps(props("S3", "discrete", 3).group, 3))
     assert manifest.total_instances == 3 * n_reps * n_reps
     assert len(calls) == n_reps
+
+
+def _nonzero_components(gens):
+    """Finest partition of the basis indices that every generator maps into
+    itself: connected components of the generators' joint nonzero pattern,
+    each sorted, ordered by smallest index."""
+    d = gens[0].shape[0]
+    reach = np.eye(d, dtype=int) + sum((g != 0) | (g.T != 0) for g in gens)
+    for _ in range(d.bit_length()):  # transitive closure by repeated squaring
+        reach = ((reach @ reach) > 0).astype(int)
+    return [np.flatnonzero(reach[i]) for i in range(d) if not reach[i, :i].any()]
+
+
+GATE_SWEEPS = [
+    ("SO3", 1), ("SO3", 3), ("SO3", 7), ("SO3", 9), ("SU2", 1), ("SU2", 2), ("SU2", 5), ("SU2", 8),
+    ("Z2", 2), ("Z3", 1), ("Z4", 3), ("Z5", 3), ("S3", 3), ("S3", 5), ("A4", 3), ("A4", 4), ("D5", 4), ("D6", 4),
+]
+
+
+@pytest.mark.parametrize("name,d", GATE_SWEEPS)
+def test_split_is_the_nonzero_pattern_components(name, d):
+    # One part per label irrep, at its offset, is the finest split that the
+    # generators' nonzero pattern shows, with the same sub-block bytes.
+    spec = props(name, infer_kind(name), d).group
+    for label in enumerate_reps(spec, d):
+        rep = materialize(spec, label)
+        components = _nonzero_components(rep.generator_matrices)
+        assert len(rep.split) == len(components) == len(label.parts)
+        for part, index in zip(rep.split, components):
+            assert np.array_equal(part.index, index)
+            assert part.content == tuple(g[np.ix_(index, index)].tobytes() for g in rep.generator_matrices)
 
 
 def _distinct_blocks(name, d):
@@ -417,11 +444,11 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
     rng = np.random.default_rng(22)
     su2 = props("SU2", "lie", 3).group
     rep = materialize(su2, make_rep_label(su2, (0, 1)))
-    D1, D2 = (_rotated(rep, random_unitary(rng, 3)) for _ in range(2))
-    system = build_lie_system(D1, D2, su2.irrep_by_index(1))
-    (rotated,) = [(system, rows, cols) for rows in system.row_parts for cols in system.col_parts]
+    D1, D2 = (rotated(rep, random_unitary(rng, 3)) for _ in range(2))
+    system = rotated_system("lie", D1, D2, su2.irrep_by_index(1))
+    (dense,) = [(system, rows, cols) for rows in system.row_parts for cols in system.col_parts]
     discrete = [*_distinct_blocks("Z4", 3).values()]  # diagonal generators, but no cut
-    blocks = [*_distinct_blocks("SO3", 7).values(), *_distinct_blocks("SU2", 5).values(), rotated, *discrete]
+    blocks = [*_distinct_blocks("SO3", 7).values(), *_distinct_blocks("SU2", 5).values(), dense, *discrete]
     svd_inputs = []
     original = np.linalg.svd
 

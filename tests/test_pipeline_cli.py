@@ -602,6 +602,28 @@ def test_cli_error_paths(tmp_path, capsys):
         assert not missing.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--in", "{tmp}/missing.json"],
+        ["classify", "--in", "{tmp}/missing.json"],
+        ["run", "--group", "Z2", "--dim", "2", "--out", "{tmp}/no/such/dir/x.json"],
+        ["report", "--in", "{tmp}/utf16.json"],
+    ],
+    ids=["report-missing", "classify-missing", "run-unwritable", "report-not-utf8"],
+)
+def test_cli_file_errors_are_one_line(tmp_path, argv):
+    # A file that cannot be read, written or decoded is an error line and
+    # exit status 1, never a traceback.
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    src = pathlib.Path(gcec.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    done = subprocess.run([sys.executable, "-m", "gcec.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
 def _per_instance(group, d, nonunitary_only, seed=0):
     """(n_params, status, classification) of every instance of a sweep, in
     sweep order, each instance solved on its own."""

@@ -8,18 +8,16 @@ import pytest
 from scipy.optimize import linprog
 
 from gcec import extremality
-from gcec.errors import GcecError, ReducibleInput
 from gcec.groups import infer_kind, props
 from gcec.channels import tp_residuals
 from gcec.kernels import build_discrete_system, build_lie_system, joint_nullspace, leading_entries
 from gcec import pipeline
 from gcec.pipeline import run_enumeration
-from gcec.reps import Rep, enumerate_reps, make_rep_label, materialize, omega_candidates
+from gcec.reps import enumerate_reps, make_rep_label, materialize, omega_candidates
 import gcec.tp as tp
 from gcec.tp import solve_tp
 
 from fixtures import s3_qutrit_family
-from oracles import random_unitary
 
 
 def _family(name, kind, d, omega_index, parts1, parts2):
@@ -84,7 +82,6 @@ def test_xi_splits_into_one_gram_matrix_per_input_irrep(name, d):
                 family = joint_nullspace(build(D1, D2, omega), cache)
                 if family.n_params == 0:
                     continue
-                assert family.input_defect is None
                 c = rng.standard_normal(family.n_params) + 1j * rng.standard_normal(family.n_params)
                 expected = np.zeros((d, d), dtype=complex)
                 for a, part_a in enumerate(family.inputs):
@@ -99,27 +96,6 @@ def test_xi_splits_into_one_gram_matrix_per_input_irrep(name, d):
                 assert np.abs(_xi(family, c) - expected).max() <= 1e-12 * max(1.0, np.abs(c).max() ** 2)
                 checked += 1
     assert checked > 50
-
-
-def test_densely_rotated_input_has_no_closed_form():
-    # S3 1+2 rotated by a dense unitary is one invariant part holding two
-    # irreps: the kernel is still right, but TP has no closed form there.
-    spec = props("S3", "discrete", 3).group
-    rep = materialize(spec, make_rep_label(spec, (0, 2)))
-    rng = np.random.default_rng(21)
-    D1, D2 = (
-        Rep(label=rep.label, generator_matrices=tuple(u @ g @ u.conj().T for g in rep.generator_matrices))
-        for u in (random_unitary(rng, 3), random_unitary(rng, 3))
-    )
-    family = joint_nullspace(build_discrete_system(D1, D2, spec.irrep_by_index(2)))
-    assert family.n_params == 3
-    assert family.input_defect == "input part at indices [0, 1, 2] is reducible"
-    with pytest.raises(ReducibleInput, match="reducible") as raised:
-        solve_tp(family)
-    assert isinstance(raised.value, GcecError)
-    # the catalog form of the same instance has two irreducible input parts
-    plain = joint_nullspace(build_discrete_system(rep, rep, spec.irrep_by_index(2)))
-    assert plain.input_defect is None and len(plain.inputs) == 2
 
 
 def test_empty_family_reports_no_solution():
