@@ -9,8 +9,12 @@ shape (S, K, d, d), and evaluate every set in a few batched numpy calls
 (batched matmul, one LAPACK call per stack); a single :class:`KrausSet` is
 the S = 1 case.  Each set's values are those of a loop over the sets.
 :func:`tp_residuals` is the package's one TP residual: the rank test,
-sweep records and ``classify`` all read it.  The rank count of the Kraus
-products lives with the rank test, in :mod:`gcec.extremality`.
+sweep records and ``classify`` all read it.  ``classify`` reads the least
+Choi eigenvalue off the smaller of the d^2 x d^2 :func:`choi` matrix and
+the K x K Gram matrix of the vectorized operators, divided by d: they
+share their nonzero eigenvalues, and when K < d^2 the Choi matrix has
+d^2 - K zero eigenvalues besides.  The rank count of the Kraus products
+lives with the rank test, in :mod:`gcec.extremality`.
 
 JSON.  Complex numbers are [re, im] pairs, written by one encoder,
 :func:`matrix_to_json` (manifests and ``gcec catalog``).
@@ -19,6 +23,7 @@ JSON.  Complex numbers are [re, im] pairs, written by one encoder,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -101,6 +106,9 @@ def kraus_from_dict(obj) -> KrausSet:
         raise SchemaError(f"Kraus entries must be real numbers, got dtype {pairs.dtype}")
     if pairs.shape != (K, d, d, 2):
         raise SchemaError(f"expected Kraus array shape {(K, d, d, 2)}, got {pairs.shape}")
+    # np.array upcasts a JSON true or false among numbers to 1 or 0
+    if any(type(re) is bool or type(im) is bool for re, im in chain.from_iterable(chain.from_iterable(obj["kraus"]))):
+        raise SchemaError("Kraus entries must be real numbers, got a boolean")
     if not np.isfinite(pairs).all():
         raise SchemaError("Kraus entries must be finite")
     return KrausSet(matrices=pairs.astype(float).view(complex)[..., 0])

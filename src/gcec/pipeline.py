@@ -51,9 +51,10 @@ a member whose transport or re-check fails is an ``error`` on its own.
 Checks run on stacks of same-shape Kraus sets: a record's samples get one
 batched covariance residual and share a batched rank test with their
 class, and :func:`classify_file` parses every entry of a file first and
-then checks the sets of each (K, d) shape as one stack (Choi eigenvalues,
-TP residual, rank test).  Each set's values are those of a loop over the
-sets, so the manifests do not depend on the batching.  A set is trace
+then checks the sets of each (K, d) shape as one stack (least Choi
+eigenvalue, off the K x K Gram matrix when K < d^2; TP residual; rank
+test).  Each set's values are those of a loop over the sets, so the
+manifests do not depend on the batching.  A set is trace
 preserving when its TP residual is at most ``extremality.TOL_TP``.  A
 manifest's ``tolerances`` records the thresholds applied: that bound, the
 kernel threshold ``kernels.TOL_KERNEL`` and the run's ``tol_rank``
@@ -66,12 +67,17 @@ standard library's C encoder writes all of it.  Each Kraus sample stays a
 (K, d, d, 2) float array in the fields, and the call's ``default`` hook
 turns one array at a time into nested lists.  The reader takes any JSON
 layout, so manifests in the ``indent=2`` layout of earlier releases load
-alike.
+alike.  The readers pause the cyclic garbage collector until the parsed
+tree, which has no reference cycles, is freed: a running collector would
+rescan it as it grows.  They convert the Kraus sets of each declared
+(K, d) in one ``kraus_from_dict`` call, each with its bytes or error alone.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -430,6 +436,39 @@ def save_manifest(manifest: RunManifest, path) -> None:
         fh.write(manifest_to_json(manifest))
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring the caller's state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _kraus_parser(items: list):
+    """``kraus_from_dict`` for ``items``, converting the sets of each declared (K, d)
+    in one call up front.  A set is parsed alone when that call raises or its values
+    are all integers (which numpy may convert otherwise alone), and every set
+    gets the bytes or the error it gets alone."""
+    done, shapes = {}, {}
+    for obj in items:
+        K, d, kraus = (obj.get(key) for key in ("K", "d", "kraus")) if isinstance(obj, dict) else (0, 0, None)
+        if type(K) is int and type(d) is int and K >= 1 and d >= 1 and isinstance(kraus, list) and len(kraus) == K:
+            shapes.setdefault((K, d), []).append(obj)
+    for (K, d), group in shapes.items():
+        kraus = [matrix for obj in group for matrix in obj["kraus"]]
+        try:
+            stack = kraus_from_dict({"d": d, "K": len(kraus), "kraus": kraus}).matrices.reshape(len(group), K, d, d)
+        except SchemaError:
+            continue
+        integral = (np.modf(stack.view(float))[0] == 0).all(axis=(1, 2, 3))
+        done.update((id(obj), KrausSet(mats)) for obj, mats, whole in zip(group, stack, integral) if not whole)
+    return lambda obj: done.get(id(obj)) or kraus_from_dict(obj)
+
+
 def _read_json(path):
     """Parse a JSON file; a UTF-8 or JSON decode failure raises ``SchemaError``."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -502,6 +541,9 @@ def manifest_from_dict(obj) -> RunManifest:
                 raise SchemaError(f"unknown representation label {text!r} for {spec.name} d={d}")
             return by_text[text]
 
+        # every record's samples, converted by shape; each raises its error in record order
+        listed = [rec.get("kraus_samples") if isinstance(rec, dict) else None for rec in obj["records"]]
+        parse = _kraus_parser([s for samples in listed if isinstance(samples, list) for s in samples])
         records = []
         for i, rec in enumerate(obj["records"]):
             of = (_typed(rec, "group", "string"), _typed(rec, "d", "integer"))
@@ -515,7 +557,7 @@ def manifest_from_dict(obj) -> RunManifest:
                     omega_label=_typed(rec, "omega_label", "string"),
                     n_params=_typed(rec, "n_params", "integer"),
                     status=_typed(rec, "status", "string naming a status"),
-                    kraus_samples=[kraus_from_dict(s) for s in rec["kraus_samples"]],
+                    kraus_samples=[parse(s) for s in rec["kraus_samples"]],
                     moduli_constraints=list(_typed(rec, "moduli_constraints", "array of strings")),
                     classification=_typed(rec, "classification", "string naming a classification"),
                     residuals=_residuals_from(rec["residuals"]),
@@ -548,7 +590,8 @@ def manifest_from_dict(obj) -> RunManifest:
 
 
 def load_manifest(path) -> RunManifest:
-    return manifest_from_dict(_read_json(path))
+    with _collector_paused():  # manifest_from_dict's return frees the parsed tree
+        return manifest_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -582,33 +625,43 @@ def _kraus_sets_in(obj) -> list[tuple[str, dict]]:
 def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK) -> list[dict]:
     """Validate (CP, TP) and classify every Kraus set stored in a JSON file.
 
-    Every entry is parsed first; a schema error stays on its own entry.
-    The sets of each (K, d) shape are then checked as one stack: one
-    batched Choi eigenvalue call, TP residual and rank test per shape, with
-    each set's results filled back into its entry in file order.
-    Complete-positivity and trace-preservation failures become per-entry
-    diagnostics rather than exceptions, so a clean run over a mixed file
-    still exits 0.  A ``tol_rank`` outside (0, 1) raises
-    :class:`gcec.errors.BadTolerance` before the file is read.
+    Every entry is parsed first, by declared (K, d) and with the collector
+    paused (module docstring); a schema error stays on its own entry.  The
+    sets of each (K, d) shape are then checked as one stack: one batched
+    eigenvalue call (CP) on the smaller of the Choi and Gram matrices, TP
+    residual and rank test per shape, with each set's results filled back
+    into its entry in file order.  Complete-positivity and
+    trace-preservation failures become per-entry diagnostics rather than
+    exceptions, so a clean run over a mixed file still exits 0.  A
+    ``tol_rank`` outside (0, 1) raises :class:`gcec.errors.BadTolerance`
+    before the file is read.
     """
     check_tol_rank(tol_rank)
     entries, shapes = [], {}
-    for tag, item in _kraus_sets_in(_read_json(path)):
-        entry = {"source": tag, "classification": None, "error": None}
-        entries.append(entry)
-        try:
-            ks = kraus_from_dict(item)
-        except SchemaError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            continue
-        entry.update({"d": ks.d, "K": ks.K})
-        shapes.setdefault((ks.K, ks.d), []).append((entry, ks.matrices))
-    # The parsed JSON tree is garbage from here on: only the matrices stay.
-    for (K, _), members in shapes.items():
+    with _collector_paused():
+        tagged = _kraus_sets_in(_read_json(path))
+        parse = _kraus_parser([item for _, item in tagged])
+        for tag, item in tagged:
+            entry = {"source": tag, "classification": None, "error": None}
+            entries.append(entry)
+            try:
+                ks = parse(item)
+            except SchemaError as exc:
+                entry["error"] = f"{type(exc).__name__}: {exc}"
+                continue
+            entry.update({"d": ks.d, "K": ks.K})
+            shapes.setdefault((ks.K, ks.d), []).append((entry, ks.matrices))
+        tagged = parse = item = None  # frees the parsed tree: only the matrices stay
+    for (K, d), members in shapes.items():
         stack = np.stack([mats for _, mats in members])
+        # The smaller of the Choi and Gram matrices (channels docstring); beside
+        # the Gram matrix's, the Choi matrix has d^2 - K zero eigenvalues.
+        vecs, gram = stack.reshape(len(stack), K, d * d), K < d * d
         # Finite entries can still overflow; their NaN values fail the checks below.
         with np.errstate(over="ignore", invalid="ignore"):
-            cp_floors = finite_batch(np.linalg.eigvalsh, choi(stack))[:, 0]
+            smaller = vecs.conj() @ vecs.swapaxes(-1, -2) / d if gram else choi(stack)
+            cp_floors = finite_batch(np.linalg.eigvalsh, smaller)[:, 0]
+            cp_floors = np.minimum(cp_floors, 0.0) if gram else cp_floors
             test = test_extreme(stack, tol_rank)
         for i, (entry, _) in enumerate(members):
             try:

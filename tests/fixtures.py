@@ -149,6 +149,32 @@ def kraus_dict(mats):
     return plain(kraus_fields(kraus_set(mats)))
 
 
+def malformed_kraus_dicts() -> list:
+    """Kraus-set objects that fail the schema, most of them variants of the
+    qubit identity's (K = 1, d = 2)."""
+    good = kraus_dict(identity_kraus(2))
+    out = [[good]]
+    out += [{k: v for k, v in good.items() if k != key} for key in ("d", "K", "kraus")]
+    out += [{**good, "d": "two"}, {**good, "K": 3}, {**good, "d": 3}]
+    # JSON true is no integer, though Python's bool subclasses int
+    out += [{"d": True, "K": True, "kraus": [[[[1.0, 0.0]]]]}, {**good, "K": True}]
+
+    def with_entry(value):
+        kraus = kraus_dict(identity_kraus(2))["kraus"]
+        kraus[0][1][0] = value
+        return {**good, "kraus": kraus}
+
+    # malformed complex entries: a bare number, a triple, a string, a null,
+    # a nested pair or a boolean where an [re, im] pair belongs
+    out += [with_entry(v) for v in (1.0, [1.0, 0.0, 0.0], ["1", 0.0], [None, 0.0], [[1.0, 0.0]], [True, 0.0])]
+    # an all-boolean set, ragged rows and matrices of the wrong size
+    out.append({**good, "kraus": [[[[True, False], [False, False]], [[False, False], [True, False]]]]})
+    ragged = kraus_dict(identity_kraus(2))
+    ragged["kraus"][0] = ragged["kraus"][0][:1]
+    out += [ragged, {"d": 2, "K": 1, "kraus": [[[1.0, 2.0]]]}]
+    return out
+
+
 def record_dict(record, manifest):
     """The JSON fields of ``record``, a record of ``manifest``."""
     return plain(_record_fields(record, manifest.group, manifest.d))

@@ -9,6 +9,7 @@ of the vectorized products A_k^dag A_l.
 """
 
 import collections
+import copy
 import dataclasses
 import json
 
@@ -28,7 +29,7 @@ from gcec.pipeline import classify_file, run_enumeration
 from gcec.reps import make_rep_label, materialize
 from gcec.tp import solve_tp
 
-from fixtures import kraus_dict, record_dict
+from fixtures import kraus_dict, malformed_kraus_dicts, manifest_dict, record_dict
 from oracles import random_unitary
 
 TOL_RANK = TOL_TP = 1e-8
@@ -110,9 +111,10 @@ def test_covariance_residual_equals_the_per_set_loop_bit_for_bit(group, kind, d,
 
 
 def _mixed_items(rng):
-    """Sets of five shapes in interleaved order: K > d, rank-deficient
-    diagonal sets, K = 1, a non-TP set inside the (2, 3) group, and two
-    entries that fail the schema."""
+    """Sets of seven shapes in interleaved order: K > d, rank-deficient
+    diagonal sets, K = 1, K > d^2 (whose CP floor comes from the Choi
+    matrix, where K < d^2 takes it from the Gram matrix), a non-TP set
+    inside the (2, 3) group, and two entries that fail the schema."""
     sets = [
         _isometry(rng, 2, 3),
         _isometry(rng, 1, 2),
@@ -126,6 +128,7 @@ def _mixed_items(rng):
         _isometry(rng, 2, 3),
         _isometry(rng, 3, 3),
         _isometry(rng, 1, 2) @ random_unitary(rng, 2),
+        _isometry(rng, 5, 2),
     ]
     items = [kraus_dict(s) for s in sets]
     items.insert(3, {"d": 2, "K": 1, "kraus": [[[1.0, 0.0]]]})
@@ -198,6 +201,80 @@ def test_non_finite_entries_are_per_entry_schema_errors(tmp_path, capsys):
     assert main(["classify", "--in", str(tmp_path / "nonfinite.json"), "--out", str(out)]) == 0
     capsys.readouterr()
     assert [e["error"] is None for e in json.loads(out.read_text())] == [True, False, True, True, False, True]
+
+
+def test_grouped_parsing_gives_each_set_its_own_verdict(tmp_path):
+    # The sets of one declared (K, d) are converted in one call; every set
+    # must still get the bytes or the error that it gets when parsed alone.
+    rng = np.random.default_rng(95)
+    good = [kraus_dict(_isometry(rng, 1, 2)) for _ in range(3)]
+    nan_set = kraus_dict(np.eye(2)[None])
+    nan_set["kraus"][0][1][1][1] = float("nan")
+    integers = {"d": 2, "K": 1, "kraus": [[[[0, 1], [0, 0]], [[0, 0], [0, -1]]]]}  # diag(i, -i)
+    huge = {"d": 2, "K": 1, "kraus": [[[[2**70, 0], [0, 0]], [[0, 0], [1, 0]]]]}  # beyond int64
+    bad = [*malformed_kraus_dicts(), nan_set, integers, huge]
+    items = [obj for i, b in enumerate(bad) for obj in (good[i % 3], b)]
+    grouped = pipeline._kraus_parser(items)
+    for item in items:
+        outcomes = []
+        for parse in (grouped, kraus_from_dict):
+            try:
+                outcomes.append(parse(item).matrices.tobytes())
+            except SchemaError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+    got = _classify(tmp_path, items, "mixed.json")
+    for i, item in enumerate(items):
+        (alone,) = _classify(tmp_path, [item], "alone.json")
+        assert got[i] == {**alone, "source": f"[{i}]"}
+    clean = _classify(tmp_path, items[::2], "clean.json")
+    assert [{**e, "source": None} for e in got[::2]] == [{**e, "source": None} for e in clean]
+    assert [e["classification"] for e in got[-5::2]] == [None, "unitary", None]
+    assert got[-1]["error"] == "SchemaError: Kraus entries must be real numbers, got dtype object"
+    # every neighbour and the integer-only set pass, every other set fails
+    assert sum(e["error"] is None for e in got) == len(bad) + 1
+
+
+def test_a_boolean_entry_leaves_its_group_neighbours_unchanged(tmp_path):
+    rng = np.random.default_rng(96)
+    good = [kraus_dict(_isometry(rng, 2, 2)) for _ in range(4)]
+    flagged = kraus_dict(_isometry(rng, 2, 2))
+    flagged["kraus"][1][0][1] = [True, 0.0]
+    got = _classify(tmp_path, good[:2] + [flagged] + good[2:], "flagged.json")
+    clean = _classify(tmp_path, good, "clean.json")
+    error = "SchemaError: Kraus entries must be real numbers, got a boolean"
+    assert got[2] == {"source": "[2]", "classification": None, "error": error}
+    for entry, want in zip(got[:2] + got[3:], clean):
+        assert {k: v for k, v in entry.items() if k != "source"} == {k: v for k, v in want.items() if k != "source"}
+    assert {e["classification"] for e in clean} == {"extreme"}
+
+
+def test_a_bad_sample_raises_its_own_error_in_record_order(tmp_path):
+    # load_manifest parses every sample before it reads the records, but it
+    # must still raise the first bad field in record order, with the text
+    # that parsing that sample alone raises.
+    fields = manifest_dict(run_enumeration("Z2", None, 2))
+    sample = next(s for rec in fields["records"] for s in rec["kraus_samples"])
+    path = tmp_path / "z2.json"
+    bad = malformed_kraus_dicts()
+    for first, second in zip(bad, bad[1:] + bad[:1]):
+        obj = copy.deepcopy(fields)
+        obj["records"][1]["kraus_samples"] = [sample, first]
+        obj["records"][2]["kraus_samples"] = [second]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError) as alone:
+            kraus_from_dict(first)
+        with pytest.raises(SchemaError) as raised:
+            pipeline.load_manifest(path)
+        assert str(raised.value) == str(alone.value)
+        # a bad field of an earlier record comes first, and so does one
+        # that its own record holds before the samples
+        for at, key in ((0, "classification"), (1, "status")):
+            broken = copy.deepcopy(obj)
+            broken["records"][at][key] = "maybe"
+            path.write_text(json.dumps(broken))
+            with pytest.raises(SchemaError, match=f"^{key!r} must be a JSON string naming a"):
+                pipeline.load_manifest(path)
 
 
 def test_overflowing_entry_is_an_error_and_its_neighbour_keeps_its_verdict(tmp_path):

@@ -12,6 +12,7 @@ from fixtures import (
     identity_kraus,
     kraus_dict,
     kraus_set,
+    malformed_kraus_dicts,
     plain,
     random_full_rank_channel,
     s3_qutrit_family,
@@ -99,43 +100,16 @@ def test_json_pairs_are_the_elementwise_floats():
 
 
 def test_schema_errors():
-    good = kraus_dict(identity_kraus(2))
-    with pytest.raises(SchemaError):
-        kraus_from_dict([good])
-    for key in ("d", "K", "kraus"):
-        broken = dict(good)
-        del broken[key]
+    bad = malformed_kraus_dicts()
+    for obj in bad:
         with pytest.raises(SchemaError):
-            kraus_from_dict(broken)
-    with pytest.raises(SchemaError):
-        kraus_from_dict({**good, "d": "two"})
-    with pytest.raises(SchemaError):
-        kraus_from_dict({**good, "K": 3})
-    with pytest.raises(SchemaError):
-        kraus_from_dict({**good, "d": 3})
-    # JSON true is no integer, though Python's bool subclasses int
-    with pytest.raises(SchemaError):
-        kraus_from_dict({"d": True, "K": True, "kraus": [[[[1.0, 0.0]]]]})
-    with pytest.raises(SchemaError):
-        kraus_from_dict({**good, "K": True})
-
-    def with_entry(value):
-        kraus = kraus_dict(identity_kraus(2))["kraus"]
-        kraus[0][1][0] = value
-        return {**good, "kraus": kraus}
-
-    # malformed complex entries: a bare number, a triple, a string, a null
-    # or a nested pair where an [re, im] pair belongs
-    for value in (1.0, [1.0, 0.0, 0.0], ["1", 0.0], [None, 0.0], [[1.0, 0.0]]):
-        with pytest.raises(SchemaError):
-            kraus_from_dict(with_entry(value))
-    # ragged rows and matrices of the wrong size
-    ragged = kraus_dict(identity_kraus(2))
-    ragged["kraus"][0] = ragged["kraus"][0][:1]
-    with pytest.raises(SchemaError):
-        kraus_from_dict(ragged)
-    with pytest.raises(SchemaError):
-        kraus_from_dict({"d": 2, "K": 1, "kraus": [[[1.0, 2.0]]]})
+            kraus_from_dict(obj)
+    # np.array upcasts a boolean among numbers, and an all-boolean array is
+    # of dtype bool
+    with pytest.raises(SchemaError, match="got a boolean"):
+        kraus_from_dict(bad[-4])
+    with pytest.raises(SchemaError, match="got dtype bool"):
+        kraus_from_dict(bad[-3])
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

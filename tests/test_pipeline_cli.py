@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import json
 import os
 import pathlib
@@ -296,6 +297,28 @@ def test_save_load_round_trip(tmp_path, s3_manifest):
     path.write_text(json.dumps(obj))
     with pytest.raises(SchemaError, match="unknown representation label '1\\+1\\+5'"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reads_restore_the_collector_state(tmp_path, z2_manifest, enabled):
+    # The reads pause the cyclic collector while a parsed JSON tree lives.
+    good, bad_json, bad_record = (tmp_path / name for name in ("good.json", "bad.json", "record.json"))
+    save_manifest(z2_manifest, good)
+    bad_json.write_text('{"records": [')
+    obj = json.loads(good.read_text())
+    obj["records"][1] = 5
+    bad_record.write_text(json.dumps(obj))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for read in (load_manifest, classify_file):
+            assert read(good) and gc.isenabled() is enabled
+            for path in (bad_json, bad_record):
+                with pytest.raises(SchemaError):
+                    read(path)
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_indented_manifests_still_load(tmp_path, s3_manifest):
