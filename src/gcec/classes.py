@@ -23,15 +23,15 @@ of that group, and its representative is its least instance in sweep order
 (Omega index, D1 parts, D2 parts).
 
 Automorphisms.  The search runs on the group the spec's irreps see: for a
-spec restricted to irreps of dimension <= d, :func:`gcec.groups.element_words`
-enumerates G/N, with N the common kernel of the kept irreps, and every kept
-irrep factors through G/N, so the automorphisms of G/N are the ones to
-find.  A candidate picks one element of G/N per generator.  It is an
-automorphism when the images satisfy ``spec.relations`` (so they define a
-homomorphism from G) and map the element words one to one (so it is onto
-G/N; then each rho_p o alpha is an irreducible representation of dimension
-dim rho_p <= d, hence kept, and N lies in the kernel).  Both checks are
-lookups in the Cayley table of G/N (:func:`gcec.groups.cayley_table`).
+spec restricted to irreps of dimension <= d, the words of
+:func:`gcec.groups.cayley_table` enumerate G/N, with N the common kernel of
+the kept irreps, and every kept irrep factors through G/N, so the
+automorphisms of G/N are the ones to find.  A candidate picks one element
+of G/N per generator.  It is an automorphism when the images satisfy
+``spec.relations`` (so they define a homomorphism from G) and map the
+element words one to one (so it is onto G/N; then each rho_p o alpha is an
+irreducible representation of dimension dim rho_p <= d, hence kept, and N
+lies in the kernel).  Both checks are lookups in the Cayley table of G/N.
 Candidates are cut down first: each generator's image has the generator's
 order, and generator 0's image is the least element of its conjugacy
 class, since alpha and h alpha h^-1 differ by an inner automorphism, which
@@ -82,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GcecError
-from .groups import GroupSpec, Word, cayley_table, character_table, word_matrix
+from .groups import GroupSpec, Word, along_words, cayley_table, character_table, word_matrix
 from .kernels import intertwiner
 
 _CHAR_TOL = 1e-8  # characters are sums of roots of unity; roundoff is ~1e-15
@@ -136,10 +136,7 @@ def _automorphisms(spec: GroupSpec) -> tuple[list[Word], list[tuple[tuple[Word, 
 
     for lhs, rhs in spec.relations:
         images = images[image(lhs) == image(rhs)]
-    position = {w: j for j, w in enumerate(words)}
-    rows = np.zeros((len(images), n), dtype=int)
-    for j, w in enumerate(words[1:], 1):
-        rows[:, j] = mult[rows[:, position[w[:-1]]], images[:, w[-1]]]
+    rows = np.column_stack(along_words(words, np.zeros(len(images), dtype=int), lambda at, g: mult[at, images[:, g]]))
     onto = (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
     return words, [(tuple(words[i] for i in x), row) for x, row in zip(images[onto], rows[onto])]
 

@@ -13,11 +13,11 @@ those of its own SVD bit for bit, and a set's results are read off the
 channel: :meth:`RankTest.check_channels` refuses a slice of the stack that
 holds a set whose TP residual exceeds ``TOL_TP``, for sweep samples and
 stored sets alike, and a sweep manifest records that value as
-``tolerances["tp"]``.  :func:`product_rank` is the package's one rank count
-of the Kraus products: the sweep's records, ``classify`` and the TP solver's
-choice of canonical vertex all reach it through :func:`test_extreme`.  A
-sweep runs one test per label class, over the representative's samples
-and every member's moved samples together.
+``tolerances["tp"]``.  :func:`test_extreme` is the package's one rank
+count of the Kraus products: the sweep's records, ``classify`` and the TP
+solver's choice of canonical vertex all call it.  A sweep runs one test per
+label class, over the representative's samples and every member's moved
+samples together.
 """
 
 from __future__ import annotations
@@ -66,14 +66,6 @@ class RankTest:
                 raise NotTracePreserving(f"trace-preservation residual {residual:.3e} exceeds {TOL_TP:.1e}")
 
 
-def product_stack(stack: np.ndarray) -> np.ndarray:
-    """Per set of an (S, K, d, d) stack, the d^2 x K^2 matrix whose columns
-    are vec(A_k^dag A_l), k-major: shape (S, d^2, K^2)."""
-    S, K, d, _ = stack.shape
-    products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
-    return products.reshape(S, K * K, d * d).swapaxes(-1, -2)
-
-
 def finite_batch(fn, batch: np.ndarray, **kwargs) -> np.ndarray:
     """``fn(batch, **kwargs)`` of a batched call such as ``np.linalg.svd``,
     which raises on NaN input, with NaN values for each non-finite matrix."""
@@ -86,21 +78,17 @@ def finite_batch(fn, batch: np.ndarray, **kwargs) -> np.ndarray:
     return out
 
 
-def product_rank(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> tuple[np.ndarray, np.ndarray]:
-    """Per set of an (S, K, d, d) stack, the singular values of its
-    :func:`product_stack` (descending, one batched SVD) and its rank, the
-    count of those above ``tol_rank`` times the largest.  A set whose
-    products are not finite gets NaN values and rank 0."""
-    svals = finite_batch(np.linalg.svd, product_stack(stack), compute_uv=False)
-    top = svals[:, :1]
-    return svals, np.where(top[:, 0] > 0, np.sum(svals > tol_rank * top, axis=1), 0)
-
-
 def test_extreme(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> RankTest:
     """Rank test on the Kraus products of each set of an (S, K, d, d)
-    stack, with one batched SVD."""
-    _, K, d, _ = stack.shape
-    svals, rank = product_rank(stack, tol_rank)
+    stack.  Per set, the columns vec(A_k^dag A_l), k-major, form a
+    d^2 x K^2 matrix; one batched SVD gives its singular values, and the
+    rank counts those above ``tol_rank`` times the largest.  A set whose
+    products are not finite gets NaN values and rank 0."""
+    S, K, d, _ = stack.shape
+    products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
+    svals = finite_batch(np.linalg.svd, products.reshape(S, K * K, d * d).swapaxes(-1, -2), compute_uv=False)
+    top = svals[:, :1]
+    rank = np.where(top[:, 0] > 0, np.sum(svals > tol_rank * top, axis=1), 0)
     # K^2 operators cannot be independent in a d^2-dimensional space.
     extreme = (rank == K * K) & (K <= d)
     return RankTest(tp_residual=tp_residuals(stack), singular_values=svals, rank=rank, extreme=extreme)

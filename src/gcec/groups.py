@@ -265,12 +265,11 @@ def _count_multisets(dims: tuple[int, ...], total: int) -> int:
 def _lookup(group_name: str) -> GroupSpec | None:
     if group_name in _DISCRETE_BUILDERS:
         return _DISCRETE_BUILDERS[group_name]()
-    m = re.fullmatch(r"Z(\d+)", group_name)
-    if m and int(m.group(1)) >= 1:
-        return _cyclic(int(m.group(1)))
-    m = re.fullmatch(r"D(\d+)", group_name)
-    if m and int(m.group(1)) >= 2:
-        return _dihedral(int(m.group(1)))
+    m = re.fullmatch(r"([ZD])([1-9][0-9]*)", group_name)  # ASCII, no leading zero: one name per group
+    if m and m[1] == "Z":
+        return _cyclic(int(m[2]))
+    if m and int(m[2]) >= 2:
+        return _dihedral(int(m[2]))
     return None
 
 
@@ -385,9 +384,21 @@ def _closure(spec: GroupSpec) -> tuple[list[Word], np.ndarray]:
     return words, np.array(right, dtype=int).reshape(len(words), len(gens))
 
 
-def element_words(spec: GroupSpec) -> list[Word]:
-    """One representative word per element of G/N, by closure of the
-    generators, sorted by (length, word).
+def along_words(words: list[Word], first, times) -> list:
+    """One value per word, built along the words: ``first`` at the empty
+    word words[0], and ``times(value at w[:-1], w[-1])`` at each later word
+    w, whose prefix w[:-1] is an earlier word, as in the closure's words."""
+    position = {w: j for j, w in enumerate(words)}
+    values = [first]
+    for w in words[1:]:
+        values.append(times(values[position[w[:-1]]], w[-1]))
+    return values
+
+
+def cayley_table(spec: GroupSpec) -> tuple[list[Word], np.ndarray, np.ndarray]:
+    """(words, gens, table) for G/N: one word per element of G/N, sorted by
+    (length, word), the index of each generator's element, and the
+    multiplication table, table[i, j] the index of words[i] words[j].
 
     Elements are fingerprinted through the direct sum of the spec's irreps,
     whose kernel N is the common kernel of those irreps.  For a full catalog
@@ -395,34 +406,20 @@ def element_words(spec: GroupSpec) -> list[Word]:
     representation, so it is faithful, N is trivial and the words enumerate
     G.  A spec restricted by :func:`props` to irreps of dimension <= d keeps
     only some irreps, and the words then enumerate the quotient G/N: S3 at
-    d=1 gives 2 words, A4 at d=1 gives 3 and D5 at d=1 gives 2.
-    """
-    return _closure(spec)[0]
-
-
-def cayley_table(spec: GroupSpec) -> tuple[list[Word], np.ndarray, np.ndarray]:
-    """(words, gens, table) for G/N: the :func:`element_words`, the index of
-    each generator's element, and the multiplication table, table[i, j] the
-    index of words[i] words[j].
-
-    Column j is read off the closure's right multiplication by generators:
-    words[j] is an earlier word times one generator.
+    d=1 gives 2 words, A4 at d=1 gives 3 and D5 at d=1 gives 2.  Column j
+    is read off the closure's right multiplication by generators.
     """
     words, right = _closure(spec)
-    position = {w: j for j, w in enumerate(words)}
-    table = np.empty((len(words), len(words)), dtype=int)
-    table[:, 0] = np.arange(len(words))
-    for j, w in enumerate(words[1:], 1):
-        table[:, j] = right[table[:, position[w[:-1]]], w[-1]]
-    return words, right[0], table
+    columns = along_words(words, np.arange(len(words)), lambda column, g: right[column, g])
+    return words, right[0], np.column_stack(columns)
 
 
 def character_table(spec: GroupSpec, words: list[Word] | None = None) -> np.ndarray:
-    """Characters chi_i(g) over the spec's :func:`element_words` (pass them
-    as ``words`` when already at hand), shape (num_irreps, |G/N|).
+    """Characters chi_i(g) over the words of :func:`cayley_table` (pass
+    them as ``words`` when already at hand), shape (num_irreps, |G/N|).
 
     N is the common kernel of the spec's irreps (trivial for a full catalog
-    spec, see :func:`element_words`).  Every kept irrep is constant on the
+    spec, see :func:`cayley_table`).  Every kept irrep is constant on the
     cosets of N, so the rows are orthonormal under the inner product
     (1/|G/N|) sum_g chi_i(g) conj(chi_j(g)), and character inner products
     among the kept irreps are those of G.  Each word's matrix is its
@@ -430,12 +427,9 @@ def character_table(spec: GroupSpec, words: list[Word] | None = None) -> np.ndar
     last, so the values are :func:`word_matrix`'s.
     """
     if words is None:
-        words = element_words(spec)
-    position = {w: j for j, w in enumerate(words)}
+        words = _closure(spec)[0]
     table = np.empty((len(spec.irreps), len(words)), dtype=complex)
     for i, ir in enumerate(spec.irreps):
-        mats = [np.eye(ir.dim, dtype=complex)]
-        for w in words[1:]:
-            mats.append(mats[position[w[:-1]]] @ ir.generator_matrices[w[-1]])
+        mats = along_words(words, np.eye(ir.dim, dtype=complex), lambda mat, g: mat @ ir.generator_matrices[g])
         table[i] = [np.trace(m) for m in mats]
     return table

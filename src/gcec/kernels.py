@@ -172,17 +172,12 @@ class KernelFamily:
     def n_params(self) -> int:
         return self.basis.shape[1]
 
-    def vector_at(self, coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (self.n_params,):
-            raise LengthMismatch(
-                f"expected {self.n_params} coefficients, got shape {coeffs.shape}"
-            )
-        return self.basis @ coeffs
-
     def kraus_at(self, coeffs: np.ndarray) -> np.ndarray:
         """The Kraus operators at ``coeffs``, as one (K, d, d) array."""
-        return self.vector_at(coeffs).reshape(self.K, self.d, self.d)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (self.n_params,):
+            raise LengthMismatch(f"expected {self.n_params} coefficients, got shape {coeffs.shape}")
+        return (self.basis @ coeffs).reshape(self.K, self.d, self.d)
 
 
 def rows_cols(kind: str, D1, D2) -> tuple:
@@ -257,17 +252,6 @@ def _is_diagonal(g: np.ndarray) -> bool:
     return np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
 
 
-def _row_nonzeros(m: np.ndarray, at: np.ndarray):
-    """(position in ``at``, column, value) of each nonzero on the rows ``at``
-    of ``m``."""
-    rows, cols = np.nonzero(m)
-    count = np.bincount(rows, minlength=m.shape[0])
-    first, count = (np.cumsum(count) - count)[at], count[at]
-    which = np.repeat(np.arange(at.size), count)
-    nz = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(which.size)
-    return which, cols[nz], m[rows[nz], cols[nz]]
-
-
 def _lie_matrices(system: CovarianceSystem, pairs) -> list:
     """(free entries, matrix) of each Lie block (rows, cols) in ``pairs``,
     assembled together in weight space (see "Weight space").  The blocks'
@@ -306,9 +290,9 @@ def _lie_matrices(system: CovarianceSystem, pairs) -> list:
         e = np.flatnonzero(~weight[of])  # the free entries that this generator constrains
         # R[a, i] at A_k[a, j], then C[j, b] at A_k[i, b], then W[k, l] at A_l[i, j]
         for m, index, stride in zip((on_rows.T, on_cols, on_kraus), (i, j, k), (free.shape[2], 1, free[0].size)):
-            n, to, value = _row_nonzeros(m, index[e])
+            n, to = np.nonzero((m != 0)[index[e]])  # by free entry, then column
             f = e[n]
-            hits.append((f, (of[f] * len(gens) + t) * free.size + position[f] + (to - index[f]) * stride, value))
+            hits.append((f, (of[f] * len(gens) + t) * free.size + position[f] + (to - index[f]) * stride, m[index[f], to]))
     f, key, value = (np.concatenate(field) for field in zip(*hits))
     reached, row = np.unique(key, return_inverse=True)
     n_rows = np.bincount(reached // (len(gens) * free.size), minlength=len(pairs))

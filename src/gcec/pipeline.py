@@ -452,7 +452,10 @@ def _kraus_parser(items: list):
     """``kraus_from_dict`` for ``items``, converting the sets of each declared (K, d)
     in one call up front.  A set is parsed alone when that call raises or its values
     are all integers (which numpy may convert otherwise alone), and every set
-    gets the bytes or the error it gets alone."""
+    gets the bytes or the error it gets alone.  The integer guard serves numpy
+    releases older than CI's ``numpy==2.4.6`` pin, where an int beyond int64 in
+    a group may become a float; under the pin the group call raises first, so
+    CI cannot exercise the guard."""
     done, shapes = {}, {}
     for obj in items:
         K, d, kraus = (obj.get(key) for key in ("K", "d", "kraus")) if isinstance(obj, dict) else (0, 0, None)
@@ -632,9 +635,11 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK) -> list[dict]:
     residual and rank test per shape, with each set's results filled back
     into its entry in file order.  Complete-positivity and
     trace-preservation failures become per-entry diagnostics rather than
-    exceptions, so a clean run over a mixed file still exits 0.  A
-    ``tol_rank`` outside (0, 1) raises :class:`gcec.errors.BadTolerance`
-    before the file is read.
+    exceptions, so a clean run over a mixed file still exits 0.  The Choi and
+    Gram matrices of any Kraus set are positive semidefinite, so the CP floor
+    is 0 or roundoff, and the CP failure fires only on overflow NaN or on
+    entries so large that roundoff passes -1e-10.  A ``tol_rank`` outside
+    (0, 1) raises :class:`gcec.errors.BadTolerance` before the file is read.
     """
     check_tol_rank(tol_rank)
     entries, shapes = [], {}

@@ -106,17 +106,20 @@ def enumerate_reps(spec: GroupSpec, d: int) -> list[RepLabel]:
         (ir for ir in spec.irreps if ir.dim <= d), key=lambda ir: (ir.dim, ir.index)
     )
     out: list[RepLabel] = []
-
-    def extend(start: int, remaining: int, acc: list[int]) -> None:
+    stack = [(0, d, ())]  # (first irrep left to place, dimension left, parts so far)
+    while stack:
+        start, remaining, acc = stack.pop()
         if remaining == 0:
             out.append(make_rep_label(spec, acc))
-            return
-        for pos in range(start, len(irreps)):
-            ir = irreps[pos]
-            if ir.dim <= remaining:
-                extend(pos, remaining - ir.dim, acc + [ir.index])
-
-    extend(0, d, [])
+        for pos in range(start, len(irreps)):  # irreps[pos] placed m >= 1 times, then the irreps after it
+            dim, part = irreps[pos].dim, (irreps[pos].index,)
+            if dim > remaining:
+                break  # and so are the irreps after it
+            if pos + 1 < len(irreps):
+                for m in range(1, remaining // dim + 1):
+                    stack.append((pos + 1, remaining - m * dim, acc + part * m))
+            elif remaining % dim == 0:  # the last irrep can only fill what is left
+                stack.append((pos + 1, 0, acc + part * (remaining // dim)))
     out.sort(key=lambda lab: lab.parts)
     return out
 

@@ -7,7 +7,7 @@ import pytest
 
 from gcec.channels import KrausSet
 from gcec.errors import NotTracePreserving
-from gcec.extremality import TOL_TP, product_stack
+from gcec.extremality import TOL_TP
 from gcec.extremality import test_extreme as rank_test
 
 from fixtures import (
@@ -41,8 +41,9 @@ EXTREME_FIXTURES = [
 
 
 def test_product_stack_shape():
-    stack = product_stack(kraus_set(S3_GENERIC).matrices[None])
-    assert stack.shape == (1, 9, 4)
+    # K = 2 products on d = 3: a 9 x 4 product stack, so min(9, 4) singular values
+    test = rank_test(kraus_set(S3_GENERIC).matrices[None])
+    assert test.singular_values.shape == (1, 4)
 
 
 @pytest.mark.parametrize("label,mats", EXTREME_FIXTURES, ids=lambda v: v if isinstance(v, str) else "")

@@ -6,8 +6,8 @@ import pytest
 from gcec import kernels
 from gcec.errors import DimensionZero, ParityError, UnknownGroup, UnknownIrrepIndex
 from gcec.groups import (
+    cayley_table,
     character_table,
-    element_words,
     infer_kind,
     lie_irrep,
     props,
@@ -49,7 +49,7 @@ def test_defining_relations_hold_in_every_irrep():
 def test_group_orders_by_closure():
     for name, d, order in DISCRETE_CASES:
         spec = props(name, "discrete", d).group
-        assert len(element_words(spec)) == order
+        assert len(cayley_table(spec)[0]) == order
 
 
 def test_sum_of_squared_irrep_dims_is_group_order():
@@ -76,7 +76,7 @@ def test_restricted_spec_enumerates_the_quotient(name, d, quotient_order):
     # keep their 1-dimensional irreps alone); the kept rows stay
     # orthonormal under the 1/|G/N| inner product.
     spec = props(name, "discrete", d).group
-    assert len(element_words(spec)) == quotient_order
+    assert len(cayley_table(spec)[0]) == quotient_order
     table = np.asarray(character_table(spec))
     assert table.shape == (len(spec.irreps), quotient_order)
     gram = table @ table.conj().T / quotient_order
@@ -178,6 +178,10 @@ def test_unknown_group_names():
         props("SO3", "discrete", 3)  # kind mismatch
     with pytest.raises(UnknownGroup):
         props("S3", "lie", 3)
+    # one name per group: a numeral with a leading zero or a non-ASCII digit names none
+    for name in ("Z02", "D05", "Z0", "D1", "D01", "Z+2", "Z 2", "Z\u0662"):
+        with pytest.raises(UnknownGroup):
+            props(name, "discrete", 1)
 
 
 def test_infer_kind():

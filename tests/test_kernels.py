@@ -90,7 +90,7 @@ def test_vec_round_trip():
     rng = np.random.default_rng(7)
     c = rng.normal(size=family.n_params) + 1j * rng.normal(size=family.n_params)
     kraus = family.kraus_at(c)
-    v = family.vector_at(c)
+    v = family.basis @ c
     assert isinstance(kraus, np.ndarray) and kraus.shape == (2, 3, 3)
     assert np.array_equal(kraus, (family.basis @ c).reshape(2, 3, 3))
     assert np.array_equal(kraus.reshape(-1), v)
@@ -103,8 +103,6 @@ def test_vec_length_mismatch():
     for wrong in (np.zeros(family.n_params + 1), np.zeros((1, family.n_params))):
         with pytest.raises(LengthMismatch):
             family.kraus_at(wrong)
-        with pytest.raises(LengthMismatch):
-            family.vector_at(wrong)
 
 
 def test_system_shape_matches_kraus_count():

@@ -613,6 +613,9 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["catalog", "--group", "Q8", "--dim", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert main(["run", "--group", "Z02", "--dim", "1"]) == 1  # Z2 has one name
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
     missing = tmp_path / "missing-label.json"
     assert main(["run", "--group", "S3", "--dim", "3", "--reps", "nope"]) == 1

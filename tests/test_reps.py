@@ -8,7 +8,7 @@ import scipy.linalg
 
 from gcec.classes import LabelClasses
 from gcec.errors import DimensionZero, UnknownIrrepIndex
-from gcec.groups import cayley_table, character_table, element_words, props, word_matrix
+from gcec.groups import cayley_table, character_table, props, word_matrix
 from gcec.reps import enumerate_reps, make_rep_label, materialize, omega_candidates
 
 from oracles import partitions_all, partitions_odd
@@ -19,6 +19,14 @@ def test_enumeration_counts_discrete():
     assert len(enumerate_reps(props("A4", "discrete", 3).group, 3)) == 11
     assert len(enumerate_reps(props("D5", "discrete", 3).group, 3)) == 8
     assert len(enumerate_reps(props("Z2", "discrete", 2).group, 2)) == 3
+
+
+def test_enumeration_reaches_large_dimensions():
+    # no recursion per part: these dimensions lie past Python's default
+    # recursion limit, and each label is still found once
+    labels = enumerate_reps(props("Z1", "discrete", 1100).group, 1100)
+    assert len(labels) == 1 and labels[0].total_dim == 1100
+    assert len(enumerate_reps(props("Z2", "discrete", 1200).group, 1200)) == 1201
 
 
 def test_enumeration_counts_lie_match_partition_oracle():
@@ -183,7 +191,7 @@ AUT_GROUPS = [("D5", 4, 1), ("D6", 4, 1), ("Z5", 3, 1), ("A4", 4, 0), ("S3", 5, 
 def test_automorphisms_permute_irreps_by_character_inner_products(name, d, kept):
     spec, classes = _classes(name, d)
     assert len(classes.aut_words) == 1 + kept and classes.aut_of[0] == {p: p for p in classes.irreps}
-    words = element_words(spec)
+    words = cayley_table(spec)[0]
     table = np.asarray(character_table(spec))
     for aut in range(1, len(classes.aut_words)):
         for ir in spec.irreps:
