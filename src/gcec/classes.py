@@ -144,12 +144,10 @@ def _automorphisms(spec: GroupSpec) -> tuple[list[Word], list[tuple[tuple[Word, 
 class LabelClasses:
     """The classes of one sweep's instances and the transport between them.
 
-    ``cache`` goes to the intertwiner solves; every intertwiner, placement
-    and label table is computed once per object.
+    Every intertwiner, placement and label table is computed once per object.
     """
 
-    def __init__(self, spec: GroupSpec, cache: dict):
-        self.cache = cache
+    def __init__(self, spec: GroupSpec):
         self.irreps = {ir.index: ir for ir in spec.irreps}
         words, automorphisms = _automorphisms(spec)
         table = np.asarray(character_table(spec, words))
@@ -259,7 +257,7 @@ class LabelClasses:
             if ir.dim == 1 or all(np.array_equal(a, b) for a, b in zip(moved, image.generator_matrices)):
                 self._unitaries[key] = np.eye(ir.dim, dtype=complex)
             else:
-                self._unitaries[key] = intertwiner(image.generator_matrices, moved, self.cache)
+                self._unitaries[key] = intertwiner(image.generator_matrices, moved)
         return self._unitaries[key]
 
     def placement(self, parts: tuple, twist: int, conj: bool, aut: int = 0) -> np.ndarray:

@@ -20,6 +20,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -313,6 +314,18 @@ def props(group_name: str, group_kind: str, hilbert_dim: int) -> GroupProps:
         irrep_dims=dims,
         num_reps=_count_multisets(dims, hilbert_dim),
     )
+
+
+@lru_cache(maxsize=256)  # a catalog group is built anew on each lookup
+def irrep_label(group_name: str, index: int) -> str:
+    """The label of a catalog group's irrep ``index``, of any dimension: a Lie
+    group has one per index >= 0, labelled by its dimension, 2 index + 1 on
+    SO3 and index + 1 on SU2."""
+    if group_name not in ("SO3", "SU2"):
+        return _lookup(group_name).irrep_by_index(index).label
+    if index < 0:
+        raise UnknownIrrepIndex(f"{group_name} has no irrep with index {index}")
+    return str(2 * index + 1 if group_name == "SO3" else index + 1)
 
 
 def infer_kind(group_name: str) -> str:

@@ -50,7 +50,7 @@ kernel is embedded back at the free entries; a block with none has an
 empty basis, and a spin-0 block, with weight generators only, the identity.
 Weight generators are found block by block from the blocks' own matrices,
 since Omega is an ``Irrep`` that may come in any basis, and so may a part
-handed to :func:`_system` directly.  Discrete blocks, diagonal Zn
+handed to :class:`CovarianceSystem` directly.  Discrete blocks, diagonal Zn
 characters included, keep every row and column, and a Lie block with no
 weight generator, such as a densely rotated one, every column.
 
@@ -61,18 +61,18 @@ matters for blocks made only of roundoff, such as a Z2 character stored as
 -1 + 1.2e-16j, whose whole kernel a purely relative rule would drop.
 
 Cache.  A sweep meets the same (row irrep, column irrep, Omega) block in
-many instances.  Blocks are read through a plain dict owned by the caller
-(one per sweep) and keyed by content: :meth:`CovarianceSystem.key` reads
-the key of a (row part, column part) pair off the parts' ``content`` and
-Omega's bytes.  :func:`_kernels` serves a list of blocks at once: it builds
-only the distinct blocks missing from the cache, the Lie blocks of one
-system in one assembly, and factors them with one batched SVD per matrix
-shape, which gives each matrix the bytes of its own SVD.  Cached and fresh
-results are identical, so the cache never changes output.
-:func:`kernel_dims` requests every pair of parts under every channel label
-in one call, which is how a sweep counts each instance's parameters
-without building its system, and :func:`joint_nullspace` requests its
-system's pairs in one call.
+many instances.  A Schur block is the tuple (kind, omega, rows, cols), Omega
+an ``InvariantBlock`` on the Kraus index like the two parts, read through a
+plain dict owned by the caller (one per sweep) under (kind, omega.content,
+rows.content, cols.content).  :func:`_kernels` serves a list of blocks at
+once: it builds only the distinct blocks missing from the cache, the Lie
+blocks of one Omega in one assembly, and factors them with one batched SVD
+per matrix shape, which gives each matrix the bytes of its own SVD, so the
+cache never changes output.  :func:`kernel_dims` requests every pair of
+parts under every channel label in one call, which is how a sweep counts
+each instance's parameters without building its system;
+:func:`joint_nullspace` requests its system's blocks in one call, and
+:func:`intertwiner` factors its one block alone, with no cache.
 
 Layout.  The family records where each basis column came from: its row
 part, its column part and its index in that block's kernel.  The column
@@ -117,21 +117,20 @@ def _lie_terms(row_g, col_g, om) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class CovarianceSystem:
     """The covariance relations of one instance: the invariant parts of the
     representations acting on the rows and on the columns of each A_k, and
-    Omega's generators (complex) with their bytes.  ``K`` and ``d`` are read
-    off them: Omega's dimension and the total size of the column parts.
-    Each (row part, column part) pair is one Schur block: :meth:`entries`
-    places its unknowns in the stacked vector, :meth:`key` names its
-    content, and :func:`_kernels` builds and factors it."""
+    Omega as the one part on the Kraus index.  ``K`` and ``d`` are read off
+    them: Omega's dimension and the total size of the column parts.  Each
+    (row part, column part) pair is one Schur block (kind, omega, rows,
+    cols): :meth:`entries` places its unknowns in the stacked vector, and
+    :func:`_kernels` builds and factors it."""
 
     kind: str
     row_parts: tuple[InvariantBlock, ...]
     col_parts: tuple[InvariantBlock, ...]
-    omega_gens: tuple[np.ndarray, ...]
-    omega_content: tuple[bytes, ...]
+    omega: InvariantBlock
 
     @property
     def K(self) -> int:
-        return self.omega_gens[0].shape[0]
+        return self.omega.index.size
 
     @property
     def d(self) -> int:
@@ -144,10 +143,9 @@ class CovarianceSystem:
         offsets = np.arange(self.K)[:, None, None] * d * d
         return (offsets + rows.index[:, None] * d + cols.index).reshape(-1)
 
-    def key(self, rows: InvariantBlock, cols: InvariantBlock) -> tuple:
-        """Cache key of the (rows, cols) block: equal keys mean equal
-        systems, hence equal kernels."""
-        return (self.kind, rows.content, cols.content, self.omega_content)
+    def blocks(self) -> list[tuple]:
+        """The Schur blocks, in (row part, column part) order."""
+        return [(self.kind, self.omega, rows, cols) for rows in self.row_parts for cols in self.col_parts]
 
 
 @dataclass(frozen=True)
@@ -191,14 +189,8 @@ def _build_system(kind: str, D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem
     if D1.dim != D2.dim:
         raise DimMismatch(f"input/output rep dims differ: {D1.dim} vs {D2.dim}")
     row_rep, col_rep = rows_cols(kind, D1, D2)
-    return _system(kind, row_rep.split, col_rep.split, omega.generator_matrices)
-
-
-def _system(kind: str, row_parts, col_parts, omega_gens) -> CovarianceSystem:
-    omega_gens = tuple(np.asarray(g, dtype=complex) for g in omega_gens)
-    return CovarianceSystem(
-        kind, tuple(row_parts), tuple(col_parts), omega_gens, tuple(g.tobytes() for g in omega_gens)
-    )
+    on_kraus = InvariantBlock.on(np.arange(omega.dim), omega.generator_matrices)
+    return CovarianceSystem(kind, row_rep.split, col_rep.split, on_kraus)
 
 
 def build_discrete_system(D1: Rep, D2: Rep, omega: Irrep) -> CovarianceSystem:
@@ -232,19 +224,20 @@ def gauge_fix_columns(basis: np.ndarray) -> np.ndarray:
     return basis * np.conj(leading_entries(basis)[1])
 
 
-def _columns(system: CovarianceSystem, rows: InvariantBlock, cols: InvariantBlock, entries: np.ndarray):
-    """One matrix per generator: the columns at ``entries`` of the (rows,
-    cols) block's system, whose column i is the defect of the i-th unit
-    vector.  ``entries`` are positions in the block's own (k, row, column)
-    order, and only their unit vectors are built."""
-    shape = (system.K, rows.index.size, cols.index.size)
+def _columns(block, entries: np.ndarray):
+    """One matrix per generator: the columns at ``entries`` of the Schur
+    block (kind, omega, rows, cols)'s system, whose column i is the defect
+    of the i-th unit vector.  ``entries`` are positions in the block's own
+    (k, row, column) order, and only their unit vectors are built."""
+    kind, omega, rows, cols = block
+    shape = (omega.index.size, rows.index.size, cols.index.size)
     n, m = int(np.prod(shape)), entries.size
     units = np.zeros((m, n), dtype=complex)
     units[np.arange(m), entries] = 1.0
     units = units.reshape(m, *shape)
     return tuple(
-        _defect(system.kind, a, b, om, units).reshape(m, n).T
-        for a, b, om in zip(rows.generators, cols.generators, system.omega_gens)
+        _defect(kind, a, b, om, units).reshape(m, n).T
+        for a, b, om in zip(rows.generators, cols.generators, omega.generators)
     )
 
 
@@ -252,12 +245,13 @@ def _is_diagonal(g: np.ndarray) -> bool:
     return np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
 
 
-def _lie_matrices(system: CovarianceSystem, pairs) -> list:
-    """(free entries, matrix) of each Lie block (rows, cols) in ``pairs``,
-    assembled together in weight space (see "Weight space").  The blocks'
-    parts are laid out block-diagonally, one generator matrix per side, so
-    the blocks are disjoint pieces of one Kraus stack of shape (K, all rows,
-    all columns), whose (k, row, column) order is each block's own order."""
+def _lie_matrices(omega: InvariantBlock, pairs) -> list:
+    """(free entries, matrix) of each Lie block (rows, cols) in ``pairs``
+    under ``omega``, assembled together in weight space (see "Weight
+    space").  The blocks' parts are laid out block-diagonally, one generator
+    matrix per side, so the blocks are disjoint pieces of one Kraus stack of
+    shape (K, all rows, all columns), whose (k, row, column) order is each
+    block's own order."""
     sides = []  # per side: its distinct parts, each block's part, and the part and local index of each row (column)
     for side in (0, 1):
         parts = list({id(pair[side]): pair[side] for pair in pairs}.values())
@@ -268,9 +262,9 @@ def _lie_matrices(system: CovarianceSystem, pairs) -> list:
     of_pair = np.full((len(row_parts), len(col_parts)), len(pairs))
     of_pair[P, Q] = range(len(pairs))
     block = of_pair[row_part[:, None], col_part]  # of each (row, column); len(pairs) outside the blocks
-    free = np.broadcast_to(block < len(pairs), (system.K, *block.shape))
+    free = np.broadcast_to(block < len(pairs), (omega.index.size, *block.shape))
     gens = []  # per generator: its terms, and whether it is a weight generator of each block
-    for t, om in enumerate(system.omega_gens):
+    for t, om in enumerate(omega.generators):
         rows, cols = (direct_sum([part.generators[t] for part in parts]) for parts in (row_parts, col_parts))
         terms = _lie_terms(rows, cols, om)
         weight = _is_diagonal(om) & np.array([_is_diagonal(part.generators[t]) for part in row_parts])[P]
@@ -327,35 +321,24 @@ def _nullspaces(matrices: list) -> list:
 
 
 def _kernels(blocks, cache: dict) -> list:
-    """Kernel bases of the Schur blocks (system, rows, cols) in ``blocks``, in
-    order, read through ``cache``: the distinct blocks missing from it are
-    factored together by :func:`_factor` (see "Cache")."""
-    keys = [system.key(rows, cols) for system, rows, cols in blocks]
-    missing = {key: block for key, block in zip(keys, blocks) if key not in cache}
-    if missing:
-        _factor(missing, cache)
-    return [cache[key] for key in keys]
-
-
-def _factor(blocks: dict, cache: dict) -> None:
-    """Store in ``cache`` the kernel basis of each block (system, rows, cols)
-    of ``blocks``, under its key: discrete blocks are assembled by
-    :func:`_columns`, the Lie blocks of each system together by
-    :func:`_lie_matrices`, and the matrices factored by :func:`_nullspaces`."""
-    by_system: dict = {}  # id(system) -> (system, [(key, rows, cols)])
-    for key, (system, rows, cols) in blocks.items():
-        by_system.setdefault(id(system), (system, []))[1].append((key, rows, cols))
+    """Kernel bases of the Schur blocks in ``blocks``, in order, read through
+    ``cache`` (see "Cache"): the missing ones are assembled by :func:`_columns`,
+    or those of one Lie Omega together by :func:`_lie_matrices`, and
+    factored by :func:`_nullspaces`."""
+    keys = [(kind, omega.content, rows.content, cols.content) for kind, omega, rows, cols in blocks]
+    by_omega: dict = {}  # (kind, Omega content) -> {key: block} of the missing blocks
+    for key, block in zip(keys, blocks):
+        if key not in cache:
+            by_omega.setdefault(key[:2], {})[key] = block
     built = []  # (key, block size, free entries, matrix)
-    for system, group in by_system.values():
-        if system.kind == "lie":
-            assembled = _lie_matrices(system, [(rows, cols) for _, rows, cols in group])
+    for (kind, _), missing in by_omega.items():
+        group = list(missing.values())
+        sizes = [omega.index.size * rows.index.size * cols.index.size for _, omega, rows, cols in group]
+        if kind == "lie":
+            assembled = _lie_matrices(group[0][1], [(rows, cols) for *_, rows, cols in group])
         else:
-            assembled = []
-            for _, rows, cols in group:
-                free = np.arange(system.K * rows.index.size * cols.index.size)
-                assembled.append((free, np.vstack(_columns(system, rows, cols, free))))
-        for (key, rows, cols), (free, m) in zip(group, assembled):
-            built.append((key, system.K * rows.index.size * cols.index.size, free, m))
+            assembled = [(np.arange(n), np.vstack(_columns(block, np.arange(n)))) for n, block in zip(sizes, group)]
+        built += [(key, size, *pair) for key, size, pair in zip(missing, sizes, assembled)]
     for (key, size, free, _), kernel in zip(built, _nullspaces([m for *_, m in built])):
         # The forced zeros sit between free entries and never lead a column, so
         # gauge-fixing before embedding is the same as after.  A block with no
@@ -363,6 +346,7 @@ def _factor(blocks: dict, cache: dict) -> None:
         basis = np.zeros((size, kernel.shape[1]), dtype=complex)
         basis[free] = kernel
         cache[key] = basis
+    return [cache[key] for key in keys]
 
 
 def kernel_dims(kind: str, parts: tuple[InvariantBlock, ...], omegas, cache: dict) -> np.ndarray:
@@ -373,8 +357,8 @@ def kernel_dims(kind: str, parts: tuple[InvariantBlock, ...], omegas, cache: dic
     instance whose row and column parts are copies of these has n_params =
     a^T N[o] b, for a and b the copies of each part among its row and its
     column parts."""
-    systems = [_system(kind, parts, parts, omega.generator_matrices) for omega in omegas]
-    kernels = _kernels([(system, rows, cols) for system in systems for rows in parts for cols in parts], cache)
+    on_kraus = [InvariantBlock.on(np.arange(omega.dim), omega.generator_matrices) for omega in omegas]
+    kernels = _kernels([(kind, omega, rows, cols) for omega in on_kraus for rows in parts for cols in parts], cache)
     return np.array([kernel.shape[1] for kernel in kernels], dtype=int).reshape(len(omegas), len(parts), len(parts))
 
 
@@ -390,12 +374,10 @@ def joint_nullspace(system: CovarianceSystem, cache: dict | None = None) -> Kern
     means no covariant CP map exists for these labels.  The system's blocks
     are requested in one call, so the missing ones are factored together.
     """
-    if cache is None:
-        cache = {}
-    blocks = [(system, rows, cols) for rows in system.row_parts for cols in system.col_parts]
+    blocks = system.blocks()
     placed = [  # (entry positions, block basis, row part, column part) of each block with a kernel
         (system.entries(rows, cols), kernel, *divmod(n, len(system.col_parts)))
-        for n, ((_, rows, cols), kernel) in enumerate(zip(blocks, _kernels(blocks, cache)))
+        for n, ((*_, rows, cols), kernel) in enumerate(zip(blocks, _kernels(blocks, {} if cache is None else cache)))
         if kernel.shape[1]
     ]
     K, d = system.K, system.d
@@ -407,22 +389,21 @@ def joint_nullspace(system: CovarianceSystem, cache: dict | None = None) -> Kern
     return KernelFamily(basis, K, d, np.array(layout, dtype=int).reshape(-1, 3), system.col_parts)
 
 
-def intertwiner(target, moved, cache: dict | None = None) -> np.ndarray:
+def intertwiner(target, moved) -> np.ndarray:
     """Unitary T with T^dag moved(g) T = target(g) for every generator g.
 
     ``target`` and ``moved`` are the generator matrices of two equivalent
     irreducible representations of a finite group.  T spans the kernel of
     the discrete covariance system moved(g)^dag T target(g) = T: the
     trivial-label Schur block with rows on ``moved`` and columns on
-    ``target``, neither side split, read through ``cache`` as for
-    :func:`joint_nullspace`.  By Schur's lemma that kernel is one
-    dimensional and T^dag T is a multiple of the identity, so the unit
-    kernel vector scaled by sqrt(dim) is unitary.
+    ``target``, neither side split, factored alone.  By Schur's lemma that
+    kernel is one dimensional and T^dag T is a multiple of the identity, so
+    the unit kernel vector scaled by sqrt(dim) is unitary.
     """
     r = target[0].shape[0]
+    trivial = InvariantBlock.on(np.arange(1), [np.ones((1, 1))] * len(target))
     rows, cols = (InvariantBlock.on(np.arange(r), gens) for gens in (moved, target))
-    trivial = _system("discrete", (), (), [np.ones((1, 1))] * len(target))
-    (kernel,) = _kernels([(trivial, rows, cols)], {} if cache is None else cache)
+    (kernel,) = _nullspaces([np.vstack(_columns(("discrete", trivial, rows, cols), np.arange(r * r)))])
     if kernel.shape[1] != 1:
         raise DimMismatch(f"expected one intertwiner between equivalent irreps, found {kernel.shape[1]}")
     return np.sqrt(r) * kernel[:, 0].reshape(r, r)

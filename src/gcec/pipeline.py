@@ -91,9 +91,9 @@ from .channels import (
     kraus_from_dict,
 )
 from .classes import LabelClasses
-from .errors import BadSeed, GcecError, SchemaError, NotTracePreserving, UnknownGroup
+from .errors import BadSeed, GcecError, SchemaError, NotTracePreserving, UnknownGroup, UnknownIrrepIndex
 from .extremality import DEFAULT_TOL_RANK, TOL_TP, check_tol_rank, finite_batch, test_extreme
-from .groups import infer_kind, props
+from .groups import infer_kind, irrep_label, props
 from .kernels import (
     TOL_KERNEL,
     build_discrete_system,
@@ -213,7 +213,7 @@ def run_enumeration(
 
     rep_cache = {lab.parts: materialize(spec, lab) for lab in labels}
     block_cache: dict = {}  # Schur-block kernels shared by this sweep's instances
-    classes = LabelClasses(spec, block_cache) if kind == "discrete" else None
+    classes = LabelClasses(spec) if kind == "discrete" else None
     counts = _counts(kind, [rep_cache[lab.parts] for lab in labels], omegas, block_cache)
 
     def rep_of(parts) -> Rep:
@@ -552,13 +552,21 @@ def manifest_from_dict(obj) -> RunManifest:
             of = (_typed(rec, "group", "string"), _typed(rec, "d", "integer"))
             if of != (group, d):
                 raise SchemaError(f"record {i} is of {of[0]} d={of[1]}, its manifest of {group} d={d}")
+            index, text = _typed(rec, "omega_index", "integer"), _typed(rec, "omega_label", "string")
+            try:  # a catalog irrep of any dimension, as a stored set may have K > d
+                if text != (want := irrep_label(group, index)):
+                    raise SchemaError(f"record {i}: omega_label {text!r} is not irrep {index}'s label {want!r}")
+            except UnknownIrrepIndex as exc:
+                raise SchemaError(f"record {i}: {exc}") from exc
+            if (n_params := _typed(rec, "n_params", "integer")) < 0:
+                raise SchemaError(f"record {i}: n_params {n_params} is negative")
             records.append(
                 ChannelRecord(
                     d1_label=label(rec["d1_label"]),
                     d2_label=label(rec["d2_label"]),
-                    omega_index=_typed(rec, "omega_index", "integer"),
-                    omega_label=_typed(rec, "omega_label", "string"),
-                    n_params=_typed(rec, "n_params", "integer"),
+                    omega_index=index,
+                    omega_label=text,
+                    n_params=n_params,
                     status=_typed(rec, "status", "string naming a status"),
                     kraus_samples=[parse(s) for s in rec["kraus_samples"]],
                     moduli_constraints=list(_typed(rec, "moduli_constraints", "array of strings")),
@@ -637,9 +645,9 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK) -> list[dict]:
     trace-preservation failures become per-entry diagnostics rather than
     exceptions, so a clean run over a mixed file still exits 0.  The Choi and
     Gram matrices of any Kraus set are positive semidefinite, so the CP floor
-    is 0 or roundoff, and the CP failure fires only on overflow NaN or on
-    entries so large that roundoff passes -1e-10.  A ``tol_rank`` outside
-    (0, 1) raises :class:`gcec.errors.BadTolerance` before the file is read.
+    is 0 or roundoff, and against -1e-10 * max(1, largest eigenvalue), the
+    kernel threshold's rule, it fails only on overflow NaN.  A ``tol_rank``
+    outside (0, 1) raises :class:`gcec.errors.BadTolerance` before reading.
     """
     check_tol_rank(tol_rank)
     entries, shapes = [], {}
@@ -665,13 +673,14 @@ def classify_file(path, tol_rank: float = DEFAULT_TOL_RANK) -> list[dict]:
         # Finite entries can still overflow; their NaN values fail the checks below.
         with np.errstate(over="ignore", invalid="ignore"):
             smaller = vecs.conj() @ vecs.swapaxes(-1, -2) / d if gram else choi(stack)
-            cp_floors = finite_batch(np.linalg.eigvalsh, smaller)[:, 0]
-            cp_floors = np.minimum(cp_floors, 0.0) if gram else cp_floors
+            eigvals = finite_batch(np.linalg.eigvalsh, smaller)
+            cp_floors = np.minimum(eigvals[:, 0], 0.0) if gram else eigvals[:, 0]
+            cp_bounds = -1e-10 * np.maximum(1.0, eigvals[:, -1])  # NaN stays NaN
             test = test_extreme(stack, tol_rank)
         for i, (entry, _) in enumerate(members):
             try:
                 entry["choi_min_eigenvalue"] = cp_floor = float(cp_floors[i])
-                if not cp_floor >= -1e-10:
+                if not cp_floor >= cp_bounds[i]:
                     raise SchemaError(f"not completely positive: min Choi eigenvalue {cp_floor:.3e}")
                 entry["tp_residual"] = float(test.tp_residual[i])
                 test.check_channels(i)

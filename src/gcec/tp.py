@@ -40,9 +40,9 @@ manifolds {C_rho : C_rho^dag C_rho = dim rho * 1}.  Hence:
 
 So a solved family stores the samples that decide its classification: a
 multiplicity-free family its canonical vertex, then one Haar sample; any
-other family one Haar sample.  The last sample is always the Haar one.  A
-family whose only freedom is one phase keeps the vertex alone, since its
-Haar sample gauges back onto it.
+other family one Haar sample.  The last sample is the Haar one, except in
+a family with one parameter: its only freedom is one phase, so it keeps
+the vertex alone and draws no Haar sample, which would gauge back onto it.
 
 The closed form needs every input part irreducible and parts of different
 content inequivalent, which the parts of a representation built from
@@ -163,9 +163,7 @@ def solve_tp(family: KernelFamily, seed=0, tol_rank: float = DEFAULT_TOL_RANK) -
     if all(C.shape[1] == 1 for _, C in irreps):
         _, canonical, report.moduli_constraints = _moduli(family, irreps, tol_rank)
         first = [canonical]
-    haar = _haar(irreps, family.n_params, np.random.default_rng(seed))
-    samples = gauge_fix_columns(np.stack([*first, haar]).T).T  # each row's global phase
-    if len(samples) == 2 and np.array_equal(*np.round(samples, 9)):
-        samples = samples[:1]  # one phase is the only freedom: the Haar sample gauged back onto the vertex
-    report.solutions = list(samples)
+    # one parameter: its one freedom, a phase, is gauged away, so no Haar sample
+    haar = [] if family.n_params == 1 else [_haar(irreps, family.n_params, np.random.default_rng(seed))]
+    report.solutions = list(gauge_fix_columns(np.stack([*first, *haar]).T).T)  # each row's global phase
     return report

@@ -197,4 +197,4 @@ def rotated_system(kind, D1, D2, omega):
     handed to the kernel layer whole, as one invariant part."""
     rows, cols = kernels.rows_cols(kind, D1, D2)
     parts = ((InvariantBlock.on(np.arange(rep.dim), rep.generator_matrices),) for rep in (rows, cols))
-    return kernels._system(kind, *parts, omega.generator_matrices)
+    return kernels.CovarianceSystem(kind, *parts, InvariantBlock.on(np.arange(omega.dim), omega.generator_matrices))

@@ -44,8 +44,9 @@ def _reference_entry(tag, item) -> dict:
         K, d = mats.shape[:2]
         entry.update({"d": d, "K": K})
         choi = sum(np.outer(m.reshape(-1), m.reshape(-1).conj()) for m in mats) / d
-        entry["choi_min_eigenvalue"] = floor = float(np.linalg.eigvalsh(choi)[0])
-        if floor < -1e-10:
+        eigvals = np.linalg.eigvalsh(choi)
+        entry["choi_min_eigenvalue"] = floor = float(eigvals[0])
+        if floor < -1e-10 * max(1.0, eigvals[-1]):
             raise SchemaError(f"not completely positive: min Choi eigenvalue {floor:.3e}")
         entry["tp_residual"] = tp = float(np.linalg.norm(sum(m.conj().T @ m for m in mats) - np.eye(d)))
         if tp > TOL_TP:
@@ -293,6 +294,20 @@ def test_overflowing_entry_is_an_error_and_its_neighbour_keeps_its_verdict(tmp_p
         assert got[1]["classification"] == "unitary" and got[1]["error"] is None
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6, 1e9])
+def test_a_scaled_non_tp_set_is_not_trace_preserving_rather_than_not_cp(tmp_path, scale):
+    # K = 2 linearly dependent operators: the Gram matrix has a zero
+    # eigenvalue whose roundoff grows with the entries' scale (-1.5e3 at
+    # 1e9), and the CP floor is compared relative to the largest eigenvalue.
+    rng = np.random.default_rng(63)
+    a = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
+    c = rng.normal(size=8) + 1j * rng.normal(size=8)
+    sets = np.stack([a, c[:, None, None] * a], axis=1)
+    got = _classify(tmp_path, [kraus_dict(scale * m) for m in sets])
+    assert all(entry["error"].startswith("NotTracePreserving: ") for entry in got)
+    assert min(entry["choi_min_eigenvalue"] for entry in got) < 0.0
+
+
 def test_nan_tp_residual_is_not_a_channel():
     # The guard a sweep record's samples pass through in the pipeline.
     test = rank_test(np.eye(2, dtype=complex)[None, None])
@@ -328,7 +343,7 @@ def test_the_recorded_tp_tolerance_is_the_one_applied(tmp_path, s3_sweep, factor
 def _transported(manifest):
     """Whether each record of a finite sweep is transported from its class
     representative rather than solved."""
-    classes = LabelClasses(props(manifest.group, manifest.kind, manifest.d).group, {})
+    classes = LabelClasses(props(manifest.group, manifest.kind, manifest.d).group)
     return [
         classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts))[1] is not None
         for r in manifest.records
@@ -386,7 +401,7 @@ def test_a_failing_member_leaves_its_classmates_alone(monkeypatch, failure):
     # D5 d=4*: the members of one class share one rank test; break one
     # member's transport and every other record must stay as it was.
     reference = run_enumeration("D5", None, 4, nonunitary_only=True)
-    classes = LabelClasses(props("D5", "discrete", 4).group, {})
+    classes = LabelClasses(props("D5", "discrete", 4).group)
     found = collections.defaultdict(list)  # representative -> its transported channel_found records
     for r in reference.records:
         head, move = classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts))
@@ -429,7 +444,7 @@ def test_non_covariant_solved_samples_fail_their_class(monkeypatch, name, d, non
     # breaks covariance unless U commutes with the representation on the rows.
     reference = run_enumeration(name, None, d, nonunitary_only=nonunitary_only)
     spec = props(name, reference.kind, d).group
-    classes = LabelClasses(spec, {}) if reference.kind == "discrete" else None
+    classes = LabelClasses(spec) if reference.kind == "discrete" else None
     by_instance = {_class_of(None, r): r for r in reference.records}
     U = random_unitary(np.random.default_rng(17), d)
     kraus_at = KernelFamily.kraus_at
@@ -467,7 +482,7 @@ def test_one_rank_test_per_found_class(monkeypatch, name, d, nonunitary_only, ca
 
     monkeypatch.setattr(pipeline, "test_extreme", counting)
     manifest = run_enumeration(name, None, d, seed=7, nonunitary_only=nonunitary_only)
-    classes = LabelClasses(props(name, manifest.kind, d).group, {}) if manifest.kind == "discrete" else None
+    classes = LabelClasses(props(name, manifest.kind, d).group) if manifest.kind == "discrete" else None
     found = [r for r in manifest.records if r.status == "channel_found"]
     assert len(counted) == len({_class_of(classes, r) for r in found}) == calls
     assert sum(counted) == sum(len(r.kraus_samples) for r in found)
@@ -476,7 +491,7 @@ def test_one_rank_test_per_found_class(monkeypatch, name, d, nonunitary_only, ca
 @pytest.mark.parametrize("name,d,nonunitary_only", [("D5", 4, True), ("Z4", 3, False), ("A4", 4, True)])
 def test_stacked_transport_equals_moving_each_sample_alone(name, d, nonunitary_only):
     manifest = run_enumeration(name, None, d, nonunitary_only=nonunitary_only)
-    classes = LabelClasses(props(name, "discrete", d).group, {})
+    classes = LabelClasses(props(name, "discrete", d).group)
     by_instance = {(r.omega_index, r.d1_label.parts, r.d2_label.parts): r for r in manifest.records}
     checked = 0
     for inst, r in by_instance.items():

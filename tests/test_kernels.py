@@ -60,7 +60,7 @@ INSTANCES = [
 
 def _matrices(system, rows, cols):
     """The (rows, cols) block's full matrices, one per generator."""
-    return kernels._columns(system, rows, cols, np.arange(system.entries(rows, cols).size))
+    return kernels._columns((system.kind, system.omega, rows, cols), np.arange(system.entries(rows, cols).size))
 
 
 def _blocks(system):
@@ -386,7 +386,7 @@ def _distinct_blocks(name, d):
                 system = build(D1, D2, omega)
                 for rows in system.row_parts:
                     for cols in system.col_parts:
-                        blocks.setdefault(system.key(rows, cols), (system, rows, cols))
+                        blocks.setdefault((system.kind, system.omega.content, rows.content, cols.content), (system, rows, cols))
     return blocks
 
 
@@ -395,14 +395,13 @@ def test_sweep_builds_a_block_only_on_a_cache_miss(monkeypatch):
     # matrices once per distinct cache key.
     distinct = set(_distinct_blocks("SO3", 7))
     keys = []
-    factor = kernels._factor
+    assemble = kernels._lie_matrices
 
-    def counted(blocks, cache):
-        assert all(system.key(rows, cols) == key for key, (system, rows, cols) in blocks.items())
-        keys.extend(blocks)
-        factor(blocks, cache)
+    def counted(omega, pairs):
+        keys.extend(("lie", omega.content, rows.content, cols.content) for rows, cols in pairs)
+        return assemble(omega, pairs)
 
-    monkeypatch.setattr(kernels, "_factor", counted)
+    monkeypatch.setattr(kernels, "_lie_matrices", counted)
     run_enumeration("SO3", None, 7)
     assert len(keys) == len(set(keys)) and set(keys) == distinct
 
@@ -425,7 +424,7 @@ def _free_entries(system, rows, cols):
     its defect of the all-ones stack.  Discrete blocks keep every entry."""
     shape = (system.K, rows.index.size, cols.index.size)
     free = np.ones(shape, dtype=bool)
-    for a, b, om in zip(rows.generators, cols.generators, system.omega_gens):
+    for a, b, om in zip(rows.generators, cols.generators, system.omega.generators):
         if system.kind == "lie" and all(_is_diagonal(g) for g in (a, b, om)):
             free &= kernels._defect(system.kind, a, b, om, np.ones(shape, dtype=complex)) == 0
     return np.flatnonzero(free)
@@ -433,7 +432,7 @@ def _free_entries(system, rows, cols):
 
 def _block_kernel(system, rows, cols):
     """The block's basis, factored alone with a fresh cache."""
-    return kernels._kernels([(system, rows, cols)], {})[0]
+    return kernels._kernels([(system.kind, system.omega, rows, cols)], {})[0]
 
 
 def test_weight_space_kernel_matches_dense_svd(monkeypatch):
@@ -465,7 +464,7 @@ def test_weight_space_kernel_matches_dense_svd(monkeypatch):
         assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-9
         K, r, c = system.K, rows.index.size, cols.index.size
         lz_diagonal = system.kind == "lie" and all(
-            _is_diagonal(g) for g in (rows.generators[2], cols.generators[2], system.omega_gens[2])
+            _is_diagonal(g) for g in (rows.generators[2], cols.generators[2], system.omega.generators[2])
         )
         free = _free_entries(system, rows, cols)
         if lz_diagonal:
@@ -481,7 +480,7 @@ def _all_rows_kernel(system, rows, cols):
     """The block's kernel from the SVD of its matrices on the free entries
     with every row kept, embedded at those entries."""
     free = _free_entries(system, rows, cols)
-    stacked = np.vstack(kernels._columns(system, rows, cols, free))
+    stacked = np.vstack(kernels._columns((system.kind, system.omega, rows, cols), free))
     if not np.any(stacked):
         kernel = np.eye(free.size)
     else:
@@ -516,7 +515,7 @@ def test_lie_blocks_factor_only_their_nonzero_rows(monkeypatch):
         ref = _all_rows_kernel(system, rows, cols)
         assert basis.shape == ref.shape
         assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-12
-        nonzero = np.vstack(kernels._columns(system, rows, cols, free)).any(axis=1)
+        nonzero = np.vstack(kernels._columns((system.kind, system.omega, rows, cols), free)).any(axis=1)
         assert all(shape[-2] == np.count_nonzero(nonzero) < nonzero.size for shape in factored)
     assert empty > 0
 
@@ -531,9 +530,9 @@ def test_lie_assembly_is_the_unit_vector_build_on_free_entries_and_nonzero_rows(
         by_system.setdefault(id(system), (system, []))[1].append((rows, cols))
     checked = 0
     for system, pairs in by_system.values():
-        for (rows, cols), (free, matrix) in zip(pairs, kernels._lie_matrices(system, pairs), strict=True):
+        for (rows, cols), (free, matrix) in zip(pairs, kernels._lie_matrices(system.omega, pairs), strict=True):
             assert np.array_equal(free, _free_entries(system, rows, cols))
-            ref = np.vstack([np.zeros((0, free.size)), *kernels._columns(system, rows, cols, free)])
+            ref = np.vstack([np.zeros((0, free.size)), *kernels._columns((system.kind, system.omega, rows, cols), free)])
             ref = ref[ref.any(axis=1)]
             assert matrix.shape == ref.shape and np.array_equal(matrix, ref)
             checked += 1
@@ -560,7 +559,7 @@ def test_block_columns_are_the_matrices_columns():
     # the restricted build and the full view share one assembly routine
     for system, rows, cols in [*_distinct_blocks("SU2", 3).values(), *_distinct_blocks("Z4", 2).values()]:
         picked = _free_entries(system, rows, cols)[::2]
-        for part, full in zip(kernels._columns(system, rows, cols, picked), _matrices(system, rows, cols)):
+        for part, full in zip(kernels._columns((system.kind, system.omega, rows, cols), picked), _matrices(system, rows, cols)):
             assert np.array_equal(part, full[:, picked])
 
 

@@ -19,7 +19,7 @@ from gcec import classes as classes_module
 from gcec import cli
 from gcec.classes import LabelClasses
 from gcec.cli import main
-from gcec.errors import BadSeed, BadTolerance, SchemaError, UnknownGroup
+from gcec.errors import BadSeed, BadTolerance, SchemaError, UnknownGroup, UnknownIrrepIndex
 from gcec import extremality
 from gcec.groups import infer_kind, props
 from gcec.kernels import build_discrete_system, build_lie_system, joint_nullspace
@@ -296,6 +296,41 @@ def test_save_load_round_trip(tmp_path, s3_manifest):
     obj["records"][0]["d2_label"] = "1+1+5"
     path.write_text(json.dumps(obj))
     with pytest.raises(SchemaError, match="unknown representation label '1\\+1\\+5'"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [("omega_index", 99, "record 0: S3 has no irrep with index 99"),
+     ("omega_label", "bogus", "record 0: omega_label 'bogus' is not irrep 2's label '2'"),
+     ("n_params", -5, "record 0: n_params -5 is negative")],
+)
+def test_a_channel_label_off_the_catalog_is_a_schema_error(tmp_path, capsys, s3_manifest, key, value, message):
+    path = tmp_path / "s3.json"
+    save_manifest(s3_manifest, path)
+    obj = json.loads(path.read_text())
+    assert obj["records"][0]["omega_index"] == 2
+    obj["records"][0][key] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match=message) as raised:
+        load_manifest(path)
+    assert isinstance(raised.value.__cause__, UnknownIrrepIndex) is (key == "omega_index")
+    assert main(["report", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_lie_channel_label_may_exceed_the_dimension(tmp_path):
+    # Stored Kraus sets may have K > d, so a Lie label is checked against
+    # the group's whole catalog: SU2's irrep 4 is "5" at any d.
+    path = tmp_path / "su2.json"
+    save_manifest(run_enumeration("SU2", None, 2), path)
+    obj = json.loads(path.read_text())
+    obj["records"][0].update(omega_index=4, omega_label="5")
+    path.write_text(json.dumps(obj))
+    assert load_manifest(path).records[0].omega_label == "5"
+    obj["records"][0].update(omega_index=-1)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaError, match="record 0: SU2 has no irrep with index -1"):
         load_manifest(path)
 
 
@@ -722,7 +757,7 @@ def test_label_classes_match_per_instance_solves(request, monkeypatch, group, d,
         (r.omega_index, r.d1_label.parts, r.d2_label.parts) for r in manifest.records if r.status == "channel_found"
     ]
     if infer_kind(group) == "discrete":
-        classes = LabelClasses(props(group, "discrete", d).group, {})
+        classes = LabelClasses(props(group, "discrete", d).group)
         found = {classes.representative(inst)[0] for inst in found}
     assert 0 < len(solves) == len(found) < sum(r.n_params > 0 for r in manifest.records)
     assert all(report.status == "solved" for report in solves)
@@ -790,7 +825,7 @@ def test_sub_sweep_without_representative_reproduces_full_records(z4_manifest):
     kept = ["q0+q1+q3", "q1+q2+q3"]
     sub = run_enumeration("Z4", None, 3, reps=kept)
     spec = props("Z4", "discrete", 3).group
-    classes = LabelClasses(spec, {})
+    classes = LabelClasses(spec)
     swept = {r.d1_label.parts for r in sub.records}
     reps_ = [classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts))[0] for r in sub.records]
     assert any(
@@ -809,7 +844,7 @@ def test_sub_sweep_reproduces_records_moved_by_an_automorphism():
     kept = ["1+1'+2_1", "2_1+2_2"]
     sub = run_enumeration("D5", None, 4, nonunitary_only=True, reps=kept)
     full = run_enumeration("D5", None, 4, nonunitary_only=True)
-    classes = LabelClasses(props("D5", "discrete", 4).group, {})
+    classes = LabelClasses(props("D5", "discrete", 4).group)
     swept = {r.d1_label.parts for r in sub.records}
     heads = [classes.representative((r.omega_index, r.d1_label.parts, r.d2_label.parts)) for r in sub.records]
     assert any(
@@ -826,7 +861,7 @@ def test_sub_sweep_reproduces_records_moved_by_an_automorphism():
 def test_failed_transport_is_an_error_not_solver_failed(monkeypatch, s3_manifest, scale, reason):
     # S3's 2-dim irrep twisted by the sign character needs a real intertwiner;
     # replace it by a wrong matrix (the identity, or twice the identity).
-    monkeypatch.setattr(classes_module, "intertwiner", lambda target, moved, *a: scale * np.eye(len(target[0])))
+    monkeypatch.setattr(classes_module, "intertwiner", lambda target, moved: scale * np.eye(len(target[0])))
     manifest = run_enumeration("S3", None, 3, nonunitary_only=True)
     broken = [r for r in manifest.records if r.status == "error"]
     assert broken

@@ -120,7 +120,7 @@ CLASS_GROUPS = [("Z2", 1), ("Z6", 1), ("S3", 2), ("A4", 3), ("D5", 2)]
 
 def _classes(name, d):
     spec = props(name, "discrete", d).group
-    return spec, LabelClasses(spec, {})
+    return spec, LabelClasses(spec)
 
 
 @pytest.mark.parametrize("name,d", CLASS_GROUPS)
