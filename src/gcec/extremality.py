@@ -16,8 +16,23 @@ stored sets alike, and a sweep manifest records that value as
 ``tolerances["tp"]``.  :func:`test_extreme` is the package's one rank
 count of the Kraus products: the sweep's records, ``classify`` and the TP
 solver's choice of canonical vertex all call it.  A sweep runs one test per
-label class, over the representative's samples and every member's moved
-samples together.
+channel label, over every sample it emits under that label.
+
+Spin path.  For an SO3/SU2 set labelled by the irrep Omega (dimension K, in
+the catalog's descending-m basis), the product map e_k (x) e_l ->
+vec(A_k^dag A_l) intertwines conj(Omega) (x) Omega with conjugation by the
+input representation, both unitary.  conj(Omega) (x) Omega splits into the
+spins L = 0, ..., K - 1, each once, so by Schur's lemma the map's Gram
+matrix is a scalar sigma_L^2 on each spin-L component.  Each component
+holds one weight-0 vector, a diagonal matrix h_L: the eigenvector of the
+sl2 Casimir on diagonal K x K matrices with eigenvalue L(L + 1)
+(:func:`spin_basis`).  So sigma_L = ||sum_k (h_L)_k vec(A_k^dag A_k)||,
+and the d^2 x K^2 spectrum is each sigma_L repeated 2L + 1 times: K
+products and K norms per set instead of K^2 products and an SVD.  Given
+``spins``, :func:`test_extreme` takes that path; the values and the rank
+equal the SVD's up to roundoff, and each set's values are again its own,
+bit for bit.  Finite groups and ``classify``, which must not trust a
+stored label, keep the SVD.
 """
 
 from __future__ import annotations
@@ -78,15 +93,41 @@ def finite_batch(fn, batch: np.ndarray, **kwargs) -> np.ndarray:
     return out
 
 
-def test_extreme(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> RankTest:
+def spin_basis(generators) -> np.ndarray:
+    """The (K, K) real orthogonal matrix whose column L is h_L, of the sl2
+    irrep with ``generators`` (L+, L-, Lz) in a basis of distinct weights:
+    the eigenvectors of D -> diag(1/2 ([L+, [L-, D]] + [L-, [L+, D]])) on
+    diagonal K x K matrices, whose eigenvalues are L(L + 1), ascending (see
+    "Spin path")."""
+    raising, lowering, _ = generators
+    K = raising.shape[0]
+
+    def ad(x, y):
+        return x @ y - y @ x
+
+    units = np.zeros((K, K, K))
+    units[np.arange(K), np.arange(K), np.arange(K)] = 1.0
+    casimir = [np.diagonal(ad(raising, ad(lowering, e)) + ad(lowering, ad(raising, e))).real / 2 for e in units]
+    return np.linalg.eigh(np.array(casimir).T)[1]
+
+
+def test_extreme(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK, spins: np.ndarray | None = None) -> RankTest:
     """Rank test on the Kraus products of each set of an (S, K, d, d)
     stack.  Per set, the columns vec(A_k^dag A_l), k-major, form a
     d^2 x K^2 matrix; one batched SVD gives its singular values, and the
-    rank counts those above ``tol_rank`` times the largest.  A set whose
-    products are not finite gets NaN values and rank 0."""
+    rank counts those above ``tol_rank`` times the largest.  With
+    ``spins``, the :func:`spin_basis` of the sets' SO3/SU2 channel label,
+    the values are the spin-component norms instead (see "Spin path").  A
+    set whose products are not finite gets NaN values and rank 0."""
     S, K, d, _ = stack.shape
-    products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
-    svals = finite_batch(np.linalg.svd, products.reshape(S, K * K, d * d).swapaxes(-1, -2), compute_uv=False)
+    if spins is None:
+        products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
+        svals = finite_batch(np.linalg.svd, products.reshape(S, K * K, d * d).swapaxes(-1, -2), compute_uv=False)
+    else:
+        diagonal = (stack.conj().swapaxes(-1, -2) @ stack).reshape(S, K, d * d)
+        norms = np.linalg.norm(spins.T @ diagonal, axis=-1)  # (S, K): sigma_L at column L
+        svals = np.sort(np.repeat(norms, 2 * np.arange(K) + 1, axis=1), axis=1)[:, ::-1][:, : min(K * K, d * d)]
+        svals[~np.isfinite(norms).all(axis=1)] = np.nan
     top = svals[:, :1]
     rank = np.where(top[:, 0] > 0, np.sum(svals > tol_rank * top, axis=1), 0)
     # K^2 operators cannot be independent in a d^2-dimensional space.

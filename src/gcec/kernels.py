@@ -31,7 +31,7 @@ representation once.  The systems themselves take any invariant parts, so
 a densely rotated representation passed as one part works as well.  The
 relations then decouple: the entries A_k[I, J] for a row block I and a
 column block J, over all k, form an independent system of K*|I|*|J|
-unknowns.  Each block is factored by a thin SVD, and the instance's kernel
+unknowns.  Each block is factored by an SVD, and the instance's kernel
 is the direct sum of the block kernels, embedded into K*d^2 space in (row
 block, column block) order.
 
@@ -44,10 +44,20 @@ theorem at most K*min(r, c) of a block's K*r*c entries stay free.
 unit vectors: the free entries come from the weight generators' diagonals,
 and each other generator's columns at them from its nonzeros, through the
 three single-axis terms of :func:`_lie_terms`, on the rows they reach (L+
-and L- reach only weight +1 and -1).  This is :func:`_columns`' unit-vector
-build at the free entries without its zero rows, entry for entry.  The
-kernel is embedded back at the free entries; a block with none has an
-empty basis, and a spin-0 block, with weight generators only, the identity.
+reaches only weight +1).  Only the L+ and Lz rows are built: the Lie
+relations say that the Kraus tensor, in the tensor product of the three
+sl2 representations, is annihilated by each generator.  A vector that Lz
+and L+ annihilate is a highest-weight vector of weight 0, so it spans a
+trivial component, and L- annihilates it too.  That holds in any basis and
+for any parts, so the L- rows are redundant in every Lie block and are
+left out; :func:`covariance_residual` still applies all three generators
+to every emitted sample.  This is :func:`_columns`' unit-vector build of
+the L+ and Lz matrices at the free entries without their zero rows, entry
+for entry.  Without the L- rows a block can have fewer rows than free
+entries, so :func:`_nullspaces` takes a wide matrix's kernel from its full
+SVD.  The kernel is embedded back at the free entries; a block with none
+has an empty basis, and a spin-0 block, with weight generators only, the
+identity.
 Weight generators are found block by block from the blocks' own matrices,
 since Omega is an ``Irrep`` that may come in any basis, and so may a part
 handed to :class:`CovarianceSystem` directly.  Discrete blocks, diagonal Zn
@@ -241,6 +251,11 @@ def _columns(block, entries: np.ndarray):
     )
 
 
+# Positions of L+ and Lz in a Lie generator triple (L+, L-, Lz): the L- rows
+# of a Lie block are implied by these (see "Weight space").
+_RAISING_AND_WEIGHT = (0, 2)
+
+
 def _is_diagonal(g: np.ndarray) -> bool:
     return np.count_nonzero(g) == np.count_nonzero(np.diagonal(g))
 
@@ -263,8 +278,9 @@ def _lie_matrices(omega: InvariantBlock, pairs) -> list:
     of_pair[P, Q] = range(len(pairs))
     block = of_pair[row_part[:, None], col_part]  # of each (row, column); len(pairs) outside the blocks
     free = np.broadcast_to(block < len(pairs), (omega.index.size, *block.shape))
-    gens = []  # per generator: its terms, and whether it is a weight generator of each block
-    for t, om in enumerate(omega.generators):
+    gens = []  # per generator kept: its terms, and whether it is a weight generator of each block
+    for t in _RAISING_AND_WEIGHT:
+        om = omega.generators[t]
         rows, cols = (direct_sum([part.generators[t] for part in parts]) for parts in (row_parts, col_parts))
         terms = _lie_terms(rows, cols, om)
         weight = _is_diagonal(om) & np.array([_is_diagonal(part.generators[t]) for part in row_parts])[P]
@@ -304,7 +320,7 @@ def _lie_matrices(omega: InvariantBlock, pairs) -> list:
 
 def _nullspaces(matrices: list) -> list:
     """Gauge-fixed orthonormal kernel basis of each matrix, with one batched
-    SVD per matrix shape (see "Rank threshold")."""
+    SVD per matrix shape, full for a wide shape (see "Rank threshold")."""
     out = [None] * len(matrices)
     by_shape: dict = {}
     for at, m in enumerate(matrices):
@@ -313,7 +329,10 @@ def _nullspaces(matrices: list) -> list:
         else:  # unconstrained entries: every choice of them is covariant
             out[at] = np.eye(m.shape[1], dtype=complex)
     for batch in by_shape.values():
-        _, svals, vh = np.linalg.svd(np.stack([matrices[at] for at in batch]), full_matrices=False)
+        # a thin SVD of a wide matrix has only as many rows of vh as the matrix
+        # has rows, too few to hold its kernel
+        rows, cols = matrices[batch[0]].shape
+        _, svals, vh = np.linalg.svd(np.stack([matrices[at] for at in batch]), full_matrices=rows < cols)
         for at, s, v in zip(batch, svals, vh):
             rank = int(np.sum(s > TOL_KERNEL * max(1.0, s[0])))
             out[at] = gauge_fix_columns(v[rank:].conj().T)

@@ -7,8 +7,8 @@ in enumeration order), decides whether each has a covariant channel,
 solves and classifies those that do, and collects everything into a
 manifest whose JSON form is byte-identical across runs with equal inputs
 and an equal BLAS thread count (a multithreaded BLAS rounds its reductions
-differently, which reaches the stored digits of some Lie-group sweeps, such
-as SO3 d=9).
+differently, which reaches the stored digits of some large Lie-group
+sweeps, such as SO3 d=11; README "Determinism").
 
 Statuses are decided by counting.  A catalog representation's parts are
 irreps, so every Schur block of the sweep is an irrep triple (row irrep p,
@@ -37,24 +37,37 @@ conjugation and group automorphisms map an instance to an equivalent one,
 with equal counts.  Only the least instance of each class in sweep order,
 its representative, is solved; a Lie-group instance is a class of its own.
 The sweep files each such instance under its representative, then builds
-the records class by class, in the order it first meets them, through one
-routine: solve the representative once, move its (S, K, d, d) sample
-stack to every other member by intertwiners, run one rank test over the
-representative's stack and every moved stack, and fill each record through
-:func:`_found`, which checks every emitted sample the same way (trace
-preservation, and a covariance residual against the record's own
-representations of at most ``TOL_COV``).  Every member takes the
-representative's status, error and moduli constraints.  A failed solve, or
-a failed check of the representative's own samples, fails the whole class;
-a member whose transport or re-check fails is an ``error`` on its own.
+the records of every class, in the order it first meets them, through one
+routine, :func:`_class_records`, in three stages:
+
+1. per class, solve the representative once and move its (S, K, d, d)
+   sample stack to every other member by intertwiners;
+2. per channel label Omega, run one rank test over every sample the sweep
+   emits under it, solved or moved, across classes: on the spin path of
+   :mod:`gcec.extremality` for SO3/SU2, with the label's spin basis, which
+   the sweep computes once per Omega and the TP solver's vertex test takes
+   too;
+3. fill each record through :func:`_found`, which checks every emitted
+   sample the same way (trace preservation, and a covariance residual
+   against the record's own representations of at most ``TOL_COV``).
+
+Every member takes the representative's status, error and moduli
+constraints.  A class whose solve raised stays out of the rank tests; a
+failed solve, or a failed check of the representative's own samples,
+fails the whole class; a member whose transport or re-check fails is an
+``error`` on its own.  Before anything of a class is built, its dense
+kernel basis, K * d^2 * n_params complex numbers by the table's count, is
+compared with the machine's physical memory, and a basis that cannot fit
+makes the class an ``error`` (``MemoryError``) at once.
 
 Checks run on stacks of same-shape Kraus sets: a record's samples get one
-batched covariance residual and share a batched rank test with their
-class, and :func:`classify_file` parses every entry of a file first and
+batched covariance residual and a slice of their label's batched rank
+test, and :func:`classify_file` parses every entry of a file first and
 then checks the sets of each (K, d) shape as one stack (least Choi
 eigenvalue, off the K x K Gram matrix when K < d^2; TP residual; rank
-test).  Each set's values are those of a loop over the sets, so the
-manifests do not depend on the batching.  A set is trace
+test by SVD, since a stored label is not trusted).  Each set's values are
+those of a loop over the sets, so the manifests do not depend on the
+batching.  A set is trace
 preserving when its TP residual is at most ``extremality.TOL_TP``.  A
 manifest's ``tolerances`` records the thresholds applied: that bound, the
 kernel threshold ``kernels.TOL_KERNEL`` and the run's ``tol_rank``
@@ -77,6 +90,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
@@ -92,7 +106,7 @@ from .channels import (
 )
 from .classes import LabelClasses
 from .errors import BadSeed, GcecError, SchemaError, NotTracePreserving, UnknownGroup, UnknownIrrepIndex
-from .extremality import DEFAULT_TOL_RANK, TOL_TP, check_tol_rank, finite_batch, test_extreme
+from .extremality import DEFAULT_TOL_RANK, TOL_TP, check_tol_rank, finite_batch, spin_basis, test_extreme
 from .groups import infer_kind, irrep_label, props
 from .kernels import (
     TOL_KERNEL,
@@ -235,16 +249,21 @@ def run_enumeration(
         inst = (omega.index, lab1.parts, lab2.parts)
         head, move = (inst, None) if classes is None else classes.representative(inst)
         filed.setdefault(head, (n_params, []))[1].append((at, (*member, move)))
-    for head, (n_params, of_class) in filed.items():  # in the order the sweep first meets each class
-        om, parts1, parts2 = head
-        positions, members = zip(*of_class)
+    solves = []  # per class, in the order the sweep first meets it
+    for (om, parts1, parts2), (n_params, of_class) in filed.items():
+        members = [member for _, member in of_class]
         head_reps = (rep_of(parts1), rep_of(parts2), spec.irrep_by_index(om))
         # Seed keyed by the instance labels (not the loop position): a filtered
         # sub-sweep then reproduces the full sweep's records for the instances
         # it shares.
         head_seed = [seed, om, *parts1, 0xFFFFFFFF, *parts2]
-        solved = _class_records(kind, head, head_reps, members, classes, tol_rank, head_seed, block_cache, n_params)
-        for at, record in zip(positions, solved):
+        solves.append(((om, parts1, parts2), head_reps, members, head_seed, n_params))
+    spins = {}  # Lie channel labels take the rank test's spin path, with one basis per Omega solved under
+    if kind == "lie":
+        spins = {om: spin_basis(spec.irrep_by_index(om).generator_matrices) for om in {head[0] for head in filed}}
+    solved = _class_records(kind, solves, classes, tol_rank, block_cache, spins)
+    for (_, of_class), class_records in zip(filed.values(), solved):
+        for (at, _), record in zip(of_class, class_records):
             records[at] = record
 
     return RunManifest(
@@ -293,32 +312,83 @@ def _record(rep1, rep2, omega, n_params, status) -> ChannelRecord:
     )
 
 
-def _class_records(kind, head, reps, members, classes, tol_rank, seed, block_cache, n_params) -> list[ChannelRecord]:
-    """The records of the ``members`` (rep1, rep2, omega, move) of the class
-    of ``head``, whose representations are ``reps``, from one solve of it.
-
-    The sweep's table counts ``n_params`` parameters and a TP point for
-    every member; a family of another size, or a solve that finds no TP
-    point, makes the class ``error``.  The move is None for the
-    representative itself.  Its sample stack moves to every other member,
-    and one rank test checks its own samples and every moved stack.  When
-    the solve or the representative's own samples fail, the whole class
-    fails: ``solver_failed`` for a package or LAPACK error, ``error`` for
-    anything else.  Every member takes the representative's status, error
-    and moduli constraints (in the representative's coordinates); a member
-    whose transport fails, or whose moved samples fail :func:`_found`,
-    becomes an ``error`` on its own: it is never re-solved."""
-    rep1, rep2, omega = reps
-    source = _record(rep1, rep2, omega, n_params, "error")  # every path below sets the status
-    records = [source if move is None else _record(*member, n_params, "error") for *member, move in members]
-    stack = None  # the representative's samples
-    moved = {}  # member index -> its moved samples, or the exception its transport raised
+def _physical_memory() -> int | None:
+    """This machine's physical memory in bytes, or None where the platform
+    does not tell."""
     try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _class_records(kind, solves, classes, tol_rank, block_cache, spins) -> list[list[ChannelRecord]]:
+    """The records of every label class in ``solves``, one list per class
+    in the order of its members, by the three stages and the failure rules
+    of the module docstring: :func:`_solve_class` per class, one rank test
+    per Omega over every sample emitted under it (with ``spins``, the spin
+    bases of Lie labels), then :func:`_found` per record."""
+    memory = _physical_memory()
+    staged = [_solve_class(kind, *solve, classes, tol_rank, block_cache, spins, memory) for solve in solves]
+    stacks, first = {}, {}  # Omega index -> the stacks emitted under it; id of a stack -> its first set there
+    for _, emitted in staged:
+        for record, _, samples in emitted:
+            if isinstance(samples, np.ndarray):
+                held = stacks.setdefault(record.omega_index, [])
+                first[id(samples)] = sum(map(len, held))
+                held.append(samples)
+    tests = {}  # Omega index -> its rank test, or the exception that the test raised
+    for om, held in stacks.items():
+        try:
+            tests[om] = test_extreme(np.concatenate(held), tol_rank, spins=spins.get(om))
+        except Exception as exc:  # the classes under om fail by the rules above, in step 3
+            tests[om] = exc
+    for _, ((source, reps, stack), *moved) in staged:
+        if stack is not None:
+            try:
+                _found(source, stack, tests[source.omega_index], first[id(stack)], *reps, kind)
+            except (GcecError, np.linalg.LinAlgError) as exc:
+                source.status, source.error = "solver_failed", f"{type(exc).__name__}: {exc}"
+            except Exception as exc:
+                source.status, source.error = "error", f"{type(exc).__name__}: {exc}"
+        for record, (rep1, rep2, omega), samples in moved:
+            record.status, record.error = source.status, source.error
+            record.moduli_constraints = list(source.moduli_constraints)
+            if source.status != "channel_found":
+                continue
+            try:
+                if isinstance(samples, Exception):
+                    raise samples
+                _found(record, samples, tests[omega.index], first[id(samples)], rep1, rep2, omega, kind)
+            except Exception as exc:
+                record.status, record.error = "error", f"transport failed: {type(exc).__name__}: {exc}"
+    return [records for records, _ in staged]
+
+
+def _solve_class(kind, head, reps, members, seed, n_params, classes, tol_rank, block_cache, spins, memory):
+    """Solve the class of ``head``, whose representations are ``reps``, and
+    move its samples to the other ``members`` (rep1, rep2, omega, move; the
+    move is None for the representative): (the members' records, one
+    (record, (rep1, rep2, omega), samples) triple per emitted stack, the
+    representative's first even when ``members`` leaves it out).  The
+    samples are a stack, the exception a transport raised, or None after a
+    failed solve.  The table counts ``n_params`` parameters and a TP point
+    for the class; a family of another size, a solve without a TP point, or
+    a dense kernel basis larger than ``memory`` bytes, checked before
+    anything is built, makes the class ``error``."""
+    rep1, rep2, omega = reps
+    source = _record(rep1, rep2, omega, n_params, "error")  # every path sets the status
+    records = [source if move is None else _record(*member, n_params, "error") for *member, move in members]
+    stack = None
+    moved = [None] * len(members)
+    try:
+        need = omega.dim * rep1.dim**2 * n_params * np.dtype(complex).itemsize
+        if memory is not None and need > memory:
+            raise MemoryError(f"a dense kernel basis of {need} bytes exceeds the {memory} bytes of physical memory")
         system = build_discrete_system(rep1, rep2, omega) if kind == "discrete" else build_lie_system(rep1, rep2, omega)
         family = joint_nullspace(system, cache=block_cache)
         if family.n_params != n_params:
             raise RuntimeError(f"the family has {family.n_params} parameters, the block table counts {n_params}")
-        report = solve_tp(family, seed=seed, tol_rank=tol_rank)
+        report = solve_tp(family, seed=seed, tol_rank=tol_rank, spins=spins.get(omega.index))
         if report.status == "no_solution":
             raise RuntimeError(f"no TP point ({report.detail}), where the block table counts one")
         source.moduli_constraints = list(report.moduli_constraints)
@@ -330,29 +400,12 @@ def _class_records(kind, head, reps, members, classes, tol_rank, seed, block_cac
                 moved[i] = classes.transport(stack, head, move)
             except Exception as exc:  # never solver_failed: the representative decided existence
                 moved[i] = exc
-        fine = [m for m in moved.values() if not isinstance(m, Exception)]
-        test = test_extreme(np.concatenate([stack, *fine]), tol_rank)
-        _found(source, stack, test, 0, rep1, rep2, omega, kind)
     except (GcecError, np.linalg.LinAlgError) as exc:
         source.status, source.error = "solver_failed", f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # a crash: record it as such, never abort the sweep
         source.status, source.error = "error", f"{type(exc).__name__}: {exc}"
-    first = 0 if stack is None else len(stack)  # the moved stacks follow the representative's in the test
-    for i, (record, (rep1, rep2, omega, _)) in enumerate(zip(records, members)):
-        if record is source:
-            continue
-        record.status, record.error = source.status, source.error
-        record.moduli_constraints = list(source.moduli_constraints)
-        if source.status != "channel_found":
-            continue
-        try:
-            if isinstance(moved[i], Exception):
-                raise moved[i]
-            at, first = first, first + len(moved[i])
-            _found(record, moved[i], test, at, rep1, rep2, omega, kind)
-        except Exception as exc:
-            record.status, record.error = "error", f"transport failed: {type(exc).__name__}: {exc}"
-    return records
+    others = [(record, tuple(member[:3]), samples) for record, member, samples in zip(records, members, moved)]
+    return records, [(source, reps, stack), *(other for other in others if other[0] is not source)]
 
 
 def _found(record, stack, test, first, rep1, rep2, omega, kind) -> None:
@@ -361,7 +414,10 @@ def _found(record, stack, test, first, rep1, rep2, omega, kind) -> None:
     ``test`` checked, with one batched covariance residual; its TP residual
     is the largest of the samples'.  A sample that is not trace preserving,
     or whose covariance residual exceeds ``TOL_COV``, raises and leaves the
-    record as it was."""
+    record as it was, and so does a ``test`` that is the exception the rank
+    test raised."""
+    if isinstance(test, Exception):
+        raise test
     at = slice(first, first + len(stack))
     test.check_channels(at)
     covariance = float(covariance_residual(stack, rep1, rep2, omega, kind).max())

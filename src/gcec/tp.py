@@ -36,7 +36,9 @@ manifolds {C_rho : C_rho^dag C_rho = dim rho * 1}.  Hence:
   (coordinates ordered by their basis column's leading entry) among those
   whose point fails the rank test, or among all vertices when none does,
   so a polytope with a vertex that is not an extreme channel always shows
-  one.
+  one.  All vertices go through one rank test, on the spin path of
+  :mod:`gcec.extremality` when the caller passes the channel label's spin
+  basis, as an SO3/SU2 sweep does.
 
 So a solved family stores the samples that decide its classification: a
 multiplicity-free family its canonical vertex, then one Haar sample; any
@@ -112,7 +114,7 @@ def _haar(irreps, n: int, rng: np.random.Generator) -> np.ndarray:
     return c
 
 
-def _moduli(family: KernelFamily, irreps, tol_rank: float):
+def _moduli(family: KernelFamily, irreps, tol_rank: float, spins=None):
     """(vertices, canonical vertex, constraint texts) of a multiplicity-free
     family.
 
@@ -120,7 +122,8 @@ def _moduli(family: KernelFamily, irreps, tol_rank: float):
     holds their coefficient vectors (phases 0), one per row.  Vertices
     come in column-subset order of their ordered coordinates, and the
     canonical one has the least cost among those whose point fails the rank
-    test at ``tol_rank`` (among all when none does; a tie goes to the first).
+    test at ``tol_rank`` (among all when none does; a tie goes to the first),
+    on the spin path when ``spins`` is the channel label's spin basis.
     Two families that a label move (:mod:`gcec.classes`) maps onto each
     other have the same polytope with the coordinates in another order, so
     by cost alone one could sit at a failing vertex and the other at a
@@ -136,19 +139,21 @@ def _moduli(family: KernelFamily, irreps, tol_rank: float):
     np.put_along_axis(vertices, choices, np.sqrt(dims), axis=1)
     cost = (pos[choices] + 1.0) @ dims
     if len(vertices) > 1:
-        fails = ~test_extreme((vertices @ family.basis.T).reshape(-1, K, d, d), tol_rank).extreme
+        fails = ~test_extreme((vertices @ family.basis.T).reshape(-1, K, d, d), tol_rank, spins=spins).extreme
         if fails.any():
             cost = np.where(fails, cost, np.inf)
     texts = [" + ".join(f"{1.0 / dim:.6g}|u{p + 1}|^2" for p in sorted(pos[C[:, 0]])) + " = 1" for dim, C in irreps]
     return vertices, vertices[np.argmin(cost)], texts
 
 
-def solve_tp(family: KernelFamily, seed=0, tol_rank: float = DEFAULT_TOL_RANK) -> TpSolveReport:
+def solve_tp(family: KernelFamily, seed=0, tol_rank: float = DEFAULT_TOL_RANK, spins=None) -> TpSolveReport:
     """The trace-preserving points of the family, in closed form.
 
     ``seed`` seeds the Haar samples; ``tol_rank`` is the rank test's
     tolerance, with which a multiplicity-free family picks its canonical
-    vertex.
+    vertex, and ``spins`` the channel label's
+    :func:`gcec.extremality.spin_basis` for an SO3/SU2 family (None: the
+    test's SVD).
     """
     if family.n_params == 0:
         return TpSolveReport(status="no_solution", detail="empty family: only the zero map is covariant")
@@ -161,7 +166,7 @@ def solve_tp(family: KernelFamily, seed=0, tol_rank: float = DEFAULT_TOL_RANK) -
     report = TpSolveReport(status="solved", detail="closed form")
     first = []
     if all(C.shape[1] == 1 for _, C in irreps):
-        _, canonical, report.moduli_constraints = _moduli(family, irreps, tol_rank)
+        _, canonical, report.moduli_constraints = _moduli(family, irreps, tol_rank, spins=spins)
         first = [canonical]
     # one parameter: its one freedom, a phase, is gauged away, so no Haar sample
     haar = [] if family.n_params == 1 else [_haar(irreps, family.n_params, np.random.default_rng(seed))]

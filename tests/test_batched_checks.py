@@ -471,21 +471,25 @@ def test_non_covariant_solved_samples_fail_their_class(monkeypatch, name, d, non
     assert broken == failed
 
 
-@pytest.mark.parametrize("name,d,nonunitary_only,calls", [("D5", 4, True, 26), ("SO3", 7, False, 19)])
-def test_one_rank_test_per_found_class(monkeypatch, name, d, nonunitary_only, calls):
-    # a class's representative and its moved members share one rank test
+@pytest.mark.parametrize("name,d,nonunitary_only,calls", [("D5", 4, True, 2), ("SO3", 7, False, 4)])
+def test_one_rank_test_per_omega(monkeypatch, name, d, nonunitary_only, calls):
+    # every sample the sweep emits under one channel label, solved or moved
+    # and across label classes, shares one rank test
     counted = []
 
-    def counting(stack, tol_rank):
-        counted.append(len(stack))
-        return rank_test(stack, tol_rank)
+    def counting(stack, tol_rank, spins=None):
+        counted.append((len(stack), stack.shape[1], spins is None))
+        return rank_test(stack, tol_rank, spins=spins)
 
     monkeypatch.setattr(pipeline, "test_extreme", counting)
     manifest = run_enumeration(name, None, d, seed=7, nonunitary_only=nonunitary_only)
-    classes = LabelClasses(props(name, manifest.kind, d).group) if manifest.kind == "discrete" else None
     found = [r for r in manifest.records if r.status == "channel_found"]
-    assert len(counted) == len({_class_of(classes, r) for r in found}) == calls
-    assert sum(counted) == sum(len(r.kraus_samples) for r in found)
+    omegas = sorted({r.omega_index for r in found})
+    assert len(counted) == len(omegas) == calls
+    spec = props(name, manifest.kind, d).group
+    assert sorted(K for _, K, _ in counted) == sorted(spec.irrep_by_index(om).dim for om in omegas)
+    assert [svd for *_, svd in counted] == [manifest.kind == "discrete"] * calls  # Lie labels take the spin path
+    assert sum(n for n, *_ in counted) == sum(len(r.kraus_samples) for r in found)
 
 
 @pytest.mark.parametrize("name,d,nonunitary_only", [("D5", 4, True), ("Z4", 3, False), ("A4", 4, True)])

@@ -7,8 +7,10 @@ import pytest
 
 from gcec.channels import KrausSet
 from gcec.errors import NotTracePreserving
-from gcec.extremality import TOL_TP
+from gcec.extremality import TOL_TP, spin_basis
 from gcec.extremality import test_extreme as rank_test
+from gcec.groups import props
+from gcec.pipeline import run_enumeration
 
 from fixtures import (
     a4_qutrit_triple,
@@ -142,3 +144,65 @@ def test_check_channels_stops_at_the_first_non_channel_of_its_slice():
     assert first != second
     test.check_channels(slice(0, 1))
     test.check_channels(0)
+
+
+@pytest.mark.parametrize("name", ["SO3", "SU2"])
+def test_spin_basis_is_orthonormal_with_casimir_eigenvalues(name):
+    # column L of the basis is diagonal's h_L: 1/2 ([L+, [L-, D]] + [L-, [L+, D]])
+    # = L(L + 1) D for D = diag(h_L), on every catalog irrep up to dimension 14
+    irreps = [irrep for irrep in props(name, "lie", 14).group.irreps if irrep.dim <= 14]
+    assert [irrep.dim for irrep in irreps] == list(range(1, 15, 2 if name == "SO3" else 1))
+    for irrep in irreps:
+        raising, lowering, _ = irrep.generator_matrices
+        h = spin_basis(irrep.generator_matrices)
+        assert h.shape == (irrep.dim, irrep.dim) and np.isrealobj(h)
+        assert np.linalg.norm(h.T @ h - np.eye(irrep.dim)) <= 1e-13
+        for L, column in enumerate(h.T):
+            D = np.diag(column)
+            up_down = raising @ (lowering @ D - D @ lowering) - (lowering @ D - D @ lowering) @ raising
+            down_up = lowering @ (raising @ D - D @ raising) - (raising @ D - D @ raising) @ lowering
+            assert np.linalg.norm((up_down + down_up) / 2 - L * (L + 1) * D) <= 1e-13 * max(1, L * (L + 1))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name,d", [("SO3", 7), ("SO3", 9), ("SU2", 5), ("SU2", 8)])
+def test_spin_path_equals_the_svd_on_every_stored_sample(name, d, seed):
+    # the spin-component norms, each repeated 2L + 1 times, are the d^2 x K^2
+    # product stack's singular values; the sweep stores the spin path's
+    manifest = run_enumeration(name, None, d, seed=seed)
+    spec = props(name, "lie", d).group
+    checked = 0
+    for r in manifest.records:
+        if not r.kraus_samples:
+            continue
+        stack = np.stack([s.matrices for s in r.kraus_samples])
+        svd = rank_test(stack)
+        spin = rank_test(stack, spins=spin_basis(spec.irrep_by_index(r.omega_index).generator_matrices))
+        assert spin.singular_values.shape == svd.singular_values.shape
+        assert np.all(np.abs(spin.singular_values - svd.singular_values) <= 1e-13 * svd.singular_values[:, :1])
+        assert np.array_equal(spin.rank, svd.rank) and np.array_equal(spin.extreme, svd.extreme)
+        assert np.array_equal(spin.tp_residual, svd.tp_residual)
+        assert r.residuals["rank_sigma_min"] == spin.singular_values[:, -1].min()
+        checked += len(stack)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("name,d,omega_index,S", [("SO3", 5, 2, 6), ("SU2", 4, 3, 5), ("SU2", 2, 4, 3), ("SU2", 3, 0, 1)])
+def test_spin_path_values_equal_the_per_set_values_bit_for_bit(name, d, omega_index, S):
+    # each set's values are its own in any stack (K > d included, where the
+    # spectrum keeps d^2 values); a set with a NaN entry gets NaN values
+    # and rank 0, as on the SVD path
+    irrep = props(name, "lie", 14).group.irrep_by_index(omega_index)
+    spins = spin_basis(irrep.generator_matrices)
+    rng = np.random.default_rng([95, S, irrep.dim, d])
+    stack = rng.normal(size=(S, irrep.dim, d, d)) + 1j * rng.normal(size=(S, irrep.dim, d, d))
+    stack[-1, 0, 0, 0] = np.nan if S > 1 else stack[-1, 0, 0, 0]
+    test = rank_test(stack, spins=spins)
+    assert test.singular_values.shape == (S, min(irrep.dim, d) ** 2)
+    for i, mats in enumerate(stack):
+        alone = rank_test(mats[None], spins=spins)
+        assert test.singular_values[i].tobytes() == alone.singular_values[0].tobytes()
+        assert test.rank[i] == alone.rank[0] and test.tp_residual[i].tobytes() == alone.tp_residual[0].tobytes()
+    if S > 1:
+        assert np.isnan(test.singular_values[-1]).all() and test.rank[-1] == 0
+        assert not np.isnan(test.singular_values[:-1]).any()

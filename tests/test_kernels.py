@@ -491,8 +491,16 @@ def _all_rows_kernel(system, rows, cols):
     return basis
 
 
+def _raising_and_weight_rows(system, rows, cols, free):
+    """The unit-vector build's L+ and Lz columns at ``free``, stacked: the
+    rows a Lie block is factored on, before its zero rows are left out."""
+    matrices = kernels._columns((system.kind, system.omega, rows, cols), free)
+    return np.vstack([np.zeros((0, free.size)), matrices[0], matrices[2]])
+
+
 def test_lie_blocks_factor_only_their_nonzero_rows(monkeypatch):
-    # Dropping the zero rows keeps each kernel; a block with no free entry
+    # Dropping the L- rows and the zero rows keeps each kernel, which the
+    # reference takes from all three generators; a block with no free entry
     # (spin 1/2 against spin 0 under an integer spin) is never factored.
     svd_inputs = []
     original = np.linalg.svd
@@ -515,15 +523,15 @@ def test_lie_blocks_factor_only_their_nonzero_rows(monkeypatch):
         ref = _all_rows_kernel(system, rows, cols)
         assert basis.shape == ref.shape
         assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-12
-        nonzero = np.vstack(kernels._columns((system.kind, system.omega, rows, cols), free)).any(axis=1)
+        nonzero = _raising_and_weight_rows(system, rows, cols, free).any(axis=1)
         assert all(shape[-2] == np.count_nonzero(nonzero) < nonzero.size for shape in factored)
     assert empty > 0
 
 
 def test_lie_assembly_is_the_unit_vector_build_on_free_entries_and_nonzero_rows():
     # The weight-space assembly of all of a system's blocks at once gives, for
-    # each block, the unit-vector build's columns at the free entries with its
-    # zero rows left out, entry for entry.
+    # each block, the unit-vector build's L+ and Lz columns at the free
+    # entries with their zero rows left out, entry for entry.
     blocks = [*_distinct_blocks("SO3", 9).values(), *_distinct_blocks("SU2", 6).values()]
     by_system = {}
     for system, rows, cols in blocks:
@@ -532,11 +540,48 @@ def test_lie_assembly_is_the_unit_vector_build_on_free_entries_and_nonzero_rows(
     for system, pairs in by_system.values():
         for (rows, cols), (free, matrix) in zip(pairs, kernels._lie_matrices(system.omega, pairs), strict=True):
             assert np.array_equal(free, _free_entries(system, rows, cols))
-            ref = np.vstack([np.zeros((0, free.size)), *kernels._columns((system.kind, system.omega, rows, cols), free)])
+            ref = _raising_and_weight_rows(system, rows, cols, free)
             ref = ref[ref.any(axis=1)]
             assert matrix.shape == ref.shape and np.array_equal(matrix, ref)
             checked += 1
     assert checked == len(blocks)
+
+
+def test_wide_lie_blocks_keep_their_whole_kernel():
+    # Without the L- rows a Lie block can have fewer rows than free entries;
+    # a thin SVD's v[rank:] would then hold only rows - rank of its kernel
+    # vectors, where the block has columns - rank.
+    wide = 0
+    for system, rows, cols in _distinct_blocks("SO3", 9).values():
+        ((free, matrix),) = kernels._lie_matrices(system.omega, [(rows, cols)])
+        if matrix.shape[0] >= matrix.shape[1]:
+            continue
+        (kernel,) = kernels._nullspaces([matrix])
+        assert kernel.shape == (free.size, _all_rows_kernel(system, rows, cols).shape[1])
+        assert kernel.shape[1] > matrix.shape[0] - np.linalg.matrix_rank(matrix)
+        assert np.linalg.norm(matrix @ kernel) <= 1e-12
+        assert np.linalg.norm(kernel.conj().T @ kernel - np.eye(kernel.shape[1])) <= 1e-12
+        wide += matrix.shape[0] > 0
+    assert wide > 0
+
+
+@pytest.mark.parametrize("name,d", [("SO3", 9), ("SU2", 6)])
+def test_kernel_dims_equal_the_three_generator_reference(name, d):
+    # The table built from the L+ and Lz rows holds, for every block, the
+    # kernel dimension of its matrices with every generator's rows.
+    spec = props(name, "lie", d).group
+    parts = {}
+    for label in enumerate_reps(spec, d):
+        parts.update(zip(label.parts, materialize(spec, label).split))
+    parts = tuple(parts.values())
+    omegas = omega_candidates(spec, d)
+    table = kernels.kernel_dims("lie", parts, omegas, {})
+    for omega, dims in zip(omegas, table, strict=True):
+        on_kraus = reps.InvariantBlock.on(np.arange(omega.dim), omega.generator_matrices)
+        system = kernels.CovarianceSystem("lie", parts, parts, on_kraus)
+        ref = [[_all_rows_kernel(system, rows, cols).shape[1] for cols in parts] for rows in parts]
+        assert np.array_equal(dims, ref)
+    assert table.any() and not table.all()
 
 
 @pytest.mark.parametrize("name, d", [("SO3", 7), ("SU2", 5)])

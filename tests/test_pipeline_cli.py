@@ -204,6 +204,33 @@ def test_crash_status_is_honest(monkeypatch, exc, status):
     assert rec.classification == "not_applicable"
 
 
+def test_a_rank_test_that_raises_fails_only_its_channel_label(monkeypatch):
+    # The sweep's one rank test per Omega raising (an SVD that does not
+    # converge) fails the classes under that label as a failed solve would,
+    # and the sweep goes on: S3's 2-dimensional label fails, its
+    # 1-dimensional labels stay.
+    reference = run_enumeration("S3", None, 3)
+    test_extreme = pipeline.test_extreme
+    failing = 2
+
+    def broken(stack, tol_rank, spins=None):
+        if stack.shape[1] == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return test_extreme(stack, tol_rank, spins=spins)
+
+    monkeypatch.setattr(pipeline, "test_extreme", broken)
+    manifest = run_enumeration("S3", None, 3)
+    failed = 0
+    for r, ref in zip(manifest.records, reference.records):
+        if ref.status == "channel_found" and r.omega_index == failing:
+            assert r.status == "solver_failed" and r.error == "LinAlgError: SVD did not converge"
+            assert not r.kraus_samples and r.classification == "not_applicable"
+            failed += 1
+        else:
+            assert record_dict(r, manifest) == record_dict(ref, reference)
+    assert 0 < failed < reference.count_found
+
+
 @pytest.mark.parametrize("disagree", ["kernel_dims", "solve_tp"])
 def test_table_disagreements_are_errors(monkeypatch, s3_manifest, disagree):
     # A family of another size than the table counts, or a solve without a
@@ -480,6 +507,43 @@ def test_cli_round_trip_imports_no_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s3.json")], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_so3_d9_manifest_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # The spin path's small products and the L+ and Lz Lie blocks stay below
+    # OpenBLAS's threading sizes on SO3 d=9, so one and two threads give the
+    # same bytes (README "Determinism").
+    src = pathlib.Path(gcec.__file__).parents[1]
+    written = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"so3-{threads}.json"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        }
+        argv = ["run", "--group", "SO3", "--dim", "9", "--seed", "7", "--out", str(path)]
+        done = subprocess.run([sys.executable, "-m", "gcec.cli", *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_a_kernel_basis_too_large_for_memory_is_an_error_before_any_build(monkeypatch):
+    # Z1 d=1100: one instance with 1100^2 parameters, whose dense basis would
+    # take K d^2 n_params 16 bytes; the sweep records that, without factoring.
+    def never(*args, **kwargs):
+        raise AssertionError("joint_nullspace was called")
+
+    monkeypatch.setattr(pipeline, "joint_nullspace", never)
+    (record,) = run_enumeration("Z1", None, 1100).records
+    need = 1100**2 * 1100**2 * 16
+    assert record.status == "error" and record.n_params == 1100**2
+    assert record.error == (
+        f"MemoryError: a dense kernel basis of {need} bytes exceeds the {pipeline._physical_memory()} bytes of"
+        " physical memory"
+    )
+    assert not record.kraus_samples and record.classification == "not_applicable"
 
 
 def test_classify_file_on_manifest(tmp_path, a4_manifest):
