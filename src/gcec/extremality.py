@@ -6,17 +6,19 @@ independent.  We stack their vectorizations into a d^2 x K^2 matrix and
 read the numerical rank off its singular values.  A generalized-extreme
 channel (K <= d) that fails the test is quasi-extreme.
 
-:func:`test_extreme` tests an (S, K, d, d) stack of Kraus sets at once,
-with batched products and one batched SVD; each set's singular values are
-those of its own SVD bit for bit, and a set's results are read off the
-:class:`RankTest` arrays at its index.  The test is only meaningful for a
-channel: :meth:`RankTest.check_channels` refuses a slice of the stack that
-holds a set whose TP residual exceeds ``TOL_TP``, for sweep samples and
-stored sets alike, and a sweep manifest records that value as
-``tolerances["tp"]``.  :func:`test_extreme` is the package's one rank
-count of the Kraus products: the sweep's records, ``classify`` and the TP
-solver's choice of canonical vertex all call it.  A sweep runs one test per
-channel label, over every sample it emits under that label.
+:func:`test_extreme` tests an (S, K, d, d) stack of Kraus sets ``BATCH``
+sets at a time, with batched products and one batched SVD per batch,
+which bounds the memory that a large stack's products take; each set's
+singular values are those of its own SVD bit for bit, and a set's
+results are read off the :class:`RankTest` arrays at its index.  The test
+is only meaningful for a channel: :meth:`RankTest.check_channels`
+refuses a slice of the stack that holds a set whose TP residual exceeds
+``TOL_TP``, for sweep samples and stored sets alike, and a sweep
+manifest records that value as ``tolerances["tp"]``.
+:func:`test_extreme` is the package's one rank count of the Kraus
+products: the sweep's records, ``classify`` and the TP solver's choice
+of canonical vertex all call it.  A sweep runs one test per channel
+label, over every sample it emits under that label.
 
 Spin path.  For an SO3/SU2 set labelled by the irrep Omega (dimension K, in
 the catalog's descending-m basis), the product map e_k (x) e_l ->
@@ -46,6 +48,7 @@ from .errors import BadTolerance, NotTracePreserving
 
 TOL_TP = 1e-8  # largest TP residual of a channel
 DEFAULT_TOL_RANK = 1e-8
+BATCH = 64  # sets per batch of Kraus products in test_extreme
 
 
 def check_tol_rank(tol_rank: float) -> None:
@@ -114,22 +117,33 @@ def spin_basis(generators) -> np.ndarray:
 def test_extreme(stack: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK, spins: np.ndarray | None = None) -> RankTest:
     """Rank test on the Kraus products of each set of an (S, K, d, d)
     stack.  Per set, the columns vec(A_k^dag A_l), k-major, form a
-    d^2 x K^2 matrix; one batched SVD gives its singular values, and the
+    d^2 x K^2 matrix; a batched SVD gives its singular values, and the
     rank counts those above ``tol_rank`` times the largest.  With
     ``spins``, the :func:`spin_basis` of the sets' SO3/SU2 channel label,
     the values are the spin-component norms instead (see "Spin path").  A
-    set whose products are not finite gets NaN values and rank 0."""
+    set whose products are not finite gets NaN values and rank 0.  The
+    sets go through ``BATCH`` at a time, so a sweep's per-label stack never
+    has all its products in memory at once."""
     S, K, d, _ = stack.shape
-    if spins is None:
-        products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
-        svals = finite_batch(np.linalg.svd, products.reshape(S, K * K, d * d).swapaxes(-1, -2), compute_uv=False)
-    else:
-        diagonal = (stack.conj().swapaxes(-1, -2) @ stack).reshape(S, K, d * d)
-        norms = np.linalg.norm(spins.T @ diagonal, axis=-1)  # (S, K): sigma_L at column L
-        svals = np.sort(np.repeat(norms, 2 * np.arange(K) + 1, axis=1), axis=1)[:, ::-1][:, : min(K * K, d * d)]
-        svals[~np.isfinite(norms).all(axis=1)] = np.nan
+    batches = [stack[at : at + BATCH] for at in range(0, S, BATCH)] or [stack]
+    svals = np.concatenate([_spectrum(batch, spins) for batch in batches])
     top = svals[:, :1]
     rank = np.where(top[:, 0] > 0, np.sum(svals > tol_rank * top, axis=1), 0)
     # K^2 operators cannot be independent in a d^2-dimensional space.
     extreme = (rank == K * K) & (K <= d)
-    return RankTest(tp_residual=tp_residuals(stack), singular_values=svals, rank=rank, extreme=extreme)
+    tp = np.concatenate([tp_residuals(batch) for batch in batches])
+    return RankTest(tp_residual=tp, singular_values=svals, rank=rank, extreme=extreme)
+
+
+def _spectrum(stack: np.ndarray, spins: np.ndarray | None) -> np.ndarray:
+    """The descending singular values of each set's product stack, by SVD,
+    or from the spin-component norms given ``spins``: shape (S, min(d^2, K^2))."""
+    S, K, d, _ = stack.shape
+    if spins is None:
+        products = stack.conj().swapaxes(-1, -2)[:, :, None] @ stack[:, None]
+        return finite_batch(np.linalg.svd, products.reshape(S, K * K, d * d).swapaxes(-1, -2), compute_uv=False)
+    diagonal = (stack.conj().swapaxes(-1, -2) @ stack).reshape(S, K, d * d)
+    norms = np.linalg.norm(spins.T @ diagonal, axis=-1)  # (S, K): sigma_L at column L
+    svals = np.sort(np.repeat(norms, 2 * np.arange(K) + 1, axis=1), axis=1)[:, ::-1][:, : min(K * K, d * d)]
+    svals[~np.isfinite(norms).all(axis=1)] = np.nan
+    return svals

@@ -61,9 +61,10 @@ class Rep:
     def dim(self) -> int:
         return self.label.total_dim
 
-    @property
+    @cached_property
     def generator_matrices(self) -> tuple[np.ndarray, ...]:
-        """The block-diagonal direct sums of the parts' generator matrices."""
+        """The block-diagonal direct sums of the parts' generator matrices;
+        computed once per object."""
         return tuple(direct_sum([part.generators[g] for part in self.split]) for g in range(self.spec.num_generators))
 
     @cached_property

@@ -7,6 +7,7 @@ import pytest
 
 from gcec.channels import KrausSet
 from gcec.errors import NotTracePreserving
+from gcec import extremality
 from gcec.extremality import TOL_TP, spin_basis
 from gcec.extremality import test_extreme as rank_test
 from gcec.groups import props
@@ -206,3 +207,20 @@ def test_spin_path_values_equal_the_per_set_values_bit_for_bit(name, d, omega_in
     if S > 1:
         assert np.isnan(test.singular_values[-1]).all() and test.rank[-1] == 0
         assert not np.isnan(test.singular_values[:-1]).any()
+
+
+@pytest.mark.parametrize("spin", [False, True])
+def test_a_stack_in_several_batches_gets_each_sets_values(monkeypatch, spin):
+    # the products go through BATCH sets at a time; a stack that spans
+    # several batches, the last one short, reads what one batch reads
+    irrep = props("SU2", "lie", 3).group.irrep_by_index(2)
+    spins = spin_basis(irrep.generator_matrices) if spin else None
+    rng = np.random.default_rng(96)
+    stack = rng.normal(size=(7, 3, 3, 3)) + 1j * rng.normal(size=(7, 3, 3, 3))
+    stack[4, 1, 2, 0] = np.nan
+    whole = rank_test(stack, spins=spins)
+    monkeypatch.setattr(extremality, "BATCH", 3)
+    batched = rank_test(stack, spins=spins)
+    for field in dataclasses.fields(whole):
+        assert getattr(batched, field.name).tobytes() == getattr(whole, field.name).tobytes()
+    assert np.isnan(batched.singular_values[4]).all() and batched.rank[4] == 0
