@@ -6,9 +6,8 @@ in deterministic order (Omega outermost in catalog order, then D1, then D2
 in enumeration order), decides whether each has a covariant channel,
 solves and classifies those that do, and collects everything into a
 manifest whose JSON form is byte-identical across runs with equal inputs
-and an equal BLAS thread count (a multithreaded BLAS rounds its reductions
-differently, which reaches the stored digits of some large Lie-group
-sweeps, such as SO3 d=11; README "Determinism").
+and one numpy build, at any BLAS thread count measured (Lie kernel blocks
+take no SVD; README "Determinism").
 
 Statuses are decided by counting.  A catalog representation's parts are
 irreps, so every Schur block of the sweep is an irrep triple (row irrep p,

@@ -364,7 +364,7 @@ def test_spin_group_d6_kernels_match_clebsch_gordan_within_budget():
 
 
 def test_rotation_group_d9_sweep_matches_clebsch_gordan_within_budget():
-    # weight space leaves at most K*min(r, c) unknowns per Schur block
+    # each Schur block is built from its highest-weight vector, with no SVD
     spec = props("SO3", "lie", 9).group
     dims = {ir.index: ir.dim for ir in spec.irreps}
     started = time.process_time()

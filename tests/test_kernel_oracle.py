@@ -27,7 +27,7 @@ SWEEPS = [
     ("A4", 3),
     ("D5", 3),
     # the small Lie sweeps hold spin-0 parts, whose generators are 1x1
-    # zeros: the edge case of the weight-space cut
+    # zeros: the edge case of the highest-weight build
     ("SO3", 1),
     ("SO3", 3),
     ("SO3", 5),

@@ -235,6 +235,14 @@ def _projector(basis):
     return basis @ basis.conj().T
 
 
+def _projector_gap(a, b):
+    """Frobenius distance between the projectors onto the spans of the
+    orthonormal bases ``a`` and ``b``, taken on the rows where either is
+    nonzero: every other entry of both projectors is zero."""
+    rows = a.any(axis=1) | b.any(axis=1)
+    return np.linalg.norm(_projector(a[rows]) - _projector(b[rows]))
+
+
 def test_discrete_omega_gauge_transports_kernel():
     # Conjugating the K-dim block rotates kernel vectors by U on the Kraus index.
     system, D1, D2, omega = _instance("S3", "discrete", 3, 2, (0, 2), (0, 2))
@@ -391,19 +399,34 @@ def _distinct_blocks(name, d):
 
 
 def test_sweep_builds_a_block_only_on_a_cache_miss(monkeypatch):
-    # A system holds only its parts: a sweep builds and factors a block's
-    # matrices once per distinct cache key.
+    # A system holds only its parts: a sweep builds a block's kernel once per
+    # distinct cache key.
     distinct = set(_distinct_blocks("SO3", 7))
     keys = []
-    assemble = kernels._lie_matrices
+    build = kernels._highest_weight
 
-    def counted(omega, pairs):
-        keys.extend(("lie", omega.content, rows.content, cols.content) for rows, cols in pairs)
-        return assemble(omega, pairs)
+    def counted(block, ladders):
+        kind, omega, rows, cols = block
+        keys.append((kind, omega.content, rows.content, cols.content))
+        return build(block, ladders)
 
-    monkeypatch.setattr(kernels, "_lie_matrices", counted)
+    monkeypatch.setattr(kernels, "_highest_weight", counted)
     run_enumeration("SO3", None, 7)
     assert len(keys) == len(set(keys)) and set(keys) == distinct
+
+
+@pytest.fixture
+def svd_inputs(monkeypatch):
+    """The shapes of the arrays handed to numpy's SVD during the test."""
+    shapes = []
+    original = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
 
 
 def _dense_kernel(system, rows, cols, tol):
@@ -431,56 +454,45 @@ def _free_entries(system, rows, cols):
 
 
 def _block_kernel(system, rows, cols):
-    """The block's basis, factored alone with a fresh cache."""
+    """The block's basis, built alone with a fresh cache."""
     return kernels._kernels([(system.kind, system.omega, rows, cols)], {})[0]
 
 
-def test_weight_space_kernel_matches_dense_svd(monkeypatch):
-    # Each block is factored on its free entries only; its kernel must span
-    # what the full dense SVD of the block's matrices spans.
+def test_weight_space_kernel_matches_dense_svd(svd_inputs):
+    # A catalog Lie block is built from its highest-weight vector with no SVD;
+    # a rotated or discrete block is factored on every entry.  Each kernel
+    # must span what the full dense SVD of the block's matrices spans.
     rng = np.random.default_rng(22)
     su2 = props("SU2", "lie", 3).group
     rep = materialize(su2, make_rep_label(su2, (0, 1)))
     D1, D2 = (rotated(rep, random_unitary(rng, 3)) for _ in range(2))
     system = rotated_system("lie", D1, D2, su2.irrep_by_index(1))
     (dense,) = [(system, rows, cols) for rows in system.row_parts for cols in system.col_parts]
-    discrete = [*_distinct_blocks("Z4", 3).values()]  # diagonal generators, but no cut
-    blocks = [*_distinct_blocks("SO3", 7).values(), *_distinct_blocks("SU2", 5).values(), dense, *discrete]
-    svd_inputs = []
-    original = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        svd_inputs.append(a.shape)
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    cut = 0
-    for system, rows, cols in blocks:
+    discrete = [*_distinct_blocks("Z4", 3).values()]  # diagonal generators, but factored
+    catalog = [*_distinct_blocks("SO3", 7).values(), *_distinct_blocks("SU2", 5).values()]
+    factored_blocks = 0
+    for system, rows, cols in [*catalog, dense, *discrete]:
         svd_inputs.clear()
         basis = _block_kernel(system, rows, cols)
         factored = list(svd_inputs)
         ref = _dense_kernel(system, rows, cols, 1e-10)
         assert basis.shape == ref.shape
         assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-9
-        K, r, c = system.K, rows.index.size, cols.index.size
-        lz_diagonal = system.kind == "lie" and all(
-            _is_diagonal(g) for g in (rows.generators[2], cols.generators[2], system.omega.generators[2])
-        )
-        free = _free_entries(system, rows, cols)
-        if lz_diagonal:
-            assert free.size <= K * min(r, c)
-            cut += 1
-        else:
-            assert np.array_equal(free, np.arange(K * r * c))
-        assert all(shape[-1] == free.size for shape in factored)  # inputs are batched: (blocks, rows, columns)
-    assert cut == len(blocks) - 1 - len(discrete)
+        if system.kind == "lie" and system is not dense[0]:
+            assert not factored
+        else:  # inputs are batched: (blocks, rows, columns)
+            assert all(shape[-1] == system.K * rows.index.size * cols.index.size for shape in factored)
+            factored_blocks += bool(factored)
+    assert factored_blocks > len(discrete) // 2
 
 
 def _all_rows_kernel(system, rows, cols):
     """The block's kernel from the SVD of its matrices on the free entries
-    with every row kept, embedded at those entries."""
+    with every row kept (the zero rows left out, which changes no kernel),
+    embedded at those entries."""
     free = _free_entries(system, rows, cols)
     stacked = np.vstack(kernels._columns((system.kind, system.omega, rows, cols), free))
+    stacked = stacked[stacked.any(axis=1)]
     if not np.any(stacked):
         kernel = np.eye(free.size)
     else:
@@ -491,83 +503,98 @@ def _all_rows_kernel(system, rows, cols):
     return basis
 
 
-def _raising_and_weight_rows(system, rows, cols, free):
-    """The unit-vector build's L+ and Lz columns at ``free``, stacked: the
-    rows a Lie block is factored on, before its zero rows are left out."""
-    matrices = kernels._columns((system.kind, system.omega, rows, cols), free)
-    return np.vstack([np.zeros((0, free.size)), matrices[0], matrices[2]])
-
-
-def test_lie_blocks_factor_only_their_nonzero_rows(monkeypatch):
-    # Dropping the L- rows and the zero rows keeps each kernel, which the
-    # reference takes from all three generators; a block with no free entry
-    # (spin 1/2 against spin 0 under an integer spin) is never factored.
-    svd_inputs = []
-    original = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        svd_inputs.append(a.shape)
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
+def test_lie_blocks_factor_only_their_nonzero_rows(svd_inputs):
+    # A catalog Lie block factors no rows at all: its kernel is built from its
+    # highest-weight vector, with no SVD, and equals the kernel of every
+    # generator's rows.  A block with no free entry (spin 1/2 against spin 0
+    # under an integer spin) has an empty basis.
     empty = 0
     for system, rows, cols in [*_distinct_blocks("SO3", 9).values(), *_distinct_blocks("SU2", 6).values()]:
         svd_inputs.clear()
         basis = _block_kernel(system, rows, cols)
-        factored = list(svd_inputs)
-        free = _free_entries(system, rows, cols)
-        if not free.size:
+        assert not svd_inputs
+        if not _free_entries(system, rows, cols).size:
             empty += 1
-            assert basis.shape == (system.K * rows.index.size * cols.index.size, 0) and not factored
+            assert basis.shape == (system.K * rows.index.size * cols.index.size, 0)
             continue
         ref = _all_rows_kernel(system, rows, cols)
         assert basis.shape == ref.shape
         assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-12
-        nonzero = _raising_and_weight_rows(system, rows, cols, free).any(axis=1)
-        assert all(shape[-2] == np.count_nonzero(nonzero) < nonzero.size for shape in factored)
     assert empty > 0
 
 
-def test_lie_assembly_is_the_unit_vector_build_on_free_entries_and_nonzero_rows():
-    # The weight-space assembly of all of a system's blocks at once gives, for
-    # each block, the unit-vector build's L+ and Lz columns at the free
-    # entries with their zero rows left out, entry for entry.
-    blocks = [*_distinct_blocks("SO3", 9).values(), *_distinct_blocks("SU2", 6).values()]
-    by_system = {}
-    for system, rows, cols in blocks:
-        by_system.setdefault(id(system), (system, []))[1].append((rows, cols))
-    checked = 0
-    for system, pairs in by_system.values():
-        for (rows, cols), (free, matrix) in zip(pairs, kernels._lie_matrices(system.omega, pairs), strict=True):
-            assert np.array_equal(free, _free_entries(system, rows, cols))
-            ref = _raising_and_weight_rows(system, rows, cols, free)
-            ref = ref[ref.any(axis=1)]
-            assert matrix.shape == ref.shape and np.array_equal(matrix, ref)
-            checked += 1
-    assert checked == len(blocks)
+def test_highest_weight_blocks_equal_the_three_generator_reference():
+    # Every distinct catalog block of SO3 d <= 13 and SU2 d <= 12, built from
+    # its highest-weight vector, against the SVD of all three generators'
+    # rows: the same kernel dimension and projector, an orthonormal basis and
+    # no generator's defect above roundoff.
+    blocks = {}
+    for name, d in [("SO3", 13), ("SU2", 12)]:
+        irreps = props(name, "lie", d).group.irreps
+        parts = [reps.InvariantBlock.on(np.arange(ir.dim), ir.generator_matrices) for ir in irreps]
+        for omega in parts:
+            for rows in parts:
+                for cols in parts:
+                    blocks.setdefault((omega.content, rows.content, cols.content), (omega, rows, cols))
+    bases = kernels._kernels([("lie", *block) for block in blocks.values()], {})
+    with_kernel = 0
+    for (omega, rows, cols), basis in zip(blocks.values(), bases, strict=True):
+        system = kernels.CovarianceSystem("lie", (rows,), (cols,), omega)
+        ref = _all_rows_kernel(system, rows, cols)
+        assert basis.shape == ref.shape
+        assert _projector_gap(basis, ref) <= 1e-12
+        n = basis.shape[1]
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(n)) <= 1e-12
+        stack = basis.T.reshape(n, system.K, rows.index.size, cols.index.size)
+        for a, b, om in zip(rows.generators, cols.generators, omega.generators):
+            assert np.linalg.norm(kernels._defect("lie", a, b, om, stack)) <= 1e-12
+        with_kernel += n > 0
+    assert len(blocks) == 12**3 + 7**3 - 6**3 and 0 < with_kernel < len(blocks)
 
 
-def test_wide_lie_blocks_keep_their_whole_kernel():
-    # Without the L- rows a Lie block can have fewer rows than free entries;
-    # a thin SVD's v[rank:] would then hold only rows - rank of its kernel
-    # vectors, where the block has columns - rank.
-    wide = 0
-    for system, rows, cols in _distinct_blocks("SO3", 9).values():
-        ((free, matrix),) = kernels._lie_matrices(system.omega, [(rows, cols)])
-        if matrix.shape[0] >= matrix.shape[1]:
-            continue
-        (kernel,) = kernels._nullspaces([matrix])
-        assert kernel.shape == (free.size, _all_rows_kernel(system, rows, cols).shape[1])
-        assert kernel.shape[1] > matrix.shape[0] - np.linalg.matrix_rank(matrix)
-        assert np.linalg.norm(matrix @ kernel) <= 1e-12
-        assert np.linalg.norm(kernel.conj().T @ kernel - np.eye(kernel.shape[1])) <= 1e-12
-        wide += matrix.shape[0] > 0
-    assert wide > 0
+def _spin_one(change=None):
+    """SU2's spin-1 part, or that part changed so that it is no longer in
+    ladder form."""
+    plus, minus, z = (g.copy() for g in props("SU2", "lie", 3).group.irrep_by_index(2).generator_matrices)
+    if change == "rotated":
+        u = random_unitary(np.random.default_rng(23), 3)
+        plus, minus, z = (u @ g @ u.conj().T for g in (plus, minus, z))
+    elif change == "dense Lz":
+        z = z + 0.1 * np.ones((3, 3))
+    elif change == "zero superdiagonal":
+        plus[0, 1] = 0.0
+    return reps.InvariantBlock.on(np.arange(3), (plus, minus, z))
+
+
+@pytest.mark.parametrize("change", ["rotated", "dense Lz", "zero superdiagonal"])
+@pytest.mark.parametrize("side", ["omega", "rows", "cols"])
+def test_parts_not_in_ladder_form_are_factored(monkeypatch, change, side):
+    # A block with a part not in ladder form is built by _columns from every
+    # generator and factored; a rotated part keeps the catalog block's kernel
+    # dimension.
+    parts = {"omega": _spin_one(), "rows": _spin_one(), "cols": _spin_one(), side: _spin_one(change)}
+    system = kernels.CovarianceSystem("lie", (parts["rows"],), (parts["cols"],), parts["omega"])
+    built = []
+    columns = kernels._columns
+
+    def counted(block, entries):
+        built.append(entries.size)
+        return columns(block, entries)
+
+    monkeypatch.setattr(kernels, "_columns", counted)
+    monkeypatch.setattr(kernels, "_highest_weight", None)  # never called
+    basis = _block_kernel(system, parts["rows"], parts["cols"])
+    assert built == [27]
+    ref = _dense_kernel(system, parts["rows"], parts["cols"], 1e-10)
+    assert basis.shape == ref.shape
+    assert np.linalg.norm(_projector(basis) - _projector(ref)) <= 1e-9
+    if change == "rotated":
+        assert basis.shape == (27, 1)
 
 
 @pytest.mark.parametrize("name,d", [("SO3", 9), ("SU2", 6)])
 def test_kernel_dims_equal_the_three_generator_reference(name, d):
-    # The table built from the L+ and Lz rows holds, for every block, the
+    # The table built from highest-weight vectors holds, for every block, the
     # kernel dimension of its matrices with every generator's rows.
     spec = props(name, "lie", d).group
     parts = {}
@@ -584,20 +611,19 @@ def test_kernel_dims_equal_the_three_generator_reference(name, d):
     assert table.any() and not table.all()
 
 
-@pytest.mark.parametrize("name, d", [("SO3", 7), ("SU2", 5)])
-def test_block_table_makes_one_svd_call_per_block_shape(monkeypatch, name, d):
-    spec = props(name, "lie", d).group
+@pytest.mark.parametrize("name, d", [("SO3", 7), ("SU2", 5), ("Z4", 3), ("D5", 4)])
+def test_block_table_makes_one_svd_call_per_block_shape(svd_inputs, name, d):
+    # A Lie table makes none: every catalog block is built from its
+    # highest-weight vector.
+    kind = infer_kind(name)
+    spec = props(name, kind, d).group
     reps_ = [materialize(spec, lab) for lab in enumerate_reps(spec, d)]
-    shapes = []
-    original = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        shapes.append(a.shape[-2:])
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    pipeline._counts("lie", reps_, omega_candidates(spec, d), {})
-    assert shapes and len(shapes) == len(set(shapes))
+    pipeline._counts(kind, reps_, omega_candidates(spec, d), {})
+    shapes = [shape[-2:] for shape in svd_inputs]
+    if kind == "lie":
+        assert not shapes
+    else:
+        assert shapes and len(shapes) == len(set(shapes))
 
 
 def test_block_columns_are_the_matrices_columns():

@@ -509,10 +509,11 @@ def test_cli_round_trip_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_so3_d9_manifest_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # The spin path's small products and the L+ and Lz Lie blocks stay below
-    # OpenBLAS's threading sizes on SO3 d=9, so one and two threads give the
-    # same bytes (README "Determinism").
+@pytest.mark.parametrize("d", [9, 11])
+def test_so3_manifest_does_not_depend_on_the_blas_thread_count(tmp_path, d):
+    # The spin path's small products stay below OpenBLAS's threading sizes,
+    # and Lie blocks are built from their highest-weight vectors with no
+    # SVD, so one and two threads give the same bytes (README "Determinism").
     src = pathlib.Path(gcec.__file__).parents[1]
     written = []
     for threads in ("1", "2"):
@@ -522,7 +523,7 @@ def test_so3_d9_manifest_does_not_depend_on_the_blas_thread_count(tmp_path):
             "OPENBLAS_NUM_THREADS": threads,
             "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
         }
-        argv = ["run", "--group", "SO3", "--dim", "9", "--seed", "7", "--out", str(path)]
+        argv = ["run", "--group", "SO3", "--dim", str(d), "--seed", "7", "--out", str(path)]
         done = subprocess.run([sys.executable, "-m", "gcec.cli", *argv], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         written.append(path.read_bytes())
